@@ -7,7 +7,7 @@
 //!   fig4 table1 fig5 fig6 fig7 fig8 fig9 table2 fig10 fig11
 //!   fig12 fig13 fig14 fig15 fig16 fig17 sec3
 //!   pmd-scaling sharded-scaling soa kernels windows-backend lrfu ingest
-//!   ablate-deamortize ablate-select ablate-gamma ablate-window
+//!   ablate-deamortize ablate-select ablate-gamma ablate-tail ablate-window
 //!   all        (everything above, in order)
 //!
 //! options:
@@ -23,6 +23,21 @@ use qmax_bench::experiments::{
 };
 use qmax_bench::scale::Scale;
 
+/// Prints `error` (if any) and the usage text, then exits with status 2.
+fn usage_exit(error: Option<&str>) -> ! {
+    if let Some(e) = error {
+        eprintln!("figures: {e}");
+    }
+    eprintln!("usage: figures <experiment|all> [--scale F] [--full]");
+    eprintln!("experiments: fig4 table1 fig5 fig6 fig7 fig8 fig9 table2 fig10 fig11");
+    eprintln!("             fig12 fig13 fig14 fig15 fig16 fig17 sec3");
+    eprintln!("             pmd-scaling sharded-scaling soa kernels windows-backend lrfu ingest");
+    eprintln!(
+        "             ablate-deamortize ablate-select ablate-gamma ablate-tail ablate-window"
+    );
+    std::process::exit(2);
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut scale = Scale::default();
@@ -31,22 +46,17 @@ fn main() {
     while let Some(a) = it.next() {
         match a.as_str() {
             "--scale" => {
-                let v = it.next().expect("--scale needs a value");
-                scale.factor = v.parse().expect("--scale needs a number");
+                scale.factor = match it.next().map(|v| v.parse::<f64>()) {
+                    Some(Ok(f)) if f.is_finite() && f > 0.0 => f,
+                    _ => usage_exit(Some("--scale needs a positive number")),
+                };
             }
             "--full" => scale.full = true,
             other => experiments.push(other.to_string()),
         }
     }
     if experiments.is_empty() {
-        eprintln!("usage: figures <experiment|all> [--scale F] [--full]");
-        eprintln!("experiments: fig4 table1 fig5 fig6 fig7 fig8 fig9 table2 fig10 fig11");
-        eprintln!("             fig12 fig13 fig14 fig15 fig16 fig17 sec3");
-        eprintln!(
-            "             pmd-scaling sharded-scaling soa kernels windows-backend lrfu ingest"
-        );
-        eprintln!("             ablate-deamortize ablate-select ablate-gamma ablate-window");
-        std::process::exit(2);
+        usage_exit(None);
     }
     let all = [
         "fig4",
@@ -116,10 +126,7 @@ fn main() {
             "ablate-gamma" => ablate::ablate_gamma(&scale),
             "ablate-tail" => ablate::ablate_tail(&scale),
             "ablate-window" => windows::ablate_window(&scale),
-            other => {
-                eprintln!("unknown experiment: {other}");
-                std::process::exit(2);
-            }
+            other => usage_exit(Some(&format!("unknown experiment: {other}"))),
         }
         eprintln!("[{id} done in {:.1?}]\n", start.elapsed());
     }

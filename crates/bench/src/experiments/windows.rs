@@ -5,8 +5,8 @@ use crate::scale::Scale;
 use crate::{fmt, mpps, Report};
 use qmax_core::{
     AdaptiveBasicSlackQMax, AdaptiveHierSlackQMax, AdaptiveLazySlackQMax, AmortizedQMax,
-    BackendPolicy, BasicSlackQMax, BatchInsert, HierSlackQMax, LazySlackQMax, QMax,
-    SoaBasicSlackQMax, SoaHierSlackQMax, SoaLazySlackQMax,
+    BasicSlackQMax, BatchInsert, HierSlackQMax, LazySlackQMax, PolicyMode, QMax, SoaBasicSlackQMax,
+    SoaHierSlackQMax, SoaLazySlackQMax,
 };
 use qmax_lrfu::{AdaptiveQMaxLrfu, QMaxLrfu, SoaQMaxLrfu};
 use qmax_traces::gen::{arc_like, random_u64_stream};
@@ -348,13 +348,13 @@ struct BackendRow {
 /// Every slack-window algorithm and the q-MAX LRFU are generic over
 /// their interval backend; this experiment measures what the
 /// structure-of-arrays backend buys them on a Zipf-skewed stream fed
-/// through the batched insert path, and what the calibrated
-/// [`BackendPolicy`] recovers by picking the layout per block capacity.
+/// through the batched insert path, and what the static [`PolicyMode`]
+/// rules recover by picking the layout per block shape.
 /// Along the way it asserts all three layouts produce identical top-q
 /// value multisets (windows) and identical hit counts (LRFU). Series
 /// mirror to `results/windows_backend_compare.csv` (with an
 /// `adaptive_vs_best` column for the CI gate) and `BENCH_windows.json`
-/// (with the calibrated cost model embedded for provenance).
+/// (with the policy mode and its rules embedded for provenance).
 pub fn windows_backend(scale: &Scale) {
     println!("# Windowed/LRFU q-MAX: AoS vs SoA vs adaptive block backends (batched inserts)");
     let n = scale.stream(4_000_000);
@@ -504,8 +504,8 @@ impl CacheBatch for AdaptiveQMaxLrfu<u64> {
 }
 
 /// Hand-rolled JSON mirror (no serde in the dependency-free build).
-/// Embeds the calibrated backend cost model so every published number
-/// carries the crossover that produced the adaptive decisions.
+/// Embeds the backend policy mode and its rules so every published
+/// number carries what produced the adaptive decisions.
 fn write_bench_json(rows: &[BackendRow], stream_len: usize, q: usize) {
     let ts = std::time::SystemTime::now()
         .duration_since(std::time::UNIX_EPOCH)
@@ -533,7 +533,6 @@ fn write_bench_json(rows: &[BackendRow], stream_len: usize, q: usize) {
             r.adaptive_vs_best,
         ));
     }
-    let policy = BackendPolicy::global();
     let json = format!(
         concat!(
             "{{\n",
@@ -543,7 +542,8 @@ fn write_bench_json(rows: &[BackendRow], stream_len: usize, q: usize) {
             "  \"stream_len\": {n},\n",
             "  \"batch\": {batch},\n",
             "  \"backend_policy_mode\": \"{mode:?}\",\n",
-            "  \"backend_cost_model\": {model},\n",
+            "  \"backend_policy_rules\": \"non-u64 value lane -> AoS; ",
+            "lifetime fill <= capacity (append-only) -> AoS; otherwise SoA\",\n",
             "  \"machine_caveats\": \"wall-clock timing on a shared, unpinned machine ",
             "(no CPU isolation, no frequency control, container noise); ",
             "relative AoS-vs-SoA speedups are the signal, absolute MIPS are not ",
@@ -555,8 +555,7 @@ fn write_bench_json(rows: &[BackendRow], stream_len: usize, q: usize) {
         q = q,
         n = stream_len,
         batch = BATCH,
-        mode = policy.mode(),
-        model = policy.model().summary_json(),
+        mode = PolicyMode::global(),
         body = body,
     );
     match std::fs::File::create("BENCH_windows.json").and_then(|mut f| f.write_all(json.as_bytes()))

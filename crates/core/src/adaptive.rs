@@ -1,12 +1,12 @@
-//! Per-block adaptive backend: AoS or SoA, chosen by the calibrated
-//! [`BackendPolicy`].
+//! Per-block adaptive backend: AoS or SoA, chosen by the static
+//! [`PolicyMode`] rules.
 //!
 //! [`AdaptiveBackend`] is an [`IntervalBackend`] that delegates every
 //! operation to either the array-of-structs [`AmortizedQMax`] (scalar
-//! admit loop, no kernel handle — the small-block fast path) or the
+//! admit loop, no kernel handle — the append-only fast path) or the
 //! structure-of-arrays [`SoaAmortizedQMax`] (kernel-dispatched batch
 //! admit over split lanes). The choice is made **once at construction**
-//! from three inputs:
+//! from four inputs:
 //!
 //! * the block's capacity `⌈q(1+γ)⌉` and an optional *lifetime fill*
 //!   hint — how many items the block is expected to see before it is
@@ -15,18 +15,16 @@
 //!   is the same at every τ, but the items a block sees over its life
 //!   shrink linearly with it, and a block whose lifetime fill stays
 //!   below capacity never compacts at all — the append-only regime
-//!   where AoS wins no matter what the calibration measured. Merge-fed
-//!   structures (hierarchical/lazy rings) pass `None`: their blocks
-//!   absorb batches from every block below, so they live in the
-//!   compaction-heavy regime where the calibrated crossover decides;
-//! * the process-wide calibrated crossover
-//!   ([`BackendPolicy::global`]), overridable via the
-//!   `QMAX_BACKEND_POLICY` environment variable (`auto` / `force-aos`
-//!   / `force-soa`, composing with `QMAX_FORCE_SCALAR`);
+//!   where AoS wins. Merge-fed structures (hierarchical/lazy rings)
+//!   pass `None`: their blocks absorb batches from every block below,
+//!   so they live in the compaction-heavy regime where SoA wins;
 //! * the value-lane type: under `auto`, non-`u64` lanes (e.g.
 //!   [`OrderedF64`](crate::OrderedF64) decay scores) route straight to
 //!   AoS — the SIMD tiers cannot engage there, so the SoA layout's
-//!   per-chunk overhead buys nothing.
+//!   per-chunk overhead buys nothing;
+//! * the process-wide mode ([`PolicyMode::global`]), overridable via
+//!   the `QMAX_BACKEND_POLICY` environment variable (`auto` /
+//!   `force-aos` / `force-soa`, composing with `QMAX_FORCE_SCALAR`).
 //!
 //! Because the two delegates are behavioral twins (same admissions,
 //! same Ψ trajectory, same top-q value multiset; ids tie-break
@@ -39,7 +37,7 @@ use crate::amortized::AmortizedQMax;
 use crate::entry::Entry;
 use crate::soa::SoaAmortizedQMax;
 use crate::traits::{BatchInsert, IntervalBackend, QMax};
-use qmax_select::{lane_is_u64, BackendChoice, BackendPolicy, PolicyMode};
+use qmax_select::{BackendChoice, PolicyMode};
 
 /// An interval backend that delegates to AoS or SoA per constructed
 /// block capacity and expected fill (see the module docs).
@@ -66,7 +64,7 @@ enum Inner<I, V> {
 
 impl<I: Copy + 'static, V: Ord + Copy + 'static> AdaptiveBackend<I, V> {
     /// Creates an adaptive q-MAX for the `q` largest items with
-    /// space-slack `gamma`, letting the global policy pick the layout
+    /// space-slack `gamma`, letting the global mode pick the layout
     /// with no fill hint (the block is assumed to fill to capacity —
     /// the plain interval use).
     ///
@@ -80,7 +78,7 @@ impl<I: Copy + 'static, V: Ord + Copy + 'static> AdaptiveBackend<I, V> {
 
     /// Fallible [`AdaptiveBackend::new`].
     pub fn try_new(q: usize, gamma: f64) -> Result<Self, crate::QMaxError> {
-        Self::try_with_policy(q, gamma, None, BackendPolicy::global())
+        Self::try_with_policy(q, gamma, None, PolicyMode::global())
     }
 
     /// Like [`AdaptiveBackend::new`], with a lifetime fill hint: how
@@ -97,26 +95,20 @@ impl<I: Copy + 'static, V: Ord + Copy + 'static> AdaptiveBackend<I, V> {
         gamma: f64,
         expected_fill: Option<usize>,
     ) -> Result<Self, crate::QMaxError> {
-        Self::try_with_policy(q, gamma, expected_fill, BackendPolicy::global())
+        Self::try_with_policy(q, gamma, expected_fill, PolicyMode::global())
     }
 
-    /// Fully explicit constructor: tests and benchmarks pin a policy
-    /// (mode + model) instead of consulting the process-global one.
+    /// Fully explicit constructor: tests and benchmarks pin a mode
+    /// instead of consulting the process-global one.
     pub fn try_with_policy(
         q: usize,
         gamma: f64,
         expected_fill: Option<usize>,
-        policy: &BackendPolicy,
+        mode: PolicyMode,
     ) -> Result<Self, crate::QMaxError> {
         crate::error::check_q_gamma(q, gamma)?;
         let cap = (((q as f64) * (1.0 + gamma)).ceil() as usize).max(q + 1);
-        let choice = if policy.mode() == PolicyMode::Auto && !lane_is_u64::<V>() {
-            // The SIMD tiers only accept u64 value lanes; on any other
-            // lane the SoA layout pays its chunk overhead for nothing.
-            BackendChoice::Aos
-        } else {
-            policy.choose(cap, expected_fill)
-        };
+        let choice = mode.choose::<V>(cap, expected_fill);
         let inner = match choice {
             BackendChoice::Aos => Inner::Aos(AmortizedQMax::try_new(q, gamma)?),
             BackendChoice::Soa => Inner::Soa(SoaAmortizedQMax::try_new(q, gamma)?),
@@ -294,71 +286,48 @@ impl<I: Copy + 'static, V: Ord + Copy + 'static> IntervalBackend<I, V> for Adapt
 mod tests {
     use super::*;
     use crate::OrderedF64;
-    use qmax_select::{CostModel, KernelKind};
-
-    fn policy(mode: PolicyMode, crossover: usize) -> BackendPolicy {
-        BackendPolicy::new(
-            mode,
-            CostModel {
-                kernel_kind: KernelKind::Scalar,
-                aos_fixed_ns: 10.0,
-                aos_per_item_ns: 2.0,
-                soa_fixed_ns: 100.0,
-                soa_per_item_ns: 1.0,
-                crossover_items: crossover,
-            },
-        )
-    }
 
     #[test]
     fn forced_modes_pick_their_layout() {
-        let aos = AdaptiveBackend::<u32, u64>::try_with_policy(
-            10,
-            0.5,
-            None,
-            &policy(PolicyMode::ForceAos, 0),
-        )
-        .unwrap();
+        let aos = AdaptiveBackend::<u32, u64>::try_with_policy(10, 0.5, None, PolicyMode::ForceAos)
+            .unwrap();
         assert_eq!(aos.choice(), BackendChoice::Aos);
         assert_eq!(aos.backend_label(), "qmax-adaptive-aos");
-        let soa = AdaptiveBackend::<u32, u64>::try_with_policy(
-            10,
-            0.5,
-            Some(1),
-            &policy(PolicyMode::ForceSoa, usize::MAX),
-        )
-        .unwrap();
+        let soa =
+            AdaptiveBackend::<u32, u64>::try_with_policy(10, 0.5, Some(1), PolicyMode::ForceSoa)
+                .unwrap();
         assert_eq!(soa.choice(), BackendChoice::Soa);
         assert_eq!(soa.backend_label(), "qmax-adaptive-soa");
     }
 
     #[test]
     fn auto_splits_on_fill_hint() {
-        let p = policy(PolicyMode::Auto, 90);
-        let small = AdaptiveBackend::<u32, u64>::try_with_policy(100, 0.25, Some(10), &p).unwrap();
+        let p = PolicyMode::Auto;
+        let small = AdaptiveBackend::<u32, u64>::try_with_policy(100, 0.25, Some(10), p).unwrap();
         assert_eq!(small.choice(), BackendChoice::Aos);
-        let large =
-            AdaptiveBackend::<u32, u64>::try_with_policy(100, 0.25, Some(5000), &p).unwrap();
+        let large = AdaptiveBackend::<u32, u64>::try_with_policy(100, 0.25, Some(5000), p).unwrap();
         assert_eq!(large.choice(), BackendChoice::Soa);
-        // Lifetime fill within capacity (125) stays append-only AoS
-        // even above the crossover.
+        // Lifetime fill within capacity (125) stays append-only AoS.
         let append_only =
-            AdaptiveBackend::<u32, u64>::try_with_policy(100, 0.25, Some(120), &p).unwrap();
+            AdaptiveBackend::<u32, u64>::try_with_policy(100, 0.25, Some(125), p).unwrap();
         assert_eq!(append_only.choice(), BackendChoice::Aos);
+        let unbounded = AdaptiveBackend::<u32, u64>::try_with_policy(100, 0.25, None, p).unwrap();
+        assert_eq!(unbounded.choice(), BackendChoice::Soa);
     }
 
     #[test]
     fn auto_routes_non_u64_lanes_to_aos() {
-        // Even with a crossover of 0 (SoA always), a non-u64 value lane
-        // must land on AoS in auto mode — but forced SoA is honored.
-        let p = policy(PolicyMode::Auto, 0);
-        let qm = AdaptiveBackend::<u32, OrderedF64>::try_with_policy(10, 0.5, None, &p).unwrap();
+        // A non-u64 value lane lands on AoS in auto mode, even with no
+        // fill hint — but forced SoA is honored.
+        let qm =
+            AdaptiveBackend::<u32, OrderedF64>::try_with_policy(10, 0.5, None, PolicyMode::Auto)
+                .unwrap();
         assert_eq!(qm.choice(), BackendChoice::Aos);
         let forced = AdaptiveBackend::<u32, OrderedF64>::try_with_policy(
             10,
             0.5,
             None,
-            &policy(PolicyMode::ForceSoa, 0),
+            PolicyMode::ForceSoa,
         )
         .unwrap();
         assert_eq!(forced.choice(), BackendChoice::Soa);
@@ -366,8 +335,9 @@ mod tests {
 
     #[test]
     fn fresh_preserves_choice() {
-        let p = policy(PolicyMode::Auto, 90);
-        let proto = AdaptiveBackend::<u32, u64>::try_with_policy(100, 0.25, Some(10), &p).unwrap();
+        let proto =
+            AdaptiveBackend::<u32, u64>::try_with_policy(100, 0.25, Some(10), PolicyMode::Auto)
+                .unwrap();
         let block = IntervalBackend::fresh(&proto);
         assert_eq!(block.choice(), proto.choice());
         assert_eq!(IntervalBackend::capacity(&block), proto.capacity());
@@ -383,9 +353,7 @@ mod tests {
         expect.truncate(37);
         expect.sort_unstable();
         for mode in [PolicyMode::ForceAos, PolicyMode::ForceSoa] {
-            let mut qm =
-                AdaptiveBackend::<u32, u64>::try_with_policy(37, 0.6, None, &policy(mode, 0))
-                    .unwrap();
+            let mut qm = AdaptiveBackend::<u32, u64>::try_with_policy(37, 0.6, None, mode).unwrap();
             qm.insert_batch(&items);
             let mut got: Vec<u64> = qm.query().into_iter().map(|(_, v)| v).collect();
             got.sort_unstable();

@@ -87,7 +87,7 @@ pub use time_window::{AdaptiveTimeSlackQMax, SoaTimeSlackQMax, TimeSlackQMax};
 pub use traits::{BatchInsert, IntervalBackend, QMax};
 // Backend-policy types re-exported so callers configuring adaptive
 // structures need not depend on `qmax_select` directly.
-pub use qmax_select::{BackendChoice, BackendPolicy, CostModel, PolicyMode};
+pub use qmax_select::{BackendChoice, PolicyMode};
 pub use window::{
     AdaptiveBasicSlackQMax, AdaptiveHierSlackQMax, AdaptiveLazySlackQMax, BasicSlackQMax,
     HierSlackQMax, LazySlackQMax, SoaBasicSlackQMax, SoaHierSlackQMax, SoaLazySlackQMax,

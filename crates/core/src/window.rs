@@ -180,7 +180,7 @@ impl<I: Clone, V: Ord + Clone> BasicSlackQMax<I, V> {
 
 /// [`BasicSlackQMax`] with per-block adaptive backends: each block's
 /// layout (array-of-structs vs structure-of-arrays) is picked by the
-/// calibrated [`BackendPolicy`](crate::BackendPolicy) from the block's
+/// static [`PolicyMode`](crate::PolicyMode) rules from the block's
 /// lifetime fill `⌈w·τ⌉` — a basic-window block receives exactly one
 /// block's worth of arrivals, then recycles. When that lifetime fill
 /// sits below the block capacity the block never compacts, and the

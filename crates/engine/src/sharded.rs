@@ -554,8 +554,8 @@ impl<I: Copy + 'static, V: Ord + Copy + 'static> ShardedQMax<I, V, SoaBasicSlack
 
 impl<I: Copy + 'static, V: Ord + Copy + 'static> ShardedQMax<I, V, AdaptiveBasicSlackQMax<I, V>> {
     /// Creates `shards` slack-window shards whose per-block layout is
-    /// chosen by the calibrated backend policy (see
-    /// [`qmax_core::BackendPolicy`]): each shard's expected per-block
+    /// chosen by the static backend policy rules (see
+    /// [`qmax_core::PolicyMode`]): each shard's expected per-block
     /// fill `⌈(w/S)·τ⌉` decides between the array-of-structs and
     /// structure-of-arrays block, ending the small-τ collapse of the
     /// hand-picked SoA configuration while keeping its large-fill wins.
@@ -581,7 +581,7 @@ impl<I: Copy + 'static, V: Ord + Copy + 'static> ShardedQMax<I, V, AdaptiveBasic
 
 impl<I: Copy + 'static> ShardedQMax<I, OrderedF64, ExpDecayQMax<AdaptiveBackend<I, OrderedF64>>> {
     /// Creates `shards` exponential-decay shards whose reservoir layout
-    /// is chosen by the calibrated backend policy. Decayed reservoirs
+    /// is chosen by the static backend policy rules. Decayed reservoirs
     /// score in [`OrderedF64`], a lane the SIMD kernels cannot
     /// vectorize, so the `auto` policy resolves these shards to the
     /// array-of-structs layout; `QMAX_BACKEND_POLICY=force-soa` still

@@ -172,8 +172,8 @@ impl<K: Copy + Clone + Hash + Eq + 'static, F: IndexFamily> SoaQMaxLrfu<K, F> {
     }
 }
 
-/// [`QMaxLrfu`] whose request-log layout is chosen by the calibrated
-/// backend policy. The log's value lane is [`OrderedF64`] (decayed
+/// [`QMaxLrfu`] whose request-log layout is chosen by the static
+/// backend policy rules. The log's value lane is [`OrderedF64`] (decayed
 /// scores), which the SIMD kernels cannot vectorize, so under the
 /// `auto` policy this resolves to the array-of-structs log — the
 /// measured-faster layout for the never-self-compacting buffer — while
