@@ -16,6 +16,22 @@
 //! layout to P ingestion threads: one ring per (producer × shard), so
 //! producers never share a queue either.
 //!
+//! # One driver core
+//!
+//! [`ShardedQMax::run_threaded`], [`ShardedQMax::run_threaded_partitioned`]
+//! and [`ShardedQMax::run_supervised`] are short calls into one core:
+//! one producer routine (route → per-shard batch → dispatch under the
+//! [`OverloadPolicy`]; on the caller's thread for one stream, on a
+//! spawned thread per stream for P > 1), one worker loop (`recv` on one
+//! ring, a sweep over P), and one reassembly. Every producer owns its
+//! ring handles. Rings reach it through a per-shard, generation-tagged
+//! hand-off slot; the producer compares the slot's generation with its
+//! own (one atomic load) before each push and takes the slot's lock only
+//! when they differ, i.e. once per worker generation. Supervision is
+//! configuration: `run_supervised` adds snapshot/restore hooks and the
+//! watchdog thread, which hands replacement rings over through the same
+//! slot.
+//!
 //! # Fault tolerance
 //!
 //! A measurement data plane must not take down the forwarding plane it
@@ -32,7 +48,7 @@
 //!   independence argument: one instance restarting never stalls the
 //!   others.
 //! * **Load shedding** — [`OverloadPolicy::Shed`] switches the producer
-//!   from bounded-spin blocking pushes to `try_push` with a bounded
+//!   from waiting on a full ring to dropping the batch, within a bounded
 //!   per-shard drop budget, trading bounded loss for producer latency
 //!   when a shard falls behind (a stalled PMD sheds packets; it does
 //!   not stall RSS). Both policies are expressed in ring-occupancy
@@ -48,22 +64,26 @@
 
 use crate::ring;
 use crate::shard_key::ShardKey;
-use crate::sharded::{ShardHealth, ShardedQMax};
-use crate::supervisor::{ShardLifecycle, WatchdogConfig};
-use qmax_core::BatchInsert;
+use crate::sharded::{ShardHealth, ShardRouter, ShardedQMax};
+use crate::supervisor::{
+    backoff_delay, CkptSlot, LifecycleEvent, ShardLifecycle, ShardState, WatchdogConfig,
+};
 #[cfg(test)]
 use qmax_core::QMax;
+use qmax_core::{BackendSnapshot, BatchInsert};
 use std::any::Any;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::{mpsc, Mutex, MutexGuard};
+use std::thread;
+use std::time::{Duration, Instant};
 
 /// One batch-carrying SPSC lane, seen from each end (the driver only
 /// ever moves whole admitted batches across threads).
 type BatchProducer<I, V> = ring::Producer<Vec<(I, V)>>;
 type BatchConsumer<I, V> = ring::Consumer<Vec<(I, V)>>;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc;
-use std::thread;
-use std::time::{Duration, Instant};
+/// The producer ends of one worker generation's rings, one per producer.
+type Rings<I, V> = Vec<Option<BatchProducer<I, V>>>;
 
 /// What the producer does when a shard's ring is full.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -74,14 +94,16 @@ pub enum OverloadPolicy {
     Block,
     /// Drop the batch instead of waiting, up to `max_dropped` items
     /// per shard; once a shard's drop budget is spent the producer
-    /// falls back to blocking pushes for it, so the loss is bounded.
+    /// falls back to waiting for it, so the loss is bounded.
     Shed {
         /// Per-shard shed budget in items.
         max_dropped: u64,
     },
 }
 
-/// Tuning knobs for [`ShardedQMax::run_threaded`].
+/// Tuning knobs for the threaded drivers ([`ShardedQMax::run_threaded`],
+/// [`ShardedQMax::run_threaded_partitioned`],
+/// [`ShardedQMax::run_supervised`]).
 #[derive(Debug, Clone, Copy)]
 pub struct DriverConfig {
     /// Items per batch handed to a worker (amortizes handoff overhead;
@@ -93,18 +115,18 @@ pub struct DriverConfig {
     pub queue_depth: usize,
     /// Producer behavior when a worker's ring is full.
     pub overload: OverloadPolicy,
-    /// Checkpoint cadence for [`ShardedQMax::run_supervised`], in
-    /// drained items per shard (snapshots are taken at batch
-    /// boundaries, so the effective interval is rounded up to the next
-    /// batch). `None` disables checkpointing: panics fall back to the
-    /// cold PR 4 quarantine path. Ignored by
-    /// [`ShardedQMax::run_threaded`].
+    /// Checkpoint cadence in drained items per shard (snapshots are
+    /// taken at batch boundaries, so the effective interval is rounded
+    /// up to the next batch). `None` disables checkpointing: panics
+    /// fall back to the cold quarantine path. Only
+    /// [`ShardedQMax::run_supervised`] checkpoints: it is the entry
+    /// point whose backends implement [`qmax_core::Checkpoint`].
     pub checkpoint_every: Option<u64>,
-    /// Stall-watchdog and restart policy for
-    /// [`ShardedQMax::run_supervised`]. `None` disables stall
+    /// Stall-watchdog and restart policy. `None` disables stall
     /// detection (panic recovery then uses [`WatchdogConfig::default`]
-    /// for its restart budget and backoff). Ignored by
-    /// [`ShardedQMax::run_threaded`].
+    /// for its restart budget and backoff). Only
+    /// [`ShardedQMax::run_supervised`] starts the watchdog, since a
+    /// failover restores the replacement from a checkpoint.
     pub watchdog: Option<WatchdogConfig>,
     /// Pin worker thread `s` to core `s mod available_parallelism`
     /// (and, for [`ShardedQMax::run_threaded_partitioned`], producer
@@ -181,11 +203,10 @@ pub struct DriverReport {
     /// producer(s) ever observed, counting rejected pushes against a
     /// full ring. The backpressure signal: a shard pinned at
     /// [`Self::ring_capacity`] stopped keeping up with its sub-stream
-    /// (overloaded, stalled, or quarantined). For
-    /// [`ShardedQMax::run_threaded_partitioned`] this is the max over
-    /// the shard's per-producer rings; for
-    /// [`ShardedQMax::run_supervised`] it folds across worker
-    /// generations. All zeros for the mpsc reference driver.
+    /// (overloaded, stalled, or quarantined). Every threaded driver
+    /// reports the max over all rings that fed the shard: one per
+    /// producer, and a fresh set per supervised failover. All zeros for
+    /// the mpsc reference driver.
     pub per_shard_ring_high_water: Vec<u64>,
     /// Ring capacity in batches ([`DriverConfig::queue_depth`]) the
     /// run used — the ceiling of
@@ -276,21 +297,9 @@ impl DriverReport {
     }
 }
 
-/// Drains a whole owned batch into one shard via the backend's own
-/// [`BatchInsert`] path: the worker-side half of the batched hot path.
-/// SoA backends route this through the vectorized Ψ-filter admit
-/// kernel; the default implementation degrades to the same Ψ-cached
-/// singleton loop the driver used to inline here.
-pub(crate) fn drain_batch<I, V: Ord, B: BatchInsert<I, V>>(
-    shard: &mut B,
-    batch: Vec<(I, V)>,
-) -> u64 {
-    shard.insert_batch(&batch) as u64
-}
-
 /// Renders a caught panic payload as the message string panics carry in
 /// practice (`panic!("…")` yields `&str` or `String`).
-pub(crate) fn panic_message(payload: Box<dyn Any + Send>) -> String {
+fn panic_message(payload: Box<dyn Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -300,185 +309,491 @@ pub(crate) fn panic_message(payload: Box<dyn Any + Send>) -> String {
     }
 }
 
-/// What one worker thread hands back when its ring(s) close.
-struct WorkerOutcome<B> {
-    /// The backend, unless it was poisoned by a panic and dropped.
-    shard: Option<B>,
-    /// Items admitted by the backend.
-    admitted: u64,
-    /// Items processed by the backend (admitted or filtered).
-    drained: u64,
-    /// Items received but never processed (the panicking batch plus
-    /// everything drained-and-dropped after the panic).
-    quarantined: u64,
-    /// The first panic's message, if any.
-    panic_message: Option<String>,
+/// Generation tag of a permanently quarantined shard: no worker owns it,
+/// and producers orphan whatever they still route to it.
+pub(crate) const RETIRED: u64 = u64::MAX;
+
+/// Snapshot/restore hooks of `B: Checkpoint` backends: their presence
+/// makes a run supervised; without them the core drives any backend.
+pub(crate) struct Recovery<I, V, B> {
+    pub(crate) snapshot: fn(&B) -> BackendSnapshot<I, V>,
+    pub(crate) restore: fn(&mut B, &BackendSnapshot<I, V>),
 }
 
-/// The per-batch drain state shared by every worker-loop shape: drains
-/// under `catch_unwind`, and on a panic drops the poisoned backend but
-/// keeps accepting batches (counted as quarantined) so the producer
-/// never waits on a ring nobody drains.
-struct DrainState<B> {
-    live: Option<B>,
-    admitted: u64,
-    drained: u64,
-    quarantined: u64,
-    panic_message: Option<String>,
+/// One shard's counters, updated per batch, never per item.
+#[derive(Default)]
+pub(crate) struct Counters {
+    items: AtomicU64,
+    pub(crate) drained: AtomicU64,
+    pub(crate) admitted: AtomicU64,
+    /// Never processed (orphaned, or sent to a quarantined or fenced
+    /// worker), plus progress reclassified at a recovery.
+    pub(crate) quarantined: AtomicU64,
+    /// The shed budget every producer claims from.
+    dropped: AtomicU64,
+    /// Peak occupancy over every ring that fed the shard.
+    ring_hw: AtomicU64,
+    /// The owning worker generation ([`RETIRED`] once quarantined for
+    /// good); a worker of another generation quarantines what it gets.
+    pub(crate) gen: AtomicU64,
+    /// Heartbeat: batches popped by the owning generation, plus one per
+    /// warm restore. Counted only under a watchdog, which reads it
+    /// lock-free.
+    pub(crate) beats: AtomicU64,
+    /// Batches pushed to the owning generation's rings and not yet
+    /// drained by it, packed as `gen << 32 | count` (see
+    /// [`Counters::add_pending`]). Counted only under a watchdog.
+    pending: AtomicU64,
+    /// Set while a worker is self-restoring after a panic, so the
+    /// watchdog does not count backoff sleep as a stall.
+    pub(crate) restoring: AtomicBool,
+    /// Out of live coverage (suspect, restarting, quarantined).
+    pub(crate) degraded: AtomicBool,
+    /// Candidate entries re-adopted from checkpoints by warm restores.
+    pub(crate) recovered: AtomicU64,
+    /// Restart attempts consumed (panics + stalls).
+    pub(crate) restarts: AtomicU32,
 }
 
-impl<B> DrainState<B> {
-    fn new(shard: B) -> Self {
-        DrainState {
-            live: Some(shard),
-            admitted: 0,
-            drained: 0,
-            quarantined: 0,
-            panic_message: None,
+/// Low 32 bits of the pending word: the batch count.
+const COUNT_MASK: u64 = 0xFFFF_FFFF;
+
+impl Counters {
+    /// Adds `delta` to the pending count if generation `gen` still owns
+    /// it. The generation tag makes a failover's
+    /// [`Counters::reset_pending`] exact: pushes into, and pops from, the
+    /// fenced generation's rings no longer count, so batches stranded
+    /// behind a stalled worker cannot make its idle replacement look
+    /// stalled. A pop may land before its push is counted; the count
+    /// then dips below zero for a moment, which reads as idle.
+    fn add_pending(&self, gen: u64, delta: i32) {
+        let tag = (gen & COUNT_MASK) << 32;
+        let _ = self
+            .pending
+            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |word| {
+                let count = (word as u32).wrapping_add_signed(delta);
+                (word & !COUNT_MASK == tag).then_some(tag | u64::from(count))
+            });
+    }
+
+    /// Batches pending for the owning generation (≤ 0 when idle).
+    pub(crate) fn pending(&self) -> i32 {
+        self.pending.load(Ordering::SeqCst) as u32 as i32
+    }
+
+    /// Hands the pending count to generation `gen`, starting at zero.
+    pub(crate) fn reset_pending(&self, gen: u64) {
+        self.pending
+            .store((gen & COUNT_MASK) << 32, Ordering::SeqCst);
+    }
+}
+
+/// Everything the run keeps per shard.
+pub(crate) struct ShardCell<I, V, B> {
+    pub(crate) n: Counters,
+    /// Generation of the newest hand-off, which producers compare with
+    /// their lane's before every push. On its own cache lines: the
+    /// worker writes [`Counters`] per batch, this changes once per
+    /// worker generation.
+    handoff_gen: ring::CachePadded<AtomicU64>,
+    /// The last checkpoint, if one was taken.
+    pub(crate) ckpt: Mutex<Option<CkptSlot<I, V>>>,
+    /// Why the shard was quarantined for good.
+    pub(crate) failure: Mutex<Option<String>>,
+    /// The backend of the generation owning the shard at the end.
+    outcome: Mutex<Option<B>>,
+    /// The shard's rings, one per producer (none once retired), tagged
+    /// with the generation that drains them: the first set, then each
+    /// failover's. A producer locks it only to adopt a newer generation.
+    handoff: Mutex<(u64, Rings<I, V>)>,
+}
+
+/// One driver run's shared state, borrowed by every thread of the run.
+pub(crate) struct Core<I, V, B> {
+    pub(crate) cells: Vec<ShardCell<I, V, B>>,
+    router: ShardRouter,
+    /// Batch size and queue depth clamped to ≥ 1.
+    pub(crate) config: DriverConfig,
+    producers: usize,
+    pub(crate) recovery: Option<Recovery<I, V, B>>,
+    /// A watchdog runs (so heartbeats and pending batches count).
+    pub(crate) watched: bool,
+    pub(crate) events: Mutex<Vec<LifecycleEvent>>,
+    /// All producers are done: no more hand-offs; the watchdog exits.
+    pub(crate) closing: AtomicBool,
+    pub(crate) start: Instant,
+}
+
+impl<I, V, B> Core<I, V, B>
+where
+    I: ShardKey + Send,
+    V: Ord + Clone + Send,
+    B: BatchInsert<I, V> + Send,
+{
+    fn new(
+        engine: &ShardedQMax<I, V, B>,
+        producers: usize,
+        mut config: DriverConfig,
+        recovery: Option<Recovery<I, V, B>>,
+    ) -> Self {
+        config.batch_size = config.batch_size.max(1);
+        config.queue_depth = config.queue_depth.max(1);
+        let cells = (0..engine.shard_count())
+            .map(|_| ShardCell {
+                n: Counters::default(),
+                ckpt: Mutex::default(),
+                failure: Mutex::default(),
+                outcome: Mutex::default(),
+                handoff_gen: ring::CachePadded::default(),
+                handoff: Mutex::default(),
+            })
+            .collect();
+        Core {
+            cells,
+            router: engine.router(),
+            producers,
+            watched: recovery.is_some() && config.watchdog.is_some(),
+            config,
+            recovery,
+            events: Mutex::default(),
+            closing: AtomicBool::new(false),
+            start: Instant::now(),
         }
     }
 
-    fn take<I, V: Ord>(&mut self, batch: Vec<(I, V)>)
-    where
-        B: BatchInsert<I, V>,
-    {
-        let len = batch.len() as u64;
-        match self.live.take() {
-            Some(mut shard) => {
-                match catch_unwind(AssertUnwindSafe(|| drain_batch(&mut shard, batch))) {
-                    Ok(admitted) => {
-                        self.admitted += admitted;
-                        self.drained += len;
-                        self.live = Some(shard);
+    /// One fresh ring per producer, for one worker generation.
+    pub(crate) fn rings(&self) -> (Rings<I, V>, Vec<BatchConsumer<I, V>>) {
+        (0..self.producers)
+            .map(|_| ring::ring(self.config.queue_depth))
+            .map(|(tx, rx)| (Some(tx), rx))
+            .unzip()
+    }
+
+    /// The producer routine — route → per-shard batch → dispatch — for
+    /// producer `p`, pinned to `pin`. Its lanes start empty and adopt
+    /// their rings from the hand-off slots on first use.
+    fn produce<S: Iterator<Item = (I, V)>>(&self, p: usize, stream: S, pin: Option<usize>) {
+        if let Some(core) = pin {
+            ring::pin_current_thread(core);
+        }
+        let (n, batch_size) = (self.cells.len(), self.config.batch_size);
+        let mut lanes: Vec<Lane<I, V>> = (0..n).map(|_| (None, RETIRED)).collect();
+        let mut items = vec![0u64; n];
+        let mut buffers: Vec<Vec<(I, V)>> =
+            (0..n).map(|_| Vec::with_capacity(batch_size)).collect();
+        for (id, val) in stream {
+            let s = self.router.route(&id);
+            items[s] += 1;
+            buffers[s].push((id, val));
+            if buffers[s].len() >= batch_size {
+                let full = std::mem::replace(&mut buffers[s], Vec::with_capacity(batch_size));
+                self.dispatch(p, s, &mut lanes[s], full);
+            }
+        }
+        for (s, buffer) in buffers.into_iter().enumerate() {
+            if !buffer.is_empty() {
+                self.dispatch(p, s, &mut lanes[s], buffer);
+            }
+        }
+        // Dropping the lanes closes this producer's rings; a worker
+        // retires once all P of its rings close.
+        for (s, (tx, _)) in lanes.into_iter().enumerate() {
+            self.retire_ring(s, tx);
+            self.cells[s].n.items.fetch_add(items[s], Ordering::SeqCst);
+        }
+    }
+
+    /// Pushes one batch under the overload policy, waiting out a full
+    /// ring with the ring's spin → yield backoff. Before every push the
+    /// lane adopts a newer hand-off, so after a failover the very next
+    /// batch goes to the replacement, whether or not the stalled
+    /// worker's ring has filled. A full-ring `try_push` records the
+    /// at-capacity occupancy in the ring's high-water mark, which is how
+    /// a stall becomes visible as backpressure.
+    fn dispatch(&self, p: usize, s: usize, lane: &mut Lane<I, V>, mut batch: Vec<(I, V)>) {
+        let (n, len) = (&self.cells[s].n, batch.len() as u64);
+        let mut step = 0u32;
+        loop {
+            self.take_handoff(p, s, lane);
+            let Some(tx) = lane.0.as_mut() else {
+                // A retired shard: orphan the rest of its sub-stream.
+                n.quarantined.fetch_add(len, Ordering::SeqCst);
+                return;
+            };
+            match tx.try_push(batch) {
+                Ok(()) => {
+                    if self.watched {
+                        n.add_pending(lane.1, 1);
                     }
-                    Err(payload) => {
-                        // The backend's internal invariants may be
-                        // arbitrarily broken mid-unwind: poison it by
-                        // dropping, and charge the whole batch as
-                        // quarantined (any partial admissions die with
-                        // the backend).
-                        self.quarantined += len;
-                        self.panic_message = Some(panic_message(payload));
-                        drop(shard);
-                    }
+                    return;
                 }
+                Err(back) => batch = back,
             }
-            None => self.quarantined += len,
-        }
-    }
-
-    fn finish(self) -> WorkerOutcome<B> {
-        WorkerOutcome {
-            shard: self.live,
-            admitted: self.admitted,
-            drained: self.drained,
-            quarantined: self.quarantined,
-            panic_message: self.panic_message,
-        }
-    }
-}
-
-/// One worker's drain loop over a single SPSC ring: spin-then-park on
-/// emptiness ([`ring::Consumer::recv`]), end when the producer closes.
-fn worker_loop<I, V: Ord, B: BatchInsert<I, V>>(
-    shard: B,
-    mut rx: ring::Consumer<Vec<(I, V)>>,
-    pin_core: Option<usize>,
-) -> WorkerOutcome<B> {
-    if let Some(core) = pin_core {
-        ring::pin_current_thread(core);
-    }
-    let mut state = DrainState::new(shard);
-    while let Some(batch) = rx.recv() {
-        state.take(batch);
-    }
-    state.finish()
-}
-
-/// One worker's drain loop over P producer rings (the partitioned
-/// layout): sweep the open rings, retire each once it is closed *and*
-/// drained, and back off (yield, then short sleep) on an idle sweep —
-/// parking is per-ring, so a multi-ring consumer polls instead.
-fn worker_loop_multi<I, V: Ord, B: BatchInsert<I, V>>(
-    shard: B,
-    mut rings: Vec<ring::Consumer<Vec<(I, V)>>>,
-    pin_core: Option<usize>,
-) -> WorkerOutcome<B> {
-    if let Some(core) = pin_core {
-        ring::pin_current_thread(core);
-    }
-    let mut state = DrainState::new(shard);
-    let mut idle = 0u32;
-    while !rings.is_empty() {
-        let mut progressed = false;
-        rings.retain_mut(|rx| {
-            while let Some(batch) = rx.try_pop() {
-                progressed = true;
-                state.take(batch);
-            }
-            if !rx.is_closed() {
-                return true;
-            }
-            // Close is published after the producer's last push, so one
-            // more drain after observing it empties the ring for good.
-            while let Some(batch) = rx.try_pop() {
-                progressed = true;
-                state.take(batch);
-            }
-            false
-        });
-        if progressed {
-            idle = 0;
-        } else {
-            idle = idle.saturating_add(1);
-            if idle < 16 {
-                thread::yield_now();
-            } else {
-                thread::sleep(Duration::from_micros(50));
-            }
-        }
-    }
-    state.finish()
-}
-
-/// Producer-side push of one batch under the overload policy.
-/// `dropped`/`orphaned` are item counts per shard; the shed budget is
-/// an atomic so partitioned producers share one budget per shard.
-fn dispatch_ring<I, V>(
-    tx: &mut ring::Producer<Vec<(I, V)>>,
-    batch: Vec<(I, V)>,
-    overload: OverloadPolicy,
-    dropped: &AtomicU64,
-    orphaned: &mut u64,
-) {
-    let len = batch.len() as u64;
-    match overload {
-        OverloadPolicy::Block => {
-            if tx.push_wait(batch).is_err() {
+            if tx.consumer_gone() {
                 // The worker died without draining its ring; count and
                 // carry on — the other shards still want their
                 // sub-streams.
-                *orphaned += len;
+                n.quarantined.fetch_add(len, Ordering::SeqCst);
+                return;
             }
-        }
-        OverloadPolicy::Shed { max_dropped } => match tx.try_push(batch) {
-            Ok(()) => {}
-            Err(batch) => {
-                if tx.consumer_gone() {
-                    *orphaned += len;
-                } else if claim_shed_budget(dropped, len, max_dropped) {
-                    // Counted into the shared per-shard drop budget.
-                } else if tx.push_wait(batch).is_err() {
-                    *orphaned += len;
+            if let OverloadPolicy::Shed { max_dropped } = self.config.overload {
+                if claim_shed_budget(&n.dropped, len, max_dropped) {
+                    return;
                 }
             }
-        },
+            ring::backoff(step);
+            step = step.saturating_add(1);
+        }
+    }
+
+    /// Adopts the newest hand-off into producer `p`'s lane if the lane is
+    /// older, retiring its old ring. One atomic load when nothing
+    /// changed; the slot's lock is taken once per worker generation.
+    fn take_handoff(&self, p: usize, s: usize, lane: &mut Lane<I, V>) {
+        let cell = &self.cells[s];
+        // Acquire pairs with the Release store in `hand_off`; the rings
+        // themselves are read under the slot's lock.
+        if cell.handoff_gen.0.load(Ordering::Acquire) == lane.1 {
+            return;
+        }
+        let (gen, rings) = &mut *lock(&cell.handoff);
+        let next = rings.get_mut(p).and_then(Option::take);
+        self.retire_ring(s, std::mem::replace(lane, (next, *gen)).0);
+    }
+
+    /// Leaves `rings` in shard `s`'s hand-off slot for generation `gen`,
+    /// retiring any set no producer adopted. Refused (the rings drop,
+    /// closed) once the run is closing.
+    pub(crate) fn hand_off(&self, s: usize, gen: u64, rings: Rings<I, V>) -> bool {
+        let cell = &self.cells[s];
+        let mut slot = lock(&cell.handoff);
+        if self.closing.load(Ordering::SeqCst) {
+            return false;
+        }
+        for tx in std::mem::replace(&mut *slot, (gen, rings)).1 {
+            self.retire_ring(s, tx);
+        }
+        cell.handoff_gen.0.store(gen, Ordering::Release);
+        true
+    }
+
+    /// Permanent quarantine: fences every worker generation out, and
+    /// producers orphan the rest of the sub-stream once they notice.
+    pub(crate) fn retire_shard(&self, s: usize) {
+        self.cells[s].n.gen.store(RETIRED, Ordering::SeqCst);
+        self.hand_off(s, RETIRED, Vec::new());
+    }
+
+    /// Folds a ring's high-water into its shard's peak and drops the
+    /// handle, closing the ring.
+    fn retire_ring(&self, s: usize, tx: Option<BatchProducer<I, V>>) {
+        if let Some(tx) = tx {
+            let hw = &self.cells[s].n.ring_hw;
+            hw.fetch_max(tx.high_water(), Ordering::SeqCst);
+        }
+    }
+
+    /// Closes the run once every producer is done: no more hand-offs, and
+    /// rings no producer adopted retire, ending their workers.
+    fn close(&self) {
+        self.closing.store(true, Ordering::SeqCst);
+        for (s, cell) in self.cells.iter().enumerate() {
+            for tx in lock(&cell.handoff).1.drain(..) {
+                self.retire_ring(s, tx);
+            }
+        }
+    }
+
+    /// Worker generation `gen` of shard `s`: `recv` (spin, then park) on
+    /// one ring; over P rings, a sweep that retires each ring once closed
+    /// and drained and backs off when idle (parking is per ring).
+    pub(crate) fn worker(
+        &self,
+        s: usize,
+        gen: u64,
+        backend: B,
+        mut rings: Vec<BatchConsumer<I, V>>,
+    ) {
+        if let Some(core) = pin_plan(self.config.pin_threads, s) {
+            ring::pin_current_thread(core);
+        }
+        let mut state = DrainState::new(self, s, gen, backend);
+        if let [rx] = rings.as_mut_slice() {
+            while let Some(batch) = rx.recv() {
+                state.take(batch);
+            }
+            return state.finish();
+        }
+        let mut idle = 0u32;
+        while !rings.is_empty() {
+            let mut progressed = false;
+            rings.retain_mut(|rx| {
+                // Close is published after the producer's last push, so a
+                // drain after observing it empties the ring for good.
+                let closed = rx.is_closed();
+                while let Some(batch) = rx.try_pop() {
+                    progressed = true;
+                    state.take(batch);
+                }
+                !closed
+            });
+            idle = if progressed {
+                0
+            } else {
+                idle.saturating_add(1)
+            };
+            match idle {
+                0 => {}
+                1..16 => thread::yield_now(),
+                _ => thread::sleep(Duration::from_micros(50)),
+            }
+        }
+        state.finish()
     }
 }
 
-/// Atomically claims `len` items of a shard's shed budget; `false`
-/// when the claim would overshoot `max_dropped` (the caller must then
-/// fall back to a blocking push, keeping the loss bound exact).
+/// One producer's ring into a shard and the generation draining it (no
+/// ring before the first hand-off is adopted, nor once retired).
+type Lane<I, V> = (Option<BatchProducer<I, V>>, u64);
+
+/// The per-batch drain state of every worker: drains under
+/// `catch_unwind` and checkpoints when the run has the hooks. After a
+/// panic it restores in place (supervised, checkpointing, budget left) or
+/// drops the poisoned backend and keeps taking batches as quarantined, so
+/// no producer waits on a ring nobody drains.
+struct DrainState<'a, I, V, B> {
+    core: &'a Core<I, V, B>,
+    s: usize,
+    gen: u64,
+    live: Option<B>,
+    since_ckpt: u64,
+}
+
+impl<'a, I, V, B> DrainState<'a, I, V, B>
+where
+    I: ShardKey + Send,
+    V: Ord + Clone + Send,
+    B: BatchInsert<I, V> + Send,
+{
+    fn new(core: &'a Core<I, V, B>, s: usize, gen: u64, backend: B) -> Self {
+        DrainState {
+            core,
+            s,
+            gen,
+            live: Some(backend),
+            since_ckpt: 0,
+        }
+    }
+
+    fn take(&mut self, batch: Vec<(I, V)>) {
+        let (watched, n) = (self.core.watched, &self.core.cells[self.s].n);
+        let len = batch.len() as u64;
+        let owner = n.gen.load(Ordering::SeqCst) == self.gen;
+        if owner && watched {
+            n.beats.fetch_add(1, Ordering::SeqCst);
+        }
+        match self.live.take() {
+            Some(mut b) if owner => match catch_unwind(AssertUnwindSafe(|| b.insert_batch(&batch)))
+            {
+                // Swapped out mid-batch by a stall failover; the effect
+                // is discarded with this backend.
+                Ok(_) if n.gen.load(Ordering::SeqCst) != self.gen => {
+                    n.quarantined.fetch_add(len, Ordering::SeqCst);
+                }
+                Ok(admitted) => {
+                    n.drained.fetch_add(len, Ordering::SeqCst);
+                    n.admitted.fetch_add(admitted as u64, Ordering::SeqCst);
+                    self.since_ckpt += len;
+                    self.checkpoint(&b);
+                    self.live = Some(b);
+                }
+                // The backend's internal invariants may be arbitrarily
+                // broken mid-unwind: charge the whole batch as
+                // quarantined (any partial admissions die with the
+                // backend, or are overwritten by a warm restore).
+                Err(payload) => {
+                    n.quarantined.fetch_add(len, Ordering::SeqCst);
+                    self.live = self.recover(b, panic_message(payload));
+                }
+            },
+            // Abandoned by a stall failover (the replacement owns the
+            // shard now, so this sub-stream remainder is lost), or
+            // quarantined earlier in this loop.
+            _ => {
+                n.quarantined.fetch_add(len, Ordering::SeqCst);
+            }
+        }
+        if watched {
+            n.add_pending(self.gen, -1);
+        }
+    }
+
+    /// Snapshots the backend every `checkpoint_every` drained items
+    /// (supervised runs only).
+    fn checkpoint(&mut self, b: &B) {
+        let core = self.core;
+        let (Some(rec), Some(every)) = (&core.recovery, core.config.checkpoint_every) else {
+            return;
+        };
+        if self.since_ckpt >= every {
+            let n = &core.cells[self.s].n;
+            *lock(&core.cells[self.s].ckpt) = Some(CkptSlot {
+                snap: (rec.snapshot)(b),
+                drained_at: n.drained.load(Ordering::SeqCst),
+                admitted_at: n.admitted.load(Ordering::SeqCst),
+            });
+            self.since_ckpt = 0;
+        }
+    }
+
+    /// After a caught panic: warm-restores `b` from the last checkpoint
+    /// when the run is supervised and checkpointing and the restart
+    /// budget allows; otherwise quarantines the shard for good.
+    fn recover(&mut self, mut b: B, msg: String) -> Option<B> {
+        let (core, s) = (self.core, self.s);
+        let (n, supervised) = (&core.cells[s].n, core.recovery.is_some());
+        let checkpointing = supervised && core.config.checkpoint_every.is_some();
+        if supervised {
+            n.degraded.store(true, Ordering::SeqCst);
+            let attempt = n.restarts.fetch_add(1, Ordering::SeqCst) + 1;
+            let wd = core.config.watchdog.unwrap_or_default();
+            if checkpointing && attempt <= wd.max_restarts {
+                n.restoring.store(true, Ordering::SeqCst);
+                core.reclassify_to_checkpoint(s);
+                core.push_event(s, ShardState::Restarting(attempt), msg);
+                thread::sleep(backoff_delay(&wd, s, attempt));
+                core.restore_checkpoint(s, &mut b, true);
+                self.since_ckpt = 0;
+                n.degraded.store(false, Ordering::SeqCst);
+                n.restoring.store(false, Ordering::SeqCst);
+                n.beats.fetch_add(1, Ordering::SeqCst);
+                core.push_event(s, ShardState::Healthy, "warm restore complete");
+                return Some(b);
+            }
+        }
+        core.retire_shard(s);
+        if checkpointing {
+            core.reclassify_to_checkpoint(s);
+        }
+        *lock(&core.cells[s].failure) = Some(msg.clone());
+        if supervised {
+            core.push_event(s, ShardState::Quarantined, msg);
+        }
+        None
+    }
+
+    /// Hands the backend to reassembly if this generation owns the shard.
+    fn finish(self) {
+        let cell = &self.core.cells[self.s];
+        if cell.n.gen.load(Ordering::SeqCst) == self.gen {
+            *lock(&cell.outcome) = self.live;
+        }
+    }
+}
+
+/// Atomically claims `len` items of a shard's shed budget; `false` when
+/// the claim would overshoot `max_dropped` (the caller then keeps
+/// waiting, so the loss bound stays exact).
 fn claim_shed_budget(dropped: &AtomicU64, len: u64, max_dropped: u64) -> bool {
     dropped
         .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |cur| {
@@ -487,8 +802,15 @@ fn claim_shed_budget(dropped: &AtomicU64, len: u64, max_dropped: u64) -> bool {
         .is_ok()
 }
 
+/// Locks driver state. Poisoning means a driver thread panicked while
+/// holding the lock (backend panics are caught outside every lock).
+pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock()
+        .expect("driver lock poisoned by a panicking driver thread")
+}
+
 /// Worker core assignment under [`DriverConfig::pin_threads`].
-pub(crate) fn pin_plan(pin: bool, index: usize) -> Option<usize> {
+fn pin_plan(pin: bool, index: usize) -> Option<usize> {
     if !pin {
         return None;
     }
@@ -496,6 +818,13 @@ pub(crate) fn pin_plan(pin: bool, index: usize) -> Option<usize> {
         .map(|n| n.get())
         .unwrap_or(1);
     Some(index % cores)
+}
+
+/// Where the producer routine runs: one stream on the caller's thread,
+/// or one spawned thread per stream.
+pub(crate) enum Streams<S0, S> {
+    Caller(S0),
+    Spawned(Vec<S>),
 }
 
 impl<I, V, B> ShardedQMax<I, V, B>
@@ -512,14 +841,18 @@ where
     /// from the engine's stored factory, with the failure recorded in
     /// [`DriverReport::failures`].
     ///
-    /// The producer thread routes ids to shards ([`ShardKey`] hash) and
+    /// The calling thread routes ids to shards ([`ShardKey`] hash) and
     /// accumulates per-shard batches of `config.batch_size` items;
-    /// workers apply the same Ψ-cached batch drain as
+    /// workers hand each batch to the backend's
+    /// [`BatchInsert::insert_batch`], the same path as
     /// [`ShardedQMax::insert_batch`]. Each shard is fed over a
     /// lock-free SPSC [`ring`](crate::ring) bounded at
     /// `config.queue_depth` batches; a full ring either blocks the
     /// producer (bounded spin, then yield) or sheds the batch, per
-    /// `config.overload`.
+    /// `config.overload`. Backends need not implement
+    /// [`qmax_core::Checkpoint`]: this is the driver core without the
+    /// snapshot/restore hooks, so `checkpoint_every` and `watchdog`
+    /// take effect only under [`ShardedQMax::run_supervised`].
     ///
     /// This method itself never panics on a shard failure: worker
     /// panics are caught, quarantined, and reported.
@@ -527,77 +860,10 @@ where
     where
         S: Iterator<Item = (I, V)>,
     {
-        let n = self.shard_count();
-        let batch_size = config.batch_size.max(1);
-        let queue_depth = config.queue_depth.max(1);
-        let shards = self.take_shards();
-        let router = self.router();
-        let mut per_shard_items = vec![0u64; n];
-        let dropped: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
-        // Items orphaned by a dead consumer (worker died outside the
-        // drain loop); folded into the quarantine bucket.
-        let mut orphaned = vec![0u64; n];
-        let start = Instant::now();
-        let (outcomes, high_water) = thread::scope(|scope| {
-            let mut producers = Vec::with_capacity(n);
-            let mut handles = Vec::with_capacity(n);
-            for (s, shard) in shards.into_iter().enumerate() {
-                let (tx, rx) = ring::ring::<Vec<(I, V)>>(queue_depth);
-                producers.push(tx);
-                let pin = pin_plan(config.pin_threads, s);
-                handles.push(scope.spawn(move || worker_loop(shard, rx, pin)));
-            }
-            let mut buffers: Vec<Vec<(I, V)>> =
-                (0..n).map(|_| Vec::with_capacity(batch_size)).collect();
-            for (id, val) in stream {
-                let s = router.route(&id);
-                per_shard_items[s] += 1;
-                buffers[s].push((id, val));
-                if buffers[s].len() >= batch_size {
-                    let full = std::mem::replace(&mut buffers[s], Vec::with_capacity(batch_size));
-                    dispatch_ring(
-                        &mut producers[s],
-                        full,
-                        config.overload,
-                        &dropped[s],
-                        &mut orphaned[s],
-                    );
-                }
-            }
-            for (s, buffer) in buffers.into_iter().enumerate() {
-                if !buffer.is_empty() {
-                    dispatch_ring(
-                        &mut producers[s],
-                        buffer,
-                        config.overload,
-                        &dropped[s],
-                        &mut orphaned[s],
-                    );
-                }
-            }
-            // Read the backpressure peaks, then close the rings
-            // (dropping the producers) to end each worker's drain loop.
-            let high_water: Vec<u64> = producers.iter().map(|p| p.high_water()).collect();
-            drop(producers);
-            let outcomes = handles
-                .into_iter()
-                .map(|handle| handle.join())
-                .collect::<Vec<_>>();
-            (outcomes, high_water)
-        });
-        let elapsed = start.elapsed();
-        let per_shard_dropped: Vec<u64> =
-            dropped.iter().map(|d| d.load(Ordering::Relaxed)).collect();
-        self.reassemble(
-            ReportInputs {
-                per_shard_items,
-                per_shard_dropped,
-                orphaned,
-                per_shard_ring_high_water: high_water,
-                ring_capacity: queue_depth as u64,
-                elapsed,
-            },
-            outcomes,
+        self.drive(
+            Streams::<S, std::iter::Empty<(I, V)>>::Caller(stream),
+            config,
+            None,
         )
     }
 
@@ -618,23 +884,26 @@ where
         let queue_depth = config.queue_depth.max(1);
         let shards = self.take_shards();
         let router = self.router();
+        // The shared drain state's per-shard cells (and nothing else of
+        // the ring core) back the workers.
+        let core = Core::new(self, 1, config, None);
         let mut per_shard_items = vec![0u64; n];
         let mut per_shard_dropped = vec![0u64; n];
         let mut orphaned = vec![0u64; n];
         let start = Instant::now();
-        let outcomes = thread::scope(|scope| {
+        thread::scope(|scope| {
+            let core = &core;
             let mut senders = Vec::with_capacity(n);
-            let mut handles = Vec::with_capacity(n);
-            for shard in shards {
+            for (s, shard) in shards.into_iter().enumerate() {
                 let (tx, rx) = mpsc::sync_channel::<Vec<(I, V)>>(queue_depth);
                 senders.push(tx);
-                handles.push(scope.spawn(move || {
-                    let mut state = DrainState::new(shard);
+                scope.spawn(move || {
+                    let mut state = DrainState::new(core, s, 0, shard);
                     for batch in rx {
                         state.take(batch);
                     }
                     state.finish()
-                }));
+                });
             }
             let dispatch =
                 |s: usize, batch: Vec<(I, V)>, dropped: &mut [u64], orphaned: &mut [u64]| {
@@ -677,23 +946,14 @@ where
             }
             // Closing the channels ends each worker's drain loop.
             drop(senders);
-            handles
-                .into_iter()
-                .map(|handle| handle.join())
-                .collect::<Vec<_>>()
         });
         let elapsed = start.elapsed();
-        self.reassemble(
-            ReportInputs {
-                per_shard_items,
-                per_shard_dropped,
-                orphaned,
-                per_shard_ring_high_water: vec![0; n],
-                ring_capacity: 0,
-                elapsed,
-            },
-            outcomes,
-        )
+        for (s, cell) in core.cells.iter().enumerate() {
+            cell.n.items.store(per_shard_items[s], Ordering::SeqCst);
+            cell.n.dropped.store(per_shard_dropped[s], Ordering::SeqCst);
+            cell.n.quarantined.fetch_add(orphaned[s], Ordering::SeqCst);
+        }
+        self.reassemble(core, 0, elapsed)
     }
 
     /// The P-producer layout: `streams.len()` ingestion threads, each
@@ -701,9 +961,10 @@ where
     /// (P × S rings total — "one producer slot per ingestion thread ×
     /// shard"), so neither producers nor workers ever share a queue.
     /// Workers sweep their P rings (poll + backoff; per-ring parking
-    /// does not compose across producers). Under
-    /// [`OverloadPolicy::Shed`] the per-shard drop budget is shared
-    /// across producers through one atomic, so the loss bound is
+    /// does not compose across producers). A single stream is routed on
+    /// the calling thread, exactly like [`ShardedQMax::run_threaded`].
+    /// Under [`OverloadPolicy::Shed`] the per-shard drop budget is
+    /// shared across producers through one atomic, so the loss bound is
     /// per-shard, not per-(producer × shard).
     /// [`DriverReport::per_shard_ring_high_water`] is the max over a
     /// shard's P rings.
@@ -712,219 +973,163 @@ where
     /// is insensitive to the interleaving of the P sub-streams.
     pub fn run_threaded_partitioned<S>(
         &mut self,
-        streams: Vec<S>,
+        mut streams: Vec<S>,
         config: DriverConfig,
     ) -> DriverReport
     where
         S: Iterator<Item = (I, V)> + Send,
     {
-        let n = self.shard_count();
-        let nprod = streams.len().max(1);
-        let batch_size = config.batch_size.max(1);
-        let queue_depth = config.queue_depth.max(1);
-        let shards = self.take_shards();
-        let router = self.router();
-        let dropped: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
-        let start = Instant::now();
-        let (outcomes, per_shard_items, orphaned, high_water) = thread::scope(|scope| {
-            // rings[p][s]: producer p's private lane into shard s.
-            let mut producer_lanes: Vec<Vec<BatchProducer<I, V>>> =
-                (0..nprod).map(|_| Vec::with_capacity(n)).collect();
-            let mut consumer_lanes: Vec<Vec<BatchConsumer<I, V>>> =
-                (0..n).map(|_| Vec::with_capacity(nprod)).collect();
-            for lanes in producer_lanes.iter_mut() {
-                for consumers in consumer_lanes.iter_mut() {
-                    let (tx, rx) = ring::ring::<Vec<(I, V)>>(queue_depth);
-                    lanes.push(tx);
-                    consumers.push(rx);
-                }
-            }
-            let mut handles = Vec::with_capacity(n);
-            for (s, (rings, shard)) in consumer_lanes.into_iter().zip(shards).enumerate() {
-                let pin = pin_plan(config.pin_threads, s);
-                handles.push(scope.spawn(move || worker_loop_multi(shard, rings, pin)));
-            }
-            let producer_handles: Vec<_> = streams
-                .into_iter()
-                .zip(producer_lanes)
-                .enumerate()
-                .map(|(p, (stream, mut lanes))| {
-                    let router = &router;
-                    let dropped = &dropped;
-                    let pin = pin_plan(config.pin_threads, n + p);
-                    scope.spawn(move || {
-                        if let Some(core) = pin {
-                            ring::pin_current_thread(core);
-                        }
-                        let mut items = vec![0u64; n];
-                        let mut orphaned = vec![0u64; n];
-                        let mut buffers: Vec<Vec<(I, V)>> =
-                            (0..n).map(|_| Vec::with_capacity(batch_size)).collect();
-                        for (id, val) in stream {
-                            let s = router.route(&id);
-                            items[s] += 1;
-                            buffers[s].push((id, val));
-                            if buffers[s].len() >= batch_size {
-                                let full = std::mem::replace(
-                                    &mut buffers[s],
-                                    Vec::with_capacity(batch_size),
-                                );
-                                dispatch_ring(
-                                    &mut lanes[s],
-                                    full,
-                                    config.overload,
-                                    &dropped[s],
-                                    &mut orphaned[s],
-                                );
-                            }
-                        }
-                        for (s, buffer) in buffers.into_iter().enumerate() {
-                            if !buffer.is_empty() {
-                                dispatch_ring(
-                                    &mut lanes[s],
-                                    buffer,
-                                    config.overload,
-                                    &dropped[s],
-                                    &mut orphaned[s],
-                                );
-                            }
-                        }
-                        let high_water: Vec<u64> =
-                            lanes.iter().map(|lane| lane.high_water()).collect();
-                        // Dropping the lanes closes this producer's
-                        // rings; a worker retires once all P close.
-                        drop(lanes);
-                        (items, orphaned, high_water)
-                    })
-                })
-                .collect();
-            let mut per_shard_items = vec![0u64; n];
-            let mut orphaned = vec![0u64; n];
-            let mut high_water = vec![0u64; n];
-            for handle in producer_handles {
-                // A producer panic would poison the whole run; none of
-                // the producer loop panics short of an OOM abort.
-                let (items, orph, hw) = handle.join().expect("ingestion thread panicked");
-                for s in 0..n {
-                    per_shard_items[s] += items[s];
-                    orphaned[s] += orph[s];
-                    high_water[s] = high_water[s].max(hw[s]);
-                }
-            }
-            let outcomes = handles
-                .into_iter()
-                .map(|handle| handle.join())
-                .collect::<Vec<_>>();
-            (outcomes, per_shard_items, orphaned, high_water)
-        });
-        let elapsed = start.elapsed();
-        let per_shard_dropped: Vec<u64> =
-            dropped.iter().map(|d| d.load(Ordering::Relaxed)).collect();
-        self.reassemble(
-            ReportInputs {
-                per_shard_items,
-                per_shard_dropped,
-                orphaned,
-                per_shard_ring_high_water: high_water,
-                ring_capacity: queue_depth as u64,
-                elapsed,
-            },
-            outcomes,
-        )
+        let streams = match streams.len() {
+            1 => Streams::Caller(streams.pop().expect("one stream")),
+            _ => Streams::Spawned(streams),
+        };
+        self.drive(streams, config, None)
     }
 
-    /// Shared post-run reassembly: fold worker outcomes into the
-    /// report, rebuild quarantined slots cold from the factory, and
-    /// restore the engine's shards and coverage annotations.
+    /// The driver core every threaded entry point calls: spawns one
+    /// worker per shard (and, with `recovery` and a configured
+    /// watchdog, the watchdog thread), runs the producer routine over
+    /// `streams`, closes the run, and reassembles the engine.
+    pub(crate) fn drive<S0, S>(
+        &mut self,
+        streams: Streams<S0, S>,
+        config: DriverConfig,
+        recovery: Option<Recovery<I, V, B>>,
+    ) -> DriverReport
+    where
+        S0: Iterator<Item = (I, V)>,
+        S: Iterator<Item = (I, V)> + Send,
+    {
+        let n = self.shard_count();
+        let producers = match &streams {
+            Streams::Caller(_) => 1,
+            Streams::Spawned(streams) => streams.len(),
+        };
+        let core = Core::new(self, producers, config, recovery);
+        // Spares for stall failover are stamped out of the factory up
+        // front: the factory borrows `self` mutably and cannot be
+        // called once the backends are inside the scope.
+        let spares: Vec<Vec<B>> = if core.watched {
+            let budget = config.watchdog.unwrap_or_default().max_restarts;
+            (0..n)
+                .map(|s| (0..budget).map(|_| self.fresh_shard(s)).collect())
+                .collect()
+        } else {
+            Vec::new()
+        };
+        let shards = self.take_shards();
+        let start = Instant::now();
+        // The scope joins every worker (and the watchdog) before the
+        // engine is reassembled.
+        thread::scope(|scope| {
+            let core = &core;
+            for (s, shard) in shards.into_iter().enumerate() {
+                let (rings, inbound) = core.rings();
+                core.hand_off(s, 0, rings);
+                scope.spawn(move || core.worker(s, 0, shard, inbound));
+            }
+            let watchdog = core
+                .watched
+                .then(|| scope.spawn(move || core.watchdog(scope, spares)));
+            match streams {
+                Streams::Caller(stream) => core.produce(0, stream, None),
+                Streams::Spawned(streams) => {
+                    let producers: Vec<_> = streams
+                        .into_iter()
+                        .enumerate()
+                        .map(|(p, stream)| {
+                            let pin = pin_plan(core.config.pin_threads, n + p);
+                            scope.spawn(move || core.produce(p, stream, pin))
+                        })
+                        .collect();
+                    // A producer panic would poison the whole run; none
+                    // of the producer routine panics short of an OOM
+                    // abort.
+                    for producer in producers {
+                        producer.join().expect("ingestion thread panicked");
+                    }
+                }
+            }
+            // Shutdown: fence the watchdog out of new failovers and
+            // retire every ring no producer adopted, then wake the
+            // watchdog so it sees the run closing.
+            core.close();
+            if let Some(watchdog) = &watchdog {
+                watchdog.thread().unpark();
+            }
+        });
+        let (capacity, elapsed) = (core.config.queue_depth as u64, start.elapsed());
+        self.reassemble(core, capacity, elapsed)
+    }
+
+    /// The one post-run reassembly: folds the shard cells into the
+    /// report, rebuilds quarantined slots from the factory (warm from
+    /// the last checkpoint when the run had one), and restores the
+    /// engine's shards and coverage annotations.
     fn reassemble(
         &mut self,
-        inputs: ReportInputs,
-        outcomes: Vec<thread::Result<WorkerOutcome<B>>>,
+        core: Core<I, V, B>,
+        ring_capacity: u64,
+        elapsed: Duration,
     ) -> DriverReport {
-        let ReportInputs {
-            per_shard_items,
-            per_shard_dropped,
-            orphaned,
-            per_shard_ring_high_water,
-            ring_capacity,
+        let load = |f: fn(&ShardCell<I, V, B>) -> &AtomicU64| -> Vec<u64> {
+            core.cells
+                .iter()
+                .map(|c| f(c).load(Ordering::SeqCst))
+                .collect()
+        };
+        let mut r = DriverReport {
+            items: 0,
             elapsed,
-        } = inputs;
-        let n = per_shard_items.len();
-        let mut returned = Vec::with_capacity(n);
-        let mut per_shard_admitted = vec![0u64; n];
-        let mut per_shard_drained = vec![0u64; n];
-        let mut per_shard_quarantined = vec![0u64; n];
-        let mut failures = Vec::new();
-        let mut health = Vec::with_capacity(n);
-        for (s, joined) in outcomes.into_iter().enumerate() {
-            let outcome = match joined {
-                Ok(outcome) => outcome,
-                // The worker thread itself panicked outside the guarded
-                // drain (a driver bug, not a backend bug) — treat every
-                // item not otherwise accounted as quarantined and
-                // rebuild anyway.
-                Err(payload) => WorkerOutcome {
-                    shard: None,
-                    admitted: 0,
-                    drained: 0,
-                    quarantined: per_shard_items[s]
-                        .saturating_sub(per_shard_dropped[s])
-                        .saturating_sub(orphaned[s]),
-                    panic_message: Some(panic_message(payload)),
-                },
-            };
-            per_shard_admitted[s] = outcome.admitted;
-            per_shard_drained[s] = outcome.drained;
-            per_shard_quarantined[s] = outcome.quarantined + orphaned[s];
-            match outcome.shard {
-                Some(shard) => {
-                    returned.push(shard);
-                    health.push(ShardHealth::Healthy);
-                }
-                None => {
-                    failures.push(ShardFailure {
-                        shard: s,
-                        message: outcome
-                            .panic_message
-                            .unwrap_or_else(|| "shard backend lost without a panic".to_string()),
-                        items_lost: per_shard_quarantined[s],
-                    });
-                    returned.push(self.fresh_shard(s));
-                    // Cold rebuild: the shard's conserved items are not
-                    // represented until new arrivals repopulate it.
-                    health.push(ShardHealth::Degraded);
-                }
+            per_shard_items: load(|c| &c.n.items),
+            per_shard_admitted: load(|c| &c.n.admitted),
+            per_shard_drained: load(|c| &c.n.drained),
+            per_shard_dropped: load(|c| &c.n.dropped),
+            per_shard_quarantined: load(|c| &c.n.quarantined),
+            per_shard_recovered: load(|c| &c.n.recovered),
+            per_shard_ring_high_water: load(|c| &c.n.ring_hw),
+            ring_capacity,
+            failures: Vec::new(),
+            per_shard_backend: Vec::new(),
+            lifecycle: ShardLifecycle::from_events(std::mem::take(&mut lock(&core.events))),
+        };
+        r.items = r.per_shard_items.iter().sum();
+        let mut returned = Vec::with_capacity(core.cells.len());
+        let mut health = Vec::with_capacity(core.cells.len());
+        for (s, cell) in core.cells.into_iter().enumerate() {
+            if let Some(b) = lock(&cell.outcome).take() {
+                returned.push(b);
+                health.push(match cell.n.restarts.into_inner() {
+                    0 => ShardHealth::Healthy,
+                    _ => ShardHealth::Restored,
+                });
+                continue;
             }
+            r.failures.push(ShardFailure {
+                shard: s,
+                message: lock(&cell.failure)
+                    .take()
+                    .unwrap_or_else(|| "shard backend lost without a panic".into()),
+                items_lost: r.per_shard_quarantined[s],
+            });
+            let mut fresh = self.fresh_shard(s);
+            match (&core.recovery, lock(&cell.ckpt).take()) {
+                (Some(rec), Some(CkptSlot { snap, .. })) => {
+                    (rec.restore)(&mut fresh, &snap);
+                    r.per_shard_recovered[s] += snap.len() as u64;
+                    health.push(ShardHealth::Restored);
+                }
+                // Cold rebuild: the shard's conserved items are not
+                // represented until new arrivals repopulate it.
+                _ => health.push(ShardHealth::Degraded),
+            }
+            returned.push(fresh);
         }
         self.restore_shards(returned);
-        self.set_coverage(health, per_shard_drained.clone());
-        let per_shard_backend = self.shard_backend_labels();
-        DriverReport {
-            items: per_shard_items.iter().sum(),
-            elapsed,
-            per_shard_items,
-            per_shard_admitted,
-            per_shard_drained,
-            per_shard_dropped,
-            per_shard_quarantined,
-            per_shard_recovered: vec![0; n],
-            per_shard_ring_high_water,
-            ring_capacity,
-            failures,
-            per_shard_backend,
-            lifecycle: ShardLifecycle::default(),
-        }
+        self.set_coverage(health, r.per_shard_drained.clone());
+        r.per_shard_backend = self.shard_backend_labels();
+        r
     }
-}
-
-/// Producer-side tallies a run hands to [`ShardedQMax::reassemble`].
-struct ReportInputs {
-    per_shard_items: Vec<u64>,
-    per_shard_dropped: Vec<u64>,
-    orphaned: Vec<u64>,
-    per_shard_ring_high_water: Vec<u64>,
-    ring_capacity: u64,
-    elapsed: Duration,
 }
 
 #[cfg(test)]

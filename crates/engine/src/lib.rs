@@ -37,7 +37,10 @@
 //!   occupancy, and aggregate insert throughput; optional core pinning
 //!   via [`DriverConfig::pin_threads`], and
 //!   [`ShardedQMax::run_threaded_partitioned`] fans P ingestion
-//!   threads out over one ring per (thread × shard).
+//!   threads out over one ring per (thread × shard). Both, and
+//!   [`ShardedQMax::run_supervised`], are short calls into one driver
+//!   core (one producer routine, one worker loop, one reassembly), and
+//!   no lock sits on the per-batch path of any of them.
 //! * **Fault tolerance** — worker panics are caught and isolated: the
 //!   failing shard is quarantined and rebuilt empty from the engine's
 //!   stored backend factory while the other workers keep running
@@ -46,9 +49,10 @@
 //!   of items instead of blocking; and the [`fault`] module provides a
 //!   deterministic fault-injection harness ([`FaultyBackend`]) to test
 //!   all of it reproducibly.
-//! * **Supervision** — [`ShardedQMax::run_supervised`] adds
-//!   checkpointed **warm recovery** (a panicking shard restores from
-//!   its last [`qmax_core::Checkpoint`] snapshot, bounding loss to one
+//! * **Supervision** — configuration on the same core:
+//!   [`ShardedQMax::run_supervised`] adds checkpointed **warm
+//!   recovery** (a panicking shard restores from its last
+//!   [`qmax_core::Checkpoint`] snapshot, bounding loss to one
 //!   checkpoint interval), a **stall watchdog** (heartbeat-silent
 //!   workers are replaced under bounded exponential backoff with
 //!   deterministic jitter), a full [`ShardLifecycle`] transition log,

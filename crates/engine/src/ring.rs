@@ -32,8 +32,7 @@
 //!   occupancy it observes ([`Producer::high_water`]), the backpressure
 //!   signal [`crate::DriverReport::per_shard_ring_high_water`]
 //!   surfaces; both handles can read the monotonic
-//!   [push](Producer::pushed)/[consumed](Producer::consumed) counters,
-//!   which is what the supervisor's stall watchdog heartbeats on.
+//!   [push](Producer::pushed)/[consumed](Producer::consumed) counters.
 //! * **Failure visibility** — dropping the [`Producer`] closes the
 //!   ring (the consumer drains the leftovers and sees end-of-stream);
 //!   dropping the [`Consumer`] (e.g. a worker thread unwinding) raises
@@ -61,7 +60,8 @@ use std::time::Duration;
 /// the producer-owned `tail` and consumer-owned `head` never
 /// false-share (128 covers the adjacent-line prefetcher on x86).
 #[repr(align(128))]
-struct CachePadded<T>(T);
+#[derive(Default)]
+pub(crate) struct CachePadded<T>(pub(crate) T);
 
 /// Consumer-side park/wake state, kept off the hot indices' lines.
 struct ParkState {
@@ -257,8 +257,7 @@ impl<T> Producer<T> {
         self.shared.tail.0.load(Ordering::Relaxed)
     }
 
-    /// Total elements ever popped by the consumer — the monotonic
-    /// progress counter the supervisor's watchdog heartbeats on.
+    /// Total elements ever popped by the consumer (monotonic).
     pub fn consumed(&self) -> u64 {
         self.shared.head.0.load(Ordering::Acquire)
     }

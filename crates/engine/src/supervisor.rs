@@ -5,8 +5,9 @@
 //! isolates a failing shard but recovers it **cold**: the quarantined
 //! backend is rebuilt empty from the factory, discarding the shard's
 //! entire slice of the heavy-hitter state, and a *stalled* shard is
-//! never detected at all. [`ShardedQMax::run_supervised`] upgrades both
-//! recovery paths:
+//! never detected at all. [`ShardedQMax::run_supervised`] runs the same
+//! driver core with snapshot/restore hooks for its [`Checkpoint`]
+//! backends and a watchdog thread, which upgrade both recovery paths:
 //!
 //! * **Checkpointing** — each worker snapshots its backend
 //!   ([`qmax_core::Checkpoint`]) every
@@ -16,20 +17,21 @@
 //!   fully overwrites whatever the panic left behind), so post-fault
 //!   loss is bounded by one checkpoint interval plus the in-flight
 //!   batch, instead of the whole shard.
-//! * **Stall watchdog** — the heartbeat is the shard ring's
-//!   consumption counter ([`crate::ring::Producer::consumed`], the
-//!   number of batches the worker has popped), plus an explicit bump
-//!   per recovery step; a supervisor thread sweeps every
-//!   [`WatchdogConfig::poll_interval`] and declares a shard stalled
-//!   when the counter has been silent for
+//! * **Stall watchdog** — the heartbeat is a per-shard counter the
+//!   owning worker generation bumps per popped batch, plus an explicit
+//!   bump per recovery step; the watchdog reads it, and the count of
+//!   batches pending for that generation, lock-free every
+//!   [`WatchdogConfig::poll_interval`], and declares a shard stalled
+//!   when the heartbeat has been silent for
 //!   [`WatchdogConfig::deadline`] while batches are pending. A stalled
 //!   shard is restarted with bounded retries and exponential backoff
 //!   with deterministic jitter: a spare backend (pre-stamped from the
 //!   factory) is warm-restored from the last checkpoint and takes over
-//!   on a fresh ring, while the abandoned worker drains its leftover
-//!   batches into the quarantine bucket when it eventually wakes.
-//!   While a worker is stalled the producer keeps try-pushing against
-//!   its full ring, so the shard's ring high-water
+//!   on fresh rings left in the shard's hand-off slot, which the
+//!   producer adopts before its next push; the abandoned worker drains
+//!   its leftover batches into the quarantine bucket when it eventually
+//!   wakes. While a worker is stalled behind a full ring the producer
+//!   keeps try-pushing against it, so the shard's ring high-water
 //!   ([`DriverReport::per_shard_ring_high_water`]) pins at capacity —
 //!   the occupancy-level symptom of the stall — before failover swaps
 //!   the ring out (high-water marks fold across worker generations).
@@ -41,7 +43,7 @@
 //!
 //! # Accounting
 //!
-//! The PR 4 conservation law still holds per shard:
+//! The conservation law holds per shard:
 //! `items == drained + dropped + quarantined` (plus nothing else). With
 //! checkpointing enabled, `drained` is *stricter* than in
 //! `run_threaded`: items whose effect was lost with a failure — drained
@@ -60,16 +62,11 @@
 //! `deadline + backoff`), not the join. The fault harness only scripts
 //! finite stalls.
 
-use crate::driver::{
-    drain_batch, panic_message, DriverConfig, DriverReport, OverloadPolicy, ShardFailure,
-};
-use crate::ring;
+use crate::driver::{lock, Core, DriverConfig, DriverReport, Recovery, Streams, RETIRED};
 use crate::shard_key::ShardKey;
-use crate::sharded::{ShardHealth, ShardedQMax};
+use crate::sharded::ShardedQMax;
 use qmax_core::{BackendSnapshot, BatchInsert, Checkpoint};
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU32, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::atomic::Ordering;
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -223,7 +220,7 @@ fn splitmix64(mut x: u64) -> u64 {
 
 /// Deterministic exponential backoff with jitter: `base · 2ⁿ⁻¹ ·
 /// jitter(seed, shard, n)`, capped at 5 s.
-fn backoff_delay(wd: &WatchdogConfig, shard: usize, attempt: u32) -> Duration {
+pub(crate) fn backoff_delay(wd: &WatchdogConfig, shard: usize, attempt: u32) -> Duration {
     let doubling = attempt.saturating_sub(1).min(16);
     let base = wd.backoff_base.saturating_mul(1u32 << doubling);
     let r = splitmix64(wd.seed ^ ((shard as u64) << 32) ^ attempt as u64);
@@ -232,274 +229,168 @@ fn backoff_delay(wd: &WatchdogConfig, shard: usize, attempt: u32) -> Duration {
     base.mul_f64(factor).min(Duration::from_secs(5))
 }
 
-/// Latest checkpoint for one shard, plus the cumulative counters at
-/// snapshot time (needed to reclassify post-checkpoint progress as lost
-/// on recovery).
-struct CkptSlot<I, V> {
-    snap: Option<BackendSnapshot<I, V>>,
-    drained_at: u64,
-    admitted_at: u64,
+/// A shard's latest checkpoint, with the counters at snapshot time
+/// (needed to reclassify post-checkpoint progress as lost on recovery).
+pub(crate) struct CkptSlot<I, V> {
+    pub(crate) snap: BackendSnapshot<I, V>,
+    pub(crate) drained_at: u64,
+    pub(crate) admitted_at: u64,
 }
 
-impl<I, V> CkptSlot<I, V> {
-    fn new() -> Self {
-        CkptSlot {
-            snap: None,
-            drained_at: 0,
-            admitted_at: 0,
-        }
-    }
-}
-
-/// A shard's current batch ring producer, swappable on failover and
-/// cleared on permanent quarantine or shutdown. Retiring a producer
-/// (see [`SupShared::retire_producer`]) folds its ring high-water into
-/// the shard's accumulator before the drop closes the ring.
-type SenderSlot<I, V> = Mutex<Option<ring::Producer<Vec<(I, V)>>>>;
-
-/// Everything the producer, workers, and supervisor share for one
-/// supervised run. Stack-allocated outside the thread scope and
-/// borrowed in.
-struct SupShared<I, V, B> {
-    /// Current sender per shard; `None` once the shard is permanently
-    /// quarantined or the run is shutting down.
-    slots: Vec<SenderSlot<I, V>>,
-    /// Current worker generation per shard; a worker whose generation
-    /// no longer matches counts everything it receives as quarantined.
-    gens: Vec<AtomicU64>,
-    /// Recovery-step heartbeat bumps (warm restores), never reset. The
-    /// batch-level heartbeat is the current ring's consumption counter
-    /// ([`ring::Producer::consumed`]); the watchdog sums the two.
-    hearts: Vec<AtomicU64>,
-    /// Peak ring occupancy per shard, folded across worker generations
-    /// as producers are retired (failover, quarantine, shutdown).
-    ring_hw: Vec<AtomicU64>,
-    /// Batches handed to a worker but not yet fully processed.
-    pending: Vec<AtomicI64>,
-    /// Set while a worker is self-restoring after a panic, so the
-    /// watchdog does not count backoff sleep as a stall.
-    restoring: Vec<AtomicBool>,
-    /// Whether the shard currently counts toward live coverage.
-    healthy: Vec<AtomicBool>,
-    drained: Vec<AtomicU64>,
-    admitted: Vec<AtomicU64>,
-    quarantined: Vec<AtomicU64>,
-    /// Candidate entries re-adopted from checkpoints by warm restores.
-    recovered: Vec<AtomicU64>,
-    /// Restart attempts consumed (panics + stalls).
-    restarts: Vec<AtomicU32>,
-    ckpts: Vec<Mutex<CkptSlot<I, V>>>,
-    events: Mutex<Vec<LifecycleEvent>>,
-    fail_msgs: Vec<Mutex<Option<String>>>,
-    /// Final backend of each shard's surviving generation.
-    outcomes: Mutex<Vec<(usize, B)>>,
-    live_workers: AtomicUsize,
-    /// Set by the producer before it starts closing channels; the
-    /// supervisor stops spawning replacements once it is up.
-    closing: AtomicBool,
-    start: Instant,
-}
-
-impl<I, V, B> SupShared<I, V, B> {
-    fn new(n: usize) -> Self {
-        SupShared {
-            slots: (0..n).map(|_| Mutex::new(None)).collect(),
-            gens: (0..n).map(|_| AtomicU64::new(0)).collect(),
-            hearts: (0..n).map(|_| AtomicU64::new(0)).collect(),
-            ring_hw: (0..n).map(|_| AtomicU64::new(0)).collect(),
-            pending: (0..n).map(|_| AtomicI64::new(0)).collect(),
-            restoring: (0..n).map(|_| AtomicBool::new(false)).collect(),
-            healthy: (0..n).map(|_| AtomicBool::new(true)).collect(),
-            drained: (0..n).map(|_| AtomicU64::new(0)).collect(),
-            admitted: (0..n).map(|_| AtomicU64::new(0)).collect(),
-            quarantined: (0..n).map(|_| AtomicU64::new(0)).collect(),
-            recovered: (0..n).map(|_| AtomicU64::new(0)).collect(),
-            restarts: (0..n).map(|_| AtomicU32::new(0)).collect(),
-            ckpts: (0..n).map(|_| Mutex::new(CkptSlot::new())).collect(),
-            events: Mutex::new(Vec::new()),
-            fail_msgs: (0..n).map(|_| Mutex::new(None)).collect(),
-            outcomes: Mutex::new(Vec::new()),
-            live_workers: AtomicUsize::new(0),
-            closing: AtomicBool::new(false),
-            start: Instant::now(),
-        }
-    }
-
-    /// Live coverage: fraction of all drained (conserved) items held by
-    /// currently-healthy shards. 1.0 before anything drains.
-    fn live_coverage(&self) -> f64 {
-        let mut total = 0u64;
-        let mut represented = 0u64;
-        for s in 0..self.drained.len() {
-            let d = self.drained[s].load(Ordering::SeqCst);
+/// The supervision side of the driver core: lifecycle events, recovery
+/// bookkeeping, and the watchdog thread.
+impl<I, V, B> Core<I, V, B>
+where
+    I: ShardKey + Send,
+    V: Ord + Clone + Send,
+    B: BatchInsert<I, V> + Send,
+{
+    /// Records a transition with the live coverage: the fraction of all
+    /// drained (conserved) items held by shards not degraded right now.
+    pub(crate) fn push_event(&self, shard: usize, state: ShardState, detail: impl Into<String>) {
+        let (mut total, mut represented) = (0u64, 0u64);
+        for cell in &self.cells {
+            let d = cell.n.drained.load(Ordering::SeqCst);
             total += d;
-            if self.healthy[s].load(Ordering::SeqCst) {
+            if !cell.n.degraded.load(Ordering::SeqCst) {
                 represented += d;
             }
         }
-        if total == 0 {
-            1.0
-        } else {
-            represented as f64 / total as f64
-        }
-    }
-
-    fn push_event(&self, shard: usize, state: ShardState, detail: impl Into<String>) {
         let event = LifecycleEvent {
             shard,
             state,
             at: self.start.elapsed(),
-            restarts: self.restarts[shard].load(Ordering::SeqCst),
-            coverage: self.live_coverage(),
+            restarts: self.cells[shard].n.restarts.load(Ordering::SeqCst),
+            coverage: 1.0 - (total - represented) as f64 / total.max(1) as f64,
             detail: detail.into(),
         };
-        self.events.lock().unwrap().push(event);
+        lock(&self.events).push(event);
     }
 
-    /// Rolls the shard's drained/admitted counters back to the last
-    /// checkpoint, charging the difference to the quarantine bucket.
-    /// Called with the generation already fenced (no live writer), so
-    /// the plain store does not race a worker's increment.
-    fn reclassify_to_checkpoint(&self, s: usize, slot: &CkptSlot<I, V>) {
-        let lost = self.drained[s]
-            .load(Ordering::SeqCst)
-            .saturating_sub(slot.drained_at);
-        self.drained[s].store(slot.drained_at, Ordering::SeqCst);
-        self.admitted[s].store(slot.admitted_at, Ordering::SeqCst);
-        self.quarantined[s].fetch_add(lost, Ordering::SeqCst);
+    /// Rolls shard `s`'s drained/admitted counters back to its last
+    /// checkpoint, charging the difference as quarantined. Called with
+    /// the generation already fenced, so no worker races the store.
+    pub(crate) fn reclassify_to_checkpoint(&self, s: usize) {
+        let (n, slot) = (&self.cells[s].n, lock(&self.cells[s].ckpt));
+        let (drained_at, admitted_at) = slot
+            .as_ref()
+            .map_or((0, 0), |c| (c.drained_at, c.admitted_at));
+        let lost = n.drained.load(Ordering::SeqCst).saturating_sub(drained_at);
+        n.drained.store(drained_at, Ordering::SeqCst);
+        n.admitted.store(admitted_at, Ordering::SeqCst);
+        n.quarantined.fetch_add(lost, Ordering::SeqCst);
     }
 
-    /// Retires a shard's current ring producer: folds the ring's
-    /// high-water occupancy into the cross-generation accumulator,
-    /// then drops the handle (which closes the ring, ending — or
-    /// eventually ending, for a stalled worker — its drain loop).
-    fn retire_producer(&self, s: usize, guard: &mut Option<ring::Producer<Vec<(I, V)>>>) {
-        if let Some(producer) = guard.take() {
-            self.ring_hw[s].fetch_max(producer.high_water(), Ordering::SeqCst);
+    /// Restores `b` from shard `s`'s last checkpoint, counting the
+    /// re-adopted entries — or, with none taken yet, from an empty
+    /// snapshot if `or_empty` (else `b` is left as it is).
+    pub(crate) fn restore_checkpoint(&self, s: usize, b: &mut B, or_empty: bool) {
+        let Some(rec) = &self.recovery else { return };
+        match &*lock(&self.cells[s].ckpt) {
+            Some(CkptSlot { snap, .. }) => {
+                (rec.restore)(b, snap);
+                self.cells[s]
+                    .n
+                    .recovered
+                    .fetch_add(snap.len() as u64, Ordering::SeqCst);
+            }
+            None if or_empty => (rec.restore)(b, &BackendSnapshot::empty()),
+            None => {}
         }
     }
-}
 
-/// One supervised worker generation: drains batches, checkpoints on
-/// cadence, and warm-restores itself in place after a caught panic
-/// while restart budget remains.
-#[allow(clippy::too_many_arguments)]
-fn supervised_worker<I, V, B>(
-    sh: &SupShared<I, V, B>,
-    s: usize,
-    my_gen: u64,
-    backend: B,
-    mut rx: ring::Consumer<Vec<(I, V)>>,
-    ckpt_every: Option<u64>,
-    wd: WatchdogConfig,
-    pin_core: Option<usize>,
-) where
-    V: Ord,
-    B: BatchInsert<I, V> + Checkpoint<I, V>,
-{
-    if let Some(core) = pin_core {
-        ring::pin_current_thread(core);
-    }
-    let mut live = Some(backend);
-    let mut since_ckpt = 0u64;
-    while let Some(batch) = rx.recv() {
-        let len = batch.len() as u64;
-        let mine = sh.gens[s].load(Ordering::SeqCst) == my_gen;
-        match (mine, live.take()) {
-            (false, b) => {
-                // Abandoned by a stall failover: the replacement owns
-                // the shard now; this sub-stream remainder is lost.
-                sh.quarantined[s].fetch_add(len, Ordering::SeqCst);
-                drop(b);
-            }
-            (true, None) => {
-                // Permanently quarantined earlier in this loop.
-                sh.quarantined[s].fetch_add(len, Ordering::SeqCst);
-            }
-            (true, Some(mut b)) => {
-                match catch_unwind(AssertUnwindSafe(|| drain_batch(&mut b, batch))) {
-                    Ok(admitted) => {
-                        if sh.gens[s].load(Ordering::SeqCst) != my_gen {
-                            // Swapped out mid-batch; the effect is
-                            // discarded with this backend.
-                            sh.quarantined[s].fetch_add(len, Ordering::SeqCst);
-                            drop(b);
-                        } else {
-                            sh.drained[s].fetch_add(len, Ordering::SeqCst);
-                            sh.admitted[s].fetch_add(admitted, Ordering::SeqCst);
-                            // No explicit heartbeat: popping the batch
-                            // already advanced the ring's consumption
-                            // counter, which is what the watchdog reads.
-                            since_ckpt += len;
-                            if let Some(k) = ckpt_every {
-                                if since_ckpt >= k {
-                                    let mut slot = sh.ckpts[s].lock().unwrap();
-                                    slot.snap = Some(b.snapshot());
-                                    slot.drained_at = sh.drained[s].load(Ordering::SeqCst);
-                                    slot.admitted_at = sh.admitted[s].load(Ordering::SeqCst);
-                                    since_ckpt = 0;
-                                }
-                            }
-                            live = Some(b);
-                        }
-                    }
-                    Err(payload) => {
-                        let msg = panic_message(payload);
-                        sh.quarantined[s].fetch_add(len, Ordering::SeqCst);
-                        sh.healthy[s].store(false, Ordering::SeqCst);
-                        let attempt = sh.restarts[s].fetch_add(1, Ordering::SeqCst) + 1;
-                        if ckpt_every.is_some() && attempt <= wd.max_restarts {
-                            sh.restoring[s].store(true, Ordering::SeqCst);
-                            {
-                                let slot = sh.ckpts[s].lock().unwrap();
-                                sh.reclassify_to_checkpoint(s, &slot);
-                            }
-                            sh.push_event(s, ShardState::Restarting(attempt), msg);
-                            thread::sleep(backoff_delay(&wd, s, attempt));
-                            {
-                                let slot = sh.ckpts[s].lock().unwrap();
-                                match &slot.snap {
-                                    Some(snap) => {
-                                        b.restore(snap);
-                                        sh.recovered[s]
-                                            .fetch_add(snap.len() as u64, Ordering::SeqCst);
-                                    }
-                                    None => b.restore(&BackendSnapshot::empty()),
-                                }
-                            }
-                            since_ckpt = 0;
-                            sh.healthy[s].store(true, Ordering::SeqCst);
-                            sh.restoring[s].store(false, Ordering::SeqCst);
-                            sh.hearts[s].fetch_add(1, Ordering::SeqCst);
-                            sh.push_event(s, ShardState::Healthy, "warm restore complete");
-                            live = Some(b);
-                        } else {
-                            // Budget exhausted (or checkpointing off):
-                            // permanent quarantine, PR 4 style. Fence
-                            // the generation and retire the ring (the
-                            // producer sees it close and orphans).
-                            sh.gens[s].fetch_add(1, Ordering::SeqCst);
-                            sh.retire_producer(s, &mut sh.slots[s].lock().unwrap());
-                            if ckpt_every.is_some() {
-                                let slot = sh.ckpts[s].lock().unwrap();
-                                sh.reclassify_to_checkpoint(s, &slot);
-                            }
-                            *sh.fail_msgs[s].lock().unwrap() = Some(msg.clone());
-                            sh.push_event(s, ShardState::Quarantined, msg);
-                            drop(b);
-                        }
-                    }
+    /// The watchdog thread: every `poll_interval` until the run closes,
+    /// compares each shard's heartbeat with the last sweep's. Silent with
+    /// batches pending for `deadline / 2` marks the shard Suspect; for
+    /// `deadline`, fails it over to a warm-restored spare on fresh rings
+    /// (or, past the restart budget, retires it for good).
+    pub(crate) fn watchdog<'scope>(
+        &'scope self,
+        scope: &'scope thread::Scope<'scope, '_>,
+        mut spares: Vec<Vec<B>>,
+    ) {
+        use ShardState::{Healthy, Quarantined, Restarting, Suspect};
+        let wd = self.config.watchdog.unwrap_or_default();
+        let mut last_heart = vec![0u64; self.cells.len()];
+        let mut last_change = vec![Instant::now(); self.cells.len()];
+        let mut suspect = vec![false; self.cells.len()];
+        while !self.closing.load(Ordering::SeqCst) {
+            // The run unparks this thread when it closes.
+            thread::park_timeout(wd.poll_interval);
+            let now = Instant::now();
+            for (s, n) in self.cells.iter().map(|c| &c.n).enumerate() {
+                if self.closing.load(Ordering::SeqCst) {
+                    return;
                 }
+                let h = n.beats.load(Ordering::SeqCst);
+                if n.gen.load(Ordering::SeqCst) == RETIRED {
+                    continue;
+                } else if h != last_heart[s] || n.restoring.load(Ordering::SeqCst) {
+                    (last_heart[s], last_change[s]) = (h, now);
+                    if std::mem::take(&mut suspect[s]) {
+                        n.degraded.store(false, Ordering::SeqCst);
+                        self.push_event(s, Healthy, "heartbeat resumed");
+                    }
+                    continue;
+                } else if n.pending() <= 0 {
+                    // Idle, not stalled: nothing to drain.
+                    last_change[s] = now;
+                    continue;
+                }
+                let silent = now.duration_since(last_change[s]);
+                if !suspect[s] && silent >= wd.deadline / 2 {
+                    suspect[s] = true;
+                    n.degraded.store(true, Ordering::SeqCst);
+                    self.push_event(s, Suspect, "heartbeat silent with batches pending");
+                }
+                if silent < wd.deadline {
+                    continue;
+                }
+                // Stall confirmed.
+                let attempt = n.restarts.fetch_add(1, Ordering::SeqCst) + 1;
+                if attempt > wd.max_restarts {
+                    self.retire_shard(s);
+                    self.reclassify_to_checkpoint(s);
+                    let budget = wd.max_restarts;
+                    let msg = format!("stalled worker exceeded restart budget ({budget})");
+                    *lock(&self.cells[s].failure) = Some(msg);
+                    self.push_event(s, Quarantined, "stall restart budget exhausted");
+                    suspect[s] = false;
+                    continue;
+                }
+                self.push_event(s, Restarting(attempt), "stall deadline exceeded");
+                thread::sleep(backoff_delay(&wd, s, attempt));
+                let Some(mut spare) = spares[s].pop() else {
+                    continue;
+                };
+                // Fence the stalled generation first so it can no longer
+                // commit progress, then roll the counters back to the
+                // checkpoint the replacement resumes from. Batches
+                // stranded in the stalled worker's rings stop counting
+                // as pending: the replacement starts with none.
+                let gen = n.gen.fetch_add(1, Ordering::SeqCst) + 1;
+                n.reset_pending(gen);
+                self.reclassify_to_checkpoint(s);
+                self.restore_checkpoint(s, &mut spare, false);
+                // The producer adopts the fresh rings before its next
+                // push; handing them off retires the stalled
+                // generation's rings, folding their high-water (pinned
+                // at capacity if the producer beat against them).
+                let (rings, inbound) = self.rings();
+                if !self.hand_off(s, gen, rings) {
+                    // Shutdown raced the failover: the stalled worker
+                    // drains its leftovers as quarantined; no
+                    // replacement comes online.
+                    continue;
+                }
+                scope.spawn(move || self.worker(s, gen, spare, inbound));
+                n.degraded.store(false, Ordering::SeqCst);
+                suspect[s] = false;
+                (last_heart[s], last_change[s]) = (n.beats.load(Ordering::SeqCst), Instant::now());
+                self.push_event(s, Healthy, "replacement worker online after warm restore");
             }
         }
-        sh.pending[s].fetch_sub(1, Ordering::SeqCst);
     }
-    if let Some(b) = live {
-        if sh.gens[s].load(Ordering::SeqCst) == my_gen {
-            sh.outcomes.lock().unwrap().push((s, b));
-        }
-    }
-    sh.live_workers.fetch_sub(1, Ordering::SeqCst);
 }
 
 impl<I, V, B> ShardedQMax<I, V, B>
@@ -511,14 +402,16 @@ where
     /// [`ShardedQMax::run_threaded`] with supervision: checkpointed
     /// warm recovery for panicking shards, a stall watchdog with
     /// bounded-backoff worker replacement, and a full
-    /// [`ShardLifecycle`] transition log on the report.
+    /// [`ShardLifecycle`] transition log on the report. It is the same
+    /// driver core, handed the backends' snapshot/restore hooks and,
+    /// with a configured watchdog, the watchdog thread.
     ///
     /// * With [`DriverConfig::checkpoint_every`] set, each worker
     ///   snapshots its backend on that drained-item cadence (at batch
     ///   boundaries) and a panicking shard warm-restores from the last
     ///   checkpoint in place, losing at most one checkpoint interval
-    ///   plus the in-flight batch. Without it, panics follow the PR 4
-    ///   cold-quarantine path.
+    ///   plus the in-flight batch. Without it, panics follow the cold
+    ///   quarantine path of [`ShardedQMax::run_threaded`].
     /// * With [`DriverConfig::watchdog`] set, a supervisor thread
     ///   replaces stalled workers (heartbeat silent past the deadline
     ///   with batches pending) from pre-stamped spare backends, warm
@@ -535,346 +428,11 @@ where
     where
         S: Iterator<Item = (I, V)>,
     {
-        let n = self.shard_count();
-        let batch_size = config.batch_size.max(1);
-        let queue_depth = config.queue_depth.max(1);
-        let ckpt_every = config.checkpoint_every;
-        let wd = config.watchdog.unwrap_or_default();
-        let watchdog_on = config.watchdog.is_some();
-        let pin_threads = config.pin_threads;
-        let shards = self.take_shards();
-        let router = self.router();
-        // Spares for stall failover are stamped out of the factory up
-        // front: the factory borrows `self` mutably and cannot be
-        // called once the backends are inside the scope.
-        let spares: Mutex<Vec<Vec<B>>> = Mutex::new(if watchdog_on {
-            (0..n)
-                .map(|s| (0..wd.max_restarts).map(|_| self.fresh_shard(s)).collect())
-                .collect()
-        } else {
-            (0..n).map(|_| Vec::new()).collect()
-        });
-        let sh: SupShared<I, V, B> = SupShared::new(n);
-        let done = AtomicBool::new(false);
-        let mut per_shard_items = vec![0u64; n];
-        let mut per_shard_dropped = vec![0u64; n];
-        let mut orphaned = vec![0u64; n];
-        let start = Instant::now();
-        thread::scope(|scope| {
-            let sh = &sh;
-            let spares = &spares;
-            let done = &done;
-            for (s, backend) in shards.into_iter().enumerate() {
-                let (tx, rx) = ring::ring::<Vec<(I, V)>>(queue_depth);
-                *sh.slots[s].lock().unwrap() = Some(tx);
-                sh.live_workers.fetch_add(1, Ordering::SeqCst);
-                let pin = crate::driver::pin_plan(config.pin_threads, s);
-                scope.spawn(move || supervised_worker(sh, s, 0, backend, rx, ckpt_every, wd, pin));
-            }
-            if watchdog_on {
-                scope.spawn(move || {
-                    let mut last_heart = vec![0u64; n];
-                    let mut last_change = vec![Instant::now(); n];
-                    let mut suspect = vec![false; n];
-                    while !done.load(Ordering::SeqCst) {
-                        thread::sleep(wd.poll_interval);
-                        let now = Instant::now();
-                        for s in 0..n {
-                            if sh.closing.load(Ordering::SeqCst) {
-                                break;
-                            }
-                            // The batch-level heartbeat is the live
-                            // ring's consumption counter; recovery
-                            // steps add explicit bumps on top.
-                            let consumed = {
-                                let guard = sh.slots[s].lock().unwrap();
-                                match guard.as_ref() {
-                                    None => continue, // permanently quarantined
-                                    Some(producer) => producer.consumed(),
-                                }
-                            };
-                            let h = consumed + sh.hearts[s].load(Ordering::SeqCst);
-                            if h != last_heart[s] || sh.restoring[s].load(Ordering::SeqCst) {
-                                last_heart[s] = h;
-                                last_change[s] = now;
-                                if suspect[s] {
-                                    suspect[s] = false;
-                                    sh.healthy[s].store(true, Ordering::SeqCst);
-                                    sh.push_event(s, ShardState::Healthy, "heartbeat resumed");
-                                }
-                                continue;
-                            }
-                            if sh.pending[s].load(Ordering::SeqCst) <= 0 {
-                                // Idle, not stalled: nothing to drain.
-                                last_change[s] = now;
-                                continue;
-                            }
-                            let silent = now.duration_since(last_change[s]);
-                            if !suspect[s] && silent >= wd.deadline / 2 {
-                                suspect[s] = true;
-                                sh.healthy[s].store(false, Ordering::SeqCst);
-                                sh.push_event(
-                                    s,
-                                    ShardState::Suspect,
-                                    "heartbeat silent with batches pending",
-                                );
-                            }
-                            if silent < wd.deadline {
-                                continue;
-                            }
-                            // Stall confirmed.
-                            let attempt = sh.restarts[s].fetch_add(1, Ordering::SeqCst) + 1;
-                            if attempt > wd.max_restarts {
-                                sh.gens[s].fetch_add(1, Ordering::SeqCst);
-                                sh.retire_producer(s, &mut sh.slots[s].lock().unwrap());
-                                {
-                                    let slot = sh.ckpts[s].lock().unwrap();
-                                    sh.reclassify_to_checkpoint(s, &slot);
-                                }
-                                *sh.fail_msgs[s].lock().unwrap() = Some(format!(
-                                    "stalled worker exceeded restart budget ({})",
-                                    wd.max_restarts
-                                ));
-                                sh.push_event(
-                                    s,
-                                    ShardState::Quarantined,
-                                    "stall restart budget exhausted",
-                                );
-                                suspect[s] = false;
-                                continue;
-                            }
-                            sh.push_event(
-                                s,
-                                ShardState::Restarting(attempt),
-                                "stall deadline exceeded",
-                            );
-                            thread::sleep(backoff_delay(&wd, s, attempt));
-                            let spare = spares.lock().unwrap()[s].pop();
-                            let Some(mut spare) = spare else { continue };
-                            // Fence the stalled generation first so it
-                            // can no longer commit progress, then roll
-                            // the counters back to the checkpoint the
-                            // replacement resumes from.
-                            let new_gen = sh.gens[s].fetch_add(1, Ordering::SeqCst) + 1;
-                            {
-                                let slot = sh.ckpts[s].lock().unwrap();
-                                sh.reclassify_to_checkpoint(s, &slot);
-                                if let Some(snap) = &slot.snap {
-                                    spare.restore(snap);
-                                    sh.recovered[s].fetch_add(snap.len() as u64, Ordering::SeqCst);
-                                }
-                            }
-                            let (tx, rx) = ring::ring::<Vec<(I, V)>>(queue_depth);
-                            {
-                                let mut slot = sh.slots[s].lock().unwrap();
-                                if sh.closing.load(Ordering::SeqCst) {
-                                    // Shutdown raced the failover: the
-                                    // stalled worker will drain its
-                                    // leftovers into quarantine; do not
-                                    // bring a replacement online.
-                                    continue;
-                                }
-                                // Fold the stalled generation's ring
-                                // high-water (pinned at capacity while
-                                // the producer beat against it), then
-                                // swap in the fresh ring.
-                                sh.retire_producer(s, &mut slot);
-                                *slot = Some(tx);
-                            }
-                            sh.live_workers.fetch_add(1, Ordering::SeqCst);
-                            let pin = crate::driver::pin_plan(pin_threads, s);
-                            scope.spawn(move || {
-                                supervised_worker(sh, s, new_gen, spare, rx, ckpt_every, wd, pin)
-                            });
-                            sh.healthy[s].store(true, Ordering::SeqCst);
-                            suspect[s] = false;
-                            last_heart[s] = sh.hearts[s].load(Ordering::SeqCst);
-                            last_change[s] = Instant::now();
-                            sh.push_event(
-                                s,
-                                ShardState::Healthy,
-                                "replacement worker online after warm restore",
-                            );
-                        }
-                    }
-                });
-            }
-            // Producer: route, batch, dispatch. Pushes never hold the
-            // slot lock while waiting out a full ring, so the
-            // supervisor can always swap a stalled shard's ring
-            // underneath us. A full-ring `try_push` records the
-            // at-capacity occupancy in the ring's high-water mark —
-            // which is how a stall becomes visible as backpressure.
-            let dispatch =
-                |s: usize, batch: Vec<(I, V)>, dropped: &mut [u64], orphaned: &mut [u64]| {
-                    let mut held = Some(batch);
-                    loop {
-                        {
-                            let mut guard = sh.slots[s].lock().unwrap();
-                            match guard.as_mut() {
-                                None => {
-                                    orphaned[s] += held.take().unwrap().len() as u64;
-                                    return;
-                                }
-                                Some(tx) => {
-                                    if tx.consumer_gone() {
-                                        orphaned[s] += held.take().unwrap().len() as u64;
-                                        return;
-                                    }
-                                    match tx.try_push(held.take().unwrap()) {
-                                        Ok(()) => {
-                                            sh.pending[s].fetch_add(1, Ordering::SeqCst);
-                                            return;
-                                        }
-                                        Err(b) => held = Some(b), // ring full
-                                    }
-                                }
-                            }
-                        }
-                        if let OverloadPolicy::Shed { max_dropped } = config.overload {
-                            let len = held.as_ref().map(|b| b.len() as u64).unwrap_or(0);
-                            if dropped[s] + len <= max_dropped {
-                                dropped[s] += len;
-                                return;
-                            }
-                        }
-                        thread::sleep(Duration::from_micros(200));
-                    }
-                };
-            let mut buffers: Vec<Vec<(I, V)>> =
-                (0..n).map(|_| Vec::with_capacity(batch_size)).collect();
-            for (id, val) in stream {
-                let s = router.route(&id);
-                per_shard_items[s] += 1;
-                buffers[s].push((id, val));
-                if buffers[s].len() >= batch_size {
-                    let full = std::mem::replace(&mut buffers[s], Vec::with_capacity(batch_size));
-                    dispatch(s, full, &mut per_shard_dropped, &mut orphaned);
-                }
-            }
-            for (s, buffer) in buffers.into_iter().enumerate() {
-                if !buffer.is_empty() {
-                    dispatch(s, buffer, &mut per_shard_dropped, &mut orphaned);
-                }
-            }
-            // Shutdown: fence the supervisor out of new failovers, then
-            // retire every ring (folding its high-water and closing
-            // it). Re-retiring in the wait loop catches a producer a
-            // failover installed in the race window.
-            sh.closing.store(true, Ordering::SeqCst);
-            while {
-                for s in 0..n {
-                    sh.retire_producer(s, &mut sh.slots[s].lock().unwrap());
-                }
-                sh.live_workers.load(Ordering::SeqCst) > 0
-            } {
-                thread::sleep(Duration::from_millis(1));
-            }
-            done.store(true, Ordering::SeqCst);
-        });
-        let elapsed = start.elapsed();
-
-        // Reassemble the engine: surviving generation backends slot
-        // back in; permanently quarantined shards warm-rebuild from
-        // their last checkpoint (cold only if none was ever taken).
-        let mut finals: Vec<Option<B>> = (0..n).map(|_| None).collect();
-        for (s, b) in sh.outcomes.into_inner().unwrap() {
-            finals[s] = Some(b);
-        }
-        let per_shard_recovered: Vec<u64> = sh
-            .recovered
-            .iter()
-            .map(|a| a.load(Ordering::SeqCst))
-            .collect();
-        let mut per_shard_recovered = per_shard_recovered;
-        let restarts: Vec<u32> = sh
-            .restarts
-            .iter()
-            .map(|a| a.load(Ordering::SeqCst))
-            .collect();
-        let per_shard_drained: Vec<u64> = sh
-            .drained
-            .iter()
-            .map(|a| a.load(Ordering::SeqCst))
-            .collect();
-        let per_shard_admitted: Vec<u64> = sh
-            .admitted
-            .iter()
-            .map(|a| a.load(Ordering::SeqCst))
-            .collect();
-        let mut per_shard_quarantined: Vec<u64> = sh
-            .quarantined
-            .iter()
-            .map(|a| a.load(Ordering::SeqCst))
-            .collect();
-        let mut failures = Vec::new();
-        let mut returned = Vec::with_capacity(n);
-        let mut health = Vec::with_capacity(n);
-        let ckpt_slots: Vec<CkptSlot<I, V>> = sh
-            .ckpts
-            .into_iter()
-            .map(|m| m.into_inner().unwrap())
-            .collect();
-        let fail_msgs: Vec<Option<String>> = sh
-            .fail_msgs
-            .into_iter()
-            .map(|m| m.into_inner().unwrap())
-            .collect();
-        for (s, slot) in ckpt_slots.into_iter().enumerate() {
-            per_shard_quarantined[s] += orphaned[s];
-            match finals[s].take() {
-                Some(b) => {
-                    returned.push(b);
-                    health.push(if restarts[s] > 0 {
-                        ShardHealth::Restored
-                    } else {
-                        ShardHealth::Healthy
-                    });
-                }
-                None => {
-                    let message = fail_msgs[s]
-                        .clone()
-                        .unwrap_or_else(|| "shard backend lost without a panic".to_string());
-                    failures.push(ShardFailure {
-                        shard: s,
-                        message,
-                        items_lost: per_shard_quarantined[s],
-                    });
-                    let mut fresh = self.fresh_shard(s);
-                    match &slot.snap {
-                        Some(snap) => {
-                            fresh.restore(snap);
-                            per_shard_recovered[s] += snap.len() as u64;
-                            health.push(ShardHealth::Restored);
-                        }
-                        None => health.push(ShardHealth::Degraded),
-                    }
-                    returned.push(fresh);
-                }
-            }
-        }
-        self.restore_shards(returned);
-        self.set_coverage(health, per_shard_drained.clone());
-        let per_shard_backend = self.shard_backend_labels();
-        let per_shard_ring_high_water: Vec<u64> = sh
-            .ring_hw
-            .iter()
-            .map(|a| a.load(Ordering::SeqCst))
-            .collect();
-        DriverReport {
-            items: per_shard_items.iter().sum(),
-            elapsed,
-            per_shard_items,
-            per_shard_admitted,
-            per_shard_drained,
-            per_shard_dropped,
-            per_shard_quarantined,
-            per_shard_recovered,
-            per_shard_ring_high_water,
-            ring_capacity: queue_depth as u64,
-            failures,
-            per_shard_backend,
-            lifecycle: ShardLifecycle::from_events(sh.events.into_inner().unwrap()),
-        }
+        let recovery = Recovery {
+            snapshot: <B as Checkpoint<I, V>>::snapshot,
+            restore: <B as Checkpoint<I, V>>::restore,
+        };
+        let streams = Streams::<S, std::iter::Empty<(I, V)>>::Caller(stream);
+        self.drive(streams, config, Some(recovery))
     }
 }

@@ -365,3 +365,81 @@ fn stall_watchdog_restarts_and_recovers_coverage() {
     assert_eq!(engine.shard_health()[stalled], ShardHealth::Restored);
     assert_eq!(annotated.items.len(), q);
 }
+
+/// A stall that starts and ends while the shard's ring is only partly
+/// full: a slow stream never fills the ring, so the producer is never
+/// forced onto its full-ring path. It must still move to the
+/// replacement's ring at its next batch after the failover, the stalled
+/// worker's leftovers must not count as pending for the idle
+/// replacement (no second failover while the stalled worker sleeps),
+/// and only what was queued at the failover is lost.
+#[test]
+fn failover_adopts_replacement_ring_before_the_stalled_ring_fills() {
+    let _silence = silence_fault_panics();
+    let q = 64;
+    let batch = 16usize;
+    // One shard, so batch k holds items 16k..16k+16 and the stall on
+    // insert 161 hits the first item of batch 10.
+    let mut builds = 0u32;
+    let mut engine: ShardedQMax<u64, u64, FaultyBackend<AmortizedQMax<u64, u64>>> =
+        ShardedQMax::with_backends(q, 1, move |_| {
+            builds += 1;
+            let schedule = if builds == 1 {
+                FaultSchedule::stall_at(161, 300)
+            } else {
+                FaultSchedule::none()
+            };
+            FaultyBackend::new(AmortizedQMax::new(q, 0.25), schedule)
+        });
+    let items: Vec<(u64, u64)> = random_u64_stream(40 * batch, 3)
+        .enumerate()
+        .map(|(i, v)| (i as u64, v))
+        .collect();
+    // The stream dispatches batches 0..=14 at once, then goes quiet
+    // for longer than the stall before sending the other 25.
+    let throttled = items.iter().copied().enumerate().map(|(i, item)| {
+        if i == 15 * batch {
+            std::thread::sleep(Duration::from_millis(350));
+        }
+        item
+    });
+
+    let report = engine.run_supervised(
+        throttled,
+        DriverConfig {
+            batch_size: batch,
+            queue_depth: 64,
+            checkpoint_every: Some(batch as u64),
+            watchdog: Some(WatchdogConfig {
+                deadline: Duration::from_millis(40),
+                poll_interval: Duration::from_millis(5),
+                max_restarts: 3,
+                backoff_base: Duration::from_millis(5),
+                backoff_jitter: 0.0,
+                seed: 3,
+            }),
+            ..DriverConfig::default()
+        },
+    );
+
+    assert_balanced(&report);
+    assert!(report.failures.is_empty(), "{:?}", report.failures);
+    assert!(!report.saturated(0), "the ring must never fill: {report:?}");
+    assert_eq!(
+        report.lifecycle.restarts(0),
+        1,
+        "one stall, one failover: {:?}",
+        report.lifecycle
+    );
+    assert_eq!(report.lifecycle.final_state(0), ShardState::Healthy);
+    assert!(report.per_shard_recovered[0] > 0);
+    // Queued at the failover: the stalled batch 10 and batches 11..=14
+    // behind it. Everything after went to the replacement.
+    let queued_at_failover = 5 * batch as u64;
+    assert!(
+        report.per_shard_quarantined[0] <= queued_at_failover + batch as u64,
+        "lost {} items, {queued_at_failover} were queued at the failover",
+        report.per_shard_quarantined[0]
+    );
+    assert!(report.per_shard_drained[0] >= items.len() as u64 - queued_at_failover - batch as u64);
+}

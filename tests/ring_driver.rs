@@ -192,6 +192,133 @@ fn full_ring_shed_balances_and_shows_saturation_on_both_drivers() {
     }
 }
 
+/// Supervision is configuration: with no checkpoint cadence and no
+/// watchdog, `run_supervised` has nothing to add, so under the blocking
+/// policy and seeded chaos it must report exactly what `run_threaded`
+/// reports — per-shard accounting, failure records, the engine's shard
+/// health afterwards, and the merged reservoir.
+#[test]
+fn bare_supervised_run_matches_threaded_under_blocking_chaos() {
+    let _silence = silence_fault_panics();
+    let q = 256;
+    let shards = 4;
+    let build = |seed: u64| -> ShardedQMax<u64, u64, FaultyBackend<AmortizedQMax<u64, u64>>> {
+        ShardedQMax::with_backends(q, shards, move |s| {
+            FaultyBackend::new(
+                AmortizedQMax::new(q, 0.25),
+                FaultSchedule::seeded(seed.wrapping_mul(0x9E37).wrapping_add(s as u64), 256),
+            )
+        })
+    };
+    let config = DriverConfig {
+        batch_size: 256,
+        queue_depth: 2,
+        overload: OverloadPolicy::Block,
+        checkpoint_every: None,
+        watchdog: None,
+        pin_threads: false,
+    };
+    for seed in SEEDS {
+        let items = stream(60_000, seed);
+        let mut threaded = build(seed);
+        let t = threaded.run_threaded(items.iter().copied(), config);
+        let mut supervised = build(seed);
+        let u = supervised.run_supervised(items.iter().copied(), config);
+
+        assert_balanced(&t);
+        assert_balanced(&u);
+        assert_eq!(t.per_shard_items, u.per_shard_items, "seed {seed}: items");
+        assert_eq!(t.per_shard_drained, u.per_shard_drained, "seed {seed}");
+        assert_eq!(t.per_shard_dropped, u.per_shard_dropped, "seed {seed}");
+        assert_eq!(
+            t.per_shard_quarantined, u.per_shard_quarantined,
+            "seed {seed}: quarantines diverged"
+        );
+        let failures = |r: &DriverReport| -> Vec<(usize, u64)> {
+            r.failures.iter().map(|f| (f.shard, f.items_lost)).collect()
+        };
+        assert_eq!(failures(&t), failures(&u), "seed {seed}: failures diverged");
+        assert_eq!(
+            threaded.shard_health(),
+            supervised.shard_health(),
+            "seed {seed}: shard health diverged"
+        );
+        assert_eq!(
+            sorted_vals(threaded.query()),
+            sorted_vals(supervised.query()),
+            "seed {seed}: merged reservoirs diverged"
+        );
+    }
+}
+
+/// Supervised shedding: a stalling shard behind a one-batch ring sheds
+/// under the budget while the watchdog may fail it over. The exact
+/// drops are timing-dependent, so the run is held to the invariants:
+/// per-shard conservation, the per-shard loss budget, and shedding only
+/// after the shard's ring high-water (folded across worker
+/// generations) pinned at capacity.
+#[test]
+fn supervised_shedding_balances_within_budget() {
+    let _silence = silence_fault_panics();
+    let q = 256;
+    let shards = 4;
+    let budget = 2_000u64;
+    for seed in SEEDS {
+        let items = stream(80_000, seed);
+        let stalling = (seed % shards as u64) as usize;
+        let mut engine: ShardedQMax<u64, u64, FaultyBackend<AmortizedQMax<u64, u64>>> =
+            ShardedQMax::with_backends(q, shards, {
+                let mut builds = vec![0u32; shards];
+                move |s| {
+                    builds[s] += 1;
+                    let schedule = if s == stalling && builds[s] == 1 {
+                        FaultSchedule::stall_at(2_000, 80)
+                    } else {
+                        FaultSchedule::none()
+                    };
+                    FaultyBackend::new(AmortizedQMax::new(q, 0.25), schedule)
+                }
+            });
+        let config = DriverConfig {
+            batch_size: 64,
+            queue_depth: 1,
+            overload: OverloadPolicy::Shed {
+                max_dropped: budget,
+            },
+            checkpoint_every: Some(1024),
+            watchdog: Some(WatchdogConfig {
+                deadline: Duration::from_millis(40),
+                poll_interval: Duration::from_millis(5),
+                backoff_base: Duration::from_millis(2),
+                seed,
+                ..WatchdogConfig::default()
+            }),
+            pin_threads: false,
+        };
+        let report = engine.run_supervised(items.iter().copied(), config);
+        assert_balanced(&report);
+        assert_eq!(report.items, items.len() as u64, "seed {seed}");
+        for s in 0..shards {
+            assert!(
+                report.per_shard_dropped[s] <= budget,
+                "seed {seed}: shard {s} shed {} > budget {budget}",
+                report.per_shard_dropped[s]
+            );
+            if report.per_shard_dropped[s] > 0 {
+                assert!(
+                    report.saturated(s),
+                    "seed {seed}: shard {s} shed without its ring high-water hitting capacity"
+                );
+            }
+        }
+        assert_eq!(
+            engine.query().len(),
+            q,
+            "seed {seed}: engine must stay queryable"
+        );
+    }
+}
+
 /// Multi-producer ingestion is pure re-partitioning: shard routing
 /// hashes keys, so any split of the stream across producer threads
 /// must land the same multiset on each shard and rebuild the same
