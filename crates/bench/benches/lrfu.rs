@@ -2,9 +2,8 @@
 //! Figure 9), including the structure-of-arrays log-buffer backends.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use qmax_lrfu::{
-    Cache, DeamortizedLrfu, HeapLrfu, QMaxLrfu, ScanLrfu, SoaDeamortizedLrfu, SoaQMaxLrfu,
-};
+use qmax_core::SoaAmortizedQMax;
+use qmax_lrfu::{Cache, DeamortizedLrfu, HeapLrfu, QMaxLrfu, ScanLrfu, SoaQMaxLrfu};
 use qmax_traces::gen::arc_like;
 
 fn bench_lrfu(c: &mut Criterion) {
@@ -62,7 +61,8 @@ fn bench_lrfu(c: &mut Criterion) {
     });
     group.bench_function("qmax_wc_g0.25_soa", |b| {
         b.iter(|| {
-            let mut cache = SoaDeamortizedLrfu::new_soa(q, 0.25, decay);
+            let mut cache: DeamortizedLrfu<u64, _> =
+                DeamortizedLrfu::with_snapshot(0.25, decay, SoaAmortizedQMax::new(q, 0.25));
             for &k in &trace {
                 cache.request(k);
             }

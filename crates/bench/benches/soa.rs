@@ -75,7 +75,8 @@ fn bench_sharded_soa(c: &mut Criterion) {
         });
         group.bench_with_input(BenchmarkId::new("soa", shards), &shards, |b, &s| {
             b.iter(|| {
-                let mut engine = ShardedQMax::new_soa(Q, 1.0, s);
+                let mut engine =
+                    ShardedQMax::with_backends(Q, s, |_| SoaDeamortizedQMax::new(Q, 1.0));
                 for chunk in items.chunks(BATCH) {
                     engine.insert_batch(chunk);
                 }

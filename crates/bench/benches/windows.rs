@@ -4,8 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use qmax_core::{
-    BasicSlackQMax, BatchInsert, HierSlackQMax, LazySlackQMax, QMax, SoaBasicSlackQMax,
-    SoaHierSlackQMax, SoaLazySlackQMax,
+    BasicSlackQMax, BatchInsert, HierSlackQMax, LazySlackQMax, QMax, SoaAmortizedQMax,
 };
 use qmax_traces::gen::random_u64_stream;
 
@@ -54,7 +53,7 @@ fn bench_window_updates(c: &mut Criterion) {
         .collect();
     group.bench_function("basic_soa_batch", |b| {
         b.iter(|| {
-            let mut sw = SoaBasicSlackQMax::new_soa(q, 0.25, w, tau);
+            let mut sw = BasicSlackQMax::with_backend(w, tau, SoaAmortizedQMax::new(q, 0.25));
             for chunk in items.chunks(1024) {
                 sw.insert_batch(chunk);
             }
@@ -63,7 +62,7 @@ fn bench_window_updates(c: &mut Criterion) {
     });
     group.bench_function("hier_c2_soa_batch", |b| {
         b.iter(|| {
-            let mut sw = SoaHierSlackQMax::new_soa(q, 0.25, w, tau, 2);
+            let mut sw = HierSlackQMax::with_backend(w, tau, 2, SoaAmortizedQMax::new(q, 0.25));
             for chunk in items.chunks(1024) {
                 sw.insert_batch(chunk);
             }
@@ -72,7 +71,7 @@ fn bench_window_updates(c: &mut Criterion) {
     });
     group.bench_function("lazy_c2_soa_batch", |b| {
         b.iter(|| {
-            let mut sw = SoaLazySlackQMax::new_soa(q, 0.25, w, tau, 2);
+            let mut sw = LazySlackQMax::with_backend(w, tau, 2, SoaAmortizedQMax::new(q, 0.25));
             for chunk in items.chunks(1024) {
                 sw.insert_batch(chunk);
             }

@@ -5,8 +5,8 @@ use crate::scale::Scale;
 use crate::{fmt, mpps, Report};
 use qmax_core::{
     AdaptiveBasicSlackQMax, AdaptiveHierSlackQMax, AdaptiveLazySlackQMax, AmortizedQMax,
-    BasicSlackQMax, BatchInsert, HierSlackQMax, LazySlackQMax, PolicyMode, QMax, SoaBasicSlackQMax,
-    SoaHierSlackQMax, SoaLazySlackQMax,
+    BasicSlackQMax, BatchInsert, HierSlackQMax, IntervalBackend, LazySlackQMax, OrderedF64,
+    PolicyMode, QMax, SoaAmortizedQMax,
 };
 use qmax_lrfu::{AdaptiveQMaxLrfu, QMaxLrfu, SoaQMaxLrfu};
 use qmax_traces::gen::{arc_like, random_u64_stream};
@@ -383,7 +383,7 @@ pub fn windows_backend(scale: &Scale) {
             AdaptiveBasicSlackQMax::<u64, u64>::new_adaptive(q, gamma, w, tau).backend_label();
         let ([aos, soa, ada], vs_best) = tri_window_mips(
             || BasicSlackQMax::new(q, gamma, w, tau),
-            || SoaBasicSlackQMax::new_soa(q, gamma, w, tau),
+            || BasicSlackQMax::with_backend(w, tau, SoaAmortizedQMax::new(q, gamma)),
             || AdaptiveBasicSlackQMax::new_adaptive(q, gamma, w, tau),
             &stream,
             &format!("basic tau={tau}"),
@@ -402,7 +402,7 @@ pub fn windows_backend(scale: &Scale) {
             AdaptiveHierSlackQMax::<u64, u64>::new_adaptive(q, gamma, w, tau, 2).backend_label();
         let ([aos, soa, ada], vs_best) = tri_window_mips(
             || HierSlackQMax::new(q, gamma, w, tau, 2),
-            || SoaHierSlackQMax::new_soa(q, gamma, w, tau, 2),
+            || HierSlackQMax::with_backend(w, tau, 2, SoaAmortizedQMax::new(q, gamma)),
             || AdaptiveHierSlackQMax::new_adaptive(q, gamma, w, tau, 2),
             &stream,
             &format!("hier tau={tau}"),
@@ -421,7 +421,7 @@ pub fn windows_backend(scale: &Scale) {
             AdaptiveLazySlackQMax::<u64, u64>::new_adaptive(q, gamma, w, tau, 2).backend_label();
         let ([aos, soa, ada], vs_best) = tri_window_mips(
             || LazySlackQMax::new(q, gamma, w, tau, 2),
-            || SoaLazySlackQMax::new_soa(q, gamma, w, tau, 2),
+            || LazySlackQMax::with_backend(w, tau, 2, SoaAmortizedQMax::new(q, gamma)),
             || AdaptiveLazySlackQMax::new_adaptive(q, gamma, w, tau, 2),
             &stream,
             &format!("lazy tau={tau}"),
@@ -485,19 +485,7 @@ trait CacheBatch {
     fn request_chunk(&mut self, keys: &[u64]) -> usize;
 }
 
-impl CacheBatch for QMaxLrfu<u64> {
-    fn request_chunk(&mut self, keys: &[u64]) -> usize {
-        self.request_batch(keys)
-    }
-}
-
-impl CacheBatch for SoaQMaxLrfu<u64> {
-    fn request_chunk(&mut self, keys: &[u64]) -> usize {
-        self.request_batch(keys)
-    }
-}
-
-impl CacheBatch for AdaptiveQMaxLrfu<u64> {
+impl<B: IntervalBackend<u64, OrderedF64>> CacheBatch for QMaxLrfu<u64, B> {
     fn request_chunk(&mut self, keys: &[u64]) -> usize {
         self.request_batch(keys)
     }

@@ -117,8 +117,8 @@ impl<Q> ExpDecayQMax<Q> {
     }
 
     /// Whether the log offset has crossed the safe precision bound and
-    /// the next insert will trigger an automatic [`rebase`]
-    /// (`ExpDecayQMax::rebase`).
+    /// the next insert will trigger an automatic
+    /// [`rebase`](ExpDecayQMax::rebase).
     pub fn needs_rebase(&self) -> bool {
         self.log_offset() > REBASE_OFFSET_LIMIT
     }

@@ -57,7 +57,7 @@
 //! must re-establish it: clearing a slot in group `d` is only safe
 //! outright if `d` already contained another `EMPTY` (then no chain
 //! passes through `d`). Otherwise the new hole is the chain's only
-//! break, and the scan in [`Core::backward_shift`] walks groups past
+//! break, and the scan in `Core::backward_shift` walks groups past
 //! `d` looking for an entry whose home makes the hole a legal
 //! position (`dist(home, hole) < dist(home, current)`); moving it
 //! relocates the hole forward, and the scan repeats until the hole

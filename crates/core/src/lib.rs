@@ -83,12 +83,12 @@ pub use indexed_heap::{IndexedHeapQMax, IndexedMinHeap};
 pub use skiplist::{KeyedSkipListQMax, SkipListQMax};
 pub use soa::{SoaAmortizedQMax, SoaDeamortizedQMax};
 pub use sorted_vec::SortedVecQMax;
-pub use time_window::{AdaptiveTimeSlackQMax, SoaTimeSlackQMax, TimeSlackQMax};
+pub use time_window::{AdaptiveTimeSlackQMax, TimeSlackQMax};
 pub use traits::{BatchInsert, IntervalBackend, QMax};
 // Backend-policy types re-exported so callers configuring adaptive
 // structures need not depend on `qmax_select` directly.
 pub use qmax_select::{BackendChoice, PolicyMode};
 pub use window::{
     AdaptiveBasicSlackQMax, AdaptiveHierSlackQMax, AdaptiveLazySlackQMax, BasicSlackQMax,
-    HierSlackQMax, LazySlackQMax, SoaBasicSlackQMax, SoaHierSlackQMax, SoaLazySlackQMax,
+    HierSlackQMax, LazySlackQMax,
 };

@@ -10,7 +10,6 @@
 
 use crate::amortized::AmortizedQMax;
 use crate::entry::Entry;
-use crate::soa::SoaAmortizedQMax;
 use crate::traits::IntervalBackend;
 use qmax_select::nth_smallest;
 
@@ -24,9 +23,11 @@ use qmax_select::nth_smallest;
 /// Like the count-based windows, the structure is generic over its
 /// per-block [`IntervalBackend`]; the default keeps the historical
 /// array-of-structs [`AmortizedQMax`] blocks, while
-/// [`SoaTimeSlackQMax`] routes each block through the
-/// structure-of-arrays backend so [`TimeSlackQMax::insert_batch`] runs
-/// the branchless batched kernel per block.
+/// `with_backend(…, SoaAmortizedQMax::new(q, γ))` routes each block
+/// through the structure-of-arrays
+/// [`SoaAmortizedQMax`](crate::SoaAmortizedQMax) so
+/// [`TimeSlackQMax::insert_batch`] runs the branchless batched kernel
+/// per block.
 ///
 /// ```
 /// use qmax_core::TimeSlackQMax;
@@ -54,10 +55,6 @@ pub struct TimeSlackQMax<I, V, B = AmortizedQMax<I, V>> {
     _marker: crate::window::RingMarker<I, V>,
 }
 
-/// [`TimeSlackQMax`] with structure-of-arrays blocks (`Copy` ids and
-/// values).
-pub type SoaTimeSlackQMax<I, V> = TimeSlackQMax<I, V, SoaAmortizedQMax<I, V>>;
-
 impl<I: Clone, V: Ord + Clone> TimeSlackQMax<I, V> {
     /// Creates a time-based slack-window q-MAX over windows of
     /// `window_ns` nanoseconds with slack fraction `tau` and per-block
@@ -82,15 +79,6 @@ impl<I: Clone, V: Ord + Clone> TimeSlackQMax<I, V> {
         tau: f64,
     ) -> Result<Self, crate::QMaxError> {
         Self::try_with_backend(window_ns, tau, AmortizedQMax::try_new(q, gamma)?)
-    }
-}
-
-impl<I: Copy + 'static, V: Ord + Copy + 'static> SoaTimeSlackQMax<I, V> {
-    /// Like [`TimeSlackQMax::new`], but every block is a
-    /// structure-of-arrays [`SoaAmortizedQMax`].
-    pub fn new_soa(q: usize, gamma: f64, window_ns: u64, tau: f64) -> Self {
-        assert!(q > 0, "q must be positive");
-        Self::with_backend(window_ns, tau, SoaAmortizedQMax::new(q, gamma))
     }
 }
 
@@ -268,6 +256,7 @@ impl<I: Clone, V: Ord + Clone, B: IntervalBackend<I, V>> TimeSlackQMax<I, V, B> 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::soa::SoaAmortizedQMax;
 
     #[test]
     fn expires_by_time_not_count() {
@@ -390,7 +379,7 @@ mod tests {
             .collect();
         let mut one = TimeSlackQMax::new(4, 0.5, 4_000, 0.25);
         let mut batch = TimeSlackQMax::new(4, 0.5, 4_000, 0.25);
-        let mut soa = SoaTimeSlackQMax::new_soa(4, 0.5, 4_000, 0.25);
+        let mut soa = TimeSlackQMax::with_backend(4_000, 0.25, SoaAmortizedQMax::new(4, 0.5));
         for &(id, v, ts) in &items {
             one.insert(id, v, ts);
         }

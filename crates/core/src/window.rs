@@ -17,17 +17,16 @@
 //! All three are generic over the per-block interval backend via
 //! [`IntervalBackend`]: the default type parameter keeps the historical
 //! array-of-structs [`AmortizedQMax`] behavior (and works for non-`Copy`
-//! ids), while the [`SoaBasicSlackQMax`] / [`SoaHierSlackQMax`] /
-//! [`SoaLazySlackQMax`] aliases route every block through the
-//! structure-of-arrays backend so the branchless batched insert path
-//! applies to windowed streams too. The [`BatchInsert`] impls split each
-//! batch at block boundaries, so batched and singleton insertion are
-//! observably identical.
+//! ids), while `with_backend(…, SoaAmortizedQMax::new(q, γ))` routes
+//! every block through the structure-of-arrays
+//! [`SoaAmortizedQMax`](crate::SoaAmortizedQMax) so the branchless
+//! batched insert path applies to windowed streams too. The
+//! [`BatchInsert`] impls split each batch at block boundaries, so
+//! batched and singleton insertion are observably identical.
 
 use crate::adaptive::AdaptiveBackend;
 use crate::amortized::AmortizedQMax;
 use crate::entry::Entry;
-use crate::soa::SoaAmortizedQMax;
 use crate::traits::{BatchInsert, IntervalBackend, QMax};
 use qmax_select::nth_smallest;
 use std::marker::PhantomData;
@@ -153,11 +152,6 @@ pub struct BasicSlackQMax<I, V, B = AmortizedQMax<I, V>> {
     fill: usize,
 }
 
-/// [`BasicSlackQMax`] with structure-of-arrays blocks (`Copy` ids and
-/// values): the batched insert path runs the branchless chunked
-/// Ψ-filter inside every block.
-pub type SoaBasicSlackQMax<I, V> = BasicSlackQMax<I, V, SoaAmortizedQMax<I, V>>;
-
 impl<I: Clone, V: Ord + Clone> BasicSlackQMax<I, V> {
     /// Creates a slack-window q-MAX over windows of `w` items with slack
     /// fraction `tau` and per-block space-slack `gamma`, backed by
@@ -203,27 +197,22 @@ impl<I: Copy + 'static, V: Ord + Copy + 'static> AdaptiveBasicSlackQMax<I, V> {
         w: usize,
         tau: f64,
     ) -> Result<Self, crate::QMaxError> {
-        // Same geometry `try_with_backend` will derive; computed here
-        // because the prototype's layout must be chosen before the ring
-        // can be stamped out of it.
-        let n_blocks = if tau > 0.0 && tau <= 1.0 {
-            ((1.0 / tau).ceil() as usize).max(1)
-        } else {
-            1
-        };
-        let block_size = w.div_ceil(n_blocks.max(1)).max(1);
+        // The prototype's layout must be chosen from the block size
+        // before the ring can be stamped out of it; q/γ errors still
+        // take precedence over window errors, as in every `try_new`.
+        crate::error::check_q_gamma(q, gamma)?;
+        let (_, block_size) = basic_geometry(w, tau)?;
         let proto = AdaptiveBackend::try_with_fill_hint(q, gamma, Some(block_size))?;
         Self::try_with_backend(w, tau, proto)
     }
 }
 
-impl<I: Copy + 'static, V: Ord + Copy + 'static> SoaBasicSlackQMax<I, V> {
-    /// Like [`BasicSlackQMax::new`], but every block is a
-    /// structure-of-arrays [`SoaAmortizedQMax`].
-    pub fn new_soa(q: usize, gamma: f64, w: usize, tau: f64) -> Self {
-        assert!(q > 0, "q must be positive");
-        Self::with_backend(w, tau, SoaAmortizedQMax::new(q, gamma))
-    }
+/// Validates `(w, tau)` and derives the basic window's geometry:
+/// `(n_blocks, block_size)` = `(⌈1/τ⌉, ⌈w/n_blocks⌉)`.
+fn basic_geometry(w: usize, tau: f64) -> Result<(usize, usize), crate::QMaxError> {
+    crate::error::check_window(w, tau)?;
+    let n_blocks = (1.0 / tau).ceil() as usize;
+    Ok((n_blocks, w.div_ceil(n_blocks).max(1)))
 }
 
 impl<I, V: Ord, B: IntervalBackend<I, V>> BasicSlackQMax<I, V, B> {
@@ -240,9 +229,7 @@ impl<I, V: Ord, B: IntervalBackend<I, V>> BasicSlackQMax<I, V, B> {
 
     /// Fallible [`BasicSlackQMax::with_backend`].
     pub fn try_with_backend(w: usize, tau: f64, proto: B) -> Result<Self, crate::QMaxError> {
-        crate::error::check_window(w, tau)?;
-        let n_blocks = (1.0 / tau).ceil() as usize;
-        let block_size = w.div_ceil(n_blocks).max(1);
+        let (n_blocks, block_size) = basic_geometry(w, tau)?;
         Ok(BasicSlackQMax {
             q: proto.q(),
             block_size,
@@ -399,9 +386,6 @@ pub struct HierSlackQMax<I, V, B = AmortizedQMax<I, V>> {
     count: u64,
 }
 
-/// [`HierSlackQMax`] with structure-of-arrays blocks.
-pub type SoaHierSlackQMax<I, V> = HierSlackQMax<I, V, SoaAmortizedQMax<I, V>>;
-
 impl<I: Clone, V: Ord + Clone> HierSlackQMax<I, V> {
     /// Creates a hierarchical slack-window q-MAX with `c` layers over
     /// windows of `w` items with slack `tau` and per-block space-slack
@@ -454,15 +438,6 @@ impl<I: Copy + 'static, V: Ord + Copy + 'static> AdaptiveHierSlackQMax<I, V> {
     ) -> Result<Self, crate::QMaxError> {
         let proto = AdaptiveBackend::try_with_fill_hint(q, gamma, None)?;
         Self::try_with_backend(w, tau, c, proto)
-    }
-}
-
-impl<I: Copy + 'static, V: Ord + Copy + 'static> SoaHierSlackQMax<I, V> {
-    /// Like [`HierSlackQMax::new`], but every block is a
-    /// structure-of-arrays [`SoaAmortizedQMax`].
-    pub fn new_soa(q: usize, gamma: f64, w: usize, tau: f64, c: usize) -> Self {
-        assert!(q > 0, "q must be positive");
-        Self::with_backend(w, tau, c, SoaAmortizedQMax::new(q, gamma))
     }
 }
 
@@ -669,9 +644,6 @@ pub struct LazySlackQMax<I, V, B = AmortizedQMax<I, V>> {
     drain_rate: usize,
 }
 
-/// [`LazySlackQMax`] with a structure-of-arrays front buffer and blocks.
-pub type SoaLazySlackQMax<I, V> = LazySlackQMax<I, V, SoaAmortizedQMax<I, V>>;
-
 impl<I: Clone, V: Ord + Clone> LazySlackQMax<I, V> {
     /// Creates a lazy slack-window q-MAX with `c` layers over windows of
     /// `w` items with slack `tau` and space-slack `gamma`, backed by
@@ -743,22 +715,6 @@ impl<I: Copy + 'static, V: Ord + Copy + 'static> AdaptiveLazySlackQMax<I, V> {
         let proto =
             AdaptiveBackend::try_with_fill_hint(q, gamma, None).unwrap_or_else(|e| panic!("{e}"));
         Self::with_backend_deamortized(w, tau, c, proto)
-    }
-}
-
-impl<I: Copy + 'static, V: Ord + Copy + 'static> SoaLazySlackQMax<I, V> {
-    /// Like [`LazySlackQMax::new`], but the front buffer and every block
-    /// are structure-of-arrays [`SoaAmortizedQMax`] instances.
-    pub fn new_soa(q: usize, gamma: f64, w: usize, tau: f64, c: usize) -> Self {
-        assert!(q > 0, "q must be positive");
-        Self::with_backend(w, tau, c, SoaAmortizedQMax::new(q, gamma))
-    }
-
-    /// [`LazySlackQMax::new_deamortized`] over structure-of-arrays
-    /// backends.
-    pub fn new_soa_deamortized(q: usize, gamma: f64, w: usize, tau: f64, c: usize) -> Self {
-        assert!(q > 0, "q must be positive");
-        Self::with_backend_deamortized(w, tau, c, SoaAmortizedQMax::new(q, gamma))
     }
 }
 
@@ -993,6 +949,7 @@ impl<I: Clone, V: Ord + Clone, B: IntervalBackend<I, V>> BatchInsert<I, V>
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::soa::SoaAmortizedQMax;
 
     fn splitmix(state: &mut u64) -> u64 {
         *state = state.wrapping_add(0x9E3779B97F4A7C15);
@@ -1278,12 +1235,23 @@ mod tests {
     }
 
     #[test]
+    fn adaptive_basic_validates_q_gamma_before_window() {
+        use crate::QMaxError;
+        let err = |q, w, tau| {
+            AdaptiveBasicSlackQMax::<u32, u64>::try_new_adaptive(q, 0.5, w, tau).unwrap_err()
+        };
+        assert_eq!(err(0, 0, 0.0), QMaxError::ZeroQ);
+        assert_eq!(err(4, 0, 0.5), QMaxError::ZeroWindow);
+        assert_eq!(err(4, 100, 0.0), QMaxError::BadTau(0.0));
+    }
+
+    #[test]
     fn soa_windows_satisfy_the_slack_contract() {
         let mut state = 5u64;
         let q = 4;
         let w = 128;
         let tau = 0.25;
-        let mut sw = SoaBasicSlackQMax::new_soa(q, 0.5, w, tau);
+        let mut sw = BasicSlackQMax::with_backend(w, tau, SoaAmortizedQMax::new(q, 0.5));
         let s = sw.block_size();
         let w_eff = sw.effective_window();
         let mut vals = Vec::new();

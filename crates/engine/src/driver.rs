@@ -171,8 +171,8 @@ pub struct ShardFailure {
 /// backpressure high-water marks, and aggregate timing.
 ///
 /// Every routed item lands in exactly one bucket per shard:
-/// `per_shard_items[s] == per_shard_drained[s] + per_shard_dropped[s]
-/// + per_shard_quarantined[s]`.
+/// `per_shard_items[s] == per_shard_drained[s] + per_shard_dropped[s] +
+/// per_shard_quarantined[s]`.
 #[derive(Debug, Clone)]
 pub struct DriverReport {
     /// Total items routed.

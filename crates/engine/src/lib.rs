@@ -17,8 +17,9 @@
 //!   only rises, the snapshot is always a safe under-approximation: the
 //!   pre-filter never drops an item the shard would have admitted, and
 //!   the shard re-checks its exact Ψ internally.
-//! * **Structure-of-arrays shards** — [`ShardedQMax::new_soa`] (and
-//!   `new_soa_amortized`) build shards from the split-lane
+//! * **Structure-of-arrays shards** — [`ShardedQMax::with_backends`]
+//!   with `|_| SoaDeamortizedQMax::new(q, γ)` (or `SoaAmortizedQMax`)
+//!   builds shards from the split-lane
 //!   [`qmax_core::SoaDeamortizedQMax`] /
 //!   [`qmax_core::SoaAmortizedQMax`] backends: branchless batch
 //!   admission and value-only selection kernels for `Copy` primitive

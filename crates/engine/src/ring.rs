@@ -14,7 +14,7 @@
 //!
 //! * **Publish/consume protocol** — `head` counts completed pops,
 //!   `tail` counts completed pushes; both are monotonic `u64`s on their
-//!   own cache lines ([`CachePadded`]), so occupancy is `tail - head`
+//!   own cache lines (`CachePadded`), so occupancy is `tail - head`
 //!   and the slot for operation `k` is `k & mask`. The producer writes
 //!   the slot *then* publishes with a `Release` store of `tail + 1`;
 //!   the consumer `Acquire`-loads `tail` before reading the slot, and

@@ -3,8 +3,7 @@
 use crate::shard_key::ShardKey;
 use qmax_core::{
     AdaptiveBackend, AdaptiveBasicSlackQMax, BatchInsert, DeamortizedQMax, DeamortizedStats, Entry,
-    ExpDecayQMax, OrderedF64, QMax, QMaxError, SoaAmortizedQMax, SoaBasicSlackQMax,
-    SoaDeamortizedQMax,
+    ExpDecayQMax, OrderedF64, QMax, QMaxError,
 };
 use qmax_select::nth_smallest;
 use qmax_traces::hash;
@@ -432,8 +431,9 @@ impl<I, V, B: QMax<I, V>> ShardedQMax<I, V, B> {
     ///
     /// Survivors are routed into per-shard runs and handed to each
     /// backend as one contiguous batch, so a structure-of-arrays backend
-    /// (see [`ShardedQMax::new_soa`]) can run its branchless filter over
-    /// the whole run. Returns the number of admitted items.
+    /// (built through [`ShardedQMax::with_backends`]) can run its
+    /// branchless filter over the whole run. Returns the number of
+    /// admitted items.
     pub fn insert_batch(&mut self, items: &[(I, V)]) -> usize
     where
         I: ShardKey + Clone,
@@ -468,90 +468,6 @@ impl<I, V, B: QMax<I, V>> ShardedQMax<I, V, B> {
     }
 }
 
-impl<I: Copy + 'static, V: Ord + Copy + 'static> ShardedQMax<I, V, SoaDeamortizedQMax<I, V>> {
-    /// Creates `shards` structure-of-arrays de-amortized shards
-    /// ([`SoaDeamortizedQMax`]) tracking the global top-`q` with
-    /// space-slack `gamma`.
-    ///
-    /// Behaviorally identical to [`ShardedQMax::new`]; the difference is
-    /// the per-shard layout — split `vals`/`ids` lanes with a branchless
-    /// batch admission filter and value-only selection kernels — which
-    /// pays off for `Copy` primitive ids/values on the
-    /// [`ShardedQMax::insert_batch`] path.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `q == 0`, `shards == 0`, or `gamma` is not positive
-    /// and finite.
-    pub fn new_soa(q: usize, gamma: f64, shards: usize) -> Self {
-        Self::with_backends(q, shards, move |_| SoaDeamortizedQMax::new(q, gamma))
-    }
-
-    /// Per-shard de-amortized execution counters, indexed by shard.
-    pub fn shard_stats(&self) -> Vec<DeamortizedStats> {
-        self.shards.iter().map(|s| s.stats()).collect()
-    }
-
-    /// Counters rolled up across shards: sums everywhere except
-    /// `max_step_ops`, which is the maximum over shards.
-    pub fn aggregate_stats(&self) -> DeamortizedStats {
-        let mut agg = DeamortizedStats::default();
-        for s in self.shards.iter().map(|s| s.stats()) {
-            agg.admitted += s.admitted;
-            agg.filtered += s.filtered;
-            agg.iterations += s.iterations;
-            agg.forced_completions += s.forced_completions;
-            agg.total_ops += s.total_ops;
-            agg.max_step_ops = agg.max_step_ops.max(s.max_step_ops);
-        }
-        agg
-    }
-}
-
-impl<I: Copy + 'static, V: Ord + Copy + 'static> ShardedQMax<I, V, SoaAmortizedQMax<I, V>> {
-    /// Creates `shards` structure-of-arrays amortized shards
-    /// ([`SoaAmortizedQMax`]): the lazily-compacted variant with the
-    /// same split-lane layout and branchless batch filter as
-    /// [`ShardedQMax::new_soa`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `q == 0`, `shards == 0`, or `gamma` is not positive
-    /// and finite.
-    pub fn new_soa_amortized(q: usize, gamma: f64, shards: usize) -> Self {
-        Self::with_backends(q, shards, move |_| SoaAmortizedQMax::new(q, gamma))
-    }
-}
-
-impl<I: Copy + 'static, V: Ord + Copy + 'static> ShardedQMax<I, V, SoaBasicSlackQMax<I, V>> {
-    /// Creates `shards` structure-of-arrays slack-window shards
-    /// ([`SoaBasicSlackQMax`]): each shard tracks the top-`q` of its
-    /// sub-stream over a count-based `(W/S, τ)`-slack window, so the
-    /// merged query approximates the global top-`q` of the last `w`
-    /// arrivals (hash partitioning spreads a window of `w` global
-    /// arrivals across shards as ≈ `w/S` arrivals each; per-shard
-    /// block boundaries therefore jitter by the partition's deviation
-    /// from a perfect split, which concentrates tightly for `w ≫ S`).
-    ///
-    /// Window shards report no admission threshold (block boundaries
-    /// count *arrivals*, so dropping items early would shift them);
-    /// [`ShardedQMax::insert_batch`] detects that and routes every item
-    /// through, still batching per-shard runs through the SoA kernel.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `q == 0`, `shards == 0`, `gamma` is not positive and
-    /// finite, `w == 0`, or `tau` is outside `(0, 1]`.
-    pub fn new_windowed_soa(q: usize, gamma: f64, shards: usize, w: usize, tau: f64) -> Self {
-        assert!(shards > 0, "need at least one shard");
-        assert!(w > 0, "window must be positive");
-        let per_shard_w = (w / shards).max(1);
-        Self::with_backends(q, shards, move |_| {
-            SoaBasicSlackQMax::new_soa(q, gamma, per_shard_w, tau)
-        })
-    }
-}
-
 impl<I: Copy + 'static, V: Ord + Copy + 'static> ShardedQMax<I, V, AdaptiveBasicSlackQMax<I, V>> {
     /// Creates `shards` slack-window shards whose per-block layout is
     /// chosen by the static backend policy rules (see
@@ -560,10 +476,23 @@ impl<I: Copy + 'static, V: Ord + Copy + 'static> ShardedQMax<I, V, AdaptiveBasic
     /// structure-of-arrays block, ending the small-τ collapse of the
     /// hand-picked SoA configuration while keeping its large-fill wins.
     ///
-    /// This is the recommended windowed constructor;
-    /// [`ShardedQMax::new_windowed_soa`] remains for pinning the layout
-    /// by hand. Inspect the per-shard decisions with
-    /// [`ShardedQMax::shard_backend_labels`].
+    /// Each shard tracks the top-`q` of its sub-stream over a
+    /// count-based `(W/S, τ)`-slack window, so the merged query
+    /// approximates the global top-`q` of the last `w` arrivals (hash
+    /// partitioning spreads a window of `w` global arrivals across
+    /// shards as ≈ `w/S` arrivals each; per-shard block boundaries
+    /// therefore jitter by the partition's deviation from a perfect
+    /// split, which concentrates tightly for `w ≫ S`).
+    ///
+    /// Window shards report no admission threshold (block boundaries
+    /// count *arrivals*, so dropping items early would shift them);
+    /// [`ShardedQMax::insert_batch`] detects that and routes every item
+    /// through, still batching per-shard runs through the block kernel.
+    ///
+    /// This is the recommended windowed constructor; pin a layout by
+    /// hand with [`ShardedQMax::with_backends`] and a per-shard
+    /// `BasicSlackQMax::with_backend(w / S, τ, proto)`. Inspect the
+    /// per-shard decisions with [`ShardedQMax::shard_backend_labels`].
     ///
     /// # Panics
     ///
@@ -587,8 +516,17 @@ impl<I: Copy + 'static> ShardedQMax<I, OrderedF64, ExpDecayQMax<AdaptiveBackend<
     /// array-of-structs layout; `QMAX_BACKEND_POLICY=force-soa` still
     /// pins the split-lane layout for comparison runs.
     ///
-    /// Semantics are identical to [`ShardedQMax::new_decayed_soa`]
-    /// (per-shard decay `c^S`, no admission threshold).
+    /// Each shard ages its sub-stream with per-shard decay `c^S`, so an
+    /// item `k` *global* arrivals old has decayed by ≈ `c^k` (its shard
+    /// saw ≈ `k/S` of those arrivals). The decay clock advances per
+    /// shard-local arrival, so the equivalence is in expectation over
+    /// the hash partition.
+    ///
+    /// Decayed shards report no admission threshold (an arriving item's
+    /// stored score depends on its arrival time), disabling the
+    /// engine's Ψ-prefilter; per-shard runs still flow through the
+    /// backend's batch kernel with the log transform applied once per
+    /// run.
     ///
     /// # Panics
     ///
@@ -600,33 +538,6 @@ impl<I: Copy + 'static> ShardedQMax<I, OrderedF64, ExpDecayQMax<AdaptiveBackend<
         let c_shard = c.powf(shards as f64).max(f64::MIN_POSITIVE);
         Self::with_backends(q, shards, move |_| {
             ExpDecayQMax::new(AdaptiveBackend::new(q, gamma), c_shard)
-        })
-    }
-}
-
-impl<I: Copy + 'static> ShardedQMax<I, OrderedF64, ExpDecayQMax<SoaAmortizedQMax<I, OrderedF64>>> {
-    /// Creates `shards` exponential-decay shards over structure-of-arrays
-    /// reservoirs: each shard ages its sub-stream with per-shard decay
-    /// `c^S`, so an item `k` *global* arrivals old has decayed by
-    /// ≈ `c^k` (its shard saw ≈ `k/S` of those arrivals). The decay
-    /// clock advances per shard-local arrival, so the equivalence is in
-    /// expectation over the hash partition.
-    ///
-    /// Decayed shards report no admission threshold (an arriving item's
-    /// stored score depends on its arrival time), disabling the
-    /// engine's Ψ-prefilter; per-shard runs still flow through the SoA
-    /// batch kernel with the log transform applied once per run.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `q == 0`, `shards == 0`, `gamma` is not positive and
-    /// finite, or `c` is outside `(0, 1]`.
-    pub fn new_decayed_soa(q: usize, gamma: f64, shards: usize, c: f64) -> Self {
-        assert!(shards > 0, "need at least one shard");
-        assert!(c > 0.0 && c <= 1.0, "decay parameter must be in (0, 1]");
-        let c_shard = c.powf(shards as f64).max(f64::MIN_POSITIVE);
-        Self::with_backends(q, shards, move |_| {
-            ExpDecayQMax::new(SoaAmortizedQMax::new(q, gamma), c_shard)
         })
     }
 }
@@ -706,7 +617,7 @@ impl<I: ShardKey + Clone, V: Ord + Clone, B: BatchInsert<I, V>> BatchInsert<I, V
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qmax_core::HeapQMax;
+    use qmax_core::{BasicSlackQMax, HeapQMax, SoaAmortizedQMax, SoaDeamortizedQMax};
     use qmax_traces::gen::random_u64_stream;
 
     fn top_q_reference(vals: &[u64], q: usize) -> Vec<u64> {
@@ -887,7 +798,8 @@ mod tests {
         for q in [1usize, 64, 300] {
             for shards in [1usize, 4] {
                 let mut aos: ShardedQMax<u64, u64> = ShardedQMax::new(q, 0.5, shards);
-                let mut soa = ShardedQMax::new_soa(q, 0.5, shards);
+                let mut soa =
+                    ShardedQMax::with_backends(q, shards, move |_| SoaDeamortizedQMax::new(q, 0.5));
                 for chunk in items.chunks(1024) {
                     aos.insert_batch(chunk);
                     soa.insert_batch(chunk);
@@ -910,7 +822,7 @@ mod tests {
             .map(|(i, &v)| (i as u64, v))
             .collect();
         let q = 128;
-        let mut engine = ShardedQMax::new_soa_amortized(q, 0.5, 4);
+        let mut engine = ShardedQMax::with_backends(q, 4, move |_| SoaAmortizedQMax::new(q, 0.5));
         for chunk in items.chunks(777) {
             engine.insert_batch(chunk);
         }
@@ -918,8 +830,8 @@ mod tests {
     }
 
     #[test]
-    fn soa_shard_stats_roll_up() {
-        let mut engine = ShardedQMax::new_soa(16, 0.5, 4);
+    fn batch_path_shard_stats_roll_up() {
+        let mut engine: ShardedQMax<u64, u64> = ShardedQMax::new(16, 0.5, 4);
         let items: Vec<(u64, u64)> = (0..40_000u64).map(|i| (i, hash::mix64(i))).collect();
         for chunk in items.chunks(512) {
             engine.insert_batch(chunk);
@@ -939,7 +851,7 @@ mod tests {
     fn windowed_shards_expire_old_items_and_track_recent_top() {
         let q = 8;
         let w = 10_000;
-        let mut engine = ShardedQMax::new_windowed_soa(q, 0.5, 4, w, 0.25);
+        let mut engine = ShardedQMax::new_windowed(q, 0.5, 4, w, 0.25);
         // An early burst of huge values, then several windows of
         // moderate ones: the burst must age out of every shard.
         let huge: Vec<(u64, u64)> = (0..100u64).map(|i| (i, 1_000_000_000 + i)).collect();
@@ -965,7 +877,7 @@ mod tests {
     fn decayed_shards_prefer_recent_items() {
         use qmax_core::OrderedF64;
         let q = 8;
-        let mut engine = ShardedQMax::new_decayed_soa(q, 0.5, 4, 0.9);
+        let mut engine = ShardedQMax::new_decayed(q, 0.5, 4, 0.9);
         // One huge early item, then a long run of small ones: decay
         // must sink the early item below the recent tail.
         engine.insert_batch(&[(0u64, OrderedF64(1e9))]);
@@ -991,7 +903,9 @@ mod tests {
             .map(|i| (i, 1_000 + hash::mix64(i) % 100_000))
             .collect();
         let mut ada = ShardedQMax::new_windowed(q, 0.5, 4, w, 0.25);
-        let mut soa = ShardedQMax::new_windowed_soa(q, 0.5, 4, w, 0.25);
+        let mut soa = ShardedQMax::with_backends(q, 4, move |_| {
+            BasicSlackQMax::with_backend(w / 4, 0.25, SoaAmortizedQMax::new(q, 0.5))
+        });
         for chunk in items.chunks(1024) {
             ada.insert_batch(chunk);
             soa.insert_batch(chunk);
@@ -1013,7 +927,10 @@ mod tests {
             .map(|i| (i, OrderedF64(1.0 + (hash::mix64(i) % 1_000) as f64)))
             .collect();
         let mut ada = ShardedQMax::new_decayed(q, 0.5, 4, 0.999);
-        let mut soa = ShardedQMax::new_decayed_soa(q, 0.5, 4, 0.999);
+        let c_shard = 0.999f64.powf(4.0);
+        let mut soa = ShardedQMax::with_backends(q, 4, move |_| {
+            ExpDecayQMax::new(SoaAmortizedQMax::new(q, 0.5), c_shard)
+        });
         for chunk in items.chunks(512) {
             ada.insert_batch(chunk);
             soa.insert_batch(chunk);

@@ -32,9 +32,7 @@
 
 use crate::score::DecayScore;
 use crate::Cache;
-use qmax_core::{
-    AmortizedQMax, FlowIndex, IndexFamily, IntervalBackend, KeyIndex, OrderedF64, SoaAmortizedQMax,
-};
+use qmax_core::{AmortizedQMax, FlowIndex, IndexFamily, IntervalBackend, KeyIndex, OrderedF64};
 use std::hash::Hash;
 
 #[derive(Debug, Clone, Copy)]
@@ -106,10 +104,6 @@ pub struct DeamortizedLrfu<
     stats: DeamortizedLrfuStats,
 }
 
-/// [`DeamortizedLrfu`] with a structure-of-arrays snapshot backend.
-pub type SoaDeamortizedLrfu<K, F = FlowIndex> =
-    DeamortizedLrfu<K, SoaAmortizedQMax<u64, OrderedF64>, F>;
-
 impl<K: Clone + Hash + Eq> DeamortizedLrfu<K, AmortizedQMax<u64, OrderedF64>, FlowIndex> {
     /// Creates a de-amortized LRFU cache that never evicts the `q`
     /// highest-score keys, holds at most about `q(1+γ) + 3⌈qγ/2⌉` keys,
@@ -134,28 +128,6 @@ impl<K: Clone + Hash + Eq, F: IndexFamily> DeamortizedLrfu<K, AmortizedQMax<u64,
             "gamma must be positive and finite"
         );
         Self::with_snapshot(gamma, c, AmortizedQMax::new(q, gamma))
-    }
-}
-
-impl<K: Clone + Hash + Eq> SoaDeamortizedLrfu<K, FlowIndex> {
-    /// Like [`DeamortizedLrfu::new`], but the snapshot lives in a
-    /// structure-of-arrays backend, so the refresh feed runs the
-    /// branchless batched kernel.
-    pub fn new_soa(q: usize, gamma: f64, c: f64) -> Self {
-        Self::new_soa_in(q, gamma, c)
-    }
-}
-
-impl<K: Clone + Hash + Eq, F: IndexFamily> SoaDeamortizedLrfu<K, F> {
-    /// Like [`SoaDeamortizedLrfu::new_soa`], but with an explicit
-    /// [`IndexFamily`].
-    pub fn new_soa_in(q: usize, gamma: f64, c: f64) -> Self {
-        assert!(q > 0, "q must be positive");
-        assert!(
-            gamma > 0.0 && gamma.is_finite(),
-            "gamma must be positive and finite"
-        );
-        Self::with_snapshot(gamma, c, SoaAmortizedQMax::new(q, gamma))
     }
 }
 
@@ -383,6 +355,7 @@ impl<K: Clone + Hash + Eq, B: IntervalBackend<u64, OrderedF64>, F: IndexFamily> 
 mod tests {
     use super::*;
     use crate::{hit_ratio, HeapLrfu};
+    use qmax_core::SoaAmortizedQMax;
     use qmax_traces::gen::arc_like;
     use qmax_traces::rng::SplitMix64;
     use std::collections::HashMap;
@@ -474,7 +447,8 @@ mod tests {
         // replay a trace with the exact same hit sequence.
         let trace = arc_like(80_000, 8_000, 17);
         let mut aos = DeamortizedLrfu::new(400, 0.5, 0.75);
-        let mut soa = SoaDeamortizedLrfu::new_soa(400, 0.5, 0.75);
+        let mut soa: DeamortizedLrfu<u64, _> =
+            DeamortizedLrfu::with_snapshot(0.5, 0.75, SoaAmortizedQMax::new(400, 0.5));
         for &k in &trace {
             assert_eq!(aos.request(k), soa.request(k));
         }

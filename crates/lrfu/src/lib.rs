@@ -33,7 +33,7 @@ mod qmax_lrfu;
 mod scan_lrfu;
 mod score;
 
-pub use deamortized::{DeamortizedLrfu, DeamortizedLrfuStats, SoaDeamortizedLrfu};
+pub use deamortized::{DeamortizedLrfu, DeamortizedLrfuStats};
 pub use heap_lrfu::HeapLrfu;
 pub use qmax_lrfu::{AdaptiveQMaxLrfu, QMaxLrfu, SoaQMaxLrfu};
 pub use scan_lrfu::ScanLrfu;

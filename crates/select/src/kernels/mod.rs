@@ -27,7 +27,7 @@
 //!    to pin the portable path).
 //!
 //! Otherwise every call runs the always-correct scalar fallback in
-//! [`scalar`] — the *same* code the SIMD paths must match bit-for-bit
+//! `scalar` — the *same* code the SIMD paths must match bit-for-bit
 //! on the defined output region (differential property tests in
 //! `tests/proptest_kernels.rs` pin this down).
 //!

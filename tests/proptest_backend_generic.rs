@@ -20,10 +20,9 @@
 
 use proptest::prelude::*;
 use qmax_core::{
-    BasicSlackQMax, BatchInsert, HierSlackQMax, LazySlackQMax, QMax, SoaBasicSlackQMax,
-    SoaHierSlackQMax, SoaLazySlackQMax, StdIndex,
+    BasicSlackQMax, BatchInsert, HierSlackQMax, LazySlackQMax, QMax, SoaAmortizedQMax, StdIndex,
 };
-use qmax_lrfu::{Cache, DeamortizedLrfu, QMaxLrfu, SoaDeamortizedLrfu, SoaQMaxLrfu};
+use qmax_lrfu::{Cache, DeamortizedLrfu, QMaxLrfu, SoaQMaxLrfu};
 use qmax_traces::zipf::ZipfSampler;
 
 const TAUS: [f64; 6] = [0.003, 0.01, 0.1, 0.33, 0.9, 1.0];
@@ -84,7 +83,7 @@ proptest! {
         let tau = TAUS[tau_sel];
         let vals = value_stream(n, seed, all_equal == 1);
         let mut aos = BasicSlackQMax::new(q, gamma, w, tau);
-        let mut soa = SoaBasicSlackQMax::new_soa(q, gamma, w, tau);
+        let mut soa = BasicSlackQMax::with_backend(w, tau, SoaAmortizedQMax::new(q, gamma));
         feed_and_compare!(vals, 0, n / 2, chunk, aos, soa);
         feed_and_compare!(vals, n / 2, n, chunk, aos, soa);
     }
@@ -105,7 +104,7 @@ proptest! {
         let tau = TAUS[tau_sel];
         let vals = value_stream(n, seed, all_equal == 1);
         let mut aos = HierSlackQMax::new(q, gamma, w, tau, c);
-        let mut soa = SoaHierSlackQMax::new_soa(q, gamma, w, tau, c);
+        let mut soa = HierSlackQMax::with_backend(w, tau, c, SoaAmortizedQMax::new(q, gamma));
         feed_and_compare!(vals, 0, n / 2, chunk, aos, soa);
         feed_and_compare!(vals, n / 2, n, chunk, aos, soa);
     }
@@ -132,12 +131,12 @@ proptest! {
         let vals = value_stream(n, seed, all_equal == 1);
 
         let mut aos = LazySlackQMax::new(q, gamma, w, tau, c);
-        let mut soa = SoaLazySlackQMax::new_soa(q, gamma, w, tau, c);
+        let mut soa = LazySlackQMax::with_backend(w, tau, c, SoaAmortizedQMax::new(q, gamma));
         feed_and_compare!(vals, 0, n / 2, chunk, aos, soa);
         feed_and_compare!(vals, n / 2, n, chunk, aos, soa);
 
         let mut aos_wc = LazySlackQMax::new_deamortized(q, gamma, w, tau, c);
-        let mut soa_wc = SoaLazySlackQMax::new_soa_deamortized(q, gamma, w, tau, c);
+        let mut soa_wc = LazySlackQMax::with_backend_deamortized(w, tau, c, SoaAmortizedQMax::new(q, gamma));
         feed_and_compare!(vals, 0, n / 2, chunk, aos_wc, soa_wc);
         feed_and_compare!(vals, n / 2, n, chunk, aos_wc, soa_wc);
     }
@@ -157,10 +156,10 @@ proptest! {
         let tau = TAUS[tau_sel];
         let vals = value_stream(n, seed, all_equal == 1);
         let mut aos_b = BasicSlackQMax::new(q, 0.5, w, tau);
-        let mut soa_b = SoaBasicSlackQMax::new_soa(q, 0.5, w, tau);
+        let mut soa_b = BasicSlackQMax::with_backend(w, tau, SoaAmortizedQMax::new(q, 0.5));
         feed_and_compare!(vals, 0, n, chunk, aos_b, soa_b);
         let mut aos_h = HierSlackQMax::new(q, 0.5, w, tau, 2);
-        let mut soa_h = SoaHierSlackQMax::new_soa(q, 0.5, w, tau, 2);
+        let mut soa_h = HierSlackQMax::with_backend(w, tau, 2, SoaAmortizedQMax::new(q, 0.5));
         feed_and_compare!(vals, 0, n, chunk, aos_h, soa_h);
     }
 
@@ -217,7 +216,8 @@ proptest! {
         let trace: Vec<u64> = (0..n).map(|_| zipf.sample() as u64).collect();
 
         let mut aos = DeamortizedLrfu::new(q, gamma, decay);
-        let mut soa = SoaDeamortizedLrfu::new_soa(q, gamma, decay);
+        let mut soa: DeamortizedLrfu<u64, _> =
+            DeamortizedLrfu::with_snapshot(gamma, decay, SoaAmortizedQMax::new(q, gamma));
         for (i, &k) in trace.iter().enumerate() {
             let a = aos.request(k);
             let s = soa.request(k);

@@ -19,8 +19,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use qmax_core::{
-    BasicSlackQMax, BatchInsert, HierSlackQMax, QMax, SoaBasicSlackQMax, SoaHierSlackQMax,
-    SoaTimeSlackQMax, TimeSlackQMax,
+    BasicSlackQMax, BatchInsert, HierSlackQMax, QMax, SoaAmortizedQMax, TimeSlackQMax,
 };
 
 /// Counts every allocator call that can return a new block of memory.
@@ -91,7 +90,7 @@ fn steady_state_window_inserts_do_not_allocate() {
     );
 
     // --- Basic slack window, SoA backend, batched inserts ---
-    let mut soa = SoaBasicSlackQMax::<u64, u64>::new_soa(Q, GAMMA, W, TAU);
+    let mut soa = BasicSlackQMax::with_backend(W, TAU, SoaAmortizedQMax::<u64, u64>::new(Q, GAMMA));
     let mut batch: Vec<(u64, u64)> = Vec::with_capacity(256);
     for i in 0..(3 * soa.effective_window()) as u64 {
         soa.insert(i, splitmix(&mut rng));
@@ -109,7 +108,8 @@ fn steady_state_window_inserts_do_not_allocate() {
 
     // --- Hierarchical slack window, AoS + SoA backends ---
     let mut hier = HierSlackQMax::<u64, u64>::new(Q, GAMMA, W, TAU, 2);
-    let mut hier_soa = SoaHierSlackQMax::<u64, u64>::new_soa(Q, GAMMA, W, TAU, 2);
+    let mut hier_soa =
+        HierSlackQMax::with_backend(W, TAU, 2, SoaAmortizedQMax::<u64, u64>::new(Q, GAMMA));
     for i in 0..(3 * hier.effective_window()) as u64 {
         hier.insert(i, splitmix(&mut rng));
         hier_soa.insert(i, splitmix(&mut rng));
@@ -126,7 +126,8 @@ fn steady_state_window_inserts_do_not_allocate() {
     // One block per 1000 ns; sweep enough time to lap the ring twice
     // during warm-up, then assert the lapping itself is allocation-free.
     let mut tw = TimeSlackQMax::<u64, u64>::new(Q, GAMMA, 10_000, TAU);
-    let mut tw_soa = SoaTimeSlackQMax::<u64, u64>::new_soa(Q, GAMMA, 10_000, TAU);
+    let mut tw_soa =
+        TimeSlackQMax::with_backend(10_000, TAU, SoaAmortizedQMax::<u64, u64>::new(Q, GAMMA));
     for i in 0..30_000u64 {
         tw.insert(i, splitmix(&mut rng), i);
         tw_soa.insert(i, splitmix(&mut rng), i);
