@@ -65,9 +65,7 @@
 use crate::ring;
 use crate::shard_key::ShardKey;
 use crate::sharded::{ShardHealth, ShardRouter, ShardedQMax};
-use crate::supervisor::{
-    backoff_delay, CkptSlot, LifecycleEvent, ShardLifecycle, ShardState, WatchdogConfig,
-};
+use crate::supervisor::{CkptSlot, LifecycleEvent, ShardLifecycle, ShardState, WatchdogConfig};
 #[cfg(test)]
 use qmax_core::QMax;
 use qmax_core::{BackendSnapshot, BatchInsert};
@@ -401,7 +399,7 @@ pub(crate) struct ShardCell<I, V, B> {
     /// Why the shard was quarantined for good.
     pub(crate) failure: Mutex<Option<String>>,
     /// The backend of the generation owning the shard at the end.
-    outcome: Mutex<Option<B>>,
+    pub(crate) outcome: Mutex<Option<B>>,
     /// The shard's rings, one per producer (none once retired), tagged
     /// with the generation that drains them: the first set, then each
     /// failover's. A producer locks it only to adopt a newer generation.
@@ -577,13 +575,6 @@ where
         true
     }
 
-    /// Permanent quarantine: fences every worker generation out, and
-    /// producers orphan the rest of the sub-stream once they notice.
-    pub(crate) fn retire_shard(&self, s: usize) {
-        self.cells[s].n.gen.store(RETIRED, Ordering::SeqCst);
-        self.hand_off(s, RETIRED, Vec::new());
-    }
-
     /// Folds a ring's high-water into its shard's peak and drops the
     /// handle, closing the ring.
     fn retire_ring(&self, s: usize, tx: Option<BatchProducer<I, V>>) {
@@ -751,35 +742,16 @@ where
     /// budget allows; otherwise quarantines the shard for good.
     fn recover(&mut self, mut b: B, msg: String) -> Option<B> {
         let (core, s) = (self.core, self.s);
-        let (n, supervised) = (&core.cells[s].n, core.recovery.is_some());
-        let checkpointing = supervised && core.config.checkpoint_every.is_some();
-        if supervised {
-            n.degraded.store(true, Ordering::SeqCst);
-            let attempt = n.restarts.fetch_add(1, Ordering::SeqCst) + 1;
-            let wd = core.config.watchdog.unwrap_or_default();
-            if checkpointing && attempt <= wd.max_restarts {
-                n.restoring.store(true, Ordering::SeqCst);
-                core.reclassify_to_checkpoint(s);
-                core.push_event(s, ShardState::Restarting(attempt), msg);
-                thread::sleep(backoff_delay(&wd, s, attempt));
-                core.restore_checkpoint(s, &mut b, true);
-                self.since_ckpt = 0;
-                n.degraded.store(false, Ordering::SeqCst);
-                n.restoring.store(false, Ordering::SeqCst);
-                n.beats.fetch_add(1, Ordering::SeqCst);
-                core.push_event(s, ShardState::Healthy, "warm restore complete");
-                return Some(b);
-            }
-        }
-        core.retire_shard(s);
-        if checkpointing {
-            core.reclassify_to_checkpoint(s);
-        }
-        *lock(&core.cells[s].failure) = Some(msg.clone());
-        if supervised {
-            core.push_event(s, ShardState::Quarantined, msg);
-        }
-        None
+        let checkpointing = core.config.checkpoint_every.is_some();
+        let attempt = core.restart_or_retire(s, checkpointing, &msg)?;
+        let n = &core.cells[s].n;
+        n.restoring.store(true, Ordering::SeqCst);
+        core.back_off_and_restore(s, attempt, &mut b);
+        self.since_ckpt = 0;
+        n.restoring.store(false, Ordering::SeqCst);
+        n.beats.fetch_add(1, Ordering::SeqCst);
+        core.transition(s, ShardState::Healthy, "warm restore complete");
+        Some(b)
     }
 
     /// Hands the backend to reassembly if this generation owns the shard.

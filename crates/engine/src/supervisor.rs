@@ -1,57 +1,55 @@
-//! Checkpointed shard supervision: warm recovery, stall watchdogs, and
-//! lifecycle accounting for the threaded driver.
+//! Checkpointed shard supervision: warm recovery, the stall watchdog,
+//! and lifecycle accounting for the threaded driver.
 //!
 //! [`ShardedQMax::run_threaded`](crate::ShardedQMax::run_threaded)
-//! isolates a failing shard but recovers it **cold**: the quarantined
-//! backend is rebuilt empty from the factory, discarding the shard's
-//! entire slice of the heavy-hitter state, and a *stalled* shard is
-//! never detected at all. [`ShardedQMax::run_supervised`] runs the same
-//! driver core with snapshot/restore hooks for its [`Checkpoint`]
-//! backends and a watchdog thread, which upgrade both recovery paths:
+//! isolates a failing shard but recovers it **cold** (rebuilt empty from
+//! the factory) and never detects a *stalled* one.
+//! [`ShardedQMax::run_supervised`] runs the same driver core with the
+//! [`Checkpoint`] snapshot/restore hooks and a watchdog thread. Every
+//! supervision decision lives here, in three pieces:
 //!
-//! * **Checkpointing** — each worker snapshots its backend
-//!   ([`qmax_core::Checkpoint`]) every
-//!   [`DriverConfig::checkpoint_every`] drained items, at batch
-//!   boundaries. A panicking shard warm-restores from its last
-//!   checkpoint in place (the backend survives the unwind; `restore`
-//!   fully overwrites whatever the panic left behind), so post-fault
-//!   loss is bounded by one checkpoint interval plus the in-flight
-//!   batch, instead of the whole shard.
-//! * **Stall watchdog** — the heartbeat is a per-shard counter the
-//!   owning worker generation bumps per popped batch, plus an explicit
-//!   bump per recovery step; the watchdog reads it, and the count of
-//!   batches pending for that generation, lock-free every
-//!   [`WatchdogConfig::poll_interval`], and declares a shard stalled
-//!   when the heartbeat has been silent for
-//!   [`WatchdogConfig::deadline`] while batches are pending. A stalled
-//!   shard is restarted with bounded retries and exponential backoff
-//!   with deterministic jitter: a spare backend (pre-stamped from the
-//!   factory) is warm-restored from the last checkpoint and takes over
-//!   on fresh rings left in the shard's hand-off slot, which the
-//!   producer adopts before its next push; the abandoned worker drains
-//!   its leftover batches into the quarantine bucket when it eventually
-//!   wakes. While a worker is stalled behind a full ring the producer
-//!   keeps try-pushing against it, so the shard's ring high-water
-//!   ([`DriverReport::per_shard_ring_high_water`]) pins at capacity —
-//!   the occupancy-level symptom of the stall — before failover swaps
-//!   the ring out (high-water marks fold across worker generations).
-//! * **Lifecycle log** — every transition
-//!   (`Healthy → Suspect → Restarting(n) → Quarantined`, and the
-//!   recovery back to `Healthy`) is recorded as a [`LifecycleEvent`]
-//!   with a live coverage estimate, and returned as the
+//! * **Pure detector** — `Watchdog::tick` turns one `Observation` per
+//!   shard (heartbeat, generation-tagged pending count, retired,
+//!   restoring) and the time since the run started into `Suspect`,
+//!   `Resumed` and `Stalled` verdicts: silent for half of
+//!   [`WatchdogConfig::deadline`] with batches pending is suspect, for
+//!   the whole deadline stalled. It touches no atomics, locks, threads
+//!   or clock, so it is tested on a virtual clock. The heartbeat is a
+//!   counter the owning worker generation bumps per popped batch and
+//!   once per warm restore.
+//! * **Shell thread** — every [`WatchdogConfig::poll_interval`] the
+//!   watchdog thread reads the counters lock-free, calls `tick`, and
+//!   applies the verdicts: lifecycle transitions, or a failover. A
+//!   failover fences the stalled generation, then restarts the shard
+//!   on a spare backend (pre-stamped from the factory, warm-restored
+//!   from the last checkpoint) behind fresh rings in the shard's
+//!   hand-off slot, which the producer adopts before its next push.
+//!   The abandoned worker drains its leftovers as quarantined when it
+//!   wakes. While it is stalled behind a full ring the producer keeps
+//!   try-pushing, so the shard's ring high-water
+//!   ([`DriverReport::per_shard_ring_high_water`]) pins at capacity
+//!   before the failover swaps the ring out.
+//! * **One restart-or-retire path** — a caught panic (restarting in
+//!   place, the backend surviving the unwind) and a stall both call
+//!   `Core::restart_or_retire`: one attempt from the per-shard
+//!   [`WatchdogConfig::max_restarts`] budget, then `Restarting(n)` and
+//!   a backoff with deterministic jitter before the restore, or
+//!   retirement as `Quarantined`. Every transition is a
+//!   [`LifecycleEvent`] with a live coverage estimate, returned as the
 //!   [`ShardLifecycle`] on [`DriverReport::lifecycle`].
 //!
 //! # Accounting
 //!
 //! The conservation law holds per shard:
-//! `items == drained + dropped + quarantined` (plus nothing else). With
-//! checkpointing enabled, `drained` is *stricter* than in
-//! `run_threaded`: items whose effect was lost with a failure — drained
-//! after the last surviving checkpoint — are **reclassified** from
-//! drained to quarantined at recovery time, so `per_shard_drained`
-//! counts exactly the items represented in the final shard state, each
-//! exactly once. [`DriverReport::per_shard_recovered`] counts the
-//! candidate entries re-adopted from checkpoints by warm restores.
+//! `items == drained + dropped + quarantined`. Items drained after the
+//! last checkpoint are **reclassified** from drained to quarantined on
+//! every restart (the restore rolls back to the checkpoint) and on a
+//! retirement when a checkpoint exists (reassembly rebuilds from it),
+//! so with checkpointing `per_shard_drained` counts exactly the items
+//! the final shard state represents, each once. A shard rebuilt cold
+//! keeps its drained count, which is what keeps coverage below 1.0.
+//! [`DriverReport::per_shard_recovered`] counts the candidate entries
+//! re-adopted from checkpoints by warm restores.
 //!
 //! # Bounds and caveats
 //!
@@ -68,7 +66,7 @@ use crate::sharded::ShardedQMax;
 use qmax_core::{BackendSnapshot, BatchInsert, Checkpoint};
 use std::sync::atomic::Ordering;
 use std::thread;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Stall-detection and restart policy for
 /// [`ShardedQMax::run_supervised`].
@@ -219,14 +217,16 @@ fn splitmix64(mut x: u64) -> u64 {
 }
 
 /// Deterministic exponential backoff with jitter: `base · 2ⁿ⁻¹ ·
-/// jitter(seed, shard, n)`, capped at 5 s.
+/// jitter(seed, shard, n)`, capped at 5 s (also when the product would
+/// overflow a `Duration`).
 pub(crate) fn backoff_delay(wd: &WatchdogConfig, shard: usize, attempt: u32) -> Duration {
+    let cap = Duration::from_secs(5);
     let doubling = attempt.saturating_sub(1).min(16);
     let base = wd.backoff_base.saturating_mul(1u32 << doubling);
     let r = splitmix64(wd.seed ^ ((shard as u64) << 32) ^ attempt as u64);
     let unit = (r >> 11) as f64 / (1u64 << 53) as f64;
     let factor = 1.0 + wd.backoff_jitter.max(0.0) * unit;
-    base.mul_f64(factor).min(Duration::from_secs(5))
+    Duration::try_from_secs_f64(base.min(cap).as_secs_f64() * factor).map_or(cap, |d| d.min(cap))
 }
 
 /// A shard's latest checkpoint, with the counters at snapshot time
@@ -237,158 +237,269 @@ pub(crate) struct CkptSlot<I, V> {
     pub(crate) admitted_at: u64,
 }
 
-/// The supervision side of the driver core: lifecycle events, recovery
-/// bookkeeping, and the watchdog thread.
+/// What the watchdog thread reads of one shard per sweep, lock-free.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Observation {
+    /// The heartbeat counter.
+    pub(crate) beats: u64,
+    /// Batches pending for the owning generation (≤ 0 when idle).
+    pub(crate) pending: i32,
+    /// Quarantined for good: no longer watched.
+    pub(crate) retired: bool,
+    /// Self-restoring after a panic, so its backoff is not a stall.
+    pub(crate) restoring: bool,
+}
+
+/// A verdict of [`Watchdog::tick`] for the watchdog thread to apply.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Action {
+    /// Silent for `deadline / 2` with batches pending.
+    Suspect(usize),
+    /// A suspect shard's heartbeat moved again.
+    Resumed(usize),
+    /// Silent for `deadline` with batches pending: fail the shard over.
+    Stalled(usize),
+}
+
+/// The stall detector: per-shard silence bookkeeping over observations
+/// and an injected clock (time since the run started). It reads no
+/// atomics, takes no locks and never looks at the wall clock, so it is
+/// tested on a virtual clock.
+pub(crate) struct Watchdog {
+    pub(crate) config: WatchdogConfig,
+    /// Per shard: the last heartbeat seen, when the shard was last seen
+    /// active (`None`: re-baseline at the next sweep), and whether it is
+    /// suspect.
+    shards: Vec<(u64, Option<Duration>, bool)>,
+}
+
+impl Watchdog {
+    pub(crate) fn new(config: WatchdogConfig, shards: usize) -> Self {
+        let shards = vec![(0, Some(Duration::ZERO), false); shards];
+        Watchdog { config, shards }
+    }
+
+    /// One sweep at time `now` over one observation per shard. A moved
+    /// heartbeat, a self-restore or an empty queue is activity; silence
+    /// is the time since the last activity. A `Stalled` shard is
+    /// forgotten until the next sweep, which re-baselines it after the
+    /// thread resolved the stall (restart or retire).
+    pub(crate) fn tick(&mut self, obs: &[Observation], now: Duration) -> Vec<Action> {
+        let mut actions = Vec::new();
+        for (s, (o, (heart, since, suspect))) in obs.iter().zip(&mut self.shards).enumerate() {
+            if o.retired {
+                continue;
+            }
+            let Some(quiet) = since.filter(|_| o.beats == *heart && !o.restoring) else {
+                (*heart, *since) = (o.beats, Some(now));
+                if std::mem::take(suspect) {
+                    actions.push(Action::Resumed(s));
+                }
+                continue;
+            };
+            if o.pending <= 0 {
+                // Idle, not stalled: nothing to drain.
+                *since = Some(now);
+                continue;
+            }
+            let silent = now.saturating_sub(quiet);
+            if !*suspect && silent >= self.config.deadline / 2 {
+                *suspect = true;
+                actions.push(Action::Suspect(s));
+            }
+            if silent >= self.config.deadline {
+                (*since, *suspect) = (None, false);
+                actions.push(Action::Stalled(s));
+            }
+        }
+        actions
+    }
+}
+
+/// The supervision side of the driver core: the one restart-or-retire
+/// decision, lifecycle transitions, and the watchdog thread.
 impl<I, V, B> Core<I, V, B>
 where
     I: ShardKey + Send,
     V: Ord + Clone + Send,
     B: BatchInsert<I, V> + Send,
 {
-    /// Records a transition with the live coverage: the fraction of all
-    /// drained (conserved) items held by shards not degraded right now.
-    pub(crate) fn push_event(&self, shard: usize, state: ShardState, detail: impl Into<String>) {
+    /// Enters `state` for shard `s`: marks it out of live coverage
+    /// unless healthy, and records the transition with the live
+    /// coverage — the fraction of all drained (conserved) items held by
+    /// shards not degraded right now.
+    pub(crate) fn transition(&self, s: usize, state: ShardState, detail: impl Into<String>) {
+        let n = &self.cells[s].n;
+        n.degraded
+            .store(state != ShardState::Healthy, Ordering::SeqCst);
         let (mut total, mut represented) = (0u64, 0u64);
-        for cell in &self.cells {
-            let d = cell.n.drained.load(Ordering::SeqCst);
+        for c in &self.cells {
+            let d = c.n.drained.load(Ordering::SeqCst);
             total += d;
-            if !cell.n.degraded.load(Ordering::SeqCst) {
+            if !c.n.degraded.load(Ordering::SeqCst) {
                 represented += d;
             }
         }
         let event = LifecycleEvent {
-            shard,
+            shard: s,
             state,
             at: self.start.elapsed(),
-            restarts: self.cells[shard].n.restarts.load(Ordering::SeqCst),
+            restarts: n.restarts.load(Ordering::SeqCst),
             coverage: 1.0 - (total - represented) as f64 / total.max(1) as f64,
             detail: detail.into(),
         };
         lock(&self.events).push(event);
     }
 
-    /// Rolls shard `s`'s drained/admitted counters back to its last
-    /// checkpoint, charging the difference as quarantined. Called with
-    /// the generation already fenced, so no worker races the store.
-    pub(crate) fn reclassify_to_checkpoint(&self, s: usize) {
-        let (n, slot) = (&self.cells[s].n, lock(&self.cells[s].ckpt));
-        let (drained_at, admitted_at) = slot
-            .as_ref()
-            .map_or((0, 0), |c| (c.drained_at, c.admitted_at));
-        let lost = n.drained.load(Ordering::SeqCst).saturating_sub(drained_at);
-        n.drained.store(drained_at, Ordering::SeqCst);
-        n.admitted.store(admitted_at, Ordering::SeqCst);
-        n.quarantined.fetch_add(lost, Ordering::SeqCst);
+    /// The one decision for a failed shard — a caught panic or a stall
+    /// with its generation already fenced. A supervised run spends one
+    /// restart attempt; if `restartable` and within
+    /// [`WatchdogConfig::max_restarts`], the shard enters
+    /// `Restarting(attempt)` and the attempt is returned for the caller
+    /// to back off and restore. Otherwise the shard is retired for good
+    /// with `cause` as its failure, naming the budget when it ran out
+    /// (unsupervised runs: no attempt, no event, cold quarantine).
+    ///
+    /// One reclassification rule: progress since the last checkpoint is
+    /// charged from drained to quarantined on every restart (the restore
+    /// rolls back to it), and on a retirement only when a checkpoint
+    /// exists for reassembly to rebuild from. A cold-rebuilt shard keeps
+    /// its drained count, so coverage shows what the rebuild lost.
+    pub(crate) fn restart_or_retire(
+        &self,
+        s: usize,
+        restartable: bool,
+        cause: &str,
+    ) -> Option<u32> {
+        let (cell, supervised) = (&self.cells[s], self.recovery.is_some());
+        let (n, wd) = (&cell.n, self.config.watchdog.unwrap_or_default());
+        let restart = supervised
+            .then(|| n.restarts.fetch_add(1, Ordering::SeqCst) + 1)
+            .filter(|&attempt| restartable && attempt <= wd.max_restarts);
+        if restart.is_none() {
+            // Permanent quarantine: fences every worker generation out,
+            // and producers orphan the rest of the sub-stream once they
+            // notice.
+            n.gen.store(RETIRED, Ordering::SeqCst);
+            self.hand_off(s, RETIRED, Vec::new());
+        }
+        let slot = lock(&cell.ckpt);
+        if restart.is_some() || slot.is_some() {
+            let (drained_at, admitted_at) = slot
+                .as_ref()
+                .map_or((0, 0), |c| (c.drained_at, c.admitted_at));
+            let lost = n.drained.load(Ordering::SeqCst).saturating_sub(drained_at);
+            n.drained.store(drained_at, Ordering::SeqCst);
+            n.admitted.store(admitted_at, Ordering::SeqCst);
+            n.quarantined.fetch_add(lost, Ordering::SeqCst);
+        }
+        drop(slot);
+        let Some(attempt) = restart else {
+            let mut cause = cause.to_string();
+            if supervised && restartable {
+                cause += &format!("; restart budget ({}) exhausted", wd.max_restarts);
+            }
+            *lock(&cell.failure) = Some(cause.clone());
+            if supervised {
+                self.transition(s, ShardState::Quarantined, cause);
+            }
+            return None;
+        };
+        self.transition(s, ShardState::Restarting(attempt), cause);
+        restart
     }
 
-    /// Restores `b` from shard `s`'s last checkpoint, counting the
-    /// re-adopted entries — or, with none taken yet, from an empty
-    /// snapshot if `or_empty` (else `b` is left as it is).
-    pub(crate) fn restore_checkpoint(&self, s: usize, b: &mut B, or_empty: bool) {
+    /// Sleeps restart `attempt`'s backoff, then restores `b` from shard
+    /// `s`'s last checkpoint (an empty snapshot if none was taken),
+    /// counting the re-adopted entries.
+    pub(crate) fn back_off_and_restore(&self, s: usize, attempt: u32, b: &mut B) {
+        let wd = self.config.watchdog.unwrap_or_default();
+        thread::sleep(backoff_delay(&wd, s, attempt));
         let Some(rec) = &self.recovery else { return };
         match &*lock(&self.cells[s].ckpt) {
             Some(CkptSlot { snap, .. }) => {
                 (rec.restore)(b, snap);
-                self.cells[s]
-                    .n
-                    .recovered
-                    .fetch_add(snap.len() as u64, Ordering::SeqCst);
+                let recovered = &self.cells[s].n.recovered;
+                recovered.fetch_add(snap.len() as u64, Ordering::SeqCst);
             }
-            None if or_empty => (rec.restore)(b, &BackendSnapshot::empty()),
-            None => {}
+            None => (rec.restore)(b, &BackendSnapshot::empty()),
         }
     }
 
-    /// The watchdog thread: every `poll_interval` until the run closes,
-    /// compares each shard's heartbeat with the last sweep's. Silent with
-    /// batches pending for `deadline / 2` marks the shard Suspect; for
-    /// `deadline`, fails it over to a warm-restored spare on fresh rings
-    /// (or, past the restart budget, retires it for good).
+    /// The watchdog thread, a shell around [`Watchdog::tick`]: every
+    /// `poll_interval` until the run closes it reads each shard's
+    /// counters, ticks the detector, and applies its verdicts.
     pub(crate) fn watchdog<'scope>(
         &'scope self,
         scope: &'scope thread::Scope<'scope, '_>,
         mut spares: Vec<Vec<B>>,
     ) {
-        use ShardState::{Healthy, Quarantined, Restarting, Suspect};
-        let wd = self.config.watchdog.unwrap_or_default();
-        let mut last_heart = vec![0u64; self.cells.len()];
-        let mut last_change = vec![Instant::now(); self.cells.len()];
-        let mut suspect = vec![false; self.cells.len()];
+        let mut detector =
+            Watchdog::new(self.config.watchdog.unwrap_or_default(), self.cells.len());
         while !self.closing.load(Ordering::SeqCst) {
             // The run unparks this thread when it closes.
-            thread::park_timeout(wd.poll_interval);
-            let now = Instant::now();
-            for (s, n) in self.cells.iter().map(|c| &c.n).enumerate() {
+            thread::park_timeout(detector.config.poll_interval);
+            let obs: Vec<Observation> = (self.cells.iter().map(|c| &c.n))
+                .map(|n| Observation {
+                    beats: n.beats.load(Ordering::SeqCst),
+                    pending: n.pending(),
+                    retired: n.gen.load(Ordering::SeqCst) == RETIRED,
+                    restoring: n.restoring.load(Ordering::SeqCst),
+                })
+                .collect();
+            for action in detector.tick(&obs, self.start.elapsed()) {
                 if self.closing.load(Ordering::SeqCst) {
                     return;
                 }
-                let h = n.beats.load(Ordering::SeqCst);
-                if n.gen.load(Ordering::SeqCst) == RETIRED {
-                    continue;
-                } else if h != last_heart[s] || n.restoring.load(Ordering::SeqCst) {
-                    (last_heart[s], last_change[s]) = (h, now);
-                    if std::mem::take(&mut suspect[s]) {
-                        n.degraded.store(false, Ordering::SeqCst);
-                        self.push_event(s, Healthy, "heartbeat resumed");
+                match action {
+                    Action::Suspect(s) => {
+                        let detail = "heartbeat silent with batches pending";
+                        self.transition(s, ShardState::Suspect, detail);
                     }
-                    continue;
-                } else if n.pending() <= 0 {
-                    // Idle, not stalled: nothing to drain.
-                    last_change[s] = now;
-                    continue;
+                    Action::Resumed(s) => {
+                        self.transition(s, ShardState::Healthy, "heartbeat resumed")
+                    }
+                    Action::Stalled(s) => self.fail_over(scope, s, &mut spares[s]),
                 }
-                let silent = now.duration_since(last_change[s]);
-                if !suspect[s] && silent >= wd.deadline / 2 {
-                    suspect[s] = true;
-                    n.degraded.store(true, Ordering::SeqCst);
-                    self.push_event(s, Suspect, "heartbeat silent with batches pending");
-                }
-                if silent < wd.deadline {
-                    continue;
-                }
-                // Stall confirmed.
-                let attempt = n.restarts.fetch_add(1, Ordering::SeqCst) + 1;
-                if attempt > wd.max_restarts {
-                    self.retire_shard(s);
-                    self.reclassify_to_checkpoint(s);
-                    let budget = wd.max_restarts;
-                    let msg = format!("stalled worker exceeded restart budget ({budget})");
-                    *lock(&self.cells[s].failure) = Some(msg);
-                    self.push_event(s, Quarantined, "stall restart budget exhausted");
-                    suspect[s] = false;
-                    continue;
-                }
-                self.push_event(s, Restarting(attempt), "stall deadline exceeded");
-                thread::sleep(backoff_delay(&wd, s, attempt));
-                let Some(mut spare) = spares[s].pop() else {
-                    continue;
-                };
-                // Fence the stalled generation first so it can no longer
-                // commit progress, then roll the counters back to the
-                // checkpoint the replacement resumes from. Batches
-                // stranded in the stalled worker's rings stop counting
-                // as pending: the replacement starts with none.
-                let gen = n.gen.fetch_add(1, Ordering::SeqCst) + 1;
-                n.reset_pending(gen);
-                self.reclassify_to_checkpoint(s);
-                self.restore_checkpoint(s, &mut spare, false);
-                // The producer adopts the fresh rings before its next
-                // push; handing them off retires the stalled
-                // generation's rings, folding their high-water (pinned
-                // at capacity if the producer beat against them).
-                let (rings, inbound) = self.rings();
-                if !self.hand_off(s, gen, rings) {
-                    // Shutdown raced the failover: the stalled worker
-                    // drains its leftovers as quarantined; no
-                    // replacement comes online.
-                    continue;
-                }
-                scope.spawn(move || self.worker(s, gen, spare, inbound));
-                n.degraded.store(false, Ordering::SeqCst);
-                suspect[s] = false;
-                (last_heart[s], last_change[s]) = (n.beats.load(Ordering::SeqCst), Instant::now());
-                self.push_event(s, Healthy, "replacement worker online after warm restore");
             }
+        }
+    }
+
+    /// Fails stalled shard `s` over: fences the stalled generation so it
+    /// can no longer commit progress (batches stranded in its rings stop
+    /// counting as pending; it drains them as quarantined when it
+    /// wakes), then restarts or retires the shard. A restart backs off,
+    /// warm-restores a spare, and leaves fresh rings in the hand-off
+    /// slot, which the producer adopts before its next push.
+    fn fail_over<'scope>(
+        &'scope self,
+        scope: &'scope thread::Scope<'scope, '_>,
+        s: usize,
+        spares: &mut Vec<B>,
+    ) {
+        let n = &self.cells[s].n;
+        let gen = n.gen.fetch_add(1, Ordering::SeqCst) + 1;
+        n.reset_pending(gen);
+        let Some(attempt) = self.restart_or_retire(s, true, "stall deadline exceeded") else {
+            return;
+        };
+        // `drive` stamps one spare per restart the budget allows.
+        let mut spare = spares.pop().expect("a spare per restart attempt");
+        self.back_off_and_restore(s, attempt, &mut spare);
+        // Handing the rings off retires the stalled generation's,
+        // folding their high-water (pinned at capacity if the producer
+        // beat against them).
+        let (rings, inbound) = self.rings();
+        if self.hand_off(s, gen, rings) {
+            scope.spawn(move || self.worker(s, gen, spare, inbound));
+            let detail = "replacement worker online after warm restore";
+            self.transition(s, ShardState::Healthy, detail);
+        } else {
+            // Shutdown raced the failover: no replacement comes online,
+            // but the restored spare still owns the shard at the end.
+            *lock(&self.cells[s].outcome) = Some(spare);
+            let detail = "run closed during failover; restored spare handed to reassembly";
+            self.transition(s, ShardState::Healthy, detail);
         }
     }
 }
@@ -434,5 +545,165 @@ where
         };
         let streams = Streams::<S, std::iter::Empty<(I, V)>>::Caller(stream);
         self.drive(streams, config, Some(recovery))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    fn config(base_ms: u64, jitter: f64, seed: u64) -> WatchdogConfig {
+        WatchdogConfig {
+            backoff_base: Duration::from_millis(base_ms),
+            backoff_jitter: jitter,
+            seed,
+            ..WatchdogConfig::default()
+        }
+    }
+
+    #[test]
+    fn backoff_doubles_within_the_jitter_band() {
+        for (seed, jitter) in [(0, 0.0), (7, 0.5), (u64::MAX, 1.0)] {
+            let wd = config(3, jitter, seed);
+            for shard in 0..4 {
+                for attempt in 1..=8u32 {
+                    let low = Duration::from_millis(3 << (attempt - 1));
+                    let delay = backoff_delay(&wd, shard, attempt);
+                    assert!(delay >= low, "{delay:?} < {low:?}");
+                    assert!(delay <= low.mul_f64(1.0 + jitter), "{delay:?} above band");
+                }
+            }
+        }
+        // No jitter: exactly the doubling; attempt 0 backs off like 1.
+        let wd = config(3, 0.0, 1);
+        assert_eq!(backoff_delay(&wd, 0, 0), Duration::from_millis(3));
+        assert_eq!(backoff_delay(&wd, 0, 4), Duration::from_millis(24));
+    }
+
+    #[test]
+    fn backoff_is_capped_at_five_seconds() {
+        let cap = Duration::from_secs(5);
+        let wd = config(100, 0.5, 9);
+        // 100 ms · 2⁶ = 6.4 s already exceeds the cap.
+        assert_eq!(backoff_delay(&wd, 1, 7), cap);
+        // A 4 s base stays under the cap only on its first attempt.
+        let slow = config(4_000, 0.25, 9);
+        assert!(backoff_delay(&slow, 0, 1) < cap);
+        assert_eq!(backoff_delay(&slow, 0, 2), cap);
+        // Jitter too large for a `Duration` is capped, not a panic.
+        assert_eq!(backoff_delay(&config(1, f64::MAX, 9), 0, 1), cap);
+        for attempt in 1..64 {
+            assert!(backoff_delay(&wd, 2, attempt) <= cap);
+        }
+    }
+
+    #[test]
+    fn backoff_doubling_saturates_at_large_attempts() {
+        // Sub-millisecond base so the cap does not hide the doubling:
+        // it stops at 2¹⁶ and never overflows.
+        let wd = WatchdogConfig {
+            backoff_base: Duration::from_nanos(10),
+            backoff_jitter: 0.0,
+            ..WatchdogConfig::default()
+        };
+        let top = Duration::from_nanos(10 << 16);
+        assert_eq!(backoff_delay(&wd, 0, 17), top);
+        for attempt in [18, 1_000, u32::MAX] {
+            assert_eq!(backoff_delay(&wd, 0, attempt), top);
+        }
+        let huge = WatchdogConfig {
+            backoff_base: Duration::MAX,
+            ..wd
+        };
+        assert_eq!(backoff_delay(&huge, 0, u32::MAX), Duration::from_secs(5));
+    }
+
+    #[test]
+    fn backoff_is_deterministic_in_seed_shard_and_attempt() {
+        let (a, b) = (config(10, 0.5, 42), config(10, 0.5, 42));
+        let schedule = |wd: &WatchdogConfig| -> Vec<Duration> {
+            (0..4)
+                .flat_map(|s| (1..6).map(move |n| (s, n)))
+                .map(|(s, n)| backoff_delay(wd, s, n))
+                .collect()
+        };
+        assert_eq!(schedule(&a), schedule(&b));
+        // The jitter really depends on each input.
+        assert_ne!(schedule(&a), schedule(&config(10, 0.5, 43)));
+        let jittered =
+            |s, n| backoff_delay(&a, s, n).as_nanos() as f64 / (10e6 * f64::from(1 << (n - 1)));
+        assert_ne!(jittered(0, 1), jittered(1, 1));
+        assert_ne!(jittered(0, 1), jittered(0, 2));
+    }
+
+    /// Per shard and sweep: (heartbeat moves if 0, pending, restoring if
+    /// 0, retired from here on if 0).
+    type ShardTrace = (u8, i32, u8, u8);
+
+    proptest! {
+        /// The detector on a virtual clock against the definition of
+        /// silence: the time since the shard was last active — its
+        /// heartbeat moved since its previous watched sweep, it was
+        /// restoring or idle, or it was declared stalled at its previous
+        /// watched sweep (the sweep after a stall re-baselines).
+        #[test]
+        fn watchdog_verdicts_follow_silence(
+            deadline_ms in 2u64..120,
+            sweeps in prop::collection::vec(
+                (0u64..50, prop::collection::vec((0u8..4, -1i32..4, 0u8..8, 0u8..64), 3)),
+                1..300,
+            ),
+        ) {
+            let deadline = Duration::from_millis(deadline_ms);
+            let mut detector = Watchdog::new(WatchdogConfig { deadline, ..WatchdogConfig::default() }, 3);
+            let mut now = Duration::ZERO;
+            let (mut beats, mut retired) = ([0u64; 3], [false; 3]);
+            // Reference bookkeeping: beats at the previous watched sweep,
+            // start of the current silence (None right after a stall),
+            // and whether a Suspect is outstanding.
+            let mut seen = [0u64; 3];
+            let mut quiet = [Some(Duration::ZERO); 3];
+            let mut suspected = [false; 3];
+            for (dt, shards) in &sweeps {
+                now += Duration::from_millis(*dt);
+                let obs: Vec<Observation> = shards
+                    .iter()
+                    .enumerate()
+                    .map(|(s, &(moves, pending, restoring, retire)): (usize, &ShardTrace)| {
+                        beats[s] += u64::from(moves == 0);
+                        retired[s] |= retire == 0;
+                        Observation { beats: beats[s], pending, retired: retired[s], restoring: restoring == 0 }
+                    })
+                    .collect();
+                let actions = detector.tick(&obs, now);
+                for (s, o) in obs.iter().enumerate() {
+                    let of = |a: fn(usize) -> Action| actions.contains(&a(s));
+                    let (suspect, stalled, resumed) = (of(Action::Suspect), of(Action::Stalled), of(Action::Resumed));
+                    if o.retired {
+                        prop_assert!(!suspect && !stalled && !resumed, "retired shard {s} judged: {actions:?}");
+                        continue;
+                    }
+                    let active = o.beats != seen[s] || o.restoring || quiet[s].is_none();
+                    seen[s] = o.beats;
+                    if active || o.pending <= 0 {
+                        prop_assert!(!suspect && !stalled, "active or idle shard {s} judged: {o:?}");
+                        prop_assert_eq!(resumed, active && suspected[s]);
+                        suspected[s] &= !active;
+                        quiet[s] = Some(now);
+                        continue;
+                    }
+                    prop_assert!(!resumed);
+                    let silence = now - quiet[s].expect("baselined");
+                    prop_assert_eq!(suspect, !suspected[s] && silence >= deadline / 2, "shard {s}, silence {silence:?}");
+                    prop_assert_eq!(stalled, silence >= deadline, "shard {s}, silence {silence:?}");
+                    suspected[s] |= suspect;
+                    if stalled {
+                        prop_assert!(suspected[s], "stall of shard {s} without a suspect first");
+                        (suspected[s], quiet[s]) = (false, None);
+                    }
+                }
+            }
+        }
     }
 }

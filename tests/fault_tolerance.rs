@@ -443,3 +443,144 @@ fn failover_adopts_replacement_ring_before_the_stalled_ring_fills() {
     );
     assert!(report.per_shard_drained[0] >= items.len() as u64 - queued_at_failover - batch as u64);
 }
+
+/// A stall that exhausts the restart budget without checkpoints: the
+/// shard is retired and rebuilt cold, so the items it drained before the
+/// stall are no longer represented. Like a retired panicking shard, it
+/// keeps them counted as drained, and coverage stays below 1.0 while the
+/// shard is `Degraded`.
+#[test]
+fn stall_retirement_without_checkpoints_keeps_coverage_below_one() {
+    let _silence = silence_fault_panics();
+    let q = 64;
+    let shards = 3;
+    let stalled = 1usize;
+    let mut engine: ShardedQMax<u64, u64, FaultyBackend<AmortizedQMax<u64, u64>>> =
+        ShardedQMax::with_backends(q, shards, move |s| {
+            let schedule = if s == stalled {
+                FaultSchedule::stall_at(600, 300)
+            } else {
+                FaultSchedule::none()
+            };
+            FaultyBackend::new(AmortizedQMax::new(q, 0.25), schedule)
+        });
+    let items: Vec<(u64, u64)> = random_u64_stream(60_000, 7)
+        .enumerate()
+        .map(|(i, v)| (i as u64, v))
+        .collect();
+
+    let report = engine.run_supervised(
+        items.iter().copied(),
+        DriverConfig {
+            batch_size: 128,
+            queue_depth: 2,
+            checkpoint_every: None,
+            watchdog: Some(WatchdogConfig {
+                deadline: Duration::from_millis(80),
+                poll_interval: Duration::from_millis(10),
+                max_restarts: 0,
+                backoff_base: Duration::from_millis(5),
+                backoff_jitter: 0.5,
+                seed: 7,
+            }),
+            ..DriverConfig::default()
+        },
+    );
+
+    assert_balanced(&report);
+    assert_eq!(
+        report.lifecycle.final_state(stalled),
+        ShardState::Quarantined
+    );
+    assert!(
+        report.failures.iter().any(|f| f.shard == stalled),
+        "{:?}",
+        report.failures
+    );
+    // The stall hit the shard's fifth batch: the four before it were
+    // drained into the backend the cold rebuild discarded.
+    assert_eq!(report.per_shard_drained[stalled], 4 * 128);
+    assert_eq!(engine.shard_health()[stalled], ShardHealth::Degraded);
+    let annotated = engine.query_with_coverage();
+    assert!(
+        annotated.coverage < 1.0,
+        "a cold-rebuilt shard reported full coverage: {report:?}"
+    );
+    assert!(annotated.degraded_shards.contains(&stalled));
+}
+
+/// A failover that loses the race with run shutdown: the stream ends
+/// while the watchdog backs off before its restore, so the hand-off of
+/// the replacement's rings is refused. The shard must still leave
+/// `Restarting` with a named outcome, not end the run mid-restart with a
+/// generic "lost" failure.
+#[test]
+fn failover_racing_shutdown_still_resolves_the_restart() {
+    let _silence = silence_fault_panics();
+    let q = 64;
+    let batch = 16usize;
+    let mut builds = 0u32;
+    let mut engine: ShardedQMax<u64, u64, FaultyBackend<AmortizedQMax<u64, u64>>> =
+        ShardedQMax::with_backends(q, 1, move |_| {
+            builds += 1;
+            let schedule = if builds == 1 {
+                FaultSchedule::stall_at(161, 600)
+            } else {
+                FaultSchedule::none()
+            };
+            FaultyBackend::new(AmortizedQMax::new(q, 0.25), schedule)
+        });
+    let items: Vec<(u64, u64)> = random_u64_stream(40 * batch, 3)
+        .enumerate()
+        .map(|(i, v)| (i as u64, v))
+        .collect();
+    // The stall is detected at ~40 ms; the stream resumes at 100 ms and
+    // ends long before the 300 ms backoff is over.
+    let throttled = items.iter().copied().enumerate().map(|(i, item)| {
+        if i == 15 * batch {
+            std::thread::sleep(Duration::from_millis(100));
+        }
+        item
+    });
+
+    let report = engine.run_supervised(
+        throttled,
+        DriverConfig {
+            batch_size: batch,
+            queue_depth: 64,
+            checkpoint_every: Some(batch as u64),
+            watchdog: Some(WatchdogConfig {
+                deadline: Duration::from_millis(40),
+                poll_interval: Duration::from_millis(5),
+                max_restarts: 3,
+                backoff_base: Duration::from_millis(300),
+                backoff_jitter: 0.0,
+                seed: 3,
+            }),
+            ..DriverConfig::default()
+        },
+    );
+
+    assert_balanced(&report);
+    assert_eq!(report.lifecycle.restarts(0), 1, "{:?}", report.lifecycle);
+    // Every restart ends in Healthy or Quarantined.
+    let states: Vec<ShardState> = report.lifecycle.events().iter().map(|e| e.state).collect();
+    for (i, state) in states.iter().enumerate() {
+        if let ShardState::Restarting(_) = state {
+            assert!(
+                states[i + 1..]
+                    .iter()
+                    .any(|s| matches!(s, ShardState::Healthy | ShardState::Quarantined)),
+                "restart left unresolved: {states:?}"
+            );
+        }
+    }
+    assert!(
+        !matches!(report.lifecycle.final_state(0), ShardState::Restarting(_)),
+        "{:?}",
+        report.lifecycle
+    );
+    for failure in &report.failures {
+        assert_ne!(failure.message, "shard backend lost without a panic");
+    }
+}
