@@ -19,8 +19,10 @@
 //! # Safety
 //!
 //! Every function is `#[target_feature(enable = "avx2")]` and must only
-//! be called when `is_x86_feature_detected!("avx2")` returned true —
-//! the dispatch layer in [`super`] guarantees this. Wide stores are
+//! be called when the process-wide probe in [`super`] found
+//! `CPUID.1:ECX` XSAVE and OSXSAVE (bits 26–27), XCR0 SSE and AVX state
+//! (bits 1–2) and `CPUID.(7,0):EBX` AVX2 (bit 5) — the dispatch layer
+//! only hands out an `Avx2` or `Avx512` kernel on that answer. Wide stores are
 //! only issued while `cursor + 4 <= limit` for the region being
 //! written, so no store ever leaves the caller-provided bounds; the
 //! remainder runs the scalar tail.

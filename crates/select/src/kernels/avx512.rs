@@ -11,8 +11,11 @@
 //! # Safety
 //!
 //! Every function is `#[target_feature(enable = "avx512f")]` and must
-//! only be called when `is_x86_feature_detected!("avx512f")` returned
-//! true — the dispatch layer in [`super`] guarantees this. Masked
+//! only be called when the process-wide probe in [`super`] found
+//! `CPUID.1:ECX` XSAVE and OSXSAVE (bits 26–27), XCR0 SSE/AVX state
+//! (bits 1–2) and opmask/ZMM state (bits 5–7), and `CPUID.(7,0):EBX`
+//! AVX-512F (bit 16) — the dispatch layer only hands out an `Avx512`
+//! kernel on that answer. Masked
 //! compress stores touch only the lanes the mask admits, which by the
 //! callers' cursor invariants always lie inside the destination slice.
 

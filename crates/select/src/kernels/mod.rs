@@ -19,12 +19,18 @@
 //! and then dispatches each call to an AVX-512F or AVX2 (x86_64) or
 //! NEON (aarch64) implementation when
 //!
-//! 1. the CPU reports the feature at runtime
-//!    (`is_x86_feature_detected!` / `is_aarch64_feature_detected!`),
+//! 1. the CPU and OS report the feature at runtime. On x86_64 a
+//!    direct probe reads only the bits the dispatch branches on:
+//!    `CPUID.1:ECX` XSAVE and OSXSAVE, then `XGETBV(0)` for the SSE/AVX
+//!    state (XCR0 bits 1–2) and the opmask/ZMM state (bits 5–7), then
+//!    `CPUID.(7,0):EBX` AVX2 (bit 5) and AVX-512F (bit 16). On aarch64
+//!    it is `is_aarch64_feature_detected!("neon")`. The probe runs at
+//!    most once per process; its answer, with rule 3 folded in, is
+//!    cached in one static;
 //! 2. the lane type is exactly `u64` (checked via [`TypeId`]; the SIMD
 //!    paths compare unsigned 64-bit lanes), and
-//! 3. `QMAX_FORCE_SCALAR` is not set in the environment (CI uses this
-//!    to pin the portable path).
+//! 3. `QMAX_FORCE_SCALAR` is unset or `"0"` in the environment (CI
+//!    sets it to pin the portable path).
 //!
 //! Otherwise every call runs the always-correct scalar fallback in
 //! `scalar` — the *same* code the SIMD paths must match bit-for-bit
@@ -38,8 +44,9 @@
 //! and uniform:
 //!
 //! * every `#[target_feature]` function is only reachable through a
-//!   [`Kernel`] whose `kind` was set after the matching runtime
-//!   feature check;
+//!   [`Kernel`] whose `kind` was set from the process-wide probe
+//!   result, which names a tier only when its CPUID and XCR0 bits are
+//!   all set (or, on aarch64, NEON was detected);
 //! * every slice reinterpretation is gated on a `TypeId` equality
 //!   proving the cast is an identity (`V == u64`);
 //! * every SIMD store stays inside the caller-provided bounds: wide
@@ -134,30 +141,79 @@ pub fn sample_positions(n: usize, seed: u64, out: &mut Vec<usize>) {
     }
 }
 
-/// Runtime feature detection for the `u64` lane kernels; cached by the
-/// standard library's own detection machinery.
-fn detect_arch_kind() -> KernelKind {
-    #[cfg(target_arch = "x86_64")]
-    {
-        if std::arch::is_x86_feature_detected!("avx512f") {
-            return KernelKind::Avx512;
+/// The vector tier every `detect` resolves to: the probed tier, or
+/// `Scalar` when `QMAX_FORCE_SCALAR` is set to anything but `"0"`.
+/// Probed on first use and cached for the process, so every later call
+/// is a single load.
+fn detected_kind() -> KernelKind {
+    static KIND: OnceLock<KernelKind> = OnceLock::new();
+    *KIND.get_or_init(|| {
+        if std::env::var_os("QMAX_FORCE_SCALAR").is_some_and(|v| v != "0") {
+            KernelKind::Scalar
+        } else {
+            probe_arch_kind()
         }
-        if std::arch::is_x86_feature_detected!("avx2") {
-            return KernelKind::Avx2;
-        }
-    }
-    #[cfg(target_arch = "aarch64")]
-    {
-        if std::arch::is_aarch64_feature_detected!("neon") {
-            return KernelKind::Neon;
-        }
-    }
-    KernelKind::Scalar
+    })
 }
 
-fn force_scalar() -> bool {
-    static FORCE: OnceLock<bool> = OnceLock::new();
-    *FORCE.get_or_init(|| std::env::var_os("QMAX_FORCE_SCALAR").is_some_and(|v| v != "0"))
+/// Uncached x86_64 probe for the `u64` lane kernels. It applies the
+/// conditions the standard library applies to `avx2` and `avx512f`, but
+/// issues only `CPUID` leaves 1 and (7,0) plus one `XGETBV`, where the
+/// standard library's first query sweeps about seven leaves (each a VM
+/// exit under virtualization).
+#[cfg(all(target_arch = "x86_64", not(miri)))]
+fn probe_arch_kind() -> KernelKind {
+    use core::arch::x86_64::{__cpuid, __cpuid_count, _xgetbv};
+    const XSAVE: u32 = 1 << 26;
+    const OSXSAVE: u32 = 1 << 27;
+    // SSE and AVX (YMM upper half) state.
+    const XCR0_AVX: u64 = 0b110;
+    // Opmask, ZMM_Hi256 and Hi16_ZMM state.
+    const XCR0_AVX512: u64 = 0b1110_0000;
+    const AVX2: u32 = 1 << 5;
+    const AVX512F: u32 = 1 << 16;
+
+    if __cpuid(1).ecx & (XSAVE | OSXSAVE) != XSAVE | OSXSAVE {
+        return KernelKind::Scalar;
+    }
+    // SAFETY: OSXSAVE says the OS has enabled XSAVE, which makes XGETBV
+    // executable (it raises #UD only while CR4.OSXSAVE is clear).
+    let xcr0 = unsafe { _xgetbv(0) };
+    if xcr0 & XCR0_AVX != XCR0_AVX {
+        return KernelKind::Scalar;
+    }
+    // SAFETY: the tier returned here licenses `#[target_feature]` calls,
+    // so leaf 7 must be a real leaf: above the maximum basic leaf, Intel
+    // CPUs answer with the highest basic leaf's data, whose EBX bits 5
+    // and 16 mean something else. No `CPUID.0` max-leaf guard is needed:
+    // XSAVE (checked above) implies leaf 0xD, the XSAVE state
+    // enumeration, exists, so the maximum basic leaf is at least 0xD > 7.
+    let ebx = __cpuid_count(7, 0).ebx;
+    if ebx & AVX512F != 0 && xcr0 & XCR0_AVX512 == XCR0_AVX512 {
+        KernelKind::Avx512
+    } else if ebx & AVX2 != 0 {
+        KernelKind::Avx2
+    } else {
+        KernelKind::Scalar
+    }
+}
+
+/// Uncached aarch64 probe: the auxiliary-vector read behind the
+/// standard library's NEON check does not trap.
+#[cfg(target_arch = "aarch64")]
+fn probe_arch_kind() -> KernelKind {
+    if std::arch::is_aarch64_feature_detected!("neon") {
+        KernelKind::Neon
+    } else {
+        KernelKind::Scalar
+    }
+}
+
+/// No vector tier elsewhere, nor under Miri, which cannot execute a raw
+/// `CPUID` (the standard library's detection reports nothing there).
+#[cfg(not(any(all(target_arch = "x86_64", not(miri)), target_arch = "aarch64")))]
+fn probe_arch_kind() -> KernelKind {
+    KernelKind::Scalar
 }
 
 #[inline]
@@ -239,10 +295,10 @@ impl<V: Ord + Copy + 'static> Kernel<V> {
     /// *and* `V` is `u64`, scalar otherwise (or when the
     /// `QMAX_FORCE_SCALAR` environment variable is set).
     pub fn detect() -> Self {
-        let kind = if !is_u64_lane::<V>() || force_scalar() {
-            KernelKind::Scalar
+        let kind = if is_u64_lane::<V>() {
+            detected_kind()
         } else {
-            detect_arch_kind()
+            KernelKind::Scalar
         };
         Kernel {
             kind,
@@ -522,6 +578,25 @@ mod tests {
             ks.push(auto);
         }
         ks
+    }
+
+    #[cfg(all(target_arch = "x86_64", not(miri)))]
+    #[test]
+    fn probe_matches_std_detection_and_is_cached() {
+        let std_kind = if std::arch::is_x86_feature_detected!("avx512f") {
+            KernelKind::Avx512
+        } else if std::arch::is_x86_feature_detected!("avx2") {
+            KernelKind::Avx2
+        } else {
+            KernelKind::Scalar
+        };
+        assert_eq!(probe_arch_kind(), std_kind);
+        let forced = std::env::var_os("QMAX_FORCE_SCALAR").is_some_and(|v| v != "0");
+        let want = if forced { KernelKind::Scalar } else { std_kind };
+        for _ in 0..2 {
+            assert_eq!(Kernel::<u64>::detect().kind(), want);
+            assert_eq!(ProbeKernel::detect().kind(), want);
+        }
     }
 
     #[test]

@@ -25,7 +25,7 @@
 //! `tests/proptest_kernels.rs` pin scalar ≡ SIMD over adversarial
 //! group contents (all-match, no-match, sentinel-heavy).
 
-use super::{detect_arch_kind, force_scalar, KernelKind};
+use super::{detected_kind, KernelKind};
 
 /// Number of control bytes (slots) per probe group: one 16-byte vector,
 /// a quarter cache line.
@@ -44,18 +44,19 @@ pub struct ProbeKernel {
 }
 
 impl ProbeKernel {
-    /// Resolves the best probe kernel for this CPU. Any detected vector
-    /// tier (AVX-512F, AVX2, NEON) selects the 16-lane byte-compare
-    /// path — the probe needs only baseline 128-bit compares, so the
-    /// tiers all map to the same implementation per architecture —
-    /// scalar otherwise (or when `QMAX_FORCE_SCALAR` is set).
+    /// Resolves the best probe kernel for this CPU from the tier
+    /// [`Kernel::detect`](super::Kernel::detect) uses: one process-wide
+    /// answer, probed once from `CPUID.1:ECX` XSAVE/OSXSAVE, the XCR0
+    /// SSE/AVX and opmask/ZMM state bits and `CPUID.(7,0):EBX`
+    /// AVX2/AVX-512F on x86_64 (NEON detection on aarch64). Any vector
+    /// tier selects the 16-lane byte-compare path — the probe needs only
+    /// baseline 128-bit compares, so the tiers all map to the same
+    /// implementation per architecture — scalar otherwise (or when
+    /// `QMAX_FORCE_SCALAR` is set to anything but `"0"`).
     pub fn detect() -> Self {
-        let kind = if force_scalar() {
-            KernelKind::Scalar
-        } else {
-            detect_arch_kind()
-        };
-        ProbeKernel { kind }
+        ProbeKernel {
+            kind: detected_kind(),
+        }
     }
 
     /// The portable scalar probe, unconditionally.
