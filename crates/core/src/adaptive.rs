@@ -106,7 +106,7 @@ impl<I: Copy + 'static, V: Ord + Copy + 'static> AdaptiveBackend<I, V> {
         expected_fill: Option<usize>,
         mode: PolicyMode,
     ) -> Result<Self, crate::QMaxError> {
-        crate::error::check_q_gamma(q, gamma)?;
+        crate::error::check_q_gamma::<Entry<I, V>>(q, gamma)?;
         let cap = (((q as f64) * (1.0 + gamma)).ceil() as usize).max(q + 1);
         let choice = mode.choose::<V>(cap, expected_fill);
         let inner = match choice {

@@ -62,7 +62,7 @@ impl<I: Clone, V: Ord + Clone> AmortizedQMax<I, V> {
     /// Fallible [`AmortizedQMax::new`]: rejects `q == 0` and
     /// non-positive / non-finite `gamma` instead of panicking.
     pub fn try_new(q: usize, gamma: f64) -> Result<Self, crate::QMaxError> {
-        crate::error::check_q_gamma(q, gamma)?;
+        crate::error::check_q_gamma::<Entry<I, V>>(q, gamma)?;
         let cap = ((q as f64) * (1.0 + gamma)).ceil() as usize;
         let cap = cap.max(q + 1);
         Ok(AmortizedQMax {

@@ -16,15 +16,29 @@
 //! checkpoint must yield exactly the checkpointed structure without
 //! needing a factory rebuild.
 //!
-//! Restore preserves, for any backend `b` and snapshot `s = b.snapshot()`:
+//! For the amortized layouts (AoS, SoA, adaptive), restore preserves,
+//! for any backend `b` and snapshot `s = b.snapshot()`:
 //!
 //! * the candidate multiset (hence the top-`q` query result),
 //! * the threshold Ψ,
 //! * the statistics counters (compactions, filtered, pivot fallbacks),
 //!
-//! which the 256-case round-trip suite in `tests/proptest_checkpoint.rs`
-//! pins across AoS, SoA, and adaptive backends, including
-//! mid-compaction and freshly-recycled-block states.
+//! and the restored copy then behaves step for step like `b`.
+//!
+//! The de-amortized layouts ([`crate::DeamortizedQMax`],
+//! [`crate::SoaDeamortizedQMax`]) snapshot the same things — their
+//! valid candidates, Ψ, and `iterations` as `compactions` — but their
+//! contract is *query* equivalence, not step equivalence. Restore
+//! resets, replays the candidates through the arrival path with Ψ
+//! cleared, and raises Ψ back to the snapshot's; the selection machine
+//! restarts with the replay instead of resuming mid-iteration. The
+//! restored copy answers the same top-`q`, immediately and after any
+//! common suffix, with Ψ at least the snapshot's and at most its q-th
+//! largest value; later iteration counts may differ.
+//!
+//! The 256-case round-trip suite in `tests/proptest_checkpoint.rs`
+//! pins both contracts, including mid-compaction, freshly-recycled-block
+//! and mid-iteration states.
 
 use crate::entry::Entry;
 use crate::traits::QMax;

@@ -1,6 +1,7 @@
 //! Worst-case constant-time q-MAX (Algorithm 1 with de-amortized
 //! compaction).
 
+use crate::checkpoint::{BackendSnapshot, Checkpoint};
 use crate::entry::Entry;
 use crate::traits::{BatchInsert, IntervalBackend, QMax};
 use qmax_select::{nth_smallest, Direction, NthElementMachine, WORK_BOUND_FACTOR};
@@ -113,7 +114,7 @@ impl<I: Clone, V: Ord + Clone> DeamortizedQMax<I, V> {
     /// Fallible [`DeamortizedQMax::new`]: rejects `q == 0` and
     /// non-positive / non-finite `gamma` instead of panicking.
     pub fn try_new(q: usize, gamma: f64) -> Result<Self, crate::QMaxError> {
-        crate::error::check_q_gamma(q, gamma)?;
+        crate::error::check_q_gamma::<Entry<I, V>>(q, gamma)?;
         let g = ((q as f64) * gamma / 2.0).ceil() as usize;
         let g = g.max(1);
         let n = q + 2 * g;
@@ -322,6 +323,33 @@ impl<I: Clone, V: Ord + Clone> BatchInsert<I, V> for DeamortizedQMax<I, V> {
             admitted += usize::from(self.insert(id.clone(), val.clone()));
         }
         admitted
+    }
+}
+
+impl<I: Clone, V: Ord + Clone> Checkpoint<I, V> for DeamortizedQMax<I, V> {
+    /// The valid candidates and Ψ; `iterations` travels as `compactions`.
+    fn snapshot(&self) -> BackendSnapshot<I, V> {
+        let mut entries = Vec::with_capacity(self.len());
+        self.candidates_into(&mut entries);
+        BackendSnapshot {
+            entries,
+            threshold: self.threshold.clone(),
+            compactions: self.stats.iterations,
+            filtered: self.stats.filtered,
+            pivot_fallbacks: 0,
+        }
+    }
+
+    /// Resets, replays the entries with Ψ cleared, then raises Ψ to the
+    /// snapshot's: query-equivalent, not step-equivalent.
+    fn restore(&mut self, snap: &BackendSnapshot<I, V>) {
+        self.reset();
+        for e in &snap.entries {
+            self.insert(e.id.clone(), e.val.clone());
+        }
+        self.threshold = self.threshold.take().max(snap.threshold.clone());
+        self.stats.iterations = snap.compactions;
+        self.stats.filtered = snap.filtered;
     }
 }
 

@@ -8,6 +8,7 @@
 //! `try_new` returning [`QMaxError`]; the panicking `new` wrappers
 //! remain and format the same messages they always did.
 
+use qmax_select::WORK_BOUND_FACTOR;
 use std::error::Error;
 use std::fmt;
 
@@ -61,15 +62,27 @@ impl fmt::Display for QMaxError {
 impl Error for QMaxError {}
 
 /// Validates a `(q, gamma)` pair, the domain shared by every reservoir
-/// constructor.
-pub(crate) fn check_q_gamma(q: usize, gamma: f64) -> Result<(), QMaxError> {
+/// constructor. A finite γ is still rejected when the buffer it implies
+/// does not fit: the de-amortized geometry `q + 2·max(⌈qγ/2⌉, 1)`
+/// (which bounds the amortized `⌈q(1+γ)⌉`) must not overflow `usize`,
+/// nor exceed the longest `Vec<T>` of candidate slots an allocation can
+/// hold, nor overflow the selection work `WORK_BOUND_FACTOR` per slot.
+pub(crate) fn check_q_gamma<T>(q: usize, gamma: f64) -> Result<(), QMaxError> {
     if q == 0 {
         return Err(QMaxError::ZeroQ);
     }
     if !(gamma > 0.0 && gamma.is_finite()) {
         return Err(QMaxError::BadGamma(gamma));
     }
-    Ok(())
+    // The float-to-int cast saturates, so a huge γ overflows below.
+    let g = (((q as f64) * gamma / 2.0).ceil() as usize).max(1);
+    let max_slots = isize::MAX as usize / std::mem::size_of::<T>().max(1);
+    match g.checked_mul(2).and_then(|zones| zones.checked_add(q)) {
+        Some(slots) if slots <= max_slots && slots.checked_mul(WORK_BOUND_FACTOR).is_some() => {
+            Ok(())
+        }
+        _ => Err(QMaxError::BadGamma(gamma)),
+    }
 }
 
 /// Validates a slack-window `(w, tau)` pair.
@@ -117,17 +130,27 @@ mod tests {
 
     #[test]
     fn validators_cover_the_domain_edges() {
-        assert_eq!(check_q_gamma(0, 0.5), Err(QMaxError::ZeroQ));
-        assert_eq!(check_q_gamma(1, 0.0), Err(QMaxError::BadGamma(0.0)));
+        assert_eq!(check_q_gamma::<u64>(0, 0.5), Err(QMaxError::ZeroQ));
+        assert_eq!(check_q_gamma::<u64>(1, 0.0), Err(QMaxError::BadGamma(0.0)));
         assert_eq!(
-            check_q_gamma(1, f64::INFINITY),
+            check_q_gamma::<u64>(1, f64::INFINITY),
             Err(QMaxError::BadGamma(f64::INFINITY))
         );
         assert!(matches!(
-            check_q_gamma(1, f64::NAN),
+            check_q_gamma::<u64>(1, f64::NAN),
             Err(QMaxError::BadGamma(_))
         ));
-        assert_eq!(check_q_gamma(1, 0.25), Ok(()));
+        assert_eq!(check_q_gamma::<u64>(1, 0.25), Ok(()));
+        // A finite γ whose geometry overflows `usize`, outgrows the
+        // largest `Vec` of the slot type, or overflows the selection
+        // work is rejected instead of wrapping.
+        assert_eq!(
+            check_q_gamma::<u64>(4, 1e300),
+            Err(QMaxError::BadGamma(1e300))
+        );
+        assert_eq!(check_q_gamma::<u8>(4, 1e16), Ok(()));
+        assert!(check_q_gamma::<[u8; 1024]>(4, 1e16).is_err());
+        assert!(check_q_gamma::<u8>(4, 1e18).is_err());
         assert_eq!(check_window(0, 0.5), Err(QMaxError::ZeroWindow));
         assert_eq!(check_window(10, 1.5), Err(QMaxError::BadTau(1.5)));
         assert_eq!(check_window(10, 1.0), Ok(()));

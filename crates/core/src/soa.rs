@@ -94,7 +94,7 @@ impl<I: Copy + 'static, V: Ord + Copy + 'static> SoaAmortizedQMax<I, V> {
     /// Fallible [`SoaAmortizedQMax::new`]: rejects `q == 0` and
     /// non-positive / non-finite `gamma` instead of panicking.
     pub fn try_new(q: usize, gamma: f64) -> Result<Self, crate::QMaxError> {
-        crate::error::check_q_gamma(q, gamma)?;
+        crate::error::check_q_gamma::<Entry<I, V>>(q, gamma)?;
         let cap = ((q as f64) * (1.0 + gamma)).ceil() as usize;
         let cap = cap.max(q + 1);
         Ok(SoaAmortizedQMax {
@@ -528,7 +528,7 @@ impl<I: Copy + 'static, V: Ord + Copy + 'static> SoaDeamortizedQMax<I, V> {
     /// Fallible [`SoaDeamortizedQMax::new`]: rejects `q == 0` and
     /// non-positive / non-finite `gamma` instead of panicking.
     pub fn try_new(q: usize, gamma: f64) -> Result<Self, crate::QMaxError> {
-        crate::error::check_q_gamma(q, gamma)?;
+        crate::error::check_q_gamma::<Entry<I, V>>(q, gamma)?;
         let g = ((q as f64) * gamma / 2.0).ceil() as usize;
         let g = g.max(1);
         let n = q + 2 * g;
@@ -807,6 +807,34 @@ impl<I: Copy + 'static, V: Ord + Copy + 'static> BatchInsert<I, V> for SoaDeamor
             }
         }
         admitted
+    }
+}
+
+impl<I: Copy + 'static, V: Ord + Copy + 'static> crate::checkpoint::Checkpoint<I, V>
+    for SoaDeamortizedQMax<I, V>
+{
+    /// The valid candidates and Ψ; `iterations` travels as `compactions`.
+    fn snapshot(&self) -> crate::checkpoint::BackendSnapshot<I, V> {
+        let mut entries = Vec::with_capacity(self.len());
+        self.candidates_into(&mut entries);
+        crate::checkpoint::BackendSnapshot {
+            entries,
+            threshold: self.threshold,
+            compactions: self.stats.iterations,
+            filtered: self.stats.filtered,
+            pivot_fallbacks: 0,
+        }
+    }
+
+    /// Resets, replays the entries through the batch path with Ψ
+    /// cleared, then raises Ψ to the snapshot's: query-equivalent.
+    fn restore(&mut self, snap: &crate::checkpoint::BackendSnapshot<I, V>) {
+        self.reset();
+        let items: Vec<(I, V)> = snap.entries.iter().map(|e| (e.id, e.val)).collect();
+        self.insert_batch(&items);
+        self.threshold = self.threshold.max(snap.threshold);
+        self.stats.iterations = snap.compactions;
+        self.stats.filtered = snap.filtered;
     }
 }
 

@@ -200,7 +200,7 @@ impl<I: Copy + 'static, V: Ord + Copy + 'static> AdaptiveBasicSlackQMax<I, V> {
         // The prototype's layout must be chosen from the block size
         // before the ring can be stamped out of it; q/γ errors still
         // take precedence over window errors, as in every `try_new`.
-        crate::error::check_q_gamma(q, gamma)?;
+        crate::error::check_q_gamma::<Entry<I, V>>(q, gamma)?;
         let (_, block_size) = basic_geometry(w, tau)?;
         let proto = AdaptiveBackend::try_with_fill_hint(q, gamma, Some(block_size))?;
         Self::try_with_backend(w, tau, proto)

@@ -18,19 +18,20 @@
 //!
 //! # One driver core
 //!
-//! [`ShardedQMax::run_threaded`], [`ShardedQMax::run_threaded_partitioned`]
-//! and [`ShardedQMax::run_supervised`] are short calls into one core:
-//! one producer routine (route → per-shard batch → dispatch under the
-//! [`OverloadPolicy`]; on the caller's thread for one stream, on a
-//! spawned thread per stream for P > 1), one worker loop (`recv` on one
-//! ring, a sweep over P), and one reassembly. Every producer owns its
-//! ring handles. Rings reach it through a per-shard, generation-tagged
+//! [`ShardedQMax::run_threaded`] and
+//! [`ShardedQMax::run_threaded_partitioned`] are short calls into one
+//! core over [`Checkpoint`] backends: one producer routine (route →
+//! per-shard batch → dispatch under the [`OverloadPolicy`]; on the
+//! caller's thread for one stream, on a spawned thread per stream for
+//! P > 1), one worker loop (`recv` on one ring, a sweep over P), one
+//! recovery path, and one reassembly. Every producer owns its ring
+//! handles. Rings reach it through a per-shard, generation-tagged
 //! hand-off slot; the producer compares the slot's generation with its
 //! own (one atomic load) before each push and takes the slot's lock only
 //! when they differ, i.e. once per worker generation. Supervision is
-//! configuration: `run_supervised` adds snapshot/restore hooks and the
-//! watchdog thread, which hands replacement rings over through the same
-//! slot.
+//! purely [`DriverConfig`]: a checkpoint cadence means checkpoints, a
+//! watchdog means the watchdog thread, which hands replacement rings
+//! over through the same slot.
 //!
 //! # Fault tolerance
 //!
@@ -43,10 +44,10 @@
 //!   its poisoned backend is dropped, the remainder of its sub-stream is
 //!   drained off the ring and counted (never processed), and the
 //!   other `S − 1` workers keep running untouched. After the run the
-//!   quarantined slot is rebuilt empty from the engine's stored backend
-//!   factory, so the engine stays queryable — exactly the per-PMD
-//!   independence argument: one instance restarting never stalls the
-//!   others.
+//!   slot is rebuilt from the engine's backend factory (warm from its
+//!   last checkpoint, if any), so the engine stays queryable — exactly
+//!   the per-PMD independence argument: one instance restarting never
+//!   stalls the others.
 //! * **Load shedding** — [`OverloadPolicy::Shed`] switches the producer
 //!   from waiting on a full ring to dropping the batch, within a bounded
 //!   per-shard drop budget, trading bounded loss for producer latency
@@ -68,7 +69,7 @@ use crate::sharded::{ShardHealth, ShardRouter, ShardedQMax};
 use crate::supervisor::{CkptSlot, LifecycleEvent, ShardLifecycle, ShardState, WatchdogConfig};
 #[cfg(test)]
 use qmax_core::QMax;
-use qmax_core::{BackendSnapshot, BatchInsert};
+use qmax_core::{BatchInsert, Checkpoint};
 use std::any::Any;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
@@ -100,8 +101,7 @@ pub enum OverloadPolicy {
 }
 
 /// Tuning knobs for the threaded drivers ([`ShardedQMax::run_threaded`],
-/// [`ShardedQMax::run_threaded_partitioned`],
-/// [`ShardedQMax::run_supervised`]).
+/// [`ShardedQMax::run_threaded_partitioned`]).
 #[derive(Debug, Clone, Copy)]
 pub struct DriverConfig {
     /// Items per batch handed to a worker (amortizes handoff overhead;
@@ -116,15 +116,11 @@ pub struct DriverConfig {
     /// Checkpoint cadence in drained items per shard (snapshots are
     /// taken at batch boundaries, so the effective interval is rounded
     /// up to the next batch). `None` disables checkpointing: panics
-    /// fall back to the cold quarantine path. Only
-    /// [`ShardedQMax::run_supervised`] checkpoints: it is the entry
-    /// point whose backends implement [`qmax_core::Checkpoint`].
+    /// fall back to the cold quarantine path.
     pub checkpoint_every: Option<u64>,
-    /// Stall-watchdog and restart policy. `None` disables stall
-    /// detection (panic recovery then uses [`WatchdogConfig::default`]
-    /// for its restart budget and backoff). Only
-    /// [`ShardedQMax::run_supervised`] starts the watchdog, since a
-    /// failover restores the replacement from a checkpoint.
+    /// Stall-watchdog and restart policy. `None` runs no watchdog
+    /// thread (panic recovery then uses [`WatchdogConfig::default`] for
+    /// its restart budget and backoff).
     pub watchdog: Option<WatchdogConfig>,
     /// Pin worker thread `s` to core `s mod available_parallelism`
     /// (and, for [`ShardedQMax::run_threaded_partitioned`], producer
@@ -193,8 +189,8 @@ pub struct DriverReport {
     /// early).
     pub per_shard_quarantined: Vec<u64>,
     /// Candidate entries re-adopted from checkpoints by warm restores
-    /// of each shard (always zero for [`ShardedQMax::run_threaded`],
-    /// which recovers cold). Entries restore exactly once per recovery:
+    /// of each shard (zero without [`DriverConfig::checkpoint_every`]).
+    /// Entries restore exactly once per recovery:
     /// [`qmax_core::Checkpoint::restore`] overwrites, never merges.
     pub per_shard_recovered: Vec<u64>,
     /// Peak ring occupancy (in-flight batches) each shard's
@@ -219,7 +215,7 @@ pub struct DriverReport {
     /// shard.
     pub per_shard_backend: Vec<&'static str>,
     /// Supervision state transitions recorded during the run (empty for
-    /// [`ShardedQMax::run_threaded`], which has no supervisor).
+    /// a run without faults).
     pub lifecycle: ShardLifecycle,
 }
 
@@ -310,13 +306,6 @@ fn panic_message(payload: Box<dyn Any + Send>) -> String {
 /// Generation tag of a permanently quarantined shard: no worker owns it,
 /// and producers orphan whatever they still route to it.
 pub(crate) const RETIRED: u64 = u64::MAX;
-
-/// Snapshot/restore hooks of `B: Checkpoint` backends: their presence
-/// makes a run supervised; without them the core drives any backend.
-pub(crate) struct Recovery<I, V, B> {
-    pub(crate) snapshot: fn(&B) -> BackendSnapshot<I, V>,
-    pub(crate) restore: fn(&mut B, &BackendSnapshot<I, V>),
-}
 
 /// One shard's counters, updated per batch, never per item.
 #[derive(Default)]
@@ -413,9 +402,6 @@ pub(crate) struct Core<I, V, B> {
     /// Batch size and queue depth clamped to ≥ 1.
     pub(crate) config: DriverConfig,
     producers: usize,
-    pub(crate) recovery: Option<Recovery<I, V, B>>,
-    /// A watchdog runs (so heartbeats and pending batches count).
-    pub(crate) watched: bool,
     pub(crate) events: Mutex<Vec<LifecycleEvent>>,
     /// All producers are done: no more hand-offs; the watchdog exits.
     pub(crate) closing: AtomicBool,
@@ -426,14 +412,9 @@ impl<I, V, B> Core<I, V, B>
 where
     I: ShardKey + Send,
     V: Ord + Clone + Send,
-    B: BatchInsert<I, V> + Send,
+    B: BatchInsert<I, V> + Checkpoint<I, V> + Send,
 {
-    fn new(
-        engine: &ShardedQMax<I, V, B>,
-        producers: usize,
-        mut config: DriverConfig,
-        recovery: Option<Recovery<I, V, B>>,
-    ) -> Self {
+    fn new(engine: &ShardedQMax<I, V, B>, producers: usize, mut config: DriverConfig) -> Self {
         config.batch_size = config.batch_size.max(1);
         config.queue_depth = config.queue_depth.max(1);
         let cells = (0..engine.shard_count())
@@ -450,9 +431,7 @@ where
             cells,
             router: engine.router(),
             producers,
-            watched: recovery.is_some() && config.watchdog.is_some(),
             config,
-            recovery,
             events: Mutex::default(),
             closing: AtomicBool::new(false),
             start: Instant::now(),
@@ -520,7 +499,7 @@ where
             };
             match tx.try_push(batch) {
                 Ok(()) => {
-                    if self.watched {
+                    if self.config.watchdog.is_some() {
                         n.add_pending(lane.1, 1);
                     }
                     return;
@@ -648,10 +627,10 @@ where
 type Lane<I, V> = (Option<BatchProducer<I, V>>, u64);
 
 /// The per-batch drain state of every worker: drains under
-/// `catch_unwind` and checkpoints when the run has the hooks. After a
-/// panic it restores in place (supervised, checkpointing, budget left) or
-/// drops the poisoned backend and keeps taking batches as quarantined, so
-/// no producer waits on a ring nobody drains.
+/// `catch_unwind` and checkpoints on the configured cadence. After a
+/// panic it restores in place (checkpointing, budget left) or drops the
+/// poisoned backend and keeps taking batches as quarantined, so no
+/// producer waits on a ring nobody drains.
 struct DrainState<'a, I, V, B> {
     core: &'a Core<I, V, B>,
     s: usize,
@@ -664,7 +643,7 @@ impl<'a, I, V, B> DrainState<'a, I, V, B>
 where
     I: ShardKey + Send,
     V: Ord + Clone + Send,
-    B: BatchInsert<I, V> + Send,
+    B: BatchInsert<I, V> + Checkpoint<I, V> + Send,
 {
     fn new(core: &'a Core<I, V, B>, s: usize, gen: u64, backend: B) -> Self {
         DrainState {
@@ -677,7 +656,8 @@ where
     }
 
     fn take(&mut self, batch: Vec<(I, V)>) {
-        let (watched, n) = (self.core.watched, &self.core.cells[self.s].n);
+        let n = &self.core.cells[self.s].n;
+        let watched = self.core.config.watchdog.is_some();
         let len = batch.len() as u64;
         let owner = n.gen.load(Ordering::SeqCst) == self.gen;
         if owner && watched {
@@ -719,17 +699,14 @@ where
         }
     }
 
-    /// Snapshots the backend every `checkpoint_every` drained items
-    /// (supervised runs only).
+    /// Snapshots the backend every `checkpoint_every` drained items.
     fn checkpoint(&mut self, b: &B) {
         let core = self.core;
-        let (Some(rec), Some(every)) = (&core.recovery, core.config.checkpoint_every) else {
-            return;
-        };
-        if self.since_ckpt >= every {
+        let due = (core.config.checkpoint_every).is_some_and(|k| self.since_ckpt >= k);
+        if due {
             let n = &core.cells[self.s].n;
             *lock(&core.cells[self.s].ckpt) = Some(CkptSlot {
-                snap: (rec.snapshot)(b),
+                snap: b.snapshot(),
                 drained_at: n.drained.load(Ordering::SeqCst),
                 admitted_at: n.admitted.load(Ordering::SeqCst),
             });
@@ -738,8 +715,8 @@ where
     }
 
     /// After a caught panic: warm-restores `b` from the last checkpoint
-    /// when the run is supervised and checkpointing and the restart
-    /// budget allows; otherwise quarantines the shard for good.
+    /// when the run checkpoints and the restart budget allows; otherwise
+    /// quarantines the shard for good.
     fn recover(&mut self, mut b: B, msg: String) -> Option<B> {
         let (core, s) = (self.core, self.s);
         let checkpointing = core.config.checkpoint_every.is_some();
@@ -794,7 +771,7 @@ fn pin_plan(pin: bool, index: usize) -> Option<usize> {
 
 /// Where the producer routine runs: one stream on the caller's thread,
 /// or one spawned thread per stream.
-pub(crate) enum Streams<S0, S> {
+enum Streams<S0, S> {
     Caller(S0),
     Spawned(Vec<S>),
 }
@@ -803,7 +780,7 @@ impl<I, V, B> ShardedQMax<I, V, B>
 where
     I: ShardKey + Send,
     V: Ord + Clone + Send,
-    B: BatchInsert<I, V> + Send,
+    B: BatchInsert<I, V> + Checkpoint<I, V> + Send,
 {
     /// Feeds `stream` through one worker thread per shard and returns a
     /// load/timing/failure report. The engine is fully usable (and
@@ -821,30 +798,44 @@ where
     /// lock-free SPSC [`ring`](crate::ring) bounded at
     /// `config.queue_depth` batches; a full ring either blocks the
     /// producer (bounded spin, then yield) or sheds the batch, per
-    /// `config.overload`. Backends need not implement
-    /// [`qmax_core::Checkpoint`]: this is the driver core without the
-    /// snapshot/restore hooks, so `checkpoint_every` and `watchdog`
-    /// take effect only under [`ShardedQMax::run_supervised`].
+    /// `config.overload`.
     ///
-    /// This method itself never panics on a shard failure: worker
-    /// panics are caught, quarantined, and reported.
+    /// Supervision is purely `config`. With
+    /// [`DriverConfig::checkpoint_every`] each worker snapshots its
+    /// backend on that drained-item cadence and a panicking shard
+    /// warm-restores in place, losing at most one checkpoint interval
+    /// plus the in-flight batch; without it the shard is quarantined
+    /// and rebuilt cold. With [`DriverConfig::watchdog`] a supervisor
+    /// thread replaces stalled workers from pre-stamped spares, warm
+    /// restored after jittered exponential backoff. A shard past
+    /// [`WatchdogConfig::max_restarts`] is quarantined for good and
+    /// rebuilt from its last checkpoint after the run. Transitions land
+    /// in [`DriverReport::lifecycle`]; this method never panics on a
+    /// shard failure.
     pub fn run_threaded<S>(&mut self, stream: S, config: DriverConfig) -> DriverReport
     where
         S: Iterator<Item = (I, V)>,
     {
-        self.drive(
-            Streams::<S, std::iter::Empty<(I, V)>>::Caller(stream),
-            config,
-            None,
-        )
+        let stream = Streams::<S, std::iter::Empty<(I, V)>>::Caller(stream);
+        self.drive(stream, config)
+    }
+
+    /// Another name for [`ShardedQMax::run_threaded`]: supervision is
+    /// purely [`DriverConfig`].
+    pub fn run_supervised<S>(&mut self, stream: S, config: DriverConfig) -> DriverReport
+    where
+        S: Iterator<Item = (I, V)>,
+    {
+        self.run_threaded(stream, config)
     }
 
     /// The mpsc-era driver, retained verbatim as the reference
     /// implementation the ring driver is differentially tested and
     /// benchmarked against: identical routing, batching, overload, and
     /// quarantine semantics over `std::sync::mpsc` bounded channels
-    /// (mutex-and-condvar handoff). It reports no ring stats
-    /// ([`DriverReport::ring_capacity`] = 0) and ignores
+    /// (mutex-and-condvar handoff), with the same in-place recovery but
+    /// no watchdog thread (no rings to fail over). It reports no ring
+    /// stats ([`DriverReport::ring_capacity`] = 0) and ignores
     /// [`DriverConfig::pin_threads`]. New code wants
     /// [`ShardedQMax::run_threaded`].
     pub fn run_threaded_mpsc<S>(&mut self, stream: S, config: DriverConfig) -> DriverReport
@@ -858,7 +849,7 @@ where
         let router = self.router();
         // The shared drain state's per-shard cells (and nothing else of
         // the ring core) back the workers.
-        let core = Core::new(self, 1, config, None);
+        let core = Core::new(self, 1, config);
         let mut per_shard_items = vec![0u64; n];
         let mut per_shard_dropped = vec![0u64; n];
         let mut orphaned = vec![0u64; n];
@@ -955,19 +946,14 @@ where
             1 => Streams::Caller(streams.pop().expect("one stream")),
             _ => Streams::Spawned(streams),
         };
-        self.drive(streams, config, None)
+        self.drive(streams, config)
     }
 
     /// The driver core every threaded entry point calls: spawns one
-    /// worker per shard (and, with `recovery` and a configured
-    /// watchdog, the watchdog thread), runs the producer routine over
-    /// `streams`, closes the run, and reassembles the engine.
-    pub(crate) fn drive<S0, S>(
-        &mut self,
-        streams: Streams<S0, S>,
-        config: DriverConfig,
-        recovery: Option<Recovery<I, V, B>>,
-    ) -> DriverReport
+    /// worker per shard (and, with a configured watchdog, the watchdog
+    /// thread), runs the producer routine over `streams`, closes the
+    /// run, and reassembles the engine.
+    fn drive<S0, S>(&mut self, streams: Streams<S0, S>, config: DriverConfig) -> DriverReport
     where
         S0: Iterator<Item = (I, V)>,
         S: Iterator<Item = (I, V)> + Send,
@@ -977,18 +963,14 @@ where
             Streams::Caller(_) => 1,
             Streams::Spawned(streams) => streams.len(),
         };
-        let core = Core::new(self, producers, config, recovery);
+        let core = Core::new(self, producers, config);
         // Spares for stall failover are stamped out of the factory up
         // front: the factory borrows `self` mutably and cannot be
         // called once the backends are inside the scope.
-        let spares: Vec<Vec<B>> = if core.watched {
-            let budget = config.watchdog.unwrap_or_default().max_restarts;
-            (0..n)
-                .map(|s| (0..budget).map(|_| self.fresh_shard(s)).collect())
-                .collect()
-        } else {
-            Vec::new()
-        };
+        let budget = config.watchdog.map_or(0, |wd| wd.max_restarts);
+        let spares: Vec<Vec<B>> = (0..n)
+            .map(|s| (0..budget).map(|_| self.fresh_shard(s)).collect())
+            .collect();
         let shards = self.take_shards();
         let start = Instant::now();
         // The scope joins every worker (and the watchdog) before the
@@ -1000,9 +982,8 @@ where
                 core.hand_off(s, 0, rings);
                 scope.spawn(move || core.worker(s, 0, shard, inbound));
             }
-            let watchdog = core
-                .watched
-                .then(|| scope.spawn(move || core.watchdog(scope, spares)));
+            let watchdog =
+                (config.watchdog).map(|wd| scope.spawn(move || core.watchdog(scope, wd, spares)));
             match streams {
                 Streams::Caller(stream) => core.produce(0, stream, None),
                 Streams::Spawned(streams) => {
@@ -1085,15 +1066,15 @@ where
                 items_lost: r.per_shard_quarantined[s],
             });
             let mut fresh = self.fresh_shard(s);
-            match (&core.recovery, lock(&cell.ckpt).take()) {
-                (Some(rec), Some(CkptSlot { snap, .. })) => {
-                    (rec.restore)(&mut fresh, &snap);
+            match lock(&cell.ckpt).take() {
+                Some(CkptSlot { snap, .. }) => {
+                    fresh.restore(&snap);
                     r.per_shard_recovered[s] += snap.len() as u64;
                     health.push(ShardHealth::Restored);
                 }
                 // Cold rebuild: the shard's conserved items are not
                 // represented until new arrivals repopulate it.
-                _ => health.push(ShardHealth::Degraded),
+                None => health.push(ShardHealth::Degraded),
             }
             returned.push(fresh);
         }
@@ -1330,6 +1311,35 @@ mod tests {
         assert!(engine.shards()[1].is_empty());
         let top = engine.query();
         assert!(!top.is_empty());
+    }
+
+    #[test]
+    fn panic_without_checkpoints_logs_a_quarantine_event() {
+        let _silence = silence_fault_panics();
+        let q = 16;
+        let mut engine: ShardedQMax<u64, u64, FaultyBackend<DeamortizedQMax<u64, u64>>> =
+            ShardedQMax::with_backends(q, 2, move |s| {
+                let schedule = match s {
+                    0 => FaultSchedule::panic_at(10),
+                    _ => FaultSchedule::none(),
+                };
+                FaultyBackend::new(DeamortizedQMax::new(q, 0.25), schedule)
+            });
+        let items: Vec<(u64, u64)> = (0..5_000u64).map(|i| (i, i)).collect();
+        let report = engine.run_threaded(items.into_iter(), DriverConfig::default());
+        // No checkpoint cadence and no watchdog: the same restart-or-retire
+        // path runs, retires the shard, and logs why.
+        let events = report.lifecycle.events();
+        assert_eq!(events.len(), 1, "{events:?}");
+        assert_eq!(
+            (events[0].shard, events[0].state),
+            (0, ShardState::Quarantined)
+        );
+        assert!(events[0].detail.contains("fault-injected"), "{events:?}");
+        assert_eq!(events[0].detail, report.failures[0].message);
+        assert_eq!(report.lifecycle.final_state(1), ShardState::Healthy);
+        assert_eq!(report.recovered(), 0);
+        assert_balanced(&report);
     }
 
     #[test]

@@ -38,27 +38,28 @@
 //!   occupancy, and aggregate insert throughput; optional core pinning
 //!   via [`DriverConfig::pin_threads`], and
 //!   [`ShardedQMax::run_threaded_partitioned`] fans P ingestion
-//!   threads out over one ring per (thread × shard). Both, and
-//!   [`ShardedQMax::run_supervised`], are short calls into one driver
-//!   core (one producer routine, one worker loop, one reassembly), and
-//!   no lock sits on the per-batch path of any of them.
+//!   threads out over one ring per (thread × shard). Both are short
+//!   calls into one driver core (one producer routine, one worker loop,
+//!   one recovery path, one reassembly) over [`Checkpoint`] backends,
+//!   and no lock sits on the per-batch path of either.
 //! * **Fault tolerance** — worker panics are caught and isolated: the
-//!   failing shard is quarantined and rebuilt empty from the engine's
-//!   stored backend factory while the other workers keep running
+//!   failing shard is quarantined and rebuilt from the engine's stored
+//!   backend factory while the other workers keep running
 //!   ([`DriverReport::failures`]); [`OverloadPolicy::Shed`] bounds
 //!   producer latency under a slow shard by shedding a budgeted number
 //!   of items instead of blocking; and the [`fault`] module provides a
 //!   deterministic fault-injection harness ([`FaultyBackend`]) to test
 //!   all of it reproducibly.
-//! * **Supervision** — configuration on the same core:
-//!   [`ShardedQMax::run_supervised`] adds checkpointed **warm
+//! * **Supervision** — purely [`DriverConfig`] on the same core:
+//!   [`DriverConfig::checkpoint_every`] adds checkpointed **warm
 //!   recovery** (a panicking shard restores from its last
-//!   [`qmax_core::Checkpoint`] snapshot, bounding loss to one
-//!   checkpoint interval), a **stall watchdog** (heartbeat-silent
-//!   workers are replaced under bounded exponential backoff with
-//!   deterministic jitter), a full [`ShardLifecycle`] transition log,
-//!   and coverage-annotated degraded queries
-//!   ([`ShardedQMax::query_with_coverage`]).
+//!   [`Checkpoint`] snapshot, bounding loss to one checkpoint
+//!   interval; the de-amortized backends restore by query
+//!   equivalence), [`DriverConfig::watchdog`] a **stall watchdog**
+//!   (heartbeat-silent workers are replaced under bounded exponential
+//!   backoff with deterministic jitter); every run keeps a full
+//!   [`ShardLifecycle`] transition log, and coverage-annotated degraded
+//!   queries ([`ShardedQMax::query_with_coverage`]).
 //! * **Observability** — per-shard [`DeamortizedStats`] roll up via
 //!   [`ShardedQMax::aggregate_stats`], so the worst-case-bound
 //!   invariants (`forced_completions == 0`, bounded `max_step_ops`)

@@ -259,11 +259,10 @@ impl<I, V, B: QMax<I, V>> ShardedQMax<I, V, B> {
     /// never too high). The shard is marked [`ShardHealth::Restored`]
     /// rather than `Degraded`.
     ///
-    /// Backends that implement [`qmax_core::Checkpoint`] get the
-    /// stronger per-batch checkpointed recovery through
-    /// [`run_supervised`](Self::run_supervised); this method is the
-    /// fallback for backends that do not (e.g. the default
-    /// de-amortized layout).
+    /// A threaded run gets the stronger per-batch checkpointed recovery
+    /// through [`DriverConfig::checkpoint_every`](crate::DriverConfig::checkpoint_every);
+    /// this method is the move between runs, and works for backends
+    /// without [`qmax_core::Checkpoint`] too (window and decay shards).
     ///
     /// # Panics
     ///

@@ -1,12 +1,14 @@
 //! Checkpointed shard supervision: warm recovery, the stall watchdog,
 //! and lifecycle accounting for the threaded driver.
 //!
-//! [`ShardedQMax::run_threaded`](crate::ShardedQMax::run_threaded)
-//! isolates a failing shard but recovers it **cold** (rebuilt empty from
-//! the factory) and never detects a *stalled* one.
-//! [`ShardedQMax::run_supervised`] runs the same driver core with the
-//! [`Checkpoint`] snapshot/restore hooks and a watchdog thread. Every
-//! supervision decision lives here, in three pieces:
+//! Every driven backend implements [`Checkpoint`], so the driver core
+//! has one recovery path and supervision is purely configuration: a
+//! [`checkpoint_every`](crate::DriverConfig::checkpoint_every) cadence
+//! makes a panicking shard restore **warm** from its last snapshot
+//! instead of being rebuilt cold, and a
+//! [`watchdog`](crate::DriverConfig::watchdog) starts the thread that
+//! detects *stalled* shards. Every supervision decision lives here, in
+//! three pieces:
 //!
 //! * **Pure detector** — `Watchdog::tick` turns one `Observation` per
 //!   shard (heartbeat, generation-tagged pending count, retired,
@@ -26,8 +28,7 @@
 //!   hand-off slot, which the producer adopts before its next push.
 //!   The abandoned worker drains its leftovers as quarantined when it
 //!   wakes. While it is stalled behind a full ring the producer keeps
-//!   try-pushing, so the shard's ring high-water
-//!   ([`DriverReport::per_shard_ring_high_water`]) pins at capacity
+//!   try-pushing, so the shard's ring high-water pins at capacity
 //!   before the failover swaps the ring out.
 //! * **One restart-or-retire path** — a caught panic (restarting in
 //!   place, the backend surviving the unwind) and a stall both call
@@ -36,7 +37,7 @@
 //!   a backoff with deterministic jitter before the restore, or
 //!   retirement as `Quarantined`. Every transition is a
 //!   [`LifecycleEvent`] with a live coverage estimate, returned as the
-//!   [`ShardLifecycle`] on [`DriverReport::lifecycle`].
+//!   [`ShardLifecycle`] on the report.
 //!
 //! # Accounting
 //!
@@ -48,28 +49,27 @@
 //! so with checkpointing `per_shard_drained` counts exactly the items
 //! the final shard state represents, each once. A shard rebuilt cold
 //! keeps its drained count, which is what keeps coverage below 1.0.
-//! [`DriverReport::per_shard_recovered`] counts the candidate entries
-//! re-adopted from checkpoints by warm restores.
+//! `per_shard_recovered` counts the candidate entries re-adopted from
+//! checkpoints by warm restores.
 //!
 //! # Bounds and caveats
 //!
 //! The watchdog cannot kill a thread: a stalled worker is *abandoned*,
-//! not destroyed, and `run_supervised` still joins it before returning.
+//! not destroyed, and the run still joins it before returning.
 //! A worker stalled forever therefore wedges the run — the watchdog
 //! bounds the *measurement outage* (a replacement takes over within
 //! `deadline + backoff`), not the join. The fault harness only scripts
 //! finite stalls.
 
-use crate::driver::{lock, Core, DriverConfig, DriverReport, Recovery, Streams, RETIRED};
+use crate::driver::{lock, Core, RETIRED};
 use crate::shard_key::ShardKey;
-use crate::sharded::ShardedQMax;
 use qmax_core::{BackendSnapshot, BatchInsert, Checkpoint};
 use std::sync::atomic::Ordering;
 use std::thread;
 use std::time::Duration;
 
-/// Stall-detection and restart policy for
-/// [`ShardedQMax::run_supervised`].
+/// Stall-detection and restart policy for the threaded drivers
+/// ([`DriverConfig::watchdog`](crate::DriverConfig::watchdog)).
 ///
 /// Also supplies the restart budget and backoff schedule used by the
 /// in-worker panic recovery path, so panic storms and stalls draw from
@@ -322,7 +322,7 @@ impl<I, V, B> Core<I, V, B>
 where
     I: ShardKey + Send,
     V: Ord + Clone + Send,
-    B: BatchInsert<I, V> + Send,
+    B: BatchInsert<I, V> + Checkpoint<I, V> + Send,
 {
     /// Enters `state` for shard `s`: marks it out of live coverage
     /// unless healthy, and records the transition with the live
@@ -352,13 +352,13 @@ where
     }
 
     /// The one decision for a failed shard — a caught panic or a stall
-    /// with its generation already fenced. A supervised run spends one
-    /// restart attempt; if `restartable` and within
+    /// with its generation already fenced. It spends one restart
+    /// attempt; if `restartable` and within
     /// [`WatchdogConfig::max_restarts`], the shard enters
     /// `Restarting(attempt)` and the attempt is returned for the caller
-    /// to back off and restore. Otherwise the shard is retired for good
-    /// with `cause` as its failure, naming the budget when it ran out
-    /// (unsupervised runs: no attempt, no event, cold quarantine).
+    /// to back off and restore. Otherwise the shard enters
+    /// `Quarantined` for good with `cause` as its failure, naming the
+    /// budget when it ran out.
     ///
     /// One reclassification rule: progress since the last checkpoint is
     /// charged from drained to quarantined on every restart (the restore
@@ -371,12 +371,11 @@ where
         restartable: bool,
         cause: &str,
     ) -> Option<u32> {
-        let (cell, supervised) = (&self.cells[s], self.recovery.is_some());
-        let (n, wd) = (&cell.n, self.config.watchdog.unwrap_or_default());
-        let restart = supervised
-            .then(|| n.restarts.fetch_add(1, Ordering::SeqCst) + 1)
-            .filter(|&attempt| restartable && attempt <= wd.max_restarts);
-        if restart.is_none() {
+        let (cell, wd) = (&self.cells[s], self.config.watchdog.unwrap_or_default());
+        let n = &cell.n;
+        let attempt = n.restarts.fetch_add(1, Ordering::SeqCst) + 1;
+        let restart = restartable && attempt <= wd.max_restarts;
+        if !restart {
             // Permanent quarantine: fences every worker generation out,
             // and producers orphan the rest of the sub-stream once they
             // notice.
@@ -384,7 +383,7 @@ where
             self.hand_off(s, RETIRED, Vec::new());
         }
         let slot = lock(&cell.ckpt);
-        if restart.is_some() || slot.is_some() {
+        if restart || slot.is_some() {
             let (drained_at, admitted_at) = slot
                 .as_ref()
                 .map_or((0, 0), |c| (c.drained_at, c.admitted_at));
@@ -394,19 +393,17 @@ where
             n.quarantined.fetch_add(lost, Ordering::SeqCst);
         }
         drop(slot);
-        let Some(attempt) = restart else {
-            let mut cause = cause.to_string();
-            if supervised && restartable {
-                cause += &format!("; restart budget ({}) exhausted", wd.max_restarts);
-            }
-            *lock(&cell.failure) = Some(cause.clone());
-            if supervised {
-                self.transition(s, ShardState::Quarantined, cause);
-            }
-            return None;
-        };
-        self.transition(s, ShardState::Restarting(attempt), cause);
-        restart
+        if restart {
+            self.transition(s, ShardState::Restarting(attempt), cause);
+            return Some(attempt);
+        }
+        let mut cause = cause.to_string();
+        if restartable {
+            cause += &format!("; restart budget ({}) exhausted", wd.max_restarts);
+        }
+        *lock(&cell.failure) = Some(cause.clone());
+        self.transition(s, ShardState::Quarantined, cause);
+        None
     }
 
     /// Sleeps restart `attempt`'s backoff, then restores `b` from shard
@@ -415,15 +412,12 @@ where
     pub(crate) fn back_off_and_restore(&self, s: usize, attempt: u32, b: &mut B) {
         let wd = self.config.watchdog.unwrap_or_default();
         thread::sleep(backoff_delay(&wd, s, attempt));
-        let Some(rec) = &self.recovery else { return };
-        match &*lock(&self.cells[s].ckpt) {
-            Some(CkptSlot { snap, .. }) => {
-                (rec.restore)(b, snap);
-                let recovered = &self.cells[s].n.recovered;
-                recovered.fetch_add(snap.len() as u64, Ordering::SeqCst);
-            }
-            None => (rec.restore)(b, &BackendSnapshot::empty()),
-        }
+        let cell = &self.cells[s];
+        let slot = lock(&cell.ckpt);
+        let snap = slot.as_ref().map(|c| &c.snap);
+        b.restore(snap.unwrap_or(&BackendSnapshot::empty()));
+        let recovered = snap.map_or(0, |snap| snap.len() as u64);
+        cell.n.recovered.fetch_add(recovered, Ordering::SeqCst);
     }
 
     /// The watchdog thread, a shell around [`Watchdog::tick`]: every
@@ -432,10 +426,10 @@ where
     pub(crate) fn watchdog<'scope>(
         &'scope self,
         scope: &'scope thread::Scope<'scope, '_>,
+        config: WatchdogConfig,
         mut spares: Vec<Vec<B>>,
     ) {
-        let mut detector =
-            Watchdog::new(self.config.watchdog.unwrap_or_default(), self.cells.len());
+        let mut detector = Watchdog::new(config, self.cells.len());
         while !self.closing.load(Ordering::SeqCst) {
             // The run unparks this thread when it closes.
             thread::park_timeout(detector.config.poll_interval);
@@ -501,50 +495,6 @@ where
             let detail = "run closed during failover; restored spare handed to reassembly";
             self.transition(s, ShardState::Healthy, detail);
         }
-    }
-}
-
-impl<I, V, B> ShardedQMax<I, V, B>
-where
-    I: ShardKey + Send,
-    V: Ord + Clone + Send,
-    B: BatchInsert<I, V> + Checkpoint<I, V> + Send,
-{
-    /// [`ShardedQMax::run_threaded`] with supervision: checkpointed
-    /// warm recovery for panicking shards, a stall watchdog with
-    /// bounded-backoff worker replacement, and a full
-    /// [`ShardLifecycle`] transition log on the report. It is the same
-    /// driver core, handed the backends' snapshot/restore hooks and,
-    /// with a configured watchdog, the watchdog thread.
-    ///
-    /// * With [`DriverConfig::checkpoint_every`] set, each worker
-    ///   snapshots its backend on that drained-item cadence (at batch
-    ///   boundaries) and a panicking shard warm-restores from the last
-    ///   checkpoint in place, losing at most one checkpoint interval
-    ///   plus the in-flight batch. Without it, panics follow the cold
-    ///   quarantine path of [`ShardedQMax::run_threaded`].
-    /// * With [`DriverConfig::watchdog`] set, a supervisor thread
-    ///   replaces stalled workers (heartbeat silent past the deadline
-    ///   with batches pending) from pre-stamped spare backends, warm
-    ///   restored from the last checkpoint, after exponential backoff
-    ///   with deterministic jitter.
-    /// * Either way, a shard that exhausts
-    ///   [`WatchdogConfig::max_restarts`] is permanently quarantined;
-    ///   its slot is still warm-rebuilt from its last checkpoint after
-    ///   the run (cold only if no checkpoint was ever taken).
-    ///
-    /// After the run, [`ShardedQMax::query_with_coverage`] annotates
-    /// merged queries with the surviving coverage fraction.
-    pub fn run_supervised<S>(&mut self, stream: S, config: DriverConfig) -> DriverReport
-    where
-        S: Iterator<Item = (I, V)>,
-    {
-        let recovery = Recovery {
-            snapshot: <B as Checkpoint<I, V>>::snapshot,
-            restore: <B as Checkpoint<I, V>>::restore,
-        };
-        let streams = Streams::<S, std::iter::Empty<(I, V)>>::Caller(stream);
-        self.drive(streams, config, Some(recovery))
     }
 }
 

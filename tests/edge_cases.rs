@@ -3,8 +3,9 @@
 //! degenerate value distributions, and extreme parameters.
 
 use qmax_core::{
-    AmortizedQMax, BasicSlackQMax, DeamortizedQMax, DedupQMax, HeapQMax, HierSlackQMax,
-    IndexedHeapQMax, KeyedSkipListQMax, LazySlackQMax, QMax, SkipListQMax, SortedVecQMax,
+    AdaptiveBackend, AmortizedQMax, BasicSlackQMax, DeamortizedQMax, DedupQMax, HeapQMax,
+    HierSlackQMax, IndexedHeapQMax, KeyedSkipListQMax, LazySlackQMax, QMax, QMaxError,
+    SkipListQMax, SoaAmortizedQMax, SoaDeamortizedQMax, SortedVecQMax,
 };
 use qmax_engine::ShardedQMax;
 use qmax_lrfu::{Cache, DeamortizedLrfu, HeapLrfu, QMaxLrfu, ScanLrfu};
@@ -168,6 +169,26 @@ fn threshold_is_monotone_on_ascending_streams() {
         }
         assert!(last.is_some(), "{} never reported a threshold", qm.name());
     }
+}
+
+#[test]
+fn finite_gamma_with_overflowing_geometry_is_rejected() {
+    // Finite, positive, and far too large: the buffer `q(1+γ)` slots
+    // would need cannot be sized, so construction must fail cleanly
+    // instead of wrapping into a too-small buffer or panicking.
+    // 1e18 fits `usize` but not a `Vec` of 16-byte entries.
+    for gamma in [1e300, 1e30, 1e18, f64::MAX] {
+        let bad = Some(QMaxError::BadGamma(gamma));
+        assert_eq!(AmortizedQMax::<u64, u64>::try_new(4, gamma).err(), bad);
+        assert_eq!(SoaAmortizedQMax::<u64, u64>::try_new(4, gamma).err(), bad);
+        assert_eq!(DeamortizedQMax::<u64, u64>::try_new(4, gamma).err(), bad);
+        assert_eq!(SoaDeamortizedQMax::<u64, u64>::try_new(4, gamma).err(), bad);
+        assert_eq!(AdaptiveBackend::<u64, u64>::try_new(4, gamma).err(), bad);
+        assert_eq!(ShardedQMax::<u64, u64>::try_new(4, gamma, 2).err(), bad);
+    }
+    // A large but sizable γ still builds, with capacity at least q.
+    let big = DeamortizedQMax::<u64, u64>::try_new(4, 1e3).expect("sizable gamma");
+    assert!(big.capacity() >= 4);
 }
 
 #[test]

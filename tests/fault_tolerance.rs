@@ -3,7 +3,7 @@
 //! measuring — the per-PMD independence the paper's deployment relies
 //! on, made mechanical.
 
-use qmax_core::{AmortizedQMax, DeamortizedQMax, QMax};
+use qmax_core::{AmortizedQMax, Checkpoint, DeamortizedQMax, QMax};
 use qmax_engine::fault::silence_fault_panics;
 use qmax_engine::{
     DriverConfig, DriverReport, FaultSchedule, FaultyBackend, OverloadPolicy, ShardHealth,
@@ -203,6 +203,21 @@ fn stalled_shard_sheds_within_budget() {
 /// `[1536, 2048)` of the failing shard, and nothing else.
 #[test]
 fn one_shard_panic_warm_recovers_with_bounded_loss() {
+    warm_recovery_scenario(AmortizedQMax::new);
+}
+
+/// The same scenario on the default shard backend: the de-amortized
+/// layout restores by query equivalence, which is all the bounded-loss
+/// reference comparison needs.
+#[test]
+fn one_shard_panic_warm_recovers_with_bounded_loss_deamortized() {
+    warm_recovery_scenario(DeamortizedQMax::new);
+}
+
+fn warm_recovery_scenario<B>(backend: fn(usize, f64) -> B)
+where
+    B: QMax<u64, u64> + Checkpoint<u64, u64> + Send + 'static,
+{
     let _silence = silence_fault_panics();
     let q = 64;
     let gamma = 0.25;
@@ -214,14 +229,14 @@ fn one_shard_panic_warm_recovers_with_bounded_loss() {
         .map(|(i, v)| (i as u64, v))
         .collect();
 
-    let mut engine: ShardedQMax<u64, u64, FaultyBackend<AmortizedQMax<u64, u64>>> =
+    let mut engine: ShardedQMax<u64, u64, FaultyBackend<B>> =
         ShardedQMax::with_backends(q, shards, move |s| {
             let schedule = if s == failing {
                 FaultSchedule::panic_at(1800)
             } else {
                 FaultSchedule::none()
             };
-            FaultyBackend::new(AmortizedQMax::new(q, gamma), schedule)
+            FaultyBackend::new(backend(q, gamma), schedule)
         });
 
     let report = engine.run_supervised(

@@ -10,10 +10,15 @@
 //! plus deterministic probes of the two states a per-batch checkpoint
 //! cadence is most likely to capture: a buffer sitting just below
 //! capacity (mid-compaction pressure) and a freshly-recycled block
-//! (immediately after a compaction, and after a `reset()` refill).
+//! (immediately after a compaction, and after a `reset()` refill). The
+//! de-amortized layouts (AoS and SoA) promise less — the same answers,
+//! not the same steps — and get their own 256-case property.
 
 use proptest::prelude::*;
-use qmax_core::{AdaptiveBackend, AmortizedQMax, Checkpoint, QMax, SoaAmortizedQMax};
+use qmax_core::{
+    AdaptiveBackend, AmortizedQMax, BatchInsert, Checkpoint, DeamortizedQMax, QMax,
+    SoaAmortizedQMax, SoaDeamortizedQMax,
+};
 use qmax_traces::gen::caida_like;
 
 fn zipf_stream(n: usize, seed: u64) -> Vec<(u64, u64)> {
@@ -25,6 +30,70 @@ fn zipf_stream(n: usize, seed: u64) -> Vec<(u64, u64)> {
 fn sorted_pairs(mut pairs: Vec<(u64, u64)>) -> Vec<(u64, u64)> {
     pairs.sort_unstable();
     pairs
+}
+
+fn sorted_vals(pairs: Vec<(u64, u64)>) -> Vec<u64> {
+    let mut v: Vec<u64> = pairs.into_iter().map(|(_, v)| v).collect();
+    v.sort_unstable();
+    v
+}
+
+/// The de-amortized contract is *query* equivalence: `prefix` goes in
+/// one arrival at a time, the snapshot restores into `fresh` (after it
+/// took `suffix`, so a merge would show), and the
+/// restored copy must answer the same top-`q` values, immediately and
+/// after both sides take `suffix` in batches of `chunk`. Ψ may restart
+/// anywhere in [snapshot Ψ, q-th largest snapshot value]; `filtered`
+/// and `iterations` are carried; the replayed selection keeps the
+/// worst-case step bound `per_step_work_is_bounded` uses.
+macro_rules! assert_query_roundtrip {
+    ($original:expr, $fresh:expr, $prefix:expr, $suffix:expr, $chunk:expr) => {{
+        let (mut original, mut restored) = ($original, $fresh);
+        for &(id, v) in $prefix {
+            original.insert(id, v);
+        }
+        let snap = original.snapshot();
+        prop_assert_eq!(snap.len(), original.len(), "snapshot candidate count");
+        // Restore overwrites whatever the target held; it never merges.
+        for &(id, v) in $suffix {
+            restored.insert(id, v);
+        }
+        restored.restore(&snap);
+        let q = original.q();
+        prop_assert_eq!(sorted_vals(original.query()), sorted_vals(restored.query()));
+        prop_assert!(
+            restored.threshold() >= snap.threshold,
+            "Ψ fell below the snapshot's"
+        );
+        if let Some(psi) = restored.threshold() {
+            let mut vals: Vec<u64> = snap.entries.iter().map(|e| e.val).collect();
+            vals.sort_unstable_by(|a, b| b.cmp(a));
+            prop_assert!(
+                vals.len() >= q && psi <= vals[q - 1],
+                "Ψ above the q-th largest"
+            );
+        }
+        let (o, r) = (original.stats(), restored.stats());
+        prop_assert_eq!((o.filtered, o.iterations), (r.filtered, r.iterations));
+        for chunk in $suffix.chunks($chunk) {
+            original.insert_batch(chunk);
+            restored.insert_batch(chunk);
+        }
+        prop_assert_eq!(
+            sorted_vals(original.query()),
+            sorted_vals(restored.query()),
+            "top-q diverged after the restored copy resumed"
+        );
+        for b in [original.stats(), restored.stats()] {
+            prop_assert_eq!(b.forced_completions, 0);
+            let bound = restored.step_budget() as u64 + 32;
+            prop_assert!(
+                b.max_step_ops <= bound,
+                "step ops {} > {bound}",
+                b.max_step_ops
+            );
+        }
+    }};
 }
 
 /// Feeds `prefix` into a backend, snapshots it, restores the snapshot
@@ -120,6 +189,60 @@ proptest! {
             AdaptiveBackend::<u64, u64>::new(q, gamma),
             prefix,
             suffix
+        );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Both de-amortized layouts round-trip by query over prefixes that
+    /// stop in the filling phase (`phase` 0), right after an iteration
+    /// completes (1), or mid-iteration (2).
+    #[test]
+    fn deamortized_restore_preserves_queries(
+        stream_seed in any::<u64>(),
+        n in 1usize..3000,
+        q in 1usize..48,
+        gamma_idx in 0usize..3,
+        phase in 0usize..3,
+        pick in any::<usize>(),
+        chunk in 1usize..200,
+    ) {
+        let gamma = [0.05, 0.25, 1.0][gamma_idx];
+        let items = zipf_stream(n, stream_seed);
+        // The arrival after which each prefix length ends, classified
+        // on a probe: no Ψ yet, an iteration just completed, or neither.
+        let mut probe = DeamortizedQMax::<u64, u64>::new(q, gamma);
+        let mut ends: [Vec<usize>; 3] = Default::default();
+        for (i, &(id, v)) in items.iter().enumerate() {
+            let before = probe.stats().iterations;
+            probe.insert(id, v);
+            let class = match probe.stats().iterations {
+                0 => 0,
+                after if after > before => 1,
+                _ => 2,
+            };
+            ends[class].push(i + 1);
+        }
+        let split = match &ends[phase] {
+            e if e.is_empty() => items.len(),
+            e => e[pick % e.len()],
+        };
+        let (prefix, suffix) = items.split_at(split);
+        assert_query_roundtrip!(
+            DeamortizedQMax::<u64, u64>::new(q, gamma),
+            DeamortizedQMax::<u64, u64>::new(q, gamma),
+            prefix,
+            suffix,
+            chunk
+        );
+        assert_query_roundtrip!(
+            SoaDeamortizedQMax::<u64, u64>::new(q, gamma),
+            SoaDeamortizedQMax::<u64, u64>::new(q, gamma),
+            prefix,
+            suffix,
+            chunk
         );
     }
 }
