@@ -1,10 +1,24 @@
 //! Worst-case constant-time q-MAX (Algorithm 1 with de-amortized
-//! compaction).
+//! compaction), written once for every buffer layout.
+//!
+//! [`Deamortized`] owns the whole algorithm: the geometry, the
+//! alternating iterations, the per-arrival machine schedule, Ψ, the
+//! stale-zone rule of its queries, and checkpointing. A [`Slots`] layout
+//! only stores `(id, value)` slots and offers a batch admit; the one
+//! selection machine ([`qmax_select::NthElementMachine`]) runs over it
+//! through [`qmax_select::Lanes`]. Two layouts ship:
+//! [`DeamortizedQMax`] (`Vec<Entry<I, V>>`) and
+//! [`SoaDeamortizedQMax`](crate::SoaDeamortizedQMax)
+//! ([`qmax_select::PairedLanes`]).
 
 use crate::checkpoint::{BackendSnapshot, Checkpoint};
 use crate::entry::Entry;
 use crate::traits::{BatchInsert, IntervalBackend, QMax};
-use qmax_select::{nth_smallest, Direction, NthElementMachine, WORK_BOUND_FACTOR};
+use core::marker::PhantomData;
+use core::ops::Range;
+use qmax_select::{
+    nth_smallest, Direction, Lanes, MachineStatus, NthElementMachine, WORK_BOUND_FACTOR,
+};
 
 /// Counters describing the de-amortized execution; used by the ablation
 /// benchmarks and by tests asserting the worst-case bound.
@@ -43,8 +57,53 @@ enum Parity {
     InsertLeft,
 }
 
+/// Slot storage of a [`Deamortized`] q-MAX: the only part of the
+/// algorithm that depends on the buffer layout.
+///
+/// Implemented by `Vec<Entry<I, V>>` ([`DeamortizedQMax`]), which the
+/// machine sees as a plain slice, and by [`qmax_select::PairedLanes`]
+/// ([`SoaDeamortizedQMax`](crate::SoaDeamortizedQMax)), whose batch
+/// admit is the vectorized Ψ-filter.
+pub trait Slots<I, V> {
+    /// The type the selection machine orders slots by.
+    type Key: Ord + Clone;
+
+    /// The buffer the selection machine runs over.
+    type View: Lanes<Key = Self::Key> + ?Sized;
+
+    /// [`QMax::name`] of the backend over this layout.
+    const NAME: &'static str;
+
+    /// The slots as the selection machine's buffer.
+    fn view(&mut self) -> &mut Self::View;
+
+    /// Empty storage with room for `n` slots.
+    fn with_capacity(n: usize) -> Self;
+
+    /// Empty storage with this one's room and settings.
+    fn empty_like(&self) -> Self;
+
+    /// Number of slots written so far.
+    fn filled(&self) -> usize;
+
+    /// Drops every slot, keeping the allocation.
+    fn clear(&mut self);
+
+    /// Writes slot `i`; `i == filled()` appends.
+    fn store(&mut self, i: usize, id: I, val: V);
+
+    /// The item in slot `i`.
+    fn entry(&self, i: usize) -> Entry<I, V>;
+
+    /// Writes the `items` whose value exceeds `threshold` (all of them
+    /// when `None`) to consecutive slots from `w`, never at or past
+    /// `end`, and returns the cursor after the last survivor. Slots from
+    /// there up to `end` may hold rejected items.
+    fn admit(&mut self, items: &[(I, V)], threshold: Option<&V>, w: usize, end: usize) -> usize;
+}
+
 /// q-MAX with **worst-case** `O(γ⁻¹)` update time and `q + 2⌈qγ/2⌉`
-/// space (Algorithm 1 of the paper).
+/// space (Algorithm 1 of the paper), over the slot layout `S`.
 ///
 /// The buffer is split into a `g = ⌈qγ/2⌉`-slot insertion zone and a
 /// `(q+g)`-slot selection zone. Each admitted arrival is written into
@@ -56,6 +115,39 @@ enum Parity {
 /// `q` largest candidates sit in the middle of the buffer, the admission
 /// threshold Ψ rises to the q-th largest among them, and the `g`
 /// discarded slots become the next insertion zone.
+///
+/// The slots and the machine's frame stack are allocated at
+/// construction and re-used by every iteration, so arrivals never
+/// allocate.
+///
+/// Use it through [`DeamortizedQMax`] or
+/// [`SoaDeamortizedQMax`](crate::SoaDeamortizedQMax).
+#[derive(Debug)]
+pub struct Deamortized<I, V, S: Slots<I, V>> {
+    q: usize,
+    /// Insertion-zone size `⌈qγ/2⌉` (≥ 1).
+    g: usize,
+    /// Total buffer size `q + 2g`.
+    n: usize,
+    pub(crate) slots: S,
+    /// Admission threshold Ψ.
+    threshold: Option<V>,
+    /// Start of the current insertion zone (`q+g` during the first
+    /// iteration, which fills the right zone).
+    s2_start: usize,
+    /// Admitted arrivals in the current iteration, `0..g`.
+    steps: usize,
+    parity: Parity,
+    /// The selection over `S1`, re-armed at every iteration boundary.
+    machine: NthElementMachine<S::Key>,
+    /// Per-arrival operation budget for the selection machine.
+    budget: usize,
+    stats: DeamortizedStats,
+    _ids: PhantomData<fn() -> I>,
+}
+
+/// q-MAX with **worst-case** `O(γ⁻¹)` update time over a buffer of
+/// [`Entry`] structs: [`Deamortized`] with the array-of-structs layout.
 ///
 /// Compared with [`crate::AmortizedQMax`] this bounds the cost of
 /// *every* update instead of the average, at the price of a slightly
@@ -72,33 +164,69 @@ enum Parity {
 /// top.sort();
 /// assert_eq!(top, vec![996, 997, 998, 999]);
 /// ```
-#[derive(Debug)]
-pub struct DeamortizedQMax<I, V> {
-    q: usize,
-    /// Insertion-zone size `⌈qγ/2⌉` (≥ 1).
-    g: usize,
-    /// Total buffer size `q + 2g`.
-    n: usize,
-    buf: Vec<Entry<I, V>>,
-    /// Admission threshold Ψ.
-    threshold: Option<V>,
-    /// Whether the buffer is still filling for the very first time.
-    filling: bool,
-    /// Start of the current insertion zone (valid once not `filling`,
-    /// or `q+g` during the first iteration which fills the right zone).
-    s2_start: usize,
-    /// Admitted arrivals in the current iteration, `0..g`.
-    steps: usize,
-    parity: Parity,
-    machine: Option<NthElementMachine<Entry<I, V>>>,
-    /// Index that holds the new Ψ when the current iteration completes.
-    boundary: usize,
-    /// Per-arrival operation budget for the selection machine.
-    budget: usize,
-    stats: DeamortizedStats,
+pub type DeamortizedQMax<I, V> = Deamortized<I, V, Vec<Entry<I, V>>>;
+
+impl<I: Clone, V: Ord + Clone> Slots<I, V> for Vec<Entry<I, V>> {
+    type Key = Entry<I, V>;
+
+    type View = [Entry<I, V>];
+
+    const NAME: &'static str = "qmax-deamortized";
+
+    #[inline]
+    fn view(&mut self) -> &mut [Entry<I, V>] {
+        self
+    }
+
+    fn with_capacity(n: usize) -> Self {
+        Vec::with_capacity(n)
+    }
+
+    fn empty_like(&self) -> Self {
+        Vec::with_capacity(self.capacity())
+    }
+
+    #[inline]
+    fn filled(&self) -> usize {
+        self.len()
+    }
+
+    fn clear(&mut self) {
+        Vec::clear(self);
+    }
+
+    #[inline]
+    fn store(&mut self, i: usize, id: I, val: V) {
+        if i == self.len() {
+            self.push(Entry::new(id, val));
+        } else {
+            self[i] = Entry::new(id, val);
+        }
+    }
+
+    fn entry(&self, i: usize) -> Entry<I, V> {
+        self[i].clone()
+    }
+
+    #[inline]
+    fn admit(
+        &mut self,
+        items: &[(I, V)],
+        threshold: Option<&V>,
+        mut w: usize,
+        _end: usize,
+    ) -> usize {
+        for (id, val) in items {
+            if threshold.is_none_or(|t| val > t) {
+                self[w] = Entry::new(id.clone(), val.clone());
+                w += 1;
+            }
+        }
+        w
+    }
 }
 
-impl<I: Clone, V: Ord + Clone> DeamortizedQMax<I, V> {
+impl<I: Clone, V: Ord + Clone, S: Slots<I, V>> Deamortized<I, V, S> {
     /// Creates a de-amortized q-MAX for the `q` largest items with
     /// space-slack parameter `gamma` (γ): total space is `q + 2⌈qγ/2⌉`
     /// slots, i.e. at most `q(1+γ) + 2`.
@@ -106,37 +234,41 @@ impl<I: Clone, V: Ord + Clone> DeamortizedQMax<I, V> {
     /// # Panics
     ///
     /// Panics if `q == 0` or `gamma` is not a positive finite number.
-    /// Use [`DeamortizedQMax::try_new`] at fallible API boundaries.
+    /// Use [`Deamortized::try_new`] at fallible API boundaries.
     pub fn new(q: usize, gamma: f64) -> Self {
         Self::try_new(q, gamma).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Fallible [`DeamortizedQMax::new`]: rejects `q == 0` and
-    /// non-positive / non-finite `gamma` instead of panicking.
+    /// Fallible [`Deamortized::new`]: rejects `q == 0` and non-positive
+    /// / non-finite `gamma` (or one whose geometry overflows) instead of
+    /// panicking.
     pub fn try_new(q: usize, gamma: f64) -> Result<Self, crate::QMaxError> {
         crate::error::check_q_gamma::<Entry<I, V>>(q, gamma)?;
-        let g = ((q as f64) * gamma / 2.0).ceil() as usize;
-        let g = g.max(1);
-        let n = q + 2 * g;
+        let g = (((q as f64) * gamma / 2.0).ceil() as usize).max(1);
         // Total selection work is at most WORK_BOUND_FACTOR * |S1| + a
         // constant; spreading it over the g arrivals of an iteration
         // gives the per-arrival budget (the paper's O(γ⁻¹) operations).
         let budget = (WORK_BOUND_FACTOR * (q + g)).div_ceil(g) + WORK_BOUND_FACTOR;
-        Ok(DeamortizedQMax {
+        Ok(Self::with_slots(q, g, budget, S::with_capacity(q + 2 * g)))
+    }
+
+    fn with_slots(q: usize, g: usize, budget: usize, slots: S) -> Self {
+        Deamortized {
             q,
             g,
-            n,
-            buf: Vec::with_capacity(n),
+            n: q + 2 * g,
+            slots,
             threshold: None,
-            filling: true,
             s2_start: q + g,
             steps: 0,
             parity: Parity::InsertRight,
-            machine: None,
-            boundary: 0,
+            // Armed for the first iteration, which reserves the frame
+            // stack before any arrival.
+            machine: NthElementMachine::new(0, q + g, g, Direction::Ascending),
             budget,
             stats: DeamortizedStats::default(),
-        })
+            _ids: PhantomData,
+        }
     }
 
     /// Total buffer capacity `q + 2⌈qγ/2⌉`.
@@ -154,104 +286,77 @@ impl<I: Clone, V: Ord + Clone> DeamortizedQMax<I, V> {
         self.stats
     }
 
-    /// Starts the selection for the current parity. The buffer is full
-    /// except during the very first iteration, which runs while arrivals
-    /// are still filling the right insertion zone.
+    /// Re-arms the machine for the current parity's selection over
+    /// `S1`; once finished, slot `lo + k` holds the q-th largest of `S1`.
     fn begin_iteration(&mut self) {
-        debug_assert!(
-            self.buf.len() == self.n || (self.filling && self.buf.len() == self.q + self.g)
-        );
-        let (lo, hi, k, dir, boundary) = match self.parity {
+        let (lo, hi, k, dir) = match self.parity {
             // S1 = [0, q+g): ascending selection puts the g smallest at
             // [0, g); index g then holds the q-th largest of S1.
-            Parity::InsertRight => (0, self.q + self.g, self.g, Direction::Ascending, self.g),
+            Parity::InsertRight => (0, self.q + self.g, self.g, Direction::Ascending),
             // S1 = [g, n): descending selection puts the q largest at
             // [g, g+q); index g+q-1 holds the q-th largest of S1.
-            Parity::InsertLeft => (
-                self.g,
-                self.n,
-                self.q - 1,
-                Direction::Descending,
-                self.g + self.q - 1,
-            ),
+            Parity::InsertLeft => (self.g, self.n, self.q - 1, Direction::Descending),
         };
-        self.machine = Some(NthElementMachine::new(lo, hi, k, dir));
-        self.boundary = boundary;
+        self.machine.rearm(lo, hi, k, dir);
     }
 
     /// Completes the current iteration: finishes the selection if it has
     /// not already converged, raises Ψ, and flips the geometry.
     fn finish_iteration(&mut self) {
-        let mut machine = self.machine.take().expect("iteration must have a machine");
-        if !machine.is_finished() {
-            machine.run_to_completion(&mut self.buf);
+        if !self.machine.is_finished() {
             self.stats.forced_completions += 1;
         }
-        self.stats.total_ops += machine.total_ops();
-        self.stats.max_step_ops = self.stats.max_step_ops.max(machine.max_step_ops());
+        let boundary = self.machine.run_to_completion(self.slots.view());
+        self.stats.total_ops += self.machine.total_ops();
+        self.stats.max_step_ops = self.stats.max_step_ops.max(self.machine.max_step_ops());
         self.stats.iterations += 1;
-        let psi = self.buf[self.boundary].val.clone();
-        self.threshold = Some(match self.threshold.take() {
-            Some(old) if old > psi => old,
-            _ => psi,
-        });
+        let psi = self.slots.entry(boundary).val;
+        if self.threshold.as_ref().is_none_or(|t| psi > *t) {
+            self.threshold = Some(psi);
+        }
         // The zone the selection pushed the g non-top items into becomes
         // the next insertion zone.
-        self.parity = match self.parity {
-            Parity::InsertRight => {
-                self.s2_start = 0;
-                Parity::InsertLeft
-            }
-            Parity::InsertLeft => {
-                self.s2_start = self.q + self.g;
-                Parity::InsertRight
-            }
+        (self.parity, self.s2_start) = match self.parity {
+            Parity::InsertRight => (Parity::InsertLeft, 0),
+            Parity::InsertLeft => (Parity::InsertRight, self.q + self.g),
         };
         self.steps = 0;
         self.begin_iteration();
     }
+
+    /// The not-yet-overwritten tail of the insertion zone: its slots hold
+    /// items a previous iteration already discarded. Empty until the
+    /// buffer first fills.
+    fn stale(&self) -> Range<usize> {
+        if self.slots.filled() < self.n {
+            0..0
+        } else {
+            self.s2_start + self.steps..self.s2_start + self.g
+        }
+    }
 }
 
-impl<I: Clone, V: Ord + Clone> QMax<I, V> for DeamortizedQMax<I, V> {
+impl<I: Clone, V: Ord + Clone, S: Slots<I, V>> QMax<I, V> for Deamortized<I, V, S> {
     #[inline]
     fn insert(&mut self, id: I, val: V) -> bool {
-        if let Some(t) = &self.threshold {
-            if val <= *t {
-                self.stats.filtered += 1;
-                return false;
-            }
+        if self.threshold.as_ref().is_some_and(|t| val <= *t) {
+            self.stats.filtered += 1;
+            return false;
         }
         self.stats.admitted += 1;
-        if self.filling {
-            self.buf.push(Entry::new(id, val));
-            let len = self.buf.len();
-            if len == self.q + self.g {
-                // Selection zone full: start the first iteration while
-                // arrivals keep filling the right zone.
-                self.parity = Parity::InsertRight;
+        let len = self.slots.filled();
+        if len < self.q + self.g {
+            // Warm-up: the first iteration starts once the selection
+            // zone is full, while arrivals go on to fill the right zone.
+            self.slots.store(len, id, val);
+            if len + 1 == self.q + self.g {
                 self.begin_iteration();
-            } else if len > self.q + self.g {
-                self.steps += 1;
-                let machine = self
-                    .machine
-                    .as_mut()
-                    .expect("machine started when zone filled");
-                machine.step(&mut self.buf, self.budget);
-                if len == self.n {
-                    debug_assert_eq!(self.steps, self.g);
-                    self.filling = false;
-                    self.finish_iteration();
-                }
             }
             return true;
         }
-        self.buf[self.s2_start + self.steps] = Entry::new(id, val);
+        self.slots.store(self.s2_start + self.steps, id, val);
         self.steps += 1;
-        let machine = self
-            .machine
-            .as_mut()
-            .expect("steady state always has a machine");
-        machine.step(&mut self.buf, self.budget);
+        self.machine.step(self.slots.view(), self.budget);
         if self.steps == self.g {
             self.finish_iteration();
         }
@@ -259,21 +364,8 @@ impl<I: Clone, V: Ord + Clone> QMax<I, V> for DeamortizedQMax<I, V> {
     }
 
     fn query(&mut self) -> Vec<(I, V)> {
-        // Valid candidates: everything except the not-yet-overwritten
-        // tail of the insertion zone (those slots hold items already
-        // discarded by a previous iteration).
-        let stale = if self.filling {
-            0..0
-        } else {
-            self.s2_start + self.steps..self.s2_start + self.g
-        };
-        let mut scratch: Vec<Entry<I, V>> = self
-            .buf
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| !stale.contains(i))
-            .map(|(_, e)| e.clone())
-            .collect();
+        let mut scratch = Vec::with_capacity(self.len());
+        self.candidates_into(&mut scratch);
         if scratch.len() > self.q {
             let cut = scratch.len() - self.q;
             nth_smallest(&mut scratch, cut);
@@ -283,13 +375,13 @@ impl<I: Clone, V: Ord + Clone> QMax<I, V> for DeamortizedQMax<I, V> {
     }
 
     fn reset(&mut self) {
-        self.buf.clear();
+        // Keep the slot and frame-stack allocations; the machine is
+        // re-armed when the selection zone next fills.
+        self.slots.clear();
         self.threshold = None;
-        self.filling = true;
         self.s2_start = self.q + self.g;
         self.steps = 0;
         self.parity = Parity::InsertRight;
-        self.machine = None;
         self.stats = DeamortizedStats::default();
     }
 
@@ -299,11 +391,7 @@ impl<I: Clone, V: Ord + Clone> QMax<I, V> for DeamortizedQMax<I, V> {
 
     #[inline]
     fn len(&self) -> usize {
-        if self.filling {
-            self.buf.len()
-        } else {
-            self.n - (self.g - self.steps)
-        }
+        self.slots.filled() - self.stale().len()
     }
 
     #[inline]
@@ -312,21 +400,61 @@ impl<I: Clone, V: Ord + Clone> QMax<I, V> for DeamortizedQMax<I, V> {
     }
 
     fn name(&self) -> &'static str {
-        "qmax-deamortized"
+        S::NAME
     }
 }
 
-impl<I: Clone, V: Ord + Clone> BatchInsert<I, V> for DeamortizedQMax<I, V> {
+impl<I: Clone, V: Ord + Clone, S: Slots<I, V>> BatchInsert<I, V> for Deamortized<I, V, S> {
+    /// Chunked Ψ-filter for the steady state: arrivals are streamed into
+    /// the insertion zone by the layout's batch admit (the vectorized
+    /// kernel for [`qmax_select::PairedLanes`]), then the machine is
+    /// advanced by one per-arrival budget per survivor — the work
+    /// accounting of singleton inserts, so the worst-case bound per
+    /// arrival is unchanged. Chunks are sized to the insertion zone's
+    /// remaining room, so Ψ — which only rises at iteration boundaries —
+    /// is constant within each chunk and one load per chunk is exact.
+    ///
+    /// The initial fill (first `q + 2g` admitted arrivals) takes the
+    /// singleton path: a one-time warm-up with per-item geometry
+    /// transitions.
     fn insert_batch(&mut self, items: &[(I, V)]) -> usize {
-        let mut admitted = 0;
-        for (id, val) in items {
-            admitted += usize::from(self.insert(id.clone(), val.clone()));
+        let mut admitted = 0usize;
+        let mut i = 0;
+        while i < items.len() && self.slots.filled() < self.n {
+            let (id, v) = &items[i];
+            admitted += usize::from(self.insert(id.clone(), v.clone()));
+            i += 1;
+        }
+        while i < items.len() {
+            let take = (self.g - self.steps).min(items.len() - i);
+            let start = self.s2_start + self.steps;
+            let end = self.s2_start + self.g;
+            let kept = self
+                .slots
+                .admit(&items[i..i + take], self.threshold.as_ref(), start, end)
+                - start;
+            admitted += kept;
+            self.stats.admitted += kept as u64;
+            self.stats.filtered += (take - kept) as u64;
+            self.steps += kept;
+            i += take;
+            // The machine runs on the selection zone, disjoint from the
+            // insertion zone written above, so write/step order within
+            // the chunk is immaterial.
+            for _ in 0..kept {
+                if self.machine.step(self.slots.view(), self.budget) == MachineStatus::Finished {
+                    break;
+                }
+            }
+            if self.steps == self.g {
+                self.finish_iteration();
+            }
         }
         admitted
     }
 }
 
-impl<I: Clone, V: Ord + Clone> Checkpoint<I, V> for DeamortizedQMax<I, V> {
+impl<I: Clone, V: Ord + Clone, S: Slots<I, V>> Checkpoint<I, V> for Deamortized<I, V, S> {
     /// The valid candidates and Ψ; `iterations` travels as `compactions`.
     fn snapshot(&self) -> BackendSnapshot<I, V> {
         let mut entries = Vec::with_capacity(self.len());
@@ -353,23 +481,9 @@ impl<I: Clone, V: Ord + Clone> Checkpoint<I, V> for DeamortizedQMax<I, V> {
     }
 }
 
-impl<I: Clone, V: Ord + Clone> IntervalBackend<I, V> for DeamortizedQMax<I, V> {
+impl<I: Clone, V: Ord + Clone, S: Slots<I, V>> IntervalBackend<I, V> for Deamortized<I, V, S> {
     fn fresh(&self) -> Self {
-        DeamortizedQMax {
-            q: self.q,
-            g: self.g,
-            n: self.n,
-            buf: Vec::with_capacity(self.n),
-            threshold: None,
-            filling: true,
-            s2_start: self.q + self.g,
-            steps: 0,
-            parity: Parity::InsertRight,
-            machine: None,
-            boundary: 0,
-            budget: self.budget,
-            stats: DeamortizedStats::default(),
-        }
+        Self::with_slots(self.q, self.g, self.budget, self.slots.empty_like())
     }
 
     fn capacity(&self) -> usize {
@@ -377,21 +491,10 @@ impl<I: Clone, V: Ord + Clone> IntervalBackend<I, V> for DeamortizedQMax<I, V> {
     }
 
     fn candidates_into(&self, out: &mut Vec<Entry<I, V>>) {
-        // Same validity rule as `query`: skip the not-yet-overwritten
-        // tail of the insertion zone, whose slots hold items already
-        // discarded by a previous iteration.
-        let stale = if self.filling {
-            0..0
-        } else {
-            self.s2_start + self.steps..self.s2_start + self.g
-        };
-        out.extend(
-            self.buf
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| !stale.contains(i))
-                .map(|(_, e)| e.clone()),
-        );
+        // Same validity rule as `query`: skip the stale zone.
+        let stale = self.stale();
+        let live = (0..stale.start).chain(stale.end..self.slots.filled());
+        out.extend(live.map(|i| self.slots.entry(i)));
     }
 }
 

@@ -17,11 +17,14 @@
 //! * [`DeamortizedQMax`] — Algorithm 1 proper: the compaction is broken
 //!   into `O(γ⁻¹)`-operation steps interleaved with arrivals using the
 //!   suspendable selection machine from [`qmax_select`], yielding an
-//!   `O(γ⁻¹)` **worst-case** update time.
+//!   `O(γ⁻¹)` **worst-case** update time. It is [`Deamortized`], the
+//!   one implementation of the algorithm, over a `Vec` of entries.
 //! * [`SoaAmortizedQMax`], [`SoaDeamortizedQMax`] — structure-of-arrays
-//!   twins of the two variants above for `Copy` primitive ids/values:
-//!   split `vals`/`ids` lanes, a branchless chunked Ψ-filter for
-//!   [`BatchInsert::insert_batch`], and value-only selection kernels.
+//!   variants for `Copy` primitive ids/values: split `vals`/`ids` lanes,
+//!   a branchless chunked Ψ-filter for [`BatchInsert::insert_batch`],
+//!   and value-only selection. `SoaAmortizedQMax` is a twin of
+//!   [`AmortizedQMax`]; `SoaDeamortizedQMax` is [`Deamortized`] over
+//!   paired lanes (the layout is a [`Slots`] type).
 //! * [`HeapQMax`], [`SkipListQMax`], [`SortedVecQMax`] — the classical
 //!   `O(log q)` (or worse) baselines the paper compares against, built
 //!   from scratch on our own [`heap::MinHeap`] and [`skiplist::SkipList`].
@@ -70,7 +73,7 @@ pub mod window;
 pub use adaptive::AdaptiveBackend;
 pub use amortized::AmortizedQMax;
 pub use checkpoint::{BackendSnapshot, Checkpoint};
-pub use deamortized::{DeamortizedQMax, DeamortizedStats};
+pub use deamortized::{Deamortized, DeamortizedQMax, DeamortizedStats, Slots};
 pub use dedup::DedupQMax;
 pub use entry::{Entry, Minimal, OrderedF64};
 pub use error::QMaxError;

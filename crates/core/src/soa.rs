@@ -20,23 +20,26 @@
 //! (`w += (v > Ψ) as usize`), so rejected items are simply overwritten by
 //! the next arrival and the loop has no data-dependent branch at all.
 //! Compactions use the value-only selection kernels from
-//! [`qmax_select`] ([`qmax_select::paired_nth_smallest`],
-//! [`qmax_select::PairedNthElementMachine`]) which partition the dense
-//! value lane and mirror the permutation into the id lane.
+//! [`qmax_select`]: [`qmax_select::paired_nth_smallest`] for the
+//! amortized backend, and for the de-amortized one the single selection
+//! machine running over [`qmax_select::PairedLanes`], which partitions the
+//! dense value lane and mirrors the permutation into the id lane.
 //!
-//! Both backends are drop-in behavioral twins of their
-//! array-of-structs counterparts — same admissions, same thresholds,
-//! same query results (up to the usual arbitrary tie-breaking on ids) —
-//! which the differential property tests in `tests/proptest_soa.rs` pin
-//! down. When ids are *not* `Copy` (boxed flow keys, strings), the AoS
-//! backends remain the right choice: there, moving an entry is a pointer
-//! move and the split-lane permutation mirroring would buy nothing.
+//! [`SoaAmortizedQMax`] is a behavioural twin of its array-of-structs
+//! counterpart — same admissions, same thresholds, same query results
+//! (up to the usual arbitrary tie-breaking on ids). [`SoaDeamortizedQMax`]
+//! is not a twin but the same code: [`Deamortized`] over the paired
+//! lanes instead of a `Vec` of entries. The differential property tests
+//! in `tests/proptest_soa.rs` pin both down. When ids are *not* `Copy`
+//! (boxed flow keys, strings), the AoS backends remain the right choice:
+//! there, moving an entry is a pointer move and the split-lane
+//! permutation mirroring would buy nothing.
 
-use crate::deamortized::DeamortizedStats;
+use crate::deamortized::{Deamortized, Slots};
 use crate::entry::Entry;
 use crate::traits::{BatchInsert, IntervalBackend, QMax};
 use qmax_select::kernels::{pivot_band, PIVOT_SEED, SAMPLED_COMPACT_MIN};
-use qmax_select::{paired_nth_smallest, Direction, Kernel, MachineStatus, PairedNthElementMachine};
+use qmax_select::{paired_nth_smallest, Kernel, PairedLanes};
 
 /// Structure-of-arrays [`AmortizedQMax`](crate::AmortizedQMax): q-MAX
 /// with amortized `O(1)` updates, `⌈q(1+γ)⌉` space, and a branchless
@@ -454,22 +457,13 @@ impl<I: Copy + 'static, V: Ord + Copy + 'static> IntervalBackend<I, V> for SoaAm
     }
 }
 
-/// The two alternating buffer geometries of a de-amortized iteration
-/// (see [`crate::DeamortizedQMax`] for the full picture).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Parity {
-    /// Insertion zone at the right end `[q+g, n)`.
-    InsertRight,
-    /// Insertion zone at the left end `[0, g)`.
-    InsertLeft,
-}
-
 /// Structure-of-arrays [`DeamortizedQMax`](crate::DeamortizedQMax):
 /// q-MAX with **worst-case** `O(γ⁻¹)` updates over parallel `vals`/`ids`
-/// lanes, using the suspendable value-only selection machine
-/// ([`qmax_select::PairedNthElementMachine`]) so every compaction is
-/// spread over the insertion zone's arrivals exactly as in the AoS
-/// variant — same geometry, same budgets, same statistics.
+/// lanes — [`Deamortized`] over [`PairedLanes`], so the geometry, the
+/// machine schedule and the statistics are the AoS variant's by
+/// construction. Its batch admit is the vectorized Ψ-filter
+/// ([`Kernel::admit_pairs`]) and its machine's partition runs use the
+/// value-lane run assist; both use the backend's own kernel handle.
 ///
 /// ```
 /// use qmax_core::{BatchInsert, QMax, SoaDeamortizedQMax};
@@ -482,403 +476,76 @@ enum Parity {
 /// top.sort();
 /// assert_eq!(top, vec![996, 997, 998, 999]);
 /// ```
-#[derive(Debug)]
-pub struct SoaDeamortizedQMax<I, V> {
-    q: usize,
-    /// Insertion-zone size `⌈qγ/2⌉` (≥ 1).
-    g: usize,
-    /// Total buffer size `q + 2g`.
-    n: usize,
-    ids: Vec<I>,
-    vals: Vec<V>,
-    /// Arrivals stored during the initial fill (both lanes are
-    /// materialized to `n` slots up front; this tracks the live prefix).
-    len: usize,
-    /// Admission threshold Ψ.
-    threshold: Option<V>,
-    /// Whether the buffer is still filling for the very first time.
-    filling: bool,
-    /// Start of the current insertion zone.
-    s2_start: usize,
-    /// Admitted arrivals in the current iteration, `0..g`.
-    steps: usize,
-    parity: Parity,
-    machine: Option<PairedNthElementMachine<V>>,
-    /// Index that holds the new Ψ when the current iteration completes.
-    boundary: usize,
-    /// Per-arrival operation budget for the selection machine.
-    budget: usize,
-    stats: DeamortizedStats,
-    /// SIMD dispatch handle for the batch admit path.
-    kernel: Kernel<V>,
-}
+pub type SoaDeamortizedQMax<I, V> = Deamortized<I, V, PairedLanes<V, I>>;
 
-impl<I: Copy + 'static, V: Ord + Copy + 'static> SoaDeamortizedQMax<I, V> {
-    /// Creates a de-amortized q-MAX for the `q` largest items with
-    /// space-slack parameter `gamma` (γ): `q + 2⌈qγ/2⌉` slots per lane.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `q == 0` or `gamma` is not a positive finite number.
-    /// Use [`SoaDeamortizedQMax::try_new`] at fallible API boundaries.
-    pub fn new(q: usize, gamma: f64) -> Self {
-        Self::try_new(q, gamma).unwrap_or_else(|e| panic!("{e}"))
-    }
+impl<I: Copy + 'static, V: Ord + Copy + 'static> Slots<I, V> for PairedLanes<V, I> {
+    type Key = V;
 
-    /// Fallible [`SoaDeamortizedQMax::new`]: rejects `q == 0` and
-    /// non-positive / non-finite `gamma` instead of panicking.
-    pub fn try_new(q: usize, gamma: f64) -> Result<Self, crate::QMaxError> {
-        crate::error::check_q_gamma::<Entry<I, V>>(q, gamma)?;
-        let g = ((q as f64) * gamma / 2.0).ceil() as usize;
-        let g = g.max(1);
-        let n = q + 2 * g;
-        let budget =
-            (qmax_select::WORK_BOUND_FACTOR * (q + g)).div_ceil(g) + qmax_select::WORK_BOUND_FACTOR;
-        Ok(SoaDeamortizedQMax {
-            q,
-            g,
-            n,
-            ids: Vec::new(),
-            vals: Vec::new(),
-            len: 0,
-            threshold: None,
-            filling: true,
-            s2_start: q + g,
-            steps: 0,
-            parity: Parity::InsertRight,
-            machine: None,
-            boundary: 0,
-            budget,
-            stats: DeamortizedStats::default(),
-            kernel: Kernel::detect(),
-        })
-    }
+    type View = Self;
 
-    /// Overrides the SIMD dispatch handle (benchmarks pin the scalar
-    /// path with `Kernel::scalar()` to measure the vectorization gain).
-    pub fn set_kernel(&mut self, kernel: Kernel<V>) {
-        self.kernel = kernel;
-    }
-
-    /// Total buffer capacity `q + 2⌈qγ/2⌉`.
-    pub fn capacity(&self) -> usize {
-        self.n
-    }
-
-    /// The per-arrival selection-machine operation budget (`O(γ⁻¹)`).
-    pub fn step_budget(&self) -> usize {
-        self.budget
-    }
-
-    /// Execution counters (same meaning as the AoS variant's).
-    pub fn stats(&self) -> DeamortizedStats {
-        self.stats
-    }
-
-    /// Materializes both lanes to `n` slots on first use, seeded with
-    /// copies of the given item (the slots beyond `len` are never read
-    /// until overwritten).
-    #[inline]
-    fn ensure_storage(&mut self, id: I, val: V) {
-        if self.vals.len() != self.n {
-            self.vals.resize(self.n, val);
-            self.ids.resize(self.n, id);
-        }
-    }
-
-    /// Starts the selection for the current parity (same geometry as
-    /// [`crate::DeamortizedQMax`]).
-    fn begin_iteration(&mut self) {
-        debug_assert!(self.len == self.n || (self.filling && self.len == self.q + self.g));
-        let (lo, hi, k, dir, boundary) = match self.parity {
-            Parity::InsertRight => (0, self.q + self.g, self.g, Direction::Ascending, self.g),
-            Parity::InsertLeft => (
-                self.g,
-                self.n,
-                self.q - 1,
-                Direction::Descending,
-                self.g + self.q - 1,
-            ),
-        };
-        self.machine = Some(PairedNthElementMachine::new(lo, hi, k, dir));
-        self.boundary = boundary;
-    }
-
-    /// Completes the current iteration: finishes the selection if it has
-    /// not already converged, raises Ψ, and flips the geometry.
-    fn finish_iteration(&mut self) {
-        let mut machine = self.machine.take().expect("iteration must have a machine");
-        if !machine.is_finished() {
-            machine.run_to_completion(&mut self.vals, &mut self.ids);
-            self.stats.forced_completions += 1;
-        }
-        self.stats.total_ops += machine.total_ops();
-        self.stats.max_step_ops = self.stats.max_step_ops.max(machine.max_step_ops());
-        self.stats.iterations += 1;
-        let psi = self.vals[self.boundary];
-        self.threshold = Some(match self.threshold.take() {
-            Some(old) if old > psi => old,
-            _ => psi,
-        });
-        self.parity = match self.parity {
-            Parity::InsertRight => {
-                self.s2_start = 0;
-                Parity::InsertLeft
-            }
-            Parity::InsertLeft => {
-                self.s2_start = self.q + self.g;
-                Parity::InsertRight
-            }
-        };
-        self.steps = 0;
-        self.begin_iteration();
-    }
-}
-
-impl<I: Copy + 'static, V: Ord + Copy + 'static> QMax<I, V> for SoaDeamortizedQMax<I, V> {
-    #[inline]
-    fn insert(&mut self, id: I, val: V) -> bool {
-        if let Some(t) = self.threshold {
-            if val <= t {
-                self.stats.filtered += 1;
-                return false;
-            }
-        }
-        self.stats.admitted += 1;
-        if self.filling {
-            self.ensure_storage(id, val);
-            self.vals[self.len] = val;
-            self.ids[self.len] = id;
-            self.len += 1;
-            let len = self.len;
-            if len == self.q + self.g {
-                self.parity = Parity::InsertRight;
-                self.begin_iteration();
-            } else if len > self.q + self.g {
-                self.steps += 1;
-                let machine = self
-                    .machine
-                    .as_mut()
-                    .expect("machine started when zone filled");
-                machine.step(&mut self.vals, &mut self.ids, self.budget);
-                if len == self.n {
-                    debug_assert_eq!(self.steps, self.g);
-                    self.filling = false;
-                    self.finish_iteration();
-                }
-            }
-            return true;
-        }
-        let slot = self.s2_start + self.steps;
-        self.vals[slot] = val;
-        self.ids[slot] = id;
-        self.steps += 1;
-        let machine = self
-            .machine
-            .as_mut()
-            .expect("steady state always has a machine");
-        machine.step(&mut self.vals, &mut self.ids, self.budget);
-        if self.steps == self.g {
-            self.finish_iteration();
-        }
-        true
-    }
-
-    fn query(&mut self) -> Vec<(I, V)> {
-        // Valid candidates: everything except the not-yet-overwritten
-        // tail of the insertion zone (already-discarded items).
-        let (live, stale) = if self.filling {
-            (self.len, 0..0)
-        } else {
-            (self.n, self.s2_start + self.steps..self.s2_start + self.g)
-        };
-        let mut sv: Vec<V> = Vec::with_capacity(live);
-        let mut si: Vec<I> = Vec::with_capacity(live);
-        for i in 0..live {
-            if !stale.contains(&i) {
-                sv.push(self.vals[i]);
-                si.push(self.ids[i]);
-            }
-        }
-        if sv.len() > self.q {
-            let cut = sv.len() - self.q;
-            paired_nth_smallest(&mut sv, &mut si, cut);
-            sv.drain(..cut);
-            si.drain(..cut);
-        }
-        si.into_iter().zip(sv).collect()
-    }
-
-    fn reset(&mut self) {
-        // Keep the materialized lanes; reset the logical state.
-        self.len = 0;
-        self.threshold = None;
-        self.filling = true;
-        self.s2_start = self.q + self.g;
-        self.steps = 0;
-        self.parity = Parity::InsertRight;
-        self.machine = None;
-        self.stats = DeamortizedStats::default();
-    }
-
-    fn q(&self) -> usize {
-        self.q
-    }
+    const NAME: &'static str = "qmax-soa-deamortized";
 
     #[inline]
-    fn len(&self) -> usize {
-        if self.filling {
-            self.len
-        } else {
-            self.n - (self.g - self.steps)
-        }
+    fn view(&mut self) -> &mut Self {
+        self
     }
 
-    #[inline]
-    fn threshold(&self) -> Option<V> {
-        self.threshold
+    fn with_capacity(n: usize) -> Self {
+        PairedLanes::new(Vec::with_capacity(n), Vec::with_capacity(n))
     }
 
-    fn name(&self) -> &'static str {
-        "qmax-soa-deamortized"
-    }
-}
-
-impl<I: Copy + 'static, V: Ord + Copy + 'static> BatchInsert<I, V> for SoaDeamortizedQMax<I, V> {
-    /// Branchless chunked Ψ-filter for the steady state: arrivals are
-    /// streamed into the insertion zone by the vectorized admit kernel
-    /// ([`Kernel::admit_pairs`]), then the selection machine is advanced
-    /// by one per-arrival budget per survivor (identical work accounting
-    /// to singleton inserts — the worst-case bound per arrival is
-    /// unchanged). Chunks are sized to the insertion zone's remaining
-    /// room, so Ψ — which only rises at iteration boundaries — is
-    /// constant within each chunk and one load per chunk is exact.
-    ///
-    /// The initial fill (first `q + 2g` admitted arrivals) takes the
-    /// singleton path: it's a one-time warm-up with per-item geometry
-    /// transitions that isn't worth a second kernel.
-    fn insert_batch(&mut self, items: &[(I, V)]) -> usize {
-        let mut admitted = 0usize;
-        let mut i = 0;
-        while i < items.len() && self.filling {
-            let (id, v) = items[i];
-            admitted += usize::from(self.insert(id, v));
-            i += 1;
-        }
-        while i < items.len() {
-            let take = (self.g - self.steps).min(items.len() - i);
-            let start = self.s2_start + self.steps;
-            // In-bounds: the cursor stays inside the insertion zone
-            // [s2_start, s2_start + g) for every store. (Steady state
-            // always has a threshold — set by the iteration that ended
-            // the fill — and the kernel admits everything when `None`.)
-            let w = self.kernel.admit_pairs(
-                &items[i..i + take],
-                self.threshold,
-                &mut self.vals,
-                &mut self.ids,
-                start,
-                self.s2_start + self.g,
-            );
-            let kept = w - start;
-            admitted += kept;
-            self.stats.admitted += kept as u64;
-            self.stats.filtered += (take - kept) as u64;
-            self.steps += kept;
-            i += take;
-            // One budget-bounded machine step per admitted arrival, as in
-            // the singleton path; rejected arrivals fund no work there
-            // either. The machine runs on the selection zone, disjoint
-            // from the insertion zone written above, so write/step order
-            // within the chunk is immaterial.
-            let machine = self
-                .machine
-                .as_mut()
-                .expect("steady state always has a machine");
-            for _ in 0..kept {
-                if machine.step(&mut self.vals, &mut self.ids, self.budget)
-                    == MachineStatus::Finished
-                {
-                    break;
-                }
-            }
-            if self.steps == self.g {
-                self.finish_iteration();
-            }
-        }
-        admitted
-    }
-}
-
-impl<I: Copy + 'static, V: Ord + Copy + 'static> crate::checkpoint::Checkpoint<I, V>
-    for SoaDeamortizedQMax<I, V>
-{
-    /// The valid candidates and Ψ; `iterations` travels as `compactions`.
-    fn snapshot(&self) -> crate::checkpoint::BackendSnapshot<I, V> {
-        let mut entries = Vec::with_capacity(self.len());
-        self.candidates_into(&mut entries);
-        crate::checkpoint::BackendSnapshot {
-            entries,
-            threshold: self.threshold,
-            compactions: self.stats.iterations,
-            filtered: self.stats.filtered,
-            pivot_fallbacks: 0,
-        }
-    }
-
-    /// Resets, replays the entries through the batch path with Ψ
-    /// cleared, then raises Ψ to the snapshot's: query-equivalent.
-    fn restore(&mut self, snap: &crate::checkpoint::BackendSnapshot<I, V>) {
-        self.reset();
-        let items: Vec<(I, V)> = snap.entries.iter().map(|e| (e.id, e.val)).collect();
-        self.insert_batch(&items);
-        self.threshold = self.threshold.max(snap.threshold);
-        self.stats.iterations = snap.compactions;
-        self.stats.filtered = snap.filtered;
-    }
-}
-
-impl<I: Copy + 'static, V: Ord + Copy + 'static> IntervalBackend<I, V>
-    for SoaDeamortizedQMax<I, V>
-{
-    fn fresh(&self) -> Self {
-        SoaDeamortizedQMax {
-            q: self.q,
-            g: self.g,
-            n: self.n,
-            ids: Vec::new(),
-            vals: Vec::new(),
-            len: 0,
-            threshold: None,
-            filling: true,
-            s2_start: self.q + self.g,
-            steps: 0,
-            parity: Parity::InsertRight,
-            machine: None,
-            boundary: 0,
-            budget: self.budget,
-            stats: DeamortizedStats::default(),
+    fn empty_like(&self) -> Self {
+        PairedLanes {
+            vals: Vec::with_capacity(self.vals.capacity()),
+            ids: Vec::with_capacity(self.ids.capacity()),
             kernel: self.kernel,
         }
     }
 
-    fn capacity(&self) -> usize {
-        self.n
+    #[inline]
+    fn filled(&self) -> usize {
+        self.vals.len()
     }
 
-    fn candidates_into(&self, out: &mut Vec<Entry<I, V>>) {
-        // Same validity rule as `query`: skip the not-yet-overwritten
-        // tail of the insertion zone.
-        let (live, stale) = if self.filling {
-            (self.len, 0..0)
+    fn clear(&mut self) {
+        self.vals.clear();
+        self.ids.clear();
+    }
+
+    #[inline]
+    fn store(&mut self, i: usize, id: I, val: V) {
+        if i == self.vals.len() {
+            self.vals.push(val);
+            self.ids.push(id);
         } else {
-            (self.n, self.s2_start + self.steps..self.s2_start + self.g)
-        };
-        for i in 0..live {
-            if !stale.contains(&i) {
-                out.push(Entry::new(self.ids[i], self.vals[i]));
-            }
+            self.vals[i] = val;
+            self.ids[i] = id;
         }
+    }
+
+    fn entry(&self, i: usize) -> Entry<I, V> {
+        Entry::new(self.ids[i], self.vals[i])
+    }
+
+    #[inline]
+    fn admit(&mut self, items: &[(I, V)], threshold: Option<&V>, w: usize, end: usize) -> usize {
+        let kernel = self.kernel;
+        kernel.admit_pairs(
+            items,
+            threshold.copied(),
+            &mut self.vals,
+            &mut self.ids,
+            w,
+            end,
+        )
+    }
+}
+
+impl<I: Copy + 'static, V: Ord + Copy + 'static> SoaDeamortizedQMax<I, V> {
+    /// Overrides the SIMD dispatch handle (benchmarks pin the scalar
+    /// path with `Kernel::scalar()` to measure the vectorization gain).
+    pub fn set_kernel(&mut self, kernel: Kernel<V>) {
+        self.slots.kernel = kernel;
     }
 }
 

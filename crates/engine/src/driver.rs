@@ -175,8 +175,9 @@ pub struct DriverReport {
     pub elapsed: Duration,
     /// Items routed to each shard.
     pub per_shard_items: Vec<u64>,
-    /// Items each shard's backend admitted (survived both the batched
-    /// pre-filter and the backend's own threshold check).
+    /// Items each shard's backend admitted. The backend's own threshold
+    /// check is the only filter: the driver routes every item to its
+    /// shard's worker with no pre-filter.
     pub per_shard_admitted: Vec<u64>,
     /// Items each shard's worker actually processed (admitted or
     /// filtered by the backend).

@@ -144,12 +144,15 @@ impl<I: Clone, V: Ord + Clone> ShardedQMax<I, V> {
         if shards == 0 {
             return Err(QMaxError::ZeroShards);
         }
-        // Validate (q, gamma) once up front so the error surfaces
-        // before any shard is built.
-        DeamortizedQMax::<I, V>::try_new(q, gamma)?;
-        Ok(Self::with_backends(q, shards, move |_| {
-            DeamortizedQMax::new(q, gamma)
-        }))
+        // Shard 0 validates (q, gamma), so the error surfaces before
+        // any other shard is built and no backend is built to be
+        // thrown away.
+        let first = DeamortizedQMax::try_new(q, gamma)?;
+        let make_shard = move |_| DeamortizedQMax::new(q, gamma);
+        let built = std::iter::once(first)
+            .chain((1..shards).map(make_shard))
+            .collect();
+        Ok(Self::from_built(q, built, make_shard))
     }
 
     /// Per-shard de-amortized execution counters, indexed by shard.
@@ -197,7 +200,17 @@ impl<I, V, B: QMax<I, V>> ShardedQMax<I, V, B> {
     ) -> Self {
         assert!(q > 0, "q must be positive");
         assert!(shards > 0, "need at least one shard");
-        let built: Vec<B> = (0..shards).map(&mut make_shard).collect();
+        let built = (0..shards).map(&mut make_shard).collect();
+        Self::from_built(q, built, make_shard)
+    }
+
+    /// Assembles an engine from its built shards and the factory that
+    /// stamps out their replacements.
+    fn from_built<F: FnMut(usize) -> B + Send + 'static>(
+        q: usize,
+        built: Vec<B>,
+        make_shard: F,
+    ) -> Self {
         for (i, s) in built.iter().enumerate() {
             assert_eq!(
                 s.q(),

@@ -14,23 +14,22 @@
 //!   fallback): expected linear, worst-case linear.
 //! * [`mom_nth_smallest`] — pure BFPRT median-of-medians selection:
 //!   worst-case linear with a larger constant.
-//! * [`NthElementMachine`] — a suspendable selection machine. Each call to
-//!   [`NthElementMachine::step`] performs at most `budget` elementary
+//! * [`NthElementMachine`] — the suspendable selection machine. Each call
+//!   to [`NthElementMachine::step`] performs at most `budget` elementary
 //!   operations and returns whether the selection has completed. Total
 //!   work is bounded by `WORK_BOUND_FACTOR * n`, so running the machine
 //!   with a per-step budget of `WORK_BOUND_FACTOR * n / s` completes it
-//!   within `s` steps.
-//! * [`PartitionMachine`] — a suspendable three-way partition around a
-//!   fixed pivot value.
-//! * [`paired_nth_smallest`] / [`PairedNthElementMachine`] —
-//!   structure-of-arrays variants that select on a dense value lane and
-//!   mirror the permutation into a parallel id lane, so pivot scans
-//!   stream over 8-byte elements instead of 16-byte structs.
+//!   within `s` steps. It runs over any [`Lanes`] buffer: a slice of
+//!   whole elements, or [`PairedLanes`].
+//! * [`paired_nth_smallest`] / [`PairedLanes`] — structure-of-arrays
+//!   variants that select on a dense value lane and mirror the
+//!   permutation into a parallel id lane, so pivot scans stream over
+//!   8-byte elements instead of 16-byte structs.
 //! * low-level helpers: [`partition3`], [`insertion_sort`],
 //!   [`median_of_five`].
 //!
-//! All algorithms operate in place on caller-owned slices; the machines
-//! hold only indices, never borrows, so the caller may mutate *other*
+//! All algorithms operate in place on caller-owned buffers; the machine
+//! holds only indices, never borrows, so the caller may mutate *other*
 //! regions of the same buffer between steps (this is exactly how q-MAX
 //! inserts arrivals into one region while selection runs on another).
 
@@ -49,13 +48,9 @@ mod soa;
 mod topk;
 
 pub use kernels::{prefetch_read, Kernel, KernelKind, ProbeKernel, RunPred, GROUP_WIDTH};
-pub use machine::{
-    Direction, MachineStatus, NthElementMachine, PartitionMachine, WORK_BOUND_FACTOR,
-};
+pub use machine::{Direction, Lanes, MachineStatus, NthElementMachine, WORK_BOUND_FACTOR};
 pub use partition::{insertion_sort, median_of_five, partition3};
 pub use policy::{BackendChoice, PolicyMode};
 pub use quickselect::{mom_nth_smallest, nth_largest, nth_smallest};
-pub use soa::{
-    paired_insertion_sort, paired_nth_smallest, paired_partition3, PairedNthElementMachine,
-};
+pub use soa::{paired_insertion_sort, paired_nth_smallest, paired_partition3, PairedLanes};
 pub use topk::{top_k_indices, top_k_suffix};

@@ -1,20 +1,26 @@
-//! Suspendable, bounded-work selection machines.
+//! The suspendable, bounded-work selection machine.
 //!
 //! The q-MAX algorithm de-amortizes a linear-time selection by running a
-//! few of its elementary operations per stream arrival. These machines
-//! make that possible: they hold the full control state of a
-//! median-of-medians selection (or of a three-way partition) as plain
-//! data — an explicit frame stack and loop counters — so the computation
-//! can be advanced by any number of *elementary operations* (element
-//! comparisons / swaps) at a time, with the buffer borrowed only for the
-//! duration of each [`NthElementMachine::step`] call.
+//! few of its elementary operations per stream arrival. The machine makes
+//! that possible: it holds the full control state of a median-of-medians
+//! selection as plain data — an explicit frame stack and loop counters —
+//! so the computation can be advanced by any number of *elementary
+//! operations* (element comparisons / swaps) at a time, with the buffer
+//! borrowed only for the duration of each [`NthElementMachine::step`]
+//! call.
 //!
-//! Because the machines address the buffer by index range and never hold
-//! a borrow across steps, the caller is free to mutate the buffer
+//! Because the machine addresses the buffer by index range and never
+//! holds a borrow across steps, the caller is free to mutate the buffer
 //! *outside* the machine's `[lo, hi)` range between steps. q-MAX uses
 //! this to insert arriving items into one region of its array while the
 //! selection runs over the other region.
+//!
+//! The buffer is anything that implements [`Lanes`]: a plain slice of
+//! whole elements, or [`crate::PairedLanes`] — a value lane and an id lane
+//! that move together. One machine, one set of unit costs, one work bound
+//! for every layout.
 
+use crate::kernels::RunPred;
 use core::cmp::Ordering;
 
 /// Ranges of at most this many elements are solved by direct insertion
@@ -60,6 +66,65 @@ impl Direction {
     }
 }
 
+/// Index-addressed storage a [`NthElementMachine`] selects over.
+///
+/// The machine needs exactly three things from a buffer layout: the key
+/// at a slot, an exchange of two slots, and — optionally — the length of
+/// a run of keys that all fall on one side of the pivot, which a layout
+/// with a dense key lane can measure with a vector kernel. Slices (and
+/// `Vec`s) of whole elements implement it with no assist;
+/// [`crate::PairedLanes`] implements it over a value lane and an id lane.
+pub trait Lanes {
+    /// The type the selection orders by; pivots are held as clones.
+    type Key: Ord + Clone;
+
+    /// The key at slot `i`.
+    fn key(&self, i: usize) -> &Self::Key;
+
+    /// Exchanges slots `i` and `j`.
+    fn swap(&mut self, i: usize, j: usize);
+
+    /// Length of the longest run of slots `i, i+1, ..` (at most `max`)
+    /// whose keys all satisfy `pred` against `pivot`, in natural order.
+    ///
+    /// A partition step consumes such a run in one go and charges it the
+    /// same 2 operations per element as the element-by-element path, so
+    /// the assist changes neither the result nor the accounting. The
+    /// default measures nothing.
+    #[inline]
+    fn class_run(&self, _i: usize, _max: usize, _pivot: &Self::Key, _pred: RunPred) -> usize {
+        0
+    }
+}
+
+impl<T: Ord + Clone> Lanes for [T] {
+    type Key = T;
+
+    #[inline]
+    fn key(&self, i: usize) -> &T {
+        &self[i]
+    }
+
+    #[inline]
+    fn swap(&mut self, i: usize, j: usize) {
+        <[T]>::swap(self, i, j);
+    }
+}
+
+impl<T: Ord + Clone> Lanes for Vec<T> {
+    type Key = T;
+
+    #[inline]
+    fn key(&self, i: usize) -> &T {
+        &self[i]
+    }
+
+    #[inline]
+    fn swap(&mut self, i: usize, j: usize) {
+        self.as_mut_slice().swap(i, j);
+    }
+}
+
 /// Control state of one selection frame.
 #[derive(Debug)]
 enum Phase<T> {
@@ -89,14 +154,25 @@ struct Frame<T> {
     phase: Phase<T>,
 }
 
-/// A suspendable `nth_element`: rearranges `buf[lo..hi]` so that the
-/// `k`-th element in the machine's direction order ends at index
-/// `lo + k`, with all "smaller" elements before it and all "larger"
-/// after (smaller/larger meant in the direction order).
+/// Deepest frame stack a selection over `n` elements can build: every
+/// child frame selects among the group-of-5 medians of its parent.
+fn depth_bound(mut n: usize) -> usize {
+    let mut depth = 1;
+    while n > SMALL {
+        n = n.div_ceil(5);
+        depth += 1;
+    }
+    depth
+}
+
+/// A suspendable `nth_element`: rearranges slots `[lo, hi)` of a
+/// [`Lanes`] buffer so that the `k`-th key in the machine's direction
+/// order ends at index `lo + k`, with all "smaller" keys before it and
+/// all "larger" after (smaller/larger meant in the direction order).
 ///
 /// Uses median-of-medians pivots throughout, so the total work is
 /// worst-case linear: at most [`WORK_BOUND_FACTOR`]` * (hi - lo)`
-/// elementary operations regardless of input order.
+/// elementary operations regardless of input order or buffer layout.
 ///
 /// ```
 /// use qmax_select::{Direction, MachineStatus, NthElementMachine};
@@ -123,20 +199,40 @@ impl<T: Ord + Clone> NthElementMachine<T> {
     ///
     /// Panics if the range is empty or `k` is out of range.
     pub fn new(lo: usize, hi: usize, k: usize, dir: Direction) -> Self {
-        assert!(lo < hi, "empty selection range [{lo}, {hi})");
-        assert!(k < hi - lo, "selection index {k} out of range {}", hi - lo);
-        NthElementMachine {
-            frames: vec![Frame {
-                lo,
-                hi,
-                target: lo + k,
-                phase: Phase::Start,
-            }],
+        let mut machine = NthElementMachine {
+            frames: Vec::new(),
             dir,
             result: None,
             total_ops: 0,
             max_step_ops: 0,
-        }
+        };
+        machine.rearm(lo, hi, k, dir);
+        machine
+    }
+
+    /// Re-arms the machine for a new selection, exactly as
+    /// [`new`](Self::new) would build it, but keeping the frame stack's
+    /// allocation: a machine re-armed over ranges no longer than the one
+    /// it was built for never allocates again.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the range is empty or `k` is out of range.
+    pub fn rearm(&mut self, lo: usize, hi: usize, k: usize, dir: Direction) {
+        assert!(lo < hi, "empty selection range [{lo}, {hi})");
+        assert!(k < hi - lo, "selection index {k} out of range {}", hi - lo);
+        self.frames.clear();
+        self.frames.reserve(depth_bound(hi - lo));
+        self.frames.push(Frame {
+            lo,
+            hi,
+            target: lo + k,
+            phase: Phase::Start,
+        });
+        self.dir = dir;
+        self.result = None;
+        self.total_ops = 0;
+        self.max_step_ops = 0;
     }
 
     /// Whether the selection has completed.
@@ -172,7 +268,11 @@ impl<T: Ord + Clone> NthElementMachine<T> {
     ///
     /// Panics if `buf` is shorter than the machine's configured range.
     #[inline]
-    pub fn step(&mut self, buf: &mut [T], budget: usize) -> MachineStatus {
+    pub fn step<L: Lanes<Key = T> + ?Sized>(
+        &mut self,
+        buf: &mut L,
+        budget: usize,
+    ) -> MachineStatus {
         if self.result.is_some() {
             return MachineStatus::Finished;
         }
@@ -194,7 +294,7 @@ impl<T: Ord + Clone> NthElementMachine<T> {
 
     /// Runs the machine to completion and returns the index of the
     /// selected element.
-    pub fn run_to_completion(&mut self, buf: &mut [T]) -> usize {
+    pub fn run_to_completion<L: Lanes<Key = T> + ?Sized>(&mut self, buf: &mut L) -> usize {
         while self.result.is_none() {
             self.advance_unit(buf, u64::MAX / 4);
         }
@@ -203,11 +303,10 @@ impl<T: Ord + Clone> NthElementMachine<T> {
 
     /// Executes one unit of work of at most ~`max_cost` operations;
     /// returns its operation cost.
-    fn advance_unit(&mut self, buf: &mut [T], max_cost: u64) -> u64 {
+    fn advance_unit<L: Lanes<Key = T> + ?Sized>(&mut self, buf: &mut L, max_cost: u64) -> u64 {
         let dir = self.dir;
         let fidx = self.frames.len() - 1;
         let frame = &mut self.frames[fidx];
-        assert!(frame.hi <= buf.len(), "buffer shorter than machine range");
         let (lo, hi, target) = (frame.lo, frame.hi, frame.target);
         let cost: u64;
         enum Outcome {
@@ -236,7 +335,7 @@ impl<T: Ord + Clone> NthElementMachine<T> {
                 } else {
                     let mut j = *i;
                     let mut moved = 1u64;
-                    while j > lo && dir.cmp(&buf[j - 1], &buf[j]) == Ordering::Greater {
+                    while j > lo && dir.cmp(buf.key(j - 1), buf.key(j)) == Ordering::Greater {
                         buf.swap(j - 1, j);
                         j -= 1;
                         moved += 1;
@@ -264,7 +363,7 @@ impl<T: Ord + Clone> NthElementMachine<T> {
                     // median index is the same either way.
                     for a in g + 1..g + len {
                         let mut j = a;
-                        while j > g && dir.cmp(&buf[j - 1], &buf[j]) == Ordering::Greater {
+                        while j > g && dir.cmp(buf.key(j - 1), buf.key(j)) == Ordering::Greater {
                             buf.swap(j - 1, j);
                             j -= 1;
                         }
@@ -282,11 +381,37 @@ impl<T: Ord + Clone> NthElementMachine<T> {
             }
             Phase::Partition { lt, i, gt, pivot } => {
                 if *i < *gt {
-                    // Process a whole budget's worth of elements in one
-                    // tight loop — this is the machine's hot path.
+                    // The machine's hot path: a whole budget's worth of
+                    // elements in one tight loop. Where the layout offers
+                    // a run assist, a same-class run is consumed in one
+                    // call, capped by the remaining budget and charged 2
+                    // ops per element like the element-by-element path,
+                    // so state and accounting are layout-independent. The
+                    // assist is only tried where a run is likely — a
+                    // dispatched call per element would eat the win:
+                    //
+                    // * the Less-run only while `lt == i` (the unbroken
+                    //   all-Less prefix, where the Less-branch swap is a
+                    //   self-swap and a run just advances both cursors);
+                    // * the Equal-run only right after an Equal element,
+                    //   because duplicates cluster.
+                    let less = match dir {
+                        Direction::Ascending => RunPred::Lt,
+                        Direction::Descending => RunPred::Gt,
+                    };
                     let mut c = 0u64;
                     while *i < *gt && c < max_cost {
-                        match dir.cmp(&buf[*i], pivot) {
+                        let room = (((max_cost - c) / 2) as usize).min(*gt - *i);
+                        if *lt == *i && room >= 8 {
+                            let run = buf.class_run(*i, room, pivot, less);
+                            if run > 0 {
+                                *lt += run;
+                                *i += run;
+                                c += 2 * run as u64;
+                                continue;
+                            }
+                        }
+                        match dir.cmp(buf.key(*i), pivot) {
                             Ordering::Less => {
                                 buf.swap(*lt, *i);
                                 *lt += 1;
@@ -296,7 +421,18 @@ impl<T: Ord + Clone> NthElementMachine<T> {
                                 *gt -= 1;
                                 buf.swap(*i, *gt);
                             }
-                            Ordering::Equal => *i += 1,
+                            Ordering::Equal => {
+                                *i += 1;
+                                c += 2;
+                                let room =
+                                    ((max_cost.saturating_sub(c) / 2) as usize).min(*gt - *i);
+                                if room >= 8 {
+                                    let run = buf.class_run(*i, room, pivot, RunPred::Eq);
+                                    *i += run;
+                                    c += 2 * run as u64;
+                                }
+                                continue;
+                            }
                         }
                         c += 2;
                     }
@@ -343,118 +479,19 @@ impl<T: Ord + Clone> NthElementMachine<T> {
                             unreachable!("parent of a completed frame must await its pivot")
                         };
                         // The child has placed the median-of-medians at
-                        // its target index; use its value as the pivot.
+                        // its target index; use its key as the pivot.
                         let (plo, phi) = (parent.lo, parent.hi);
                         parent.phase = Phase::Partition {
                             lt: plo,
                             i: plo,
                             gt: phi,
-                            pivot: buf[t].clone(),
+                            pivot: buf.key(t).clone(),
                         };
                     }
                 }
             }
         }
         cost
-    }
-}
-
-/// A suspendable three-way partition of `buf[lo..hi]` around a fixed
-/// pivot value.
-///
-/// After completion, with `(lt, gt) = machine.result().unwrap()`:
-/// * `buf[lo..lt]` holds elements ordered strictly before the pivot,
-/// * `buf[lt..gt]` holds elements equal to the pivot,
-/// * `buf[gt..hi]` holds elements ordered strictly after the pivot,
-///
-/// all in the machine's [`Direction`] order.
-#[derive(Debug)]
-pub struct PartitionMachine<T> {
-    lo: usize,
-    hi: usize,
-    lt: usize,
-    i: usize,
-    gt: usize,
-    pivot: T,
-    dir: Direction,
-    total_ops: u64,
-}
-
-impl<T: Ord> PartitionMachine<T> {
-    /// Creates a partition machine for `buf[lo..hi]` around `pivot`.
-    pub fn new(lo: usize, hi: usize, pivot: T, dir: Direction) -> Self {
-        assert!(lo <= hi, "invalid partition range [{lo}, {hi})");
-        PartitionMachine {
-            lo,
-            hi,
-            lt: lo,
-            i: lo,
-            gt: hi,
-            pivot,
-            dir,
-            total_ops: 0,
-        }
-    }
-
-    /// The configured `[lo, hi)` range.
-    pub fn range(&self) -> (usize, usize) {
-        (self.lo, self.hi)
-    }
-
-    /// Whether the partition has completed.
-    pub fn is_finished(&self) -> bool {
-        self.i >= self.gt
-    }
-
-    /// `(lt, gt)` boundaries once finished.
-    pub fn result(&self) -> Option<(usize, usize)> {
-        if self.is_finished() {
-            Some((self.lt, self.gt))
-        } else {
-            None
-        }
-    }
-
-    /// Total elementary operations performed so far.
-    pub fn total_ops(&self) -> u64 {
-        self.total_ops
-    }
-
-    /// Processes at most `budget` elements of the partition.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `buf` is shorter than the machine's configured range.
-    pub fn step(&mut self, buf: &mut [T], budget: usize) -> MachineStatus {
-        assert!(self.hi <= buf.len(), "buffer shorter than machine range");
-        let mut rem = budget;
-        while rem > 0 && self.i < self.gt {
-            match self.dir.cmp(&buf[self.i], &self.pivot) {
-                Ordering::Less => {
-                    buf.swap(self.lt, self.i);
-                    self.lt += 1;
-                    self.i += 1;
-                }
-                Ordering::Greater => {
-                    self.gt -= 1;
-                    buf.swap(self.i, self.gt);
-                }
-                Ordering::Equal => self.i += 1,
-            }
-            self.total_ops += 2;
-            rem -= 1;
-        }
-        if self.is_finished() {
-            MachineStatus::Finished
-        } else {
-            MachineStatus::InProgress
-        }
-    }
-
-    /// Runs the machine to completion and returns the `(lt, gt)` bounds.
-    pub fn run_to_completion(&mut self, buf: &mut [T]) -> (usize, usize) {
-        while self.step(buf, usize::MAX) == MachineStatus::InProgress {}
-        self.result().expect("machine just finished")
     }
 }
 
@@ -571,36 +608,33 @@ mod tests {
     }
 
     #[test]
-    fn partition_machine_partitions() {
-        let mut state = 9u64;
-        let n = 300;
-        let mut v: Vec<u32> = (0..n).map(|_| (splitmix(&mut state) % 10) as u32).collect();
-        let mut m = PartitionMachine::new(10, 290, 5u32, Direction::Ascending);
-        while m.step(&mut v, 13) == MachineStatus::InProgress {}
-        let (lt, gt) = m.result().unwrap();
-        assert!(v[10..lt].iter().all(|&x| x < 5));
-        assert!(v[lt..gt].iter().all(|&x| x == 5));
-        assert!(v[gt..290].iter().all(|&x| x > 5));
-    }
-
-    #[test]
-    fn partition_machine_descending() {
-        let mut v: Vec<u32> = vec![1, 9, 5, 5, 3, 8, 0, 5];
-        let mut m = PartitionMachine::new(0, 8, 5u32, Direction::Descending);
-        while m.step(&mut v, 3) == MachineStatus::InProgress {}
-        let (lt, gt) = m.result().unwrap();
-        // Descending: "before pivot" means greater values.
-        assert!(v[..lt].iter().all(|&x| x > 5));
-        assert!(v[lt..gt].iter().all(|&x| x == 5));
-        assert!(v[gt..].iter().all(|&x| x < 5));
-    }
-
-    #[test]
-    fn empty_partition_range_is_finished_immediately() {
-        let mut v: Vec<u32> = vec![1, 2, 3];
-        let mut m = PartitionMachine::new(1, 1, 2u32, Direction::Ascending);
-        assert_eq!(m.step(&mut v, 10), MachineStatus::Finished);
-        assert_eq!(m.result(), Some((1, 1)));
+    fn rearmed_machine_matches_a_new_one_without_allocating() {
+        let mut state = 13u64;
+        let n = 3000;
+        let base: Vec<u32> = (0..n).map(|_| splitmix(&mut state) as u32).collect();
+        let mut m = NthElementMachine::new(0, n, 10, Direction::Ascending);
+        m.run_to_completion(&mut base.clone());
+        let reserved = m.frames.capacity();
+        assert!(reserved >= depth_bound(n));
+        for (lo, hi, k, dir) in [
+            (0, n, 2000, Direction::Descending),
+            (100, n, 7, Direction::Ascending),
+        ] {
+            let (mut a, mut b) = (base.clone(), base.clone());
+            m.rearm(lo, hi, k, dir);
+            let mut fresh = NthElementMachine::new(lo, hi, k, dir);
+            while m.step(&mut a, 37) == MachineStatus::InProgress {}
+            while fresh.step(&mut b, 37) == MachineStatus::InProgress {}
+            assert_eq!(a, b);
+            assert_eq!(m.result_index(), fresh.result_index());
+            assert_eq!(m.total_ops(), fresh.total_ops());
+            assert_eq!(m.max_step_ops(), fresh.max_step_ops());
+            assert_eq!(
+                m.frames.capacity(),
+                reserved,
+                "re-arming reallocated the frame stack"
+            );
+        }
     }
 
     #[test]

@@ -2,8 +2,8 @@
 
 use proptest::prelude::*;
 use qmax_select::{
-    insertion_sort, median_of_five, mom_nth_smallest, nth_largest, nth_smallest, partition3,
-    Direction, MachineStatus, NthElementMachine, PartitionMachine, WORK_BOUND_FACTOR,
+    insertion_sort, median_of_five, mom_nth_smallest, nth_largest, nth_smallest, Direction,
+    MachineStatus, NthElementMachine, WORK_BOUND_FACTOR,
 };
 
 proptest! {
@@ -72,30 +72,6 @@ proptest! {
         while md.step(&mut desc, 17) == MachineStatus::InProgress {}
         // k-th smallest == (n-1-k)-th largest.
         prop_assert_eq!(asc[k], desc[n - 1 - k]);
-    }
-
-    #[test]
-    fn partition_machine_equals_partition3(
-        mut v in prop::collection::vec(0u8..16, 1..600),
-        pivot in 0u8..16,
-        budget in 1usize..50,
-    ) {
-        let mut reference = v.clone();
-        let n = v.len();
-        let (rlt, rgt) = partition3(&mut reference, 0, n, &pivot);
-        let mut m = PartitionMachine::new(0, n, pivot, Direction::Ascending);
-        while m.step(&mut v, budget) == MachineStatus::InProgress {}
-        let (lt, gt) = m.result().unwrap();
-        prop_assert_eq!((lt, gt), (rlt, rgt));
-        for &x in &v[..lt] {
-            prop_assert!(x < pivot);
-        }
-        for &x in &v[lt..gt] {
-            prop_assert!(x == pivot);
-        }
-        for &x in &v[gt..] {
-            prop_assert!(x > pivot);
-        }
     }
 
     #[test]

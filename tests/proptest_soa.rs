@@ -1,9 +1,10 @@
 //! Differential property tests pinning the structure-of-arrays backends
 //! to the array-of-structs originals and to the standard library.
 //!
-//! The SoA fast path re-implements the q-MAX hot loop three times over —
-//! branchless batch admission, paired selection kernels, a paired
-//! suspendable machine — so its contract is checked the strongest way
+//! The SoA fast path differs from the AoS backends in three places —
+//! branchless batch admission, paired selection kernels, and the paired
+//! lanes the one suspendable selection machine runs over (with its
+//! vectorized run assist) — so its contract is checked the strongest way
 //! available: byte-for-byte agreement of thresholds and admission
 //! decisions with the AoS backends on every stream shape that has ever
 //! broken a selection algorithm (duplicate-heavy, all-equal, adversarial
@@ -16,9 +17,9 @@
 
 use proptest::prelude::*;
 use qmax_core::{
-    AmortizedQMax, BatchInsert, DeamortizedQMax, QMax, SoaAmortizedQMax, SoaDeamortizedQMax,
+    AmortizedQMax, BatchInsert, DeamortizedQMax, Entry, QMax, SoaAmortizedQMax, SoaDeamortizedQMax,
 };
-use qmax_select::{paired_nth_smallest, Direction, MachineStatus, PairedNthElementMachine};
+use qmax_select::{paired_nth_smallest, Direction, MachineStatus, NthElementMachine, PairedLanes};
 
 fn reference_top_q(vals: &[u64], q: usize) -> Vec<u64> {
     let mut s = vals.to_vec();
@@ -169,34 +170,64 @@ proptest! {
         }
     }
 
-    /// The paired suspendable machine computes the same order statistic
-    /// as the batch kernel for any budget, keeping the lanes paired.
+    /// The suspendable machine over paired lanes computes the same order
+    /// statistic as the batch kernel for any budget and direction,
+    /// keeping the lanes paired — and over a slice of entries built from
+    /// the same input it takes the same steps at the same costs: one
+    /// machine, whatever the layout.
     #[test]
     fn paired_machine_matches_batch_select(
         base in prop::collection::vec(any::<u32>(), 1..600),
         k_seed in any::<u64>(),
         budget in 1usize..200,
+        descending in any::<bool>(),
     ) {
         let n = base.len();
         let k = (k_seed as usize) % n;
+        let (dir, rank) = if descending {
+            (Direction::Descending, n - 1 - k)
+        } else {
+            (Direction::Ascending, k)
+        };
+        // Direction order: `before(a, b)` iff a may precede b.
+        let before = |a: u32, b: u32| if descending { a >= b } else { a <= b };
         let mut batch = base.clone();
         let mut batch_ids: Vec<u32> = (0..n as u32).collect();
-        paired_nth_smallest(&mut batch, &mut batch_ids, k);
-        let expect = batch[k];
-        let mut vals = base.clone();
-        let mut ids: Vec<u32> = (0..n as u32).collect();
-        let mut m = PairedNthElementMachine::new(0, n, k, Direction::Ascending);
-        while m.step(&mut vals, &mut ids, budget) == MachineStatus::InProgress {}
+        paired_nth_smallest(&mut batch, &mut batch_ids, rank);
+        let expect = batch[rank];
+        let mut lanes = PairedLanes::new(base.clone(), (0..n as u32).collect());
+        let mut entries: Vec<Entry<u32, u32>> = base
+            .iter()
+            .enumerate()
+            .map(|(i, &v)| Entry::new(i as u32, v))
+            .collect();
+        let mut m = NthElementMachine::new(0, n, k, dir);
+        let mut me = NthElementMachine::new(0, n, k, dir);
+        loop {
+            let status = m.step(&mut lanes, budget);
+            prop_assert_eq!(status, me.step(&mut entries, budget));
+            if status == MachineStatus::Finished {
+                break;
+            }
+        }
         prop_assert_eq!(m.result_index(), Some(k));
+        let vals = &lanes.vals;
         prop_assert_eq!(vals[k], expect);
         for &v in &vals[..k] {
-            prop_assert!(v <= vals[k]);
+            prop_assert!(before(v, vals[k]));
         }
         for &v in &vals[k + 1..] {
-            prop_assert!(v >= vals[k]);
+            prop_assert!(before(vals[k], v));
         }
-        for (i, (&v, &id)) in vals.iter().zip(&ids).enumerate() {
+        for (i, (&v, &id)) in vals.iter().zip(&lanes.ids).enumerate() {
             prop_assert_eq!(v, base[id as usize], "pair broken at index {}", i);
         }
+        prop_assert_eq!(m.total_ops(), me.total_ops());
+        prop_assert_eq!(m.max_step_ops(), me.max_step_ops());
+        prop_assert_eq!(m.result_index(), me.result_index());
+        let entry_vals: Vec<u32> = entries.iter().map(|e| e.val).collect();
+        prop_assert_eq!(&entry_vals, vals);
+        let entry_ids: Vec<u32> = entries.iter().map(|e| e.id).collect();
+        prop_assert_eq!(&entry_ids, &lanes.ids);
     }
 }
