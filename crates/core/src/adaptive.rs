@@ -1,39 +1,27 @@
 //! Per-block adaptive backend: AoS or SoA, chosen by the static
-//! [`PolicyMode`] rules.
+//! [`PolicyMode`] rules (DESIGN.md §4.6).
 //!
 //! [`AdaptiveBackend`] is an [`IntervalBackend`] that delegates every
 //! operation to either the array-of-structs [`AmortizedQMax`] (scalar
 //! admit loop, no kernel handle — the append-only fast path) or the
 //! structure-of-arrays [`SoaAmortizedQMax`] (kernel-dispatched batch
 //! admit over split lanes). The choice is made **once at construction**
-//! from four inputs:
+//! from the block's capacity `⌈q(1+γ)⌉`, an optional *lifetime fill*
+//! hint (how many items the block sees before it is recycled: the basic
+//! slack window passes its per-block fill, merge-fed structures pass
+//! `None`), the value-lane type (non-`u64` lanes go to AoS under `auto`),
+//! and the process-wide mode ([`PolicyMode::global`], overridable via
+//! `QMAX_BACKEND_POLICY=auto|force-aos|force-soa`).
 //!
-//! * the block's capacity `⌈q(1+γ)⌉` and an optional *lifetime fill*
-//!   hint — how many items the block is expected to see before it is
-//!   recycled. The basic slack window passes its per-block fill
-//!   (`W·τ`-shaped), which is the true discriminator: block capacity
-//!   is the same at every τ, but the items a block sees over its life
-//!   shrink linearly with it, and a block whose lifetime fill stays
-//!   below capacity never compacts at all — the append-only regime
-//!   where AoS wins. Merge-fed structures (hierarchical/lazy rings)
-//!   pass `None`: their blocks absorb batches from every block below,
-//!   so they live in the compaction-heavy regime where SoA wins;
-//! * the value-lane type: under `auto`, non-`u64` lanes (e.g.
-//!   [`OrderedF64`](crate::OrderedF64) decay scores) route straight to
-//!   AoS — the SIMD tiers cannot engage there, so the SoA layout's
-//!   per-chunk overhead buys nothing;
-//! * the process-wide mode ([`PolicyMode::global`]), overridable via
-//!   the `QMAX_BACKEND_POLICY` environment variable (`auto` /
-//!   `force-aos` / `force-soa`, composing with `QMAX_FORCE_SCALAR`).
-//!
-//! Because the two delegates are behavioral twins (same admissions,
-//! same Ψ trajectory, same top-q value multiset; ids tie-break
-//! arbitrarily), the choice is observable only through
-//! [`QMax::backend_label`] and performance — never through query
-//! results. The differential property suite in
-//! `tests/proptest_adaptive.rs` pins this down.
+//! Both delegates are the one amortized algorithm
+//! ([`Amortized`](crate::Amortized)) over different slot layouts: same
+//! admissions, same Ψ trajectory, same top-q value multiset (ids
+//! tie-break arbitrarily). The choice is therefore observable only
+//! through [`QMax::backend_label`] and performance — never through query
+//! results. `tests/proptest_adaptive.rs` pins this down.
 
-use crate::amortized::AmortizedQMax;
+use crate::amortized::{amortized_capacity, AmortizedQMax};
+use crate::checkpoint::{BackendSnapshot, Checkpoint};
 use crate::entry::Entry;
 use crate::soa::SoaAmortizedQMax;
 use crate::traits::{BatchInsert, IntervalBackend, QMax};
@@ -52,14 +40,24 @@ use qmax_select::{BackendChoice, PolicyMode};
 /// assert_eq!(top, vec![98, 99]);
 /// ```
 #[derive(Debug, Clone)]
-pub struct AdaptiveBackend<I, V> {
+pub struct AdaptiveBackend<I: Copy + 'static, V: Ord + Copy + 'static> {
     inner: Inner<I, V>,
 }
 
 #[derive(Debug, Clone)]
-enum Inner<I, V> {
+enum Inner<I: Copy + 'static, V: Ord + Copy + 'static> {
     Aos(AmortizedQMax<I, V>),
     Soa(SoaAmortizedQMax<I, V>),
+}
+
+/// Evaluates `$body` with `$b` bound to the chosen layout's backend.
+macro_rules! delegate {
+    ($inner:expr, $b:ident => $body:expr) => {
+        match $inner {
+            Inner::Aos($b) => $body,
+            Inner::Soa($b) => $body,
+        }
+    };
 }
 
 impl<I: Copy + 'static, V: Ord + Copy + 'static> AdaptiveBackend<I, V> {
@@ -107,9 +105,7 @@ impl<I: Copy + 'static, V: Ord + Copy + 'static> AdaptiveBackend<I, V> {
         mode: PolicyMode,
     ) -> Result<Self, crate::QMaxError> {
         crate::error::check_q_gamma::<Entry<I, V>>(q, gamma)?;
-        let cap = (((q as f64) * (1.0 + gamma)).ceil() as usize).max(q + 1);
-        let choice = mode.choose::<V>(cap, expected_fill);
-        let inner = match choice {
+        let inner = match mode.choose::<V>(amortized_capacity(q, gamma), expected_fill) {
             BackendChoice::Aos => Inner::Aos(AmortizedQMax::try_new(q, gamma)?),
             BackendChoice::Soa => Inner::Soa(SoaAmortizedQMax::try_new(q, gamma)?),
         };
@@ -126,82 +122,52 @@ impl<I: Copy + 'static, V: Ord + Copy + 'static> AdaptiveBackend<I, V> {
 
     /// Total buffer capacity `⌈q(1+γ)⌉` (same geometry either way).
     pub fn capacity(&self) -> usize {
-        match &self.inner {
-            Inner::Aos(b) => b.capacity(),
-            Inner::Soa(b) => b.capacity(),
-        }
+        delegate!(&self.inner, b => b.capacity())
     }
 
     /// Number of compactions (threshold recomputations) performed.
     pub fn compactions(&self) -> u64 {
-        match &self.inner {
-            Inner::Aos(b) => b.compactions(),
-            Inner::Soa(b) => b.compactions(),
-        }
+        delegate!(&self.inner, b => b.compactions())
     }
 
     /// Number of arrivals dropped by the admission filter.
     pub fn filtered(&self) -> u64 {
-        match &self.inner {
-            Inner::Aos(b) => b.filtered(),
-            Inner::Soa(b) => b.filtered(),
-        }
+        delegate!(&self.inner, b => b.filtered())
     }
 
     /// Compactions whose sampled pivot fell outside the tolerance band
     /// (exact either way; tracks sample quality).
     pub fn pivot_fallbacks(&self) -> u64 {
-        match &self.inner {
-            Inner::Aos(b) => b.pivot_fallbacks(),
-            Inner::Soa(b) => b.pivot_fallbacks(),
-        }
+        delegate!(&self.inner, b => b.pivot_fallbacks())
     }
 }
 
 impl<I: Copy + 'static, V: Ord + Copy + 'static> QMax<I, V> for AdaptiveBackend<I, V> {
     #[inline]
     fn insert(&mut self, id: I, val: V) -> bool {
-        match &mut self.inner {
-            Inner::Aos(b) => b.insert(id, val),
-            Inner::Soa(b) => b.insert(id, val),
-        }
+        delegate!(&mut self.inner, b => b.insert(id, val))
     }
 
     fn query(&mut self) -> Vec<(I, V)> {
-        match &mut self.inner {
-            Inner::Aos(b) => b.query(),
-            Inner::Soa(b) => b.query(),
-        }
+        delegate!(&mut self.inner, b => b.query())
     }
 
     fn reset(&mut self) {
-        match &mut self.inner {
-            Inner::Aos(b) => b.reset(),
-            Inner::Soa(b) => b.reset(),
-        }
+        delegate!(&mut self.inner, b => b.reset())
     }
 
     fn q(&self) -> usize {
-        match &self.inner {
-            Inner::Aos(b) => QMax::q(b),
-            Inner::Soa(b) => QMax::q(b),
-        }
+        delegate!(&self.inner, b => QMax::q(b))
     }
 
     #[inline]
     fn len(&self) -> usize {
-        match &self.inner {
-            Inner::Aos(b) => QMax::len(b),
-            Inner::Soa(b) => QMax::len(b),
-        }
+        delegate!(&self.inner, b => QMax::len(b))
     }
 
     #[inline]
     fn threshold(&self) -> Option<V> {
-        match &self.inner {
-            Inner::Aos(b) => b.threshold(),
-            Inner::Soa(b) => b.threshold(),
-        }
+        delegate!(&self.inner, b => b.threshold())
     }
 
     fn name(&self) -> &'static str {
@@ -219,31 +185,20 @@ impl<I: Copy + 'static, V: Ord + Copy + 'static> QMax<I, V> for AdaptiveBackend<
 impl<I: Copy + 'static, V: Ord + Copy + 'static> BatchInsert<I, V> for AdaptiveBackend<I, V> {
     #[inline]
     fn insert_batch(&mut self, items: &[(I, V)]) -> usize {
-        match &mut self.inner {
-            Inner::Aos(b) => b.insert_batch(items),
-            Inner::Soa(b) => b.insert_batch(items),
-        }
+        delegate!(&mut self.inner, b => b.insert_batch(items))
     }
 }
 
-impl<I: Copy + 'static, V: Ord + Copy + 'static> crate::checkpoint::Checkpoint<I, V>
-    for AdaptiveBackend<I, V>
-{
+impl<I: Copy + 'static, V: Ord + Copy + 'static> Checkpoint<I, V> for AdaptiveBackend<I, V> {
     /// Delegates to the chosen layout; the snapshot format is layout-
     /// independent, so a snapshot taken from an AoS block restores into
     /// a SoA block of the same geometry and vice versa.
-    fn snapshot(&self) -> crate::checkpoint::BackendSnapshot<I, V> {
-        match &self.inner {
-            Inner::Aos(b) => b.snapshot(),
-            Inner::Soa(b) => b.snapshot(),
-        }
+    fn snapshot(&self) -> BackendSnapshot<I, V> {
+        delegate!(&self.inner, b => b.snapshot())
     }
 
-    fn restore(&mut self, snap: &crate::checkpoint::BackendSnapshot<I, V>) {
-        match &mut self.inner {
-            Inner::Aos(b) => b.restore(snap),
-            Inner::Soa(b) => b.restore(snap),
-        }
+    fn restore(&mut self, snap: &BackendSnapshot<I, V>) {
+        delegate!(&mut self.inner, b => b.restore(snap))
     }
 }
 
@@ -254,31 +209,22 @@ impl<I: Copy + 'static, V: Ord + Copy + 'static> IntervalBackend<I, V> for Adapt
     fn fresh(&self) -> Self {
         AdaptiveBackend {
             inner: match &self.inner {
-                Inner::Aos(b) => Inner::Aos(IntervalBackend::fresh(b)),
-                Inner::Soa(b) => Inner::Soa(IntervalBackend::fresh(b)),
+                Inner::Aos(b) => Inner::Aos(b.fresh()),
+                Inner::Soa(b) => Inner::Soa(b.fresh()),
             },
         }
     }
 
     fn capacity(&self) -> usize {
-        match &self.inner {
-            Inner::Aos(b) => IntervalBackend::capacity(b),
-            Inner::Soa(b) => IntervalBackend::capacity(b),
-        }
+        delegate!(&self.inner, b => b.capacity())
     }
 
     fn candidates_into(&self, out: &mut Vec<Entry<I, V>>) {
-        match &self.inner {
-            Inner::Aos(b) => b.candidates_into(out),
-            Inner::Soa(b) => b.candidates_into(out),
-        }
+        delegate!(&self.inner, b => b.candidates_into(out))
     }
 
     fn top_q_into(&self, out: &mut Vec<Entry<I, V>>) {
-        match &self.inner {
-            Inner::Aos(b) => b.top_q_into(out),
-            Inner::Soa(b) => b.top_q_into(out),
-        }
+        delegate!(&self.inner, b => b.top_q_into(out))
     }
 }
 

@@ -1,18 +1,69 @@
-//! Amortized-constant-time q-MAX (Algorithm 1 with lazy compaction).
+//! Amortized-constant-time q-MAX (Algorithm 1 with lazy compaction),
+//! written once for every buffer layout.
+//!
+//! [`Amortized`] owns the whole algorithm: the geometry, the Ψ filter,
+//! the chunked batch loop, the lazy storage growth, the sampled-pivot
+//! choice, queries and checkpointing. A [`Slots`] layout stores the
+//! slots, admits a batch and carries out a compaction. Two layouts ship:
+//! [`AmortizedQMax`] (`Vec<Entry<I, V>>`, compacting in place) and
+//! [`SoaAmortizedQMax`](crate::SoaAmortizedQMax)
+//! ([`qmax_select::PairedLanes`], with the vectorized admit and
+//! partition kernels).
 
+use crate::checkpoint::{BackendSnapshot, Checkpoint};
 use crate::entry::Entry;
+use crate::slots::Slots;
 use crate::traits::{BatchInsert, IntervalBackend, QMax};
-use qmax_select::kernels::{pivot_band, sample_positions, PIVOT_SEED, SAMPLED_COMPACT_MIN};
-use qmax_select::{nth_smallest, partition3};
+use core::marker::PhantomData;
+use qmax_select::kernels::{sample_rank, PIVOT_SEED, SAMPLED_COMPACT_MIN};
 
-/// q-MAX with **amortized** `O(1)` update time and `⌈q(1+γ)⌉` space.
+/// Buffer size `⌈q(1+γ)⌉`, at least `q + 1`, of the amortized q-MAX and
+/// of every structure sized like it.
+pub(crate) fn amortized_capacity(q: usize, gamma: f64) -> usize {
+    (((q as f64) * (1.0 + gamma)).ceil() as usize).max(q + 1)
+}
+
+/// q-MAX with **amortized** `O(1)` update time and `⌈q(1+γ)⌉` space,
+/// over the slot layout `S`.
 ///
 /// Arrivals whose value is at most the admission threshold Ψ are dropped
 /// outright; the rest are appended to a buffer of `⌈q(1+γ)⌉` slots. When
 /// the buffer fills, a linear-time selection finds the q-th largest
 /// value, which becomes the new Ψ, and everything below it is discarded.
 /// Each `O(q)` compaction pays for the `⌈qγ⌉` appends since the last
-/// one, so updates cost `O(1 + 1/γ)` amortized.
+/// one, so updates cost `O(1 + 1/γ)` amortized. Buffers of at least
+/// [`SAMPLED_COMPACT_MIN`] slots seed the selection with a pivot drawn
+/// from a deterministic `O(√n)` sample; Ψ and the survivors are exact
+/// either way.
+///
+/// The slot storage is allocated lazily: it grows geometrically to the
+/// high-water mark of the arrivals, capped at the capacity, so
+/// construction allocates nothing and a block that never fills never
+/// pays for its full capacity.
+#[derive(Debug, Clone)]
+pub struct Amortized<I, V, S: Slots<I, V>> {
+    q: usize,
+    cap: usize,
+    pub(crate) slots: S,
+    /// Live prefix of the slots; the slots beyond it are growth room or
+    /// residue of rejected and discarded items.
+    len: usize,
+    threshold: Option<V>,
+    compactions: u64,
+    filtered: u64,
+    /// Compactions whose sampled pivot landed outside the tolerance
+    /// band ([`qmax_select::kernels::pivot_band`]); the result is exact
+    /// either way, the counter tracks sample quality.
+    pivot_fallbacks: u64,
+    /// Reusable pivot sample.
+    sample: Vec<S::Key>,
+    /// The layout's compaction scratch, kept between compactions.
+    scratch: S::Scratch,
+    _ids: PhantomData<fn() -> I>,
+}
+
+/// q-MAX with amortized `O(1)` updates over a buffer of [`Entry`]
+/// structs: [`Amortized`] with the array-of-structs layout.
 ///
 /// This is the variant the paper benchmarks (its evaluation section);
 /// see [`crate::DeamortizedQMax`] for the worst-case-constant variant.
@@ -27,55 +78,44 @@ use qmax_select::{nth_smallest, partition3};
 /// top.sort();
 /// assert_eq!(top, vec![98, 99]);
 /// ```
-#[derive(Debug, Clone)]
-pub struct AmortizedQMax<I, V> {
-    q: usize,
-    cap: usize,
-    buf: Vec<Entry<I, V>>,
-    threshold: Option<V>,
-    compactions: u64,
-    filtered: u64,
-    /// Reusable buffers for the sampled-pivot compaction: drawn
-    /// positions, and `(value, index)` samples (the index recovers the
-    /// pivot entry without a `Copy` bound on `V`).
-    sample_pos: Vec<usize>,
-    sample: Vec<(V, usize)>,
-    /// Compactions whose sampled pivot landed outside the tolerance
-    /// band ([`qmax_select::kernels::pivot_band`]); the result is exact
-    /// either way, the counter tracks sample quality.
-    pivot_fallbacks: u64,
-}
+pub type AmortizedQMax<I, V> = Amortized<I, V, Vec<Entry<I, V>>>;
 
-impl<I: Clone, V: Ord + Clone> AmortizedQMax<I, V> {
+impl<I: Clone, V: Ord + Clone, S: Slots<I, V>> Amortized<I, V, S> {
     /// Creates a q-MAX for the `q` largest items with space-slack
-    /// parameter `gamma` (the paper's γ): the structure allocates
-    /// `⌈q(1+γ)⌉` slots (at least `q + 1`).
+    /// parameter `gamma` (the paper's γ): `⌈q(1+γ)⌉` slots (at least
+    /// `q + 1`), allocated as arrivals need them.
     ///
     /// # Panics
     ///
     /// Panics if `q == 0` or `gamma` is not a positive finite number.
-    /// Use [`AmortizedQMax::try_new`] at fallible API boundaries.
+    /// Use [`Amortized::try_new`] at fallible API boundaries.
     pub fn new(q: usize, gamma: f64) -> Self {
         Self::try_new(q, gamma).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Fallible [`AmortizedQMax::new`]: rejects `q == 0` and
-    /// non-positive / non-finite `gamma` instead of panicking.
+    /// Fallible [`Amortized::new`]: rejects `q == 0` and non-positive /
+    /// non-finite `gamma` (or one whose geometry overflows) instead of
+    /// panicking.
     pub fn try_new(q: usize, gamma: f64) -> Result<Self, crate::QMaxError> {
         crate::error::check_q_gamma::<Entry<I, V>>(q, gamma)?;
-        let cap = ((q as f64) * (1.0 + gamma)).ceil() as usize;
-        let cap = cap.max(q + 1);
-        Ok(AmortizedQMax {
+        let cap = amortized_capacity(q, gamma);
+        Ok(Self::with_slots(q, cap, S::with_capacity(0)))
+    }
+
+    fn with_slots(q: usize, cap: usize, slots: S) -> Self {
+        Amortized {
             q,
             cap,
-            buf: Vec::with_capacity(cap),
+            slots,
+            len: 0,
             threshold: None,
             compactions: 0,
             filtered: 0,
-            sample_pos: Vec::new(),
-            sample: Vec::new(),
             pivot_fallbacks: 0,
-        })
+            sample: Vec::new(),
+            scratch: S::Scratch::default(),
+            _ids: PhantomData,
+        }
     }
 
     /// Total buffer capacity `⌈q(1+γ)⌉`.
@@ -100,110 +140,73 @@ impl<I: Clone, V: Ord + Clone> AmortizedQMax<I, V> {
         self.pivot_fallbacks
     }
 
-    /// Iterates over the current candidate set (a superset of the top
-    /// `q`, in unspecified order).
-    pub fn candidates(&self) -> impl Iterator<Item = (&I, &V)> {
-        self.buf.iter().map(|e| (&e.id, &e.val))
-    }
-
-    /// Merges another instance's candidates into this one — the MERGE
-    /// procedure of the paper's Algorithm 3: after merging, this
-    /// instance's top `q` equal the top `q` of the union of both input
-    /// streams (assuming the inputs are disjoint streams).
-    pub fn merge_from(&mut self, other: &Self) {
-        for (id, val) in other.candidates() {
-            self.insert(id.clone(), val.clone());
+    /// Makes at least `need` slots writable. Storage grows geometrically
+    /// but never past `max(need, cap)`: a block in a many-block window
+    /// that sees far fewer than `cap` items per epoch pays only for the
+    /// slots it fills.
+    #[inline]
+    fn reserve(&mut self, need: usize, id: &I, val: &V) {
+        let have = self.slots.filled();
+        if have < need {
+            self.slots
+                .resize(need.max((have * 2).min(self.cap)), id, val);
         }
     }
 
-    /// Compacts the buffer: finds the q-th largest value, makes it the
-    /// new threshold, and discards all candidates below it. Large
-    /// buffers seed the selection with a sampled pivot; the resulting Ψ
-    /// and survivor multiset are identical either way.
+    /// Keeps the `q` largest candidates, raises Ψ to the q-th largest,
+    /// and counts the compaction. Large buffers pass the layout a pivot
+    /// estimated from a sample seeded by the compaction counter, so
+    /// replays are exact.
     fn compact(&mut self) {
-        debug_assert!(self.buf.len() > self.q);
-        let cut = self.buf.len() - self.q;
-        if self.buf.len() >= SAMPLED_COMPACT_MIN {
-            self.arrange_cut_sampled(cut);
-        } else {
-            nth_smallest(&mut self.buf, cut);
-        }
-        // buf[cut..] now holds the q largest; buf[cut] is the q-th
-        // largest overall and becomes the new admission threshold.
-        let psi = self.buf[cut].val.clone();
-        self.buf.drain(..cut);
-        self.threshold = Some(match self.threshold.take() {
-            Some(old) if old > psi => old,
-            _ => psi,
+        debug_assert!(self.len > self.q);
+        let n = self.len;
+        let pivot = (n >= SAMPLED_COMPACT_MIN).then(|| {
+            let seed = PIVOT_SEED ^ self.compactions;
+            sample_rank(self.slots.view(), n, n - self.q, seed, &mut self.sample)
         });
+        let (psi, fallback) = self
+            .slots
+            .keep_top(n, self.q, pivot.as_ref(), &mut self.scratch);
+        self.len = self.q;
+        self.pivot_fallbacks += u64::from(fallback);
+        if self.threshold.as_ref().is_none_or(|t| psi > *t) {
+            self.threshold = Some(psi);
+        }
         self.compactions += 1;
-    }
-
-    /// Establishes the [`nth_smallest`] postcondition at rank `cut` by
-    /// first partitioning around a pivot estimated from a deterministic
-    /// `O(√n)` sample (seeded by the compaction counter, so replays are
-    /// exact), then exact-selecting only within the region the true cut
-    /// landed in.
-    fn arrange_cut_sampled(&mut self, cut: usize) {
-        let n = self.buf.len();
-        sample_positions(n, PIVOT_SEED ^ self.compactions, &mut self.sample_pos);
-        let m = self.sample_pos.len();
-        self.sample.clear();
-        for &p in &self.sample_pos {
-            self.sample.push((self.buf[p].val.clone(), p));
-        }
-        let srank = ((cut as u128 * m as u128) / (n as u128)) as usize;
-        let srank = srank.min(m - 1);
-        nth_smallest(&mut self.sample, srank);
-        let pivot = self.buf[self.sample[srank].1].clone();
-        let (lt, gt) = partition3(&mut self.buf, 0, n, &pivot);
-        let band = pivot_band(n);
-        if cut < lt {
-            // Pivot landed high: the cut is inside the `<` region.
-            if lt - cut > band {
-                self.pivot_fallbacks += 1;
-            }
-            nth_smallest(&mut self.buf[..lt], cut);
-        } else if cut >= gt {
-            // Pivot landed low: the cut is inside the `>` region.
-            if cut - gt > band {
-                self.pivot_fallbacks += 1;
-            }
-            nth_smallest(&mut self.buf[gt..], cut - gt);
-        }
-        // Otherwise the cut fell in the `==` run and the postcondition
-        // already holds: buf[..cut] <= buf[cut] == pivot <= buf[cut..].
     }
 }
 
-impl<I: Clone, V: Ord + Clone> QMax<I, V> for AmortizedQMax<I, V> {
+impl<I: Clone, V: Ord + Clone, S: Slots<I, V>> QMax<I, V> for Amortized<I, V, S> {
     #[inline]
     fn insert(&mut self, id: I, val: V) -> bool {
-        if let Some(t) = &self.threshold {
-            if val <= *t {
-                self.filtered += 1;
-                return false;
-            }
+        if self.threshold.as_ref().is_some_and(|t| val <= *t) {
+            self.filtered += 1;
+            return false;
         }
-        self.buf.push(Entry::new(id, val));
-        if self.buf.len() == self.cap {
+        self.reserve(self.len + 1, &id, &val);
+        self.slots.store(self.len, id, val);
+        self.len += 1;
+        if self.len == self.cap {
             self.compact();
         }
         true
     }
 
     fn query(&mut self) -> Vec<(I, V)> {
-        if self.buf.len() > self.q {
+        if self.len > self.q {
             self.compact();
         }
-        self.buf
-            .iter()
-            .map(|e| (e.id.clone(), e.val.clone()))
+        (0..self.len)
+            .map(|i| {
+                let e = self.slots.entry(i);
+                (e.id, e.val)
+            })
             .collect()
     }
 
     fn reset(&mut self) {
-        self.buf.clear();
+        // Keep the storage; only the live prefix matters.
+        self.len = 0;
         self.threshold = None;
     }
 
@@ -213,7 +216,7 @@ impl<I: Clone, V: Ord + Clone> QMax<I, V> for AmortizedQMax<I, V> {
 
     #[inline]
     fn len(&self) -> usize {
-        self.buf.len()
+        self.len
     }
 
     #[inline]
@@ -222,45 +225,38 @@ impl<I: Clone, V: Ord + Clone> QMax<I, V> for AmortizedQMax<I, V> {
     }
 
     fn name(&self) -> &'static str {
-        "qmax-amortized"
+        S::AMORTIZED_NAME
     }
 }
 
-impl<I: Clone, V: Ord + Clone> BatchInsert<I, V> for AmortizedQMax<I, V> {
-    /// Chunked hoisted-Ψ admit loop — the array-of-structs small-block
-    /// fast path (no kernel handle anywhere). Ψ can only change at a
-    /// compaction, and compactions coincide with chunk boundaries
-    /// (chunks are sized to the remaining buffer room), so reading Ψ
-    /// once per chunk is exact, not an approximation: admissions,
-    /// filtered counts, and Ψ trajectory are identical to the
-    /// singleton loop.
+impl<I: Clone, V: Ord + Clone, S: Slots<I, V>> BatchInsert<I, V> for Amortized<I, V, S> {
+    /// Chunked hoisted-Ψ admit loop: the batch is processed in chunks
+    /// sized to the remaining buffer room, each streamed through the
+    /// layout's batch admit (the vectorized kernel for
+    /// [`qmax_select::PairedLanes`]). Ψ can only change at a compaction,
+    /// and compactions coincide with chunk boundaries, so reading Ψ once
+    /// per chunk is exact: admissions, filtered counts and the Ψ
+    /// trajectory are those of the singleton loop.
     fn insert_batch(&mut self, items: &[(I, V)]) -> usize {
+        let Some((id0, val0)) = items.first() else {
+            return 0;
+        };
         let mut admitted = 0usize;
         let mut i = 0;
         while i < items.len() {
-            let take = (self.cap - self.buf.len()).min(items.len() - i);
-            let before = self.buf.len();
-            match &self.threshold {
-                Some(t) => {
-                    for (id, val) in &items[i..i + take] {
-                        if *val > *t {
-                            self.buf.push(Entry::new(id.clone(), val.clone()));
-                        } else {
-                            self.filtered += 1;
-                        }
-                    }
-                }
-                None => {
-                    self.buf.extend(
-                        items[i..i + take]
-                            .iter()
-                            .map(|(id, val)| Entry::new(id.clone(), val.clone())),
-                    );
-                }
-            }
-            admitted += self.buf.len() - before;
+            let take = (self.cap - self.len).min(items.len() - i);
+            // Storage grows only to the chunk's high-water mark.
+            let end = self.len + take;
+            self.reserve(end, id0, val0);
+            let w = self
+                .slots
+                .admit(&items[i..i + take], self.threshold.as_ref(), self.len, end);
+            let kept = w - self.len;
+            admitted += kept;
+            self.filtered += (take - kept) as u64;
+            self.len = w;
             i += take;
-            if self.buf.len() == self.cap {
+            if self.len == self.cap {
                 self.compact();
             }
         }
@@ -268,12 +264,14 @@ impl<I: Clone, V: Ord + Clone> BatchInsert<I, V> for AmortizedQMax<I, V> {
     }
 }
 
-impl<I: Clone, V: Ord + Clone> crate::checkpoint::Checkpoint<I, V> for AmortizedQMax<I, V> {
-    /// A straight copy of the candidate buffer plus Ψ and counters —
-    /// the cheap-memcpy checkpoint the amortized layout was chosen for.
-    fn snapshot(&self) -> crate::checkpoint::BackendSnapshot<I, V> {
-        crate::checkpoint::BackendSnapshot {
-            entries: self.buf.clone(),
+impl<I: Clone, V: Ord + Clone, S: Slots<I, V>> Checkpoint<I, V> for Amortized<I, V, S> {
+    /// A straight copy of the live candidates plus Ψ and counters; the
+    /// scratch and the sample are execution machinery, not state.
+    fn snapshot(&self) -> BackendSnapshot<I, V> {
+        let mut entries = Vec::with_capacity(self.len);
+        self.candidates_into(&mut entries);
+        BackendSnapshot {
+            entries,
             threshold: self.threshold.clone(),
             compactions: self.compactions,
             filtered: self.filtered,
@@ -281,35 +279,32 @@ impl<I: Clone, V: Ord + Clone> crate::checkpoint::Checkpoint<I, V> for Amortized
         }
     }
 
-    /// Overwrites buffer, Ψ, and counters with the snapshot's. A
-    /// snapshot is always taken between inserts, so its candidate count
-    /// is below `cap` and no compaction is needed on the way in.
-    fn restore(&mut self, snap: &crate::checkpoint::BackendSnapshot<I, V>) {
-        self.buf.clear();
-        self.buf.extend(snap.entries.iter().cloned());
+    /// Overwrites the candidates, in order, Ψ and the counters, so the
+    /// restored copy behaves step for step like the original. Snapshots
+    /// hold fewer than `cap` candidates; a larger set is compacted.
+    fn restore(&mut self, snap: &BackendSnapshot<I, V>) {
+        if let Some(e) = snap.entries.first() {
+            self.reserve(snap.entries.len(), &e.id, &e.val);
+        }
+        for (i, e) in snap.entries.iter().enumerate() {
+            self.slots.store(i, e.id.clone(), e.val.clone());
+        }
+        self.len = snap.entries.len();
         self.threshold = snap.threshold.clone();
         self.compactions = snap.compactions;
         self.filtered = snap.filtered;
         self.pivot_fallbacks = snap.pivot_fallbacks;
-        if self.buf.len() >= self.cap {
+        if self.len >= self.cap {
             self.compact();
         }
     }
 }
 
-impl<I: Clone, V: Ord + Clone> IntervalBackend<I, V> for AmortizedQMax<I, V> {
+impl<I: Clone, V: Ord + Clone, S: Slots<I, V>> IntervalBackend<I, V> for Amortized<I, V, S> {
+    /// An empty block with this one's geometry and layout settings and
+    /// no storage yet.
     fn fresh(&self) -> Self {
-        AmortizedQMax {
-            q: self.q,
-            cap: self.cap,
-            buf: Vec::with_capacity(self.cap),
-            threshold: None,
-            compactions: 0,
-            filtered: 0,
-            sample_pos: Vec::new(),
-            sample: Vec::new(),
-            pivot_fallbacks: 0,
-        }
+        Self::with_slots(self.q, self.cap, self.slots.empty_like(0))
     }
 
     fn capacity(&self) -> usize {
@@ -317,7 +312,7 @@ impl<I: Clone, V: Ord + Clone> IntervalBackend<I, V> for AmortizedQMax<I, V> {
     }
 
     fn candidates_into(&self, out: &mut Vec<Entry<I, V>>) {
-        out.extend(self.buf.iter().cloned());
+        out.extend((0..self.len).map(|i| self.slots.entry(i)));
     }
 }
 
@@ -437,31 +432,6 @@ mod tests {
         let mut got: Vec<u64> = qm.query().into_iter().map(|(_, v)| v).collect();
         got.sort_unstable();
         assert_eq!(got, vec![99_995, 99_996, 99_997, 99_998, 99_999]);
-    }
-
-    #[test]
-    fn merge_equals_union_top_q() {
-        let mut state = 19u64;
-        let mut next = move || splitmix(&mut state) % 1_000_000;
-        let q = 32;
-        let left: Vec<u64> = (0..4000).map(|_| next()).collect();
-        let right: Vec<u64> = (0..4000).map(|_| next()).collect();
-        let mut a = AmortizedQMax::new(q, 0.5);
-        let mut b = AmortizedQMax::new(q, 0.5);
-        for (i, &v) in left.iter().enumerate() {
-            a.insert(i as u32, v);
-        }
-        for (i, &v) in right.iter().enumerate() {
-            b.insert((4000 + i) as u32, v);
-        }
-        a.merge_from(&b);
-        let mut got: Vec<u64> = a.query().into_iter().map(|(_, v)| v).collect();
-        got.sort_unstable();
-        let mut union: Vec<u64> = left.iter().chain(&right).copied().collect();
-        union.sort_unstable_by(|x, y| y.cmp(x));
-        union.truncate(q);
-        union.sort_unstable();
-        assert_eq!(got, union);
     }
 
     #[test]

@@ -13,12 +13,11 @@
 
 use crate::checkpoint::{BackendSnapshot, Checkpoint};
 use crate::entry::Entry;
+use crate::slots::Slots;
 use crate::traits::{BatchInsert, IntervalBackend, QMax};
 use core::marker::PhantomData;
 use core::ops::Range;
-use qmax_select::{
-    nth_smallest, Direction, Lanes, MachineStatus, NthElementMachine, WORK_BOUND_FACTOR,
-};
+use qmax_select::{Direction, MachineStatus, NthElementMachine, WORK_BOUND_FACTOR};
 
 /// Counters describing the de-amortized execution; used by the ablation
 /// benchmarks and by tests asserting the worst-case bound.
@@ -57,51 +56,6 @@ enum Parity {
     InsertLeft,
 }
 
-/// Slot storage of a [`Deamortized`] q-MAX: the only part of the
-/// algorithm that depends on the buffer layout.
-///
-/// Implemented by `Vec<Entry<I, V>>` ([`DeamortizedQMax`]), which the
-/// machine sees as a plain slice, and by [`qmax_select::PairedLanes`]
-/// ([`SoaDeamortizedQMax`](crate::SoaDeamortizedQMax)), whose batch
-/// admit is the vectorized Ψ-filter.
-pub trait Slots<I, V> {
-    /// The type the selection machine orders slots by.
-    type Key: Ord + Clone;
-
-    /// The buffer the selection machine runs over.
-    type View: Lanes<Key = Self::Key> + ?Sized;
-
-    /// [`QMax::name`] of the backend over this layout.
-    const NAME: &'static str;
-
-    /// The slots as the selection machine's buffer.
-    fn view(&mut self) -> &mut Self::View;
-
-    /// Empty storage with room for `n` slots.
-    fn with_capacity(n: usize) -> Self;
-
-    /// Empty storage with this one's room and settings.
-    fn empty_like(&self) -> Self;
-
-    /// Number of slots written so far.
-    fn filled(&self) -> usize;
-
-    /// Drops every slot, keeping the allocation.
-    fn clear(&mut self);
-
-    /// Writes slot `i`; `i == filled()` appends.
-    fn store(&mut self, i: usize, id: I, val: V);
-
-    /// The item in slot `i`.
-    fn entry(&self, i: usize) -> Entry<I, V>;
-
-    /// Writes the `items` whose value exceeds `threshold` (all of them
-    /// when `None`) to consecutive slots from `w`, never at or past
-    /// `end`, and returns the cursor after the last survivor. Slots from
-    /// there up to `end` may hold rejected items.
-    fn admit(&mut self, items: &[(I, V)], threshold: Option<&V>, w: usize, end: usize) -> usize;
-}
-
 /// q-MAX with **worst-case** `O(γ⁻¹)` update time and `q + 2⌈qγ/2⌉`
 /// space (Algorithm 1 of the paper), over the slot layout `S`.
 ///
@@ -119,9 +73,6 @@ pub trait Slots<I, V> {
 /// The slots and the machine's frame stack are allocated at
 /// construction and re-used by every iteration, so arrivals never
 /// allocate.
-///
-/// Use it through [`DeamortizedQMax`] or
-/// [`SoaDeamortizedQMax`](crate::SoaDeamortizedQMax).
 #[derive(Debug)]
 pub struct Deamortized<I, V, S: Slots<I, V>> {
     q: usize,
@@ -165,66 +116,6 @@ pub struct Deamortized<I, V, S: Slots<I, V>> {
 /// assert_eq!(top, vec![996, 997, 998, 999]);
 /// ```
 pub type DeamortizedQMax<I, V> = Deamortized<I, V, Vec<Entry<I, V>>>;
-
-impl<I: Clone, V: Ord + Clone> Slots<I, V> for Vec<Entry<I, V>> {
-    type Key = Entry<I, V>;
-
-    type View = [Entry<I, V>];
-
-    const NAME: &'static str = "qmax-deamortized";
-
-    #[inline]
-    fn view(&mut self) -> &mut [Entry<I, V>] {
-        self
-    }
-
-    fn with_capacity(n: usize) -> Self {
-        Vec::with_capacity(n)
-    }
-
-    fn empty_like(&self) -> Self {
-        Vec::with_capacity(self.capacity())
-    }
-
-    #[inline]
-    fn filled(&self) -> usize {
-        self.len()
-    }
-
-    fn clear(&mut self) {
-        Vec::clear(self);
-    }
-
-    #[inline]
-    fn store(&mut self, i: usize, id: I, val: V) {
-        if i == self.len() {
-            self.push(Entry::new(id, val));
-        } else {
-            self[i] = Entry::new(id, val);
-        }
-    }
-
-    fn entry(&self, i: usize) -> Entry<I, V> {
-        self[i].clone()
-    }
-
-    #[inline]
-    fn admit(
-        &mut self,
-        items: &[(I, V)],
-        threshold: Option<&V>,
-        mut w: usize,
-        _end: usize,
-    ) -> usize {
-        for (id, val) in items {
-            if threshold.is_none_or(|t| val > t) {
-                self[w] = Entry::new(id.clone(), val.clone());
-                w += 1;
-            }
-        }
-        w
-    }
-}
 
 impl<I: Clone, V: Ord + Clone, S: Slots<I, V>> Deamortized<I, V, S> {
     /// Creates a de-amortized q-MAX for the `q` largest items with
@@ -364,14 +255,9 @@ impl<I: Clone, V: Ord + Clone, S: Slots<I, V>> QMax<I, V> for Deamortized<I, V, 
     }
 
     fn query(&mut self) -> Vec<(I, V)> {
-        let mut scratch = Vec::with_capacity(self.len());
-        self.candidates_into(&mut scratch);
-        if scratch.len() > self.q {
-            let cut = scratch.len() - self.q;
-            nth_smallest(&mut scratch, cut);
-            scratch.drain(..cut);
-        }
-        scratch.into_iter().map(|e| (e.id, e.val)).collect()
+        let mut top = Vec::with_capacity(self.len());
+        self.top_q_into(&mut top);
+        top.into_iter().map(|e| (e.id, e.val)).collect()
     }
 
     fn reset(&mut self) {
@@ -400,7 +286,7 @@ impl<I: Clone, V: Ord + Clone, S: Slots<I, V>> QMax<I, V> for Deamortized<I, V, 
     }
 
     fn name(&self) -> &'static str {
-        S::NAME
+        S::DEAMORTIZED_NAME
     }
 }
 
@@ -483,7 +369,7 @@ impl<I: Clone, V: Ord + Clone, S: Slots<I, V>> Checkpoint<I, V> for Deamortized<
 
 impl<I: Clone, V: Ord + Clone, S: Slots<I, V>> IntervalBackend<I, V> for Deamortized<I, V, S> {
     fn fresh(&self) -> Self {
-        Self::with_slots(self.q, self.g, self.budget, self.slots.empty_like())
+        Self::with_slots(self.q, self.g, self.budget, self.slots.empty_like(self.n))
     }
 
     fn capacity(&self) -> usize {

@@ -67,12 +67,8 @@ impl<I: Clone + Hash + Eq, V: Ord + Clone, F: IndexFamily> DedupQMax<I, V, F> {
     /// Like [`DedupQMax::new`], but with an explicit [`IndexFamily`]
     /// (e.g. `StdIndex` for the HashMap-era merge baseline).
     pub fn new_in(q: usize, gamma: f64) -> Self {
-        assert!(q > 0, "q must be positive");
-        assert!(
-            gamma > 0.0 && gamma.is_finite(),
-            "gamma must be positive and finite"
-        );
-        let cap = (((q as f64) * (1.0 + gamma)).ceil() as usize).max(q + 1);
+        crate::error::check_q_gamma::<Entry<I, V>>(q, gamma).unwrap_or_else(|e| panic!("{e}"));
+        let cap = crate::amortized::amortized_capacity(q, gamma);
         DedupQMax {
             q,
             cap,

@@ -17,14 +17,12 @@
 //! * [`DeamortizedQMax`] — Algorithm 1 proper: the compaction is broken
 //!   into `O(γ⁻¹)`-operation steps interleaved with arrivals using the
 //!   suspendable selection machine from [`qmax_select`], yielding an
-//!   `O(γ⁻¹)` **worst-case** update time. It is [`Deamortized`], the
-//!   one implementation of the algorithm, over a `Vec` of entries.
-//! * [`SoaAmortizedQMax`], [`SoaDeamortizedQMax`] — structure-of-arrays
-//!   variants for `Copy` primitive ids/values: split `vals`/`ids` lanes,
-//!   a branchless chunked Ψ-filter for [`BatchInsert::insert_batch`],
-//!   and value-only selection. `SoaAmortizedQMax` is a twin of
-//!   [`AmortizedQMax`]; `SoaDeamortizedQMax` is [`Deamortized`] over
-//!   paired lanes (the layout is a [`Slots`] type).
+//!   `O(γ⁻¹)` **worst-case** update time.
+//! * [`SoaAmortizedQMax`], [`SoaDeamortizedQMax`] — the same two
+//!   algorithms ([`Amortized`], [`Deamortized`], each written once over
+//!   a [`Slots`] layout) over split `vals`/`ids` lanes for `Copy`
+//!   primitive ids/values, with a branchless chunked Ψ-filter for
+//!   [`BatchInsert::insert_batch`] and value-only selection.
 //! * [`HeapQMax`], [`SkipListQMax`], [`SortedVecQMax`] — the classical
 //!   `O(log q)` (or worse) baselines the paper compares against, built
 //!   from scratch on our own [`heap::MinHeap`] and [`skiplist::SkipList`].
@@ -64,6 +62,7 @@ pub mod flow_table;
 pub mod heap;
 pub mod indexed_heap;
 pub mod skiplist;
+mod slots;
 mod soa;
 mod sorted_vec;
 mod time_window;
@@ -71,9 +70,9 @@ mod traits;
 pub mod window;
 
 pub use adaptive::AdaptiveBackend;
-pub use amortized::AmortizedQMax;
+pub use amortized::{Amortized, AmortizedQMax};
 pub use checkpoint::{BackendSnapshot, Checkpoint};
-pub use deamortized::{Deamortized, DeamortizedQMax, DeamortizedStats, Slots};
+pub use deamortized::{Deamortized, DeamortizedQMax, DeamortizedStats};
 pub use dedup::DedupQMax;
 pub use entry::{Entry, Minimal, OrderedF64};
 pub use error::QMaxError;
@@ -84,6 +83,7 @@ pub use flow_table::{
 pub use heap::HeapQMax;
 pub use indexed_heap::{IndexedHeapQMax, IndexedMinHeap};
 pub use skiplist::{KeyedSkipListQMax, SkipListQMax};
+pub use slots::Slots;
 pub use soa::{SoaAmortizedQMax, SoaDeamortizedQMax};
 pub use sorted_vec::SortedVecQMax;
 pub use time_window::{AdaptiveTimeSlackQMax, TimeSlackQMax};

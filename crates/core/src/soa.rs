@@ -1,49 +1,35 @@
-//! Structure-of-arrays q-MAX backends for `Copy` primitive ids/values.
+//! Structure-of-arrays slot layout for `Copy` primitive ids/values.
 //!
-//! The generic backends store `Entry<I, V>` structs in one `Vec`. For the
-//! `(u64, u64)`-shaped items every benchmark and app in this repo
-//! actually streams, that layout wastes the two resources the hot loop
-//! lives on:
+//! [`PairedLanes`] keeps `vals: Vec<V>` and `ids: Vec<I>` in two parallel
+//! lanes, so the admission filter and the selection, which read only
+//! values, stream over dense value lanes instead of dragging every id
+//! through the cache (DESIGN.md §4.1). Batch admission is the branchless
+//! chunked Ψ-filter [`Kernel::admit_pairs`]: an unconditional store and a
+//! compare-derived cursor bump, with no data-dependent branch. The
+//! amortized compaction partitions out of place into scratch lanes and
+//! finishes with [`qmax_select::paired_nth_smallest`]; the de-amortized
+//! selection machine runs over the paired lanes with the kernel's run
+//! assist.
 //!
-//! * **cache bandwidth** — the admission filter and the compaction's
-//!   pivot scans only ever read *values*, but each value drags its id
-//!   through the cache with it (16-byte elements, half the useful data
-//!   per line);
-//! * **branch prediction** — the per-item `if val <= Ψ { return }` is
-//!   data-dependent; on the skewed streams q-MAX targets, Ψ quickly
-//!   filters ~everything and the admit branch becomes rare-but-random.
-//!
-//! The backends here keep `vals: Vec<V>` and `ids: Vec<I>` in two
-//! parallel lanes. Batch admission runs a **branchless chunked
-//! Ψ-filter**: each chunk of arrivals is streamed with an unconditional
-//! store plus a compare-derived write-cursor increment
-//! (`w += (v > Ψ) as usize`), so rejected items are simply overwritten by
-//! the next arrival and the loop has no data-dependent branch at all.
-//! Compactions use the value-only selection kernels from
-//! [`qmax_select`]: [`qmax_select::paired_nth_smallest`] for the
-//! amortized backend, and for the de-amortized one the single selection
-//! machine running over [`qmax_select::PairedLanes`], which partitions the
-//! dense value lane and mirrors the permutation into the id lane.
-//!
-//! [`SoaAmortizedQMax`] is a behavioural twin of its array-of-structs
-//! counterpart — same admissions, same thresholds, same query results
-//! (up to the usual arbitrary tie-breaking on ids). [`SoaDeamortizedQMax`]
-//! is not a twin but the same code: [`Deamortized`] over the paired
-//! lanes instead of a `Vec` of entries. The differential property tests
-//! in `tests/proptest_soa.rs` pin both down. When ids are *not* `Copy`
-//! (boxed flow keys, strings), the AoS backends remain the right choice:
-//! there, moving an entry is a pointer move and the split-lane
-//! permutation mirroring would buy nothing.
+//! [`SoaAmortizedQMax`] and [`SoaDeamortizedQMax`] are [`Amortized`] and
+//! [`Deamortized`] over paired lanes, so their admissions and Ψ
+//! trajectories are those of the array-of-structs aliases by
+//! construction. For non-`Copy` ids (boxed flow keys, strings) the AoS
+//! layout remains the right choice: moving an entry is a pointer move
+//! there, and mirroring the permutation into an id lane buys nothing.
 
-use crate::deamortized::{Deamortized, Slots};
+use crate::amortized::Amortized;
+use crate::deamortized::Deamortized;
 use crate::entry::Entry;
-use crate::traits::{BatchInsert, IntervalBackend, QMax};
-use qmax_select::kernels::{pivot_band, PIVOT_SEED, SAMPLED_COMPACT_MIN};
+use crate::slots::Slots;
+use qmax_select::kernels::pivot_band;
 use qmax_select::{paired_nth_smallest, Kernel, PairedLanes};
 
 /// Structure-of-arrays [`AmortizedQMax`](crate::AmortizedQMax): q-MAX
 /// with amortized `O(1)` updates, `⌈q(1+γ)⌉` space, and a branchless
-/// batch admission path over parallel `vals`/`ids` lanes.
+/// batch admission path — [`Amortized`] over [`PairedLanes`]. Its
+/// compactions take the kernel's min/max early exit and its out-of-place
+/// partition.
 ///
 /// ```
 /// use qmax_core::{BatchInsert, QMax, SoaAmortizedQMax};
@@ -54,408 +40,7 @@ use qmax_select::{paired_nth_smallest, Kernel, PairedLanes};
 /// top.sort();
 /// assert_eq!(top, vec![98, 99]);
 /// ```
-#[derive(Debug, Clone)]
-pub struct SoaAmortizedQMax<I, V> {
-    q: usize,
-    cap: usize,
-    ids: Vec<I>,
-    vals: Vec<V>,
-    /// Live prefix length of both lanes; slots beyond it are scratch.
-    len: usize,
-    threshold: Option<V>,
-    compactions: u64,
-    filtered: u64,
-    /// Output lanes for the sampled-pivot partition; swapped with the
-    /// primary lanes after each partition pass. Materialized lazily at
-    /// the first sampled compaction — a block that never fills (or
-    /// stays below [`SAMPLED_COMPACT_MIN`]) never allocates them.
-    scratch_ids: Vec<I>,
-    scratch_vals: Vec<V>,
-    /// Reusable buffer for the pivot sample.
-    sample: Vec<V>,
-    /// Compactions whose sampled pivot landed outside the tolerance
-    /// band ([`qmax_select::kernels::pivot_band`]); the result is exact
-    /// either way, the counter tracks sample quality.
-    pivot_fallbacks: u64,
-    /// SIMD dispatch handle, resolved once at construction.
-    kernel: Kernel<V>,
-}
-
-impl<I: Copy + 'static, V: Ord + Copy + 'static> SoaAmortizedQMax<I, V> {
-    /// Creates a q-MAX for the `q` largest items with space-slack
-    /// parameter `gamma` (γ): `⌈q(1+γ)⌉` slots (at least `q + 1`) per
-    /// lane.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `q == 0` or `gamma` is not a positive finite number.
-    /// Use [`SoaAmortizedQMax::try_new`] at fallible API boundaries.
-    pub fn new(q: usize, gamma: f64) -> Self {
-        Self::try_new(q, gamma).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible [`SoaAmortizedQMax::new`]: rejects `q == 0` and
-    /// non-positive / non-finite `gamma` instead of panicking.
-    pub fn try_new(q: usize, gamma: f64) -> Result<Self, crate::QMaxError> {
-        crate::error::check_q_gamma::<Entry<I, V>>(q, gamma)?;
-        let cap = ((q as f64) * (1.0 + gamma)).ceil() as usize;
-        let cap = cap.max(q + 1);
-        Ok(SoaAmortizedQMax {
-            q,
-            cap,
-            ids: Vec::new(),
-            vals: Vec::new(),
-            len: 0,
-            threshold: None,
-            compactions: 0,
-            filtered: 0,
-            scratch_ids: Vec::new(),
-            scratch_vals: Vec::new(),
-            sample: Vec::new(),
-            pivot_fallbacks: 0,
-            kernel: Kernel::detect(),
-        })
-    }
-
-    /// Total buffer capacity `⌈q(1+γ)⌉`.
-    pub fn capacity(&self) -> usize {
-        self.cap
-    }
-
-    /// Number of compactions (threshold recomputations) performed.
-    pub fn compactions(&self) -> u64 {
-        self.compactions
-    }
-
-    /// Number of arrivals dropped by the admission filter.
-    pub fn filtered(&self) -> u64 {
-        self.filtered
-    }
-
-    /// Compactions whose sampled pivot landed outside the tolerance
-    /// band and degraded to a large exact-select residue. Always zero
-    /// for buffers below `SAMPLED_COMPACT_MIN` slots.
-    pub fn pivot_fallbacks(&self) -> u64 {
-        self.pivot_fallbacks
-    }
-
-    /// Overrides the SIMD dispatch handle (benchmarks pin the scalar
-    /// path with `Kernel::scalar()` to measure the vectorization gain).
-    pub fn set_kernel(&mut self, kernel: Kernel<V>) {
-        self.kernel = kernel;
-    }
-
-    /// The SIMD dispatch handle in use.
-    pub fn kernel(&self) -> Kernel<V> {
-        self.kernel
-    }
-
-    /// Grows the primary lanes to at least `need` slots, seeding the new
-    /// slots with copies of the given item (avoids a `Default` bound;
-    /// the slots beyond `len` are never read until overwritten).
-    ///
-    /// Growth is geometric but **bounded by the block capacity and the
-    /// demanded length**: a block in a many-block window that only ever
-    /// sees `W·τ ≪ cap` items per epoch pays for the lanes it actually
-    /// fills, not for `⌈q(1+γ)⌉` slots × 4 lanes up front (the eager
-    /// materialization was the per-block fixed cost that inverted the
-    /// SoA layout from win to ~10× collapse at small τ). The scratch
-    /// lanes are not touched here at all — see [`Self::compact_sampled`].
-    #[inline]
-    fn ensure_lanes(&mut self, need: usize, id: I, val: V) {
-        debug_assert!(need <= self.cap);
-        if self.vals.len() < need {
-            let target = need.max((self.vals.len() * 2).min(self.cap));
-            self.vals.resize(target, val);
-            self.ids.resize(target, id);
-        }
-    }
-
-    /// Compacts the lanes: selects the q-th largest value, makes it the
-    /// new threshold, and keeps only the top `q` pairs. Large buffers
-    /// take the sampled-pivot path; the resulting Ψ and survivor
-    /// multiset are identical either way.
-    fn compact(&mut self) {
-        debug_assert!(self.len > self.q);
-        let psi = if self.len >= SAMPLED_COMPACT_MIN {
-            self.compact_sampled()
-        } else {
-            self.compact_exact()
-        };
-        self.len = self.q;
-        self.threshold = Some(match self.threshold.take() {
-            Some(old) if old > psi => old,
-            _ => psi,
-        });
-        self.compactions += 1;
-    }
-
-    /// Plain exact compaction: introselect over the full live prefix.
-    fn compact_exact(&mut self) -> V {
-        let cut = self.len - self.q;
-        paired_nth_smallest(&mut self.vals[..self.len], &mut self.ids[..self.len], cut);
-        let psi = self.vals[cut];
-        self.vals.copy_within(cut..self.len, 0);
-        self.ids.copy_within(cut..self.len, 0);
-        psi
-    }
-
-    /// Sampled-pivot compaction: estimate the q-th largest value from a
-    /// deterministic `O(√n)` sample (seeded by the compaction counter,
-    /// so replays are exact), partition the lanes around it in one
-    /// vectorized stable pass into the scratch lanes — descending
-    /// region order, so the survivors end up a *prefix* — then repair
-    /// the boundary with an exact select over only the region the true
-    /// cut landed in. Ψ is exactly the q-th largest, as in
-    /// [`Self::compact_exact`].
-    fn compact_sampled(&mut self) -> V {
-        let n = self.len;
-        let q = self.q;
-        let (mn, mx) = self
-            .kernel
-            .min_max(&self.vals[..n])
-            .expect("compacting a non-empty buffer");
-        if mn == mx {
-            // All values equal: any q survive and Ψ is that value.
-            return mn;
-        }
-        let seed = PIVOT_SEED ^ self.compactions;
-        let pivot = self
-            .kernel
-            .sample_pivot(&self.vals[..n], n - q, seed, &mut self.sample);
-        // First sampled compaction materializes the scratch lanes (the
-        // mn == mx early exit above needs none, and exact compactions
-        // below `SAMPLED_COMPACT_MIN` partition in place).
-        if self.scratch_vals.len() < n {
-            let seed_id = self.ids[0];
-            self.scratch_vals.resize(n, mn);
-            self.scratch_ids.resize(n, seed_id);
-        }
-        let (ngt, eq_end) = self.kernel.partition3_desc(
-            &self.vals[..n],
-            &self.ids[..n],
-            pivot,
-            &mut self.scratch_vals[..n],
-            &mut self.scratch_ids[..n],
-        );
-        core::mem::swap(&mut self.vals, &mut self.scratch_vals);
-        core::mem::swap(&mut self.ids, &mut self.scratch_ids);
-        let band = pivot_band(n);
-        if ngt >= q {
-            // Pivot landed low: all survivors are in the `>` region;
-            // exact-select the q largest within it.
-            if ngt - q > band {
-                self.pivot_fallbacks += 1;
-            }
-            let cut = ngt - q;
-            paired_nth_smallest(&mut self.vals[..ngt], &mut self.ids[..ngt], cut);
-            let psi = self.vals[cut];
-            self.vals.copy_within(cut..ngt, 0);
-            self.ids.copy_within(cut..ngt, 0);
-            psi
-        } else if eq_end >= q {
-            // In band: the q-th largest is the pivot itself and the
-            // survivors are exactly the output prefix already.
-            pivot
-        } else {
-            // Pivot landed high: keep the whole `>`/`==` prefix and top
-            // it up with the largest elements of the `<` region.
-            if q - eq_end > band {
-                self.pivot_fallbacks += 1;
-            }
-            let k = q - eq_end;
-            let lt_len = n - eq_end;
-            paired_nth_smallest(
-                &mut self.vals[eq_end..n],
-                &mut self.ids[eq_end..n],
-                lt_len - k,
-            );
-            let psi = self.vals[n - k];
-            self.vals.copy_within(n - k..n, eq_end);
-            self.ids.copy_within(n - k..n, eq_end);
-            psi
-        }
-    }
-}
-
-impl<I: Copy + 'static, V: Ord + Copy + 'static> QMax<I, V> for SoaAmortizedQMax<I, V> {
-    #[inline]
-    fn insert(&mut self, id: I, val: V) -> bool {
-        if let Some(t) = self.threshold {
-            if val <= t {
-                self.filtered += 1;
-                return false;
-            }
-        }
-        self.ensure_lanes(self.len + 1, id, val);
-        self.vals[self.len] = val;
-        self.ids[self.len] = id;
-        self.len += 1;
-        if self.len == self.cap {
-            self.compact();
-        }
-        true
-    }
-
-    fn query(&mut self) -> Vec<(I, V)> {
-        if self.len > self.q {
-            self.compact();
-        }
-        self.ids[..self.len]
-            .iter()
-            .zip(&self.vals[..self.len])
-            .map(|(&id, &v)| (id, v))
-            .collect()
-    }
-
-    fn reset(&mut self) {
-        // Keep the materialized lanes; only the live prefix matters.
-        self.len = 0;
-        self.threshold = None;
-    }
-
-    fn q(&self) -> usize {
-        self.q
-    }
-
-    #[inline]
-    fn len(&self) -> usize {
-        self.len
-    }
-
-    #[inline]
-    fn threshold(&self) -> Option<V> {
-        self.threshold
-    }
-
-    fn name(&self) -> &'static str {
-        "qmax-soa-amortized"
-    }
-}
-
-impl<I: Copy + 'static, V: Ord + Copy + 'static> BatchInsert<I, V> for SoaAmortizedQMax<I, V> {
-    /// Branchless chunked Ψ-filter: processes the batch in chunks sized
-    /// to the remaining buffer room, each chunk streamed through the
-    /// vectorized admit kernel ([`Kernel::admit_pairs`]) — every item is
-    /// conceptually stored at the write cursor and the cursor advances
-    /// only for survivors, so heavily filtered (skewed) streams run at
-    /// full pipeline speed with no data-dependent branch. Ψ can only
-    /// change at a compaction, and compactions coincide with chunk
-    /// boundaries, so re-reading Ψ once per chunk is exact, not an
-    /// approximation.
-    fn insert_batch(&mut self, items: &[(I, V)]) -> usize {
-        let Some(&(id0, val0)) = items.first() else {
-            return 0;
-        };
-        let mut admitted = 0usize;
-        let mut i = 0;
-        while i < items.len() {
-            let take = (self.cap - self.len).min(items.len() - i);
-            // The lanes only ever grow to the chunk's own high-water
-            // mark `len + take` (≤ cap), so a block that never fills
-            // never materializes its full capacity.
-            let hard_end = self.len + take;
-            self.ensure_lanes(hard_end, id0, val0);
-            // In-bounds: cursor < len + take <= lane length for every
-            // store (the kernel contract forbids stores past hard_end).
-            let w = self.kernel.admit_pairs(
-                &items[i..i + take],
-                self.threshold,
-                &mut self.vals,
-                &mut self.ids,
-                self.len,
-                hard_end,
-            );
-            let kept = w - self.len;
-            admitted += kept;
-            self.filtered += (take - kept) as u64;
-            self.len = w;
-            i += take;
-            if self.len == self.cap {
-                self.compact();
-            }
-        }
-        admitted
-    }
-}
-
-impl<I: Copy + 'static, V: Ord + Copy + 'static> crate::checkpoint::Checkpoint<I, V>
-    for SoaAmortizedQMax<I, V>
-{
-    /// Copies the live lane prefixes into entry form, plus Ψ and the
-    /// counters. The scratch lanes and the kernel handle are execution
-    /// machinery, not logical state, and are not captured.
-    fn snapshot(&self) -> crate::checkpoint::BackendSnapshot<I, V> {
-        crate::checkpoint::BackendSnapshot {
-            entries: self.ids[..self.len]
-                .iter()
-                .zip(&self.vals[..self.len])
-                .map(|(&id, &v)| Entry::new(id, v))
-                .collect(),
-            threshold: self.threshold,
-            compactions: self.compactions,
-            filtered: self.filtered,
-            pivot_fallbacks: self.pivot_fallbacks,
-        }
-    }
-
-    /// Overwrites the live lane prefixes, Ψ, and counters with the
-    /// snapshot's. Lanes are re-materialized to the restored length if
-    /// the current allocation is shorter (a freshly-recycled block may
-    /// have no lanes at all).
-    fn restore(&mut self, snap: &crate::checkpoint::BackendSnapshot<I, V>) {
-        let n = snap.entries.len();
-        debug_assert!(n < self.cap, "snapshot larger than block capacity");
-        if let Some(first) = snap.entries.first() {
-            self.ensure_lanes(n, first.id, first.val);
-        }
-        for (i, e) in snap.entries.iter().enumerate() {
-            self.vals[i] = e.val;
-            self.ids[i] = e.id;
-        }
-        self.len = n;
-        self.threshold = snap.threshold;
-        self.compactions = snap.compactions;
-        self.filtered = snap.filtered;
-        self.pivot_fallbacks = snap.pivot_fallbacks;
-        if self.len >= self.cap {
-            self.compact();
-        }
-    }
-}
-
-impl<I: Copy + 'static, V: Ord + Copy + 'static> IntervalBackend<I, V> for SoaAmortizedQMax<I, V> {
-    fn fresh(&self) -> Self {
-        SoaAmortizedQMax {
-            q: self.q,
-            cap: self.cap,
-            ids: Vec::new(),
-            vals: Vec::new(),
-            len: 0,
-            threshold: None,
-            compactions: 0,
-            filtered: 0,
-            scratch_ids: Vec::new(),
-            scratch_vals: Vec::new(),
-            sample: Vec::new(),
-            pivot_fallbacks: 0,
-            kernel: self.kernel,
-        }
-    }
-
-    fn capacity(&self) -> usize {
-        self.cap
-    }
-
-    fn candidates_into(&self, out: &mut Vec<Entry<I, V>>) {
-        out.extend(
-            self.ids[..self.len]
-                .iter()
-                .zip(&self.vals[..self.len])
-                .map(|(&id, &v)| Entry::new(id, v)),
-        );
-    }
-}
+pub type SoaAmortizedQMax<I, V> = Amortized<I, V, PairedLanes<V, I>>;
 
 /// Structure-of-arrays [`DeamortizedQMax`](crate::DeamortizedQMax):
 /// q-MAX with **worst-case** `O(γ⁻¹)` updates over parallel `vals`/`ids`
@@ -483,7 +68,14 @@ impl<I: Copy + 'static, V: Ord + Copy + 'static> Slots<I, V> for PairedLanes<V, 
 
     type View = Self;
 
-    const NAME: &'static str = "qmax-soa-deamortized";
+    /// Output lanes of the sampled-pivot partition, swapped with the
+    /// primary lanes after each pass. Materialized at the first sampled
+    /// compaction: a block that never takes one never allocates them.
+    type Scratch = (Vec<V>, Vec<I>);
+
+    const AMORTIZED_NAME: &'static str = "qmax-soa-amortized";
+
+    const DEAMORTIZED_NAME: &'static str = "qmax-soa-deamortized";
 
     #[inline]
     fn view(&mut self) -> &mut Self {
@@ -494,10 +86,10 @@ impl<I: Copy + 'static, V: Ord + Copy + 'static> Slots<I, V> for PairedLanes<V, 
         PairedLanes::new(Vec::with_capacity(n), Vec::with_capacity(n))
     }
 
-    fn empty_like(&self) -> Self {
+    fn empty_like(&self, n: usize) -> Self {
         PairedLanes {
-            vals: Vec::with_capacity(self.vals.capacity()),
-            ids: Vec::with_capacity(self.ids.capacity()),
+            vals: Vec::with_capacity(n),
+            ids: Vec::with_capacity(n),
             kernel: self.kernel,
         }
     }
@@ -539,6 +131,93 @@ impl<I: Copy + 'static, V: Ord + Copy + 'static> Slots<I, V> for PairedLanes<V, 
             end,
         )
     }
+
+    fn resize(&mut self, n: usize, id: &I, val: &V) {
+        self.vals.reserve_exact(n - self.vals.len());
+        self.ids.reserve_exact(n - self.ids.len());
+        self.vals.resize(n, *val);
+        self.ids.resize(n, *id);
+    }
+
+    /// Without a pivot: `paired_nth_smallest` over the live prefix. With
+    /// one: all-equal lanes exit after the kernel's min/max sweep;
+    /// otherwise one stable vectorized pass partitions the lanes into
+    /// the scratch lanes in descending region order, so the survivors
+    /// end up a *prefix*, and only the region the cut fell in is
+    /// exact-selected.
+    fn keep_top(
+        &mut self,
+        len: usize,
+        q: usize,
+        pivot: Option<&V>,
+        (scratch_vals, scratch_ids): &mut (Vec<V>, Vec<I>),
+    ) -> (V, bool) {
+        let Some(&pivot) = pivot else {
+            return (top_to_front(self, 0, len, q), false);
+        };
+        let (mn, mx) = self
+            .kernel
+            .min_max(&self.vals[..len])
+            .expect("compacting a non-empty buffer");
+        if mn == mx {
+            // All values equal: any q survive and Ψ is that value.
+            return (mn, false);
+        }
+        // As long as the primary lanes, so the swap below never shrinks
+        // the storage.
+        let room = self.vals.len();
+        if scratch_vals.len() < room {
+            scratch_vals.resize(room, mn);
+            scratch_ids.resize(room, self.ids[0]);
+        }
+        let (ngt, eq_end) = self.kernel.partition3_desc(
+            &self.vals[..len],
+            &self.ids[..len],
+            pivot,
+            &mut scratch_vals[..len],
+            &mut scratch_ids[..len],
+        );
+        core::mem::swap(&mut self.vals, scratch_vals);
+        core::mem::swap(&mut self.ids, scratch_ids);
+        let band = pivot_band(len);
+        if ngt >= q {
+            // Pivot landed low: the survivors are the q largest of the
+            // `>` region.
+            (top_to_front(self, 0, ngt, q), ngt - q > band)
+        } else if eq_end >= q {
+            // In band: the q-th largest is the pivot itself and the
+            // survivors are already the prefix.
+            (pivot, false)
+        } else {
+            // Pivot landed high: keep the `>`/`==` prefix and top it up
+            // with the largest of the `<` region.
+            let k = q - eq_end;
+            (top_to_front(self, eq_end, len, k), k > band)
+        }
+    }
+}
+
+/// Moves the `k` largest pairs of `[lo, hi)` to `[lo, lo + k)` and
+/// returns the k-th largest value.
+fn top_to_front<V: Ord + Copy, I: Copy>(
+    lanes: &mut PairedLanes<V, I>,
+    lo: usize,
+    hi: usize,
+    k: usize,
+) -> V {
+    let cut = hi - k;
+    paired_nth_smallest(&mut lanes.vals[lo..hi], &mut lanes.ids[lo..hi], cut - lo);
+    lanes.vals.copy_within(cut..hi, lo);
+    lanes.ids.copy_within(cut..hi, lo);
+    lanes.vals[lo]
+}
+
+impl<I: Copy + 'static, V: Ord + Copy + 'static> SoaAmortizedQMax<I, V> {
+    /// Overrides the SIMD dispatch handle (benchmarks pin the scalar
+    /// path with `Kernel::scalar()` to measure the vectorization gain).
+    pub fn set_kernel(&mut self, kernel: Kernel<V>) {
+        self.slots.kernel = kernel;
+    }
 }
 
 impl<I: Copy + 'static, V: Ord + Copy + 'static> SoaDeamortizedQMax<I, V> {
@@ -552,7 +231,7 @@ impl<I: Copy + 'static, V: Ord + Copy + 'static> SoaDeamortizedQMax<I, V> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{AmortizedQMax, DeamortizedQMax};
+    use crate::{AmortizedQMax, BatchInsert, DeamortizedQMax, QMax};
 
     fn splitmix(state: &mut u64) -> u64 {
         *state = state.wrapping_add(0x9E3779B97F4A7C15);

@@ -55,6 +55,7 @@
 
 #![allow(unsafe_code)]
 
+use crate::machine::Lanes;
 use core::any::TypeId;
 use core::marker::PhantomData;
 use std::sync::OnceLock;
@@ -139,6 +140,32 @@ pub fn sample_positions(n: usize, seed: u64, out: &mut Vec<usize>) {
     for _ in 0..sample_size(n) {
         out.push((splitmix64(&mut s) % n as u64) as usize);
     }
+}
+
+/// Estimates the key with ascending rank `rank` among slots `[0, n)` of
+/// `buf` from the deterministic `O(√n)` sample at the positions
+/// [`sample_positions`] yields for `(n, seed)`, selecting the
+/// proportionally scaled rank within the sample. `scratch` holds the
+/// sample, so repeated compactions reuse its allocation. Requires
+/// `rank < n` (debug-asserted).
+pub fn sample_rank<L: Lanes + ?Sized>(
+    buf: &L,
+    n: usize,
+    rank: usize,
+    seed: u64,
+    scratch: &mut Vec<L::Key>,
+) -> L::Key {
+    debug_assert!(rank < n, "sample rank {rank} out of range {n}");
+    let m = sample_size(n);
+    scratch.clear();
+    let mut s = seed;
+    for _ in 0..m {
+        scratch.push(buf.key((splitmix64(&mut s) % n as u64) as usize).clone());
+    }
+    let srank = (((rank as u128) * (m as u128)) / (n as u128)) as usize;
+    let srank = srank.min(m - 1);
+    crate::nth_smallest(scratch, srank);
+    scratch[srank].clone()
 }
 
 /// The vector tier every `detect` resolves to: the probed tier, or
@@ -516,28 +543,9 @@ impl<V: Ord + Copy + 'static> Kernel<V> {
         scalar::prefix_class_run(vals, pivot, pred)
     }
 
-    /// Kernel (c): estimates the value with ascending rank `rank` in
-    /// `vals` from a deterministic `O(√n)` sample (positions exactly as
-    /// [`sample_positions`] yields for `(vals.len(), seed)`), selecting
-    /// the proportionally scaled rank within the sample. `scratch` is
-    /// caller-owned so repeated compactions reuse its allocation.
-    ///
-    /// # Panics
-    ///
-    /// Panics (debug) when `vals` is empty or `rank` is out of range.
+    /// Kernel (c): [`sample_rank`] over the whole value lane.
     pub fn sample_pivot(&self, vals: &[V], rank: usize, seed: u64, scratch: &mut Vec<V>) -> V {
-        let n = vals.len();
-        debug_assert!(rank < n, "sample rank {rank} out of range {n}");
-        let m = sample_size(n);
-        scratch.clear();
-        let mut s = seed;
-        for _ in 0..m {
-            scratch.push(vals[(splitmix64(&mut s) % n as u64) as usize]);
-        }
-        let srank = (((rank as u128) * (m as u128)) / (n as u128)) as usize;
-        let srank = srank.min(m - 1);
-        crate::nth_smallest(scratch, srank);
-        scratch[srank]
+        sample_rank(vals, vals.len(), rank, seed, scratch)
     }
 }
 

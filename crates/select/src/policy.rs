@@ -13,7 +13,7 @@
 //! * an **append-only** block — one whose lifetime fill is at most its
 //!   capacity, so it is recycled before it ever compacts — goes to AoS:
 //!   without compactions the kernel path never runs, and the single
-//!   interleaved AoS push beats the SoA twin-lane push;
+//!   interleaved AoS push beats the SoA two-lane push;
 //! * every other block cycles through kernel admits and goes to SoA.
 //!
 //! [`PolicyMode`] is read once per process from the
@@ -22,9 +22,9 @@
 //! with `QMAX_FORCE_SCALAR`, which pins the kernels the SoA layout
 //! dispatches to but never changes which layout is picked.
 //!
-//! The choice is **performance-only**: both layouts are behavioral
-//! twins (same admissions, same Ψ, same top-q on the value multiset),
-//! so a wrong pick can never change a caller's observable results —
+//! The choice is **performance-only**: both layouts run the one
+//! amortized algorithm (same admissions, same Ψ, same top-q on the value
+//! multiset), so a wrong pick can never change observable results —
 //! the differential property suites pin this down.
 
 use core::any::TypeId;

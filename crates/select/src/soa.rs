@@ -233,7 +233,7 @@ fn paired_mom_pivot<V: Ord + Copy, I>(
 /// assert_eq!(lanes.vals[4], 4);
 /// assert_eq!(lanes.ids[4], 9); // the id that arrived with value 4
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct PairedLanes<V, I> {
     /// The value lane the selection orders by.
     pub vals: Vec<V>,

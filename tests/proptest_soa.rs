@@ -39,21 +39,42 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     /// SoA amortized ≡ AoS amortized: same admissions, same threshold
-    /// trajectory, same top-q, on arbitrary streams.
+    /// trajectory, same counters, same top-q, on arbitrary and
+    /// duplicate-heavy streams. Large `q` reaches the sampled-pivot
+    /// compaction (`q(1+γ) ≥ SAMPLED_COMPACT_MIN`); SoA takes the stream
+    /// in random batches, AoS one item at a time.
     #[test]
     fn soa_amortized_equals_aos(
-        vals in prop::collection::vec(any::<u64>(), 1..3000),
-        q in 1usize..64,
+        vals in prop_oneof![
+            prop::collection::vec(any::<u64>(), 1..8000),
+            prop::collection::vec(0u64..16, 1..8000),
+        ],
+        q in prop_oneof![1usize..64, 600usize..1500],
         gamma in 0.01f64..2.5,
+        chunk_sizes in prop::collection::vec(1usize..600, 1..16),
     ) {
+        let items: Vec<(u32, u64)> = vals
+            .iter()
+            .enumerate()
+            .map(|(i, &v)| (i as u32, v))
+            .collect();
         let mut aos = AmortizedQMax::new(q, gamma);
         let mut soa = SoaAmortizedQMax::new(q, gamma);
-        for (i, &v) in vals.iter().enumerate() {
-            let a = aos.insert(i as u32, v);
-            let s = soa.insert(i as u32, v);
-            prop_assert_eq!(a, s, "admission diverged at item {}", i);
+        let mut rest = &items[..];
+        for &size in chunk_sizes.iter().cycle() {
+            if rest.is_empty() {
+                break;
+            }
+            let (batch, tail) = rest.split_at(size.min(rest.len()));
+            rest = tail;
+            let a = batch.iter().filter(|&&(id, v)| aos.insert(id, v)).count();
+            let s = soa.insert_batch(batch);
+            prop_assert_eq!(a, s, "admission diverged before item {}", items.len() - rest.len());
             prop_assert_eq!(aos.threshold(), soa.threshold());
         }
+        prop_assert_eq!(aos.compactions(), soa.compactions());
+        prop_assert_eq!(aos.pivot_fallbacks(), soa.pivot_fallbacks());
+        prop_assert_eq!(aos.filtered(), soa.filtered());
         prop_assert_eq!(sorted_vals(aos.query()), sorted_vals(soa.query()));
     }
 
