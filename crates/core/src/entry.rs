@@ -2,6 +2,7 @@
 
 use core::cmp::Ordering;
 use core::fmt;
+use qmax_select::nth_smallest;
 
 /// A stream item: an identifier paired with the value it is ranked by.
 ///
@@ -42,6 +43,25 @@ impl<I, V: PartialOrd> PartialOrd for Entry<I, V> {
 impl<I, V: Ord> Ord for Entry<I, V> {
     fn cmp(&self, other: &Self) -> Ordering {
         self.val.cmp(&other.val)
+    }
+}
+
+/// Cuts `entries[from..]` down to its `q` largest entries (in selection
+/// order, not sorted); entries before `from` are untouched.
+///
+/// ```
+/// use qmax_core::{retain_top_q, Entry};
+/// let mut v: Vec<Entry<u32, u64>> = (0..6).map(|i| Entry::new(i, [4, 9, 1, 7, 3, 8][i as usize])).collect();
+/// retain_top_q(&mut v, 1, 2);
+/// let mut tail: Vec<u64> = v[1..].iter().map(|e| e.val).collect();
+/// tail.sort();
+/// assert_eq!((v[0].val, tail), (4, vec![8, 9]));
+/// ```
+pub fn retain_top_q<I, V: Ord>(entries: &mut Vec<Entry<I, V>>, from: usize, q: usize) {
+    let n = entries.len() - from;
+    if n > q {
+        nth_smallest(&mut entries[from..], n - q);
+        entries.drain(from..from + n - q);
     }
 }
 

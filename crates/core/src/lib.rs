@@ -74,7 +74,7 @@ pub use amortized::{Amortized, AmortizedQMax};
 pub use checkpoint::{BackendSnapshot, Checkpoint};
 pub use deamortized::{Deamortized, DeamortizedQMax, DeamortizedStats};
 pub use dedup::DedupQMax;
-pub use entry::{Entry, Minimal, OrderedF64};
+pub use entry::{retain_top_q, Entry, Minimal, OrderedF64};
 pub use error::QMaxError;
 pub use exp_decay::ExpDecayQMax;
 pub use flow_table::{

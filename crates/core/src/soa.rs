@@ -7,7 +7,7 @@
 //! chunked Ψ-filter [`Kernel::admit_pairs`]: an unconditional store and a
 //! compare-derived cursor bump, with no data-dependent branch. The
 //! amortized compaction partitions out of place into scratch lanes and
-//! finishes with [`qmax_select::paired_nth_smallest`]; the de-amortized
+//! finishes with [`qmax_select::nth_smallest_in`]; the de-amortized
 //! selection machine runs over the paired lanes with the kernel's run
 //! assist.
 //!
@@ -23,7 +23,7 @@ use crate::deamortized::Deamortized;
 use crate::entry::Entry;
 use crate::slots::Slots;
 use qmax_select::kernels::pivot_band;
-use qmax_select::{paired_nth_smallest, Kernel, PairedLanes};
+use qmax_select::{nth_smallest_in, Kernel, PairedLanes};
 
 /// Structure-of-arrays [`AmortizedQMax`](crate::AmortizedQMax): q-MAX
 /// with amortized `O(1)` updates, `⌈q(1+γ)⌉` space, and a branchless
@@ -139,7 +139,7 @@ impl<I: Copy + 'static, V: Ord + Copy + 'static> Slots<I, V> for PairedLanes<V, 
         self.ids.resize(n, *id);
     }
 
-    /// Without a pivot: `paired_nth_smallest` over the live prefix. With
+    /// Without a pivot: `nth_smallest_in` over the live prefix. With
     /// one: all-equal lanes exit after the kernel's min/max sweep;
     /// otherwise one stable vectorized pass partitions the lanes into
     /// the scratch lanes in descending region order, so the survivors
@@ -199,14 +199,14 @@ impl<I: Copy + 'static, V: Ord + Copy + 'static> Slots<I, V> for PairedLanes<V, 
 
 /// Moves the `k` largest pairs of `[lo, hi)` to `[lo, lo + k)` and
 /// returns the k-th largest value.
-fn top_to_front<V: Ord + Copy, I: Copy>(
+fn top_to_front<V: Ord + Copy + 'static, I: Copy>(
     lanes: &mut PairedLanes<V, I>,
     lo: usize,
     hi: usize,
     k: usize,
 ) -> V {
     let cut = hi - k;
-    paired_nth_smallest(&mut lanes.vals[lo..hi], &mut lanes.ids[lo..hi], cut - lo);
+    nth_smallest_in(lanes, lo, hi, cut - lo);
     lanes.vals.copy_within(cut..hi, lo);
     lanes.ids.copy_within(cut..hi, lo);
     lanes.vals[lo]

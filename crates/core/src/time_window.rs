@@ -9,9 +9,8 @@
 //! [`crate::BasicSlackQMax`].
 
 use crate::amortized::AmortizedQMax;
-use crate::entry::Entry;
+use crate::entry::{retain_top_q, Entry};
 use crate::traits::IntervalBackend;
-use qmax_select::nth_smallest;
 
 /// q-MAX over a time-based `(W, τ)`-slack window: queries list the `q`
 /// largest items among those that arrived in the last `W(1−τ)..W`
@@ -191,11 +190,7 @@ impl<I, V: Ord, B: IntervalBackend<I, V>> TimeSlackQMax<I, V, B> {
             }
             block.candidates_into(&mut scratch);
         }
-        if scratch.len() > self.q {
-            let cut = scratch.len() - self.q;
-            nth_smallest(&mut scratch, cut);
-            scratch.drain(..cut);
-        }
+        retain_top_q(&mut scratch, 0, self.q);
         scratch.into_iter().map(|e| (e.id, e.val)).collect()
     }
 

@@ -1,7 +1,6 @@
 //! The q-MAX problem interface.
 
-use crate::entry::Entry;
-use qmax_select::nth_smallest;
+use crate::entry::{retain_top_q, Entry};
 
 /// The q-MAX interface: process a stream of `(id, value)` items and, upon
 /// query, list the `q` items with the largest values.
@@ -128,12 +127,7 @@ pub trait IntervalBackend<I, V: Ord>: BatchInsert<I, V> {
     fn top_q_into(&self, out: &mut Vec<Entry<I, V>>) {
         let start = out.len();
         self.candidates_into(out);
-        let n = out.len() - start;
-        if n > self.q() {
-            let cut = n - self.q();
-            nth_smallest(&mut out[start..], cut);
-            out.drain(start..start + cut);
-        }
+        retain_top_q(out, start, self.q());
     }
 }
 

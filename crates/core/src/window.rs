@@ -26,9 +26,8 @@
 
 use crate::adaptive::AdaptiveBackend;
 use crate::amortized::AmortizedQMax;
-use crate::entry::Entry;
+use crate::entry::{retain_top_q, Entry};
 use crate::traits::{BatchInsert, IntervalBackend, QMax};
-use qmax_select::nth_smallest;
 use std::marker::PhantomData;
 
 /// Marker making a ring invariant in `(I, V)` without owning either
@@ -354,11 +353,7 @@ impl<I, V: Ord, B: IntervalBackend<I, V>> BatchInsert<I, V> for BasicSlackQMax<I
 
 /// Cuts a candidate vector down to its `q` largest entries.
 fn top_q_entries<I, V: Ord>(mut scratch: Vec<Entry<I, V>>, q: usize) -> Vec<(I, V)> {
-    if scratch.len() > q {
-        let cut = scratch.len() - q;
-        nth_smallest(&mut scratch, cut);
-        scratch.drain(..cut);
-    }
+    retain_top_q(&mut scratch, 0, q);
     scratch.into_iter().map(|e| (e.id, e.val)).collect()
 }
 

@@ -29,7 +29,7 @@
 //!   global top-`q` item is beaten by at most `q − 1` items globally, so
 //!   certainly by at most `q − 1` within its own shard. The union of the
 //!   `S` local top-`q` sets therefore contains the global top-`q`, which
-//!   a final `O(S·q)` selection ([`qmax_select::nth_smallest`]) extracts
+//!   a final `O(S·q)` selection ([`qmax_core::retain_top_q`]) extracts
 //!   exactly.
 //! * **Multi-threaded driver** — [`ShardedQMax::run_threaded`] spawns
 //!   one worker per shard (scoped `std` threads + lock-free SPSC

@@ -2,10 +2,9 @@
 
 use crate::shard_key::ShardKey;
 use qmax_core::{
-    AdaptiveBackend, AdaptiveBasicSlackQMax, BatchInsert, DeamortizedQMax, DeamortizedStats, Entry,
-    ExpDecayQMax, OrderedF64, QMax, QMaxError,
+    retain_top_q, AdaptiveBackend, AdaptiveBasicSlackQMax, BatchInsert, DeamortizedQMax,
+    DeamortizedStats, Entry, ExpDecayQMax, OrderedF64, QMax, QMaxError,
 };
-use qmax_select::nth_smallest;
 use qmax_traces::hash;
 use std::marker::PhantomData;
 
@@ -570,13 +569,8 @@ impl<I: ShardKey, V: Ord + Clone, B: QMax<I, V>> QMax<I, V> for ShardedQMax<I, V
                     .map(|(id, val)| Entry::new(id, val)),
             );
         }
-        if merged.len() > self.q {
-            // Global top-q from the S·q candidates: select so the q
-            // largest occupy the suffix, then keep only that suffix.
-            let cut = merged.len() - self.q;
-            nth_smallest(&mut merged, cut);
-            merged.drain(..cut);
-        }
+        // Global top-q from the S·q candidates.
+        retain_top_q(&mut merged, 0, self.q);
         merged.into_iter().map(|e| (e.id, e.val)).collect()
     }
 

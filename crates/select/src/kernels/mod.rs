@@ -154,7 +154,10 @@ pub fn sample_rank<L: Lanes + ?Sized>(
     rank: usize,
     seed: u64,
     scratch: &mut Vec<L::Key>,
-) -> L::Key {
+) -> L::Key
+where
+    L::Key: Clone,
+{
     debug_assert!(rank < n, "sample rank {rank} out of range {n}");
     let m = sample_size(n);
     scratch.clear();

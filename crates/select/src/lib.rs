@@ -10,21 +10,21 @@
 //!
 //! This crate provides:
 //!
-//! * [`nth_smallest`] — introselect (quickselect with a median-of-medians
-//!   fallback): expected linear, worst-case linear.
-//! * [`mom_nth_smallest`] — pure BFPRT median-of-medians selection:
-//!   worst-case linear with a larger constant.
+//! * [`nth_smallest_in`] — introselect (quickselect with a
+//!   median-of-medians fallback) on a slot range of any [`Lanes`]
+//!   buffer: expected linear, worst-case linear. [`nth_smallest`] and
+//!   [`nth_largest`] run it over a whole slice.
+//! * [`mom_nth_smallest`] — pure BFPRT median-of-medians selection: the
+//!   same routine without pseudo-random pivot rounds, worst-case linear
+//!   with a larger constant.
 //! * [`NthElementMachine`] — the suspendable selection machine. Each call
 //!   to [`NthElementMachine::step`] performs at most `budget` elementary
 //!   operations and returns whether the selection has completed. Total
 //!   work is bounded by `WORK_BOUND_FACTOR * n`, so running the machine
 //!   with a per-step budget of `WORK_BOUND_FACTOR * n / s` completes it
 //!   within `s` steps. It runs over any [`Lanes`] buffer: a slice of
-//!   whole elements, or [`PairedLanes`].
-//! * [`paired_nth_smallest`] / [`PairedLanes`] — structure-of-arrays
-//!   variants that select on a dense value lane and mirror the
-//!   permutation into a parallel id lane, so pivot scans stream over
-//!   8-byte elements instead of 16-byte structs.
+//!   whole elements, or [`PairedLanes`], a value lane and an id lane
+//!   that move together.
 //! * low-level helpers: [`partition3`], [`insertion_sort`],
 //!   [`median_of_five`].
 //!
@@ -45,12 +45,10 @@ mod partition;
 pub mod policy;
 mod quickselect;
 mod soa;
-mod topk;
 
 pub use kernels::{prefetch_read, Kernel, KernelKind, ProbeKernel, RunPred, GROUP_WIDTH};
 pub use machine::{Direction, Lanes, MachineStatus, NthElementMachine, WORK_BOUND_FACTOR};
 pub use partition::{insertion_sort, median_of_five, partition3};
 pub use policy::{BackendChoice, PolicyMode};
-pub use quickselect::{mom_nth_smallest, nth_largest, nth_smallest};
-pub use soa::{paired_insertion_sort, paired_nth_smallest, paired_partition3, PairedLanes};
-pub use topk::{top_k_indices, top_k_suffix};
+pub use quickselect::{mom_nth_smallest, nth_largest, nth_smallest, nth_smallest_in};
+pub use soa::PairedLanes;

@@ -21,11 +21,9 @@
 //! for every layout.
 
 use crate::kernels::RunPred;
+use crate::partition::partition_by;
+use crate::quickselect::{index_out_of_range, SMALL};
 use core::cmp::Ordering;
-
-/// Ranges of at most this many elements are solved by direct insertion
-/// sort rather than recursive selection.
-const SMALL: usize = 24;
 
 /// Conservative upper bound on the total number of elementary operations
 /// the [`NthElementMachine`] performs for a range of `n` elements:
@@ -74,9 +72,13 @@ impl Direction {
 /// with a dense key lane can measure with a vector kernel. Slices (and
 /// `Vec`s) of whole elements implement it with no assist;
 /// [`crate::PairedLanes`] implements it over a value lane and an id lane.
+/// The complete selection ([`crate::nth_smallest_in`]) runs over the same
+/// trait, partitioning through [`Lanes::partition_parked`].
 pub trait Lanes {
-    /// The type the selection orders by; pivots are held as clones.
-    type Key: Ord + Clone;
+    /// The type the selection orders by. The machine holds its pivot as
+    /// a clone, so it requires `Key: Clone`; the complete selection
+    /// parks its pivot in a slot and does not.
+    type Key: Ord;
 
     /// The key at slot `i`.
     fn key(&self, i: usize) -> &Self::Key;
@@ -95,9 +97,23 @@ pub trait Lanes {
     fn class_run(&self, _i: usize, _max: usize, _pivot: &Self::Key, _pred: RunPred) -> usize {
         0
     }
+
+    /// Three-way partition of slots `[lo + 1, hi)` around the key parked
+    /// in slot `lo`, which stays put. Returns `(lt, gt)`: slots
+    /// `[lo + 1, lt)` hold smaller keys, `[lt, gt)` equal ones and
+    /// `[gt, hi)` larger ones.
+    ///
+    /// The default reads the pivot from slot `lo` after every swap. A
+    /// layout that can hold it apart (a split slice, a `Copy` value lane)
+    /// overrides this so the pivot is read once; the partition is the
+    /// same.
+    #[inline]
+    fn partition_parked(&mut self, lo: usize, hi: usize) -> (usize, usize) {
+        partition_by(self, lo + 1, hi, |b, i| b.key(i).cmp(b.key(lo)))
+    }
 }
 
-impl<T: Ord + Clone> Lanes for [T] {
+impl<T: Ord> Lanes for [T] {
     type Key = T;
 
     #[inline]
@@ -109,9 +125,17 @@ impl<T: Ord + Clone> Lanes for [T] {
     fn swap(&mut self, i: usize, j: usize) {
         <[T]>::swap(self, i, j);
     }
+
+    #[inline]
+    fn partition_parked(&mut self, lo: usize, hi: usize) -> (usize, usize) {
+        let (head, tail) = self[..hi].split_at_mut(lo + 1);
+        let pivot = &head[lo];
+        let (lt, gt) = partition_by(tail, 0, hi - lo - 1, |b, i| b[i].cmp(pivot));
+        (lo + 1 + lt, lo + 1 + gt)
+    }
 }
 
-impl<T: Ord + Clone> Lanes for Vec<T> {
+impl<T: Ord> Lanes for Vec<T> {
     type Key = T;
 
     #[inline]
@@ -122,6 +146,11 @@ impl<T: Ord + Clone> Lanes for Vec<T> {
     #[inline]
     fn swap(&mut self, i: usize, j: usize) {
         self.as_mut_slice().swap(i, j);
+    }
+
+    #[inline]
+    fn partition_parked(&mut self, lo: usize, hi: usize) -> (usize, usize) {
+        self.as_mut_slice().partition_parked(lo, hi)
     }
 }
 
@@ -220,7 +249,9 @@ impl<T: Ord + Clone> NthElementMachine<T> {
     /// Panics if the range is empty or `k` is out of range.
     pub fn rearm(&mut self, lo: usize, hi: usize, k: usize, dir: Direction) {
         assert!(lo < hi, "empty selection range [{lo}, {hi})");
-        assert!(k < hi - lo, "selection index {k} out of range {}", hi - lo);
+        if k >= hi - lo {
+            index_out_of_range(k, hi - lo);
+        }
         self.frames.clear();
         self.frames.reserve(depth_bound(hi - lo));
         self.frames.push(Frame {

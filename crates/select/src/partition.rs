@@ -1,6 +1,56 @@
-//! In-place partition and small-array helpers.
+//! In-place partition and small-range sorting over any [`Lanes`] buffer,
+//! with the slice forms as thin wrappers.
 
+use crate::machine::Lanes;
 use core::cmp::Ordering;
+
+/// Sorts slots `[lo, hi)` of `buf` ascending by insertion sort.
+#[inline]
+pub(crate) fn sort_range<L: Lanes + ?Sized>(buf: &mut L, lo: usize, hi: usize) {
+    for i in lo + 1..hi {
+        let mut j = i;
+        while j > lo && buf.key(j - 1) > buf.key(j) {
+            buf.swap(j - 1, j);
+            j -= 1;
+        }
+    }
+}
+
+/// Three-way (Dutch national flag) partition of slots `[lo, hi)` of
+/// `buf` by `cmp(buf, i)`, the order of slot `i`'s key against the
+/// pivot. The comparison reads the buffer between swaps, so the pivot
+/// may be an outside value or a key parked in a slot outside the range.
+///
+/// On return `(lt, gt)`, slots `[lo, lt)` compare `Less`, `[lt, gt)`
+/// `Equal` and `[gt, hi)` `Greater`.
+#[inline]
+pub(crate) fn partition_by<L: Lanes + ?Sized>(
+    buf: &mut L,
+    lo: usize,
+    hi: usize,
+    cmp: impl Fn(&L, usize) -> Ordering,
+) -> (usize, usize) {
+    let mut lt = lo;
+    let mut i = lo;
+    let mut gt = hi;
+    while i < gt {
+        // Dutch-flag invariant: [lo..lt) < pivot, [lt..i) == pivot,
+        // [i..gt) unclassified, [gt..hi) > pivot.
+        match cmp(buf, i) {
+            Ordering::Less => {
+                buf.swap(lt, i);
+                lt += 1;
+                i += 1;
+            }
+            Ordering::Greater => {
+                gt -= 1;
+                buf.swap(i, gt);
+            }
+            Ordering::Equal => i += 1,
+        }
+    }
+    (lt, gt)
+}
 
 /// Sorts `buf` in place with insertion sort.
 ///
@@ -8,14 +58,7 @@ use core::cmp::Ordering;
 /// slices (a few dozen elements).
 #[inline]
 pub fn insertion_sort<T: Ord>(buf: &mut [T]) {
-    for i in 1..buf.len() {
-        let mut j = i;
-        while j > 0 && buf[j - 1] > buf[j] {
-            buf.swap(j - 1, j);
-            j -= 1;
-        }
-        debug_assert!(buf[..=i].windows(2).all(|w| w[0] <= w[1]));
-    }
+    sort_range(buf, 0, buf.len());
 }
 
 /// Sorts a group of at most five elements and returns the index of its
@@ -25,8 +68,7 @@ pub fn insertion_sort<T: Ord>(buf: &mut [T]) {
 #[inline]
 pub fn median_of_five<T: Ord>(buf: &mut [T], lo: usize, len: usize) -> usize {
     debug_assert!((1..=5).contains(&len));
-    debug_assert!(lo + len <= buf.len());
-    insertion_sort(&mut buf[lo..lo + len]);
+    sort_range(buf, lo, lo + len);
     lo + (len - 1) / 2
 }
 
@@ -40,30 +82,7 @@ pub fn median_of_five<T: Ord>(buf: &mut [T], lo: usize, len: usize) -> usize {
 #[inline]
 pub fn partition3<T: Ord>(buf: &mut [T], lo: usize, hi: usize, pivot: &T) -> (usize, usize) {
     debug_assert!(lo <= hi && hi <= buf.len());
-    let mut lt = lo;
-    let mut i = lo;
-    let mut gt = hi;
-    while i < gt {
-        // Dutch-flag invariant: [lo..lt) < pivot, [lt..i) == pivot,
-        // [i..gt) unclassified, [gt..hi) > pivot.
-        debug_assert!(lt <= i && i <= gt && gt <= hi);
-        match buf[i].cmp(pivot) {
-            Ordering::Less => {
-                buf.swap(lt, i);
-                lt += 1;
-                i += 1;
-            }
-            Ordering::Greater => {
-                gt -= 1;
-                buf.swap(i, gt);
-            }
-            Ordering::Equal => i += 1,
-        }
-    }
-    debug_assert!(buf[lo..lt].iter().all(|x| x < pivot));
-    debug_assert!(buf[lt..gt].iter().all(|x| x == pivot));
-    debug_assert!(buf[gt..hi].iter().all(|x| x > pivot));
-    (lt, gt)
+    partition_by(buf, lo, hi, |b, i| b[i].cmp(pivot))
 }
 
 #[cfg(test)]

@@ -1,214 +1,26 @@
-//! Structure-of-arrays (value-lane) selection kernels.
+//! Structure-of-arrays lanes: a value lane and an id lane that move
+//! together.
 //!
-//! The generic kernels in this crate move whole `Entry`-like structs
-//! through every compare and swap: for the common `(u64, u64)` item that
-//! is a 16-byte element, so a pivot scan touches one element per half
-//! cache line and every swap moves 32 bytes. When the values and ids
-//! live in two *parallel arrays* (the SoA fast path in `qmax-core`),
-//! the pivot scan can instead stream over the dense value lane — 8-byte
-//! loads, twice the elements per cache line — and mirror each exchange
-//! into the id lane. The kernels here do exactly that: they partition
-//! and select on `vals` while applying the identical permutation to
-//! `ids`, so `(vals[i], ids[i])` pairs stay intact throughout.
-//!
-//! All kernels require `V: Copy` (pivots are held by value), which is
-//! precisely the primitive-lane case the fast path targets; ids are
-//! only ever swapped, so `I` is unconstrained.
-//!
-//! * [`paired_nth_smallest`] — introselect over `(vals, ids)`: expected
-//!   linear with a median-of-medians fallback, same contract as
-//!   [`crate::nth_smallest`].
-//! * [`PairedLanes`] — the two lanes as one [`Lanes`] buffer, so the
-//!   suspendable [`crate::NthElementMachine`] runs over them directly:
-//!   the same machine, unit costs and [`crate::WORK_BOUND_FACTOR`] work
-//!   bound as over a slice of whole entries, with the partition phase's
-//!   same-class runs measured by a vector kernel on the value lane.
-//! * low-level helpers: [`paired_partition3`], [`paired_insertion_sort`].
+//! When the values and ids live in two *parallel arrays* (the SoA fast
+//! path in `qmax-core`), a selection's pivot scans stream over the dense
+//! value lane — 8-byte loads, twice the elements per cache line of a
+//! 16-byte `(u64, u64)` entry — while every exchange is mirrored into the
+//! id lane, so `(vals[i], ids[i])` pairs stay intact throughout.
+//! [`PairedLanes`] is that pair as one [`Lanes`] buffer: the complete
+//! selection ([`crate::nth_smallest_in`]) and the suspendable
+//! [`crate::NthElementMachine`] run over it exactly as over a slice of
+//! whole entries, and its run assist measures the machine's partition
+//! runs with a vector kernel on the value lane.
 
 use crate::kernels::{Kernel, RunPred};
 use crate::machine::Lanes;
-use core::cmp::Ordering;
-
-/// Ranges of at most this many elements are solved by direct insertion
-/// sort rather than recursive selection (matches the AoS kernels).
-const SMALL: usize = 24;
+use crate::partition::partition_by;
 
 /// Swaps index `a` with index `b` in both lanes.
 #[inline(always)]
 fn swap2<V, I>(vals: &mut [V], ids: &mut [I], a: usize, b: usize) {
     vals.swap(a, b);
     ids.swap(a, b);
-}
-
-/// Out-of-line panics for contract violations, keeping the cold
-/// formatting machinery off the selection hot path.
-#[cold]
-#[inline(never)]
-fn lanes_differ(vlen: usize, ilen: usize) -> ! {
-    panic!("value/id lanes differ: {vlen} vs {ilen}");
-}
-
-#[cold]
-#[inline(never)]
-fn index_out_of_range(k: usize, len: usize) -> ! {
-    panic!("selection index {k} out of range {len}");
-}
-
-/// Sorts `vals[lo..hi]` ascending by insertion sort, mirroring every
-/// exchange into `ids` so value/id pairs stay aligned.
-pub fn paired_insertion_sort<V: Ord, I>(vals: &mut [V], ids: &mut [I], lo: usize, hi: usize) {
-    for i in lo + 1..hi {
-        let mut j = i;
-        while j > lo && vals[j - 1] > vals[j] {
-            swap2(vals, ids, j - 1, j);
-            j -= 1;
-        }
-    }
-}
-
-/// Three-way (Dutch national flag) partition of `vals[lo..hi]` around
-/// the pivot **value**, with the permutation applied to `ids` as well.
-///
-/// On return `(lt, gt)`:
-/// * `vals[lo..lt]` contains values `< pivot`,
-/// * `vals[lt..gt]` contains values `== pivot`,
-/// * `vals[gt..hi]` contains values `> pivot`,
-///
-/// and `ids[i]` still identifies `vals[i]` everywhere.
-#[inline]
-pub fn paired_partition3<V: Ord, I>(
-    vals: &mut [V],
-    ids: &mut [I],
-    lo: usize,
-    hi: usize,
-    pivot: &V,
-) -> (usize, usize) {
-    debug_assert!(lo <= hi && hi <= vals.len() && hi <= ids.len());
-    let mut lt = lo;
-    let mut i = lo;
-    let mut gt = hi;
-    while i < gt {
-        // Dutch-flag invariant: [lo..lt) < pivot, [lt..i) == pivot,
-        // [i..gt) unclassified, [gt..hi) > pivot.
-        debug_assert!(lt <= i && i <= gt && gt <= hi);
-        match vals[i].cmp(pivot) {
-            Ordering::Less => {
-                swap2(vals, ids, lt, i);
-                lt += 1;
-                i += 1;
-            }
-            Ordering::Greater => {
-                gt -= 1;
-                swap2(vals, ids, i, gt);
-            }
-            Ordering::Equal => i += 1,
-        }
-    }
-    debug_assert!(vals[lo..lt].iter().all(|x| x < pivot));
-    debug_assert!(vals[lt..gt].iter().all(|x| x == pivot));
-    debug_assert!(vals[gt..hi].iter().all(|x| x > pivot));
-    (lt, gt)
-}
-
-#[inline]
-fn median3_index<V: Ord>(vals: &[V], a: usize, b: usize, c: usize) -> usize {
-    let (x, y, z) = (&vals[a], &vals[b], &vals[c]);
-    if (x <= y) == (y <= z) {
-        b
-    } else if (y <= x) == (x <= z) {
-        a
-    } else {
-        c
-    }
-}
-
-/// Rearranges the parallel arrays so that the `k`-th smallest value
-/// (0-based) is at index `k`, everything before it is `<=` it, and
-/// everything after is `>=` it — with `ids` carried through the same
-/// permutation, so each `(vals[i], ids[i])` pair is one of the input
-/// pairs.
-///
-/// This is the value-lane counterpart of [`crate::nth_smallest`]
-/// (introselect: pseudo-random pivots with a median-of-medians fallback,
-/// worst-case linear).
-///
-/// # Panics
-///
-/// Panics if the lanes differ in length or `k` is out of range.
-pub fn paired_nth_smallest<V: Ord + Copy, I>(vals: &mut [V], ids: &mut [I], k: usize) {
-    if vals.len() != ids.len() {
-        lanes_differ(vals.len(), ids.len());
-    }
-    if k >= vals.len() {
-        index_out_of_range(k, vals.len());
-    }
-    paired_select(vals, ids, 0, vals.len(), k);
-}
-
-/// Introselect on the absolute range `[lo, hi)`; `target` is absolute.
-fn paired_select<V: Ord + Copy, I>(
-    vals: &mut [V],
-    ids: &mut [I],
-    mut lo: usize,
-    mut hi: usize,
-    target: usize,
-) {
-    let n = hi - lo;
-    // 2 * log2(n) pivot rounds before falling back to MoM pivots.
-    let mut depth_budget = 2 * (usize::BITS - n.leading_zeros()) as usize + 2;
-    let mut rng_state: u64 = 0x9E37_79B9_7F4A_7C15 ^ (n as u64);
-    loop {
-        if hi - lo <= SMALL {
-            paired_insertion_sort(vals, ids, lo, hi);
-            return;
-        }
-        let pivot = if depth_budget == 0 {
-            vals[paired_mom_pivot(vals, ids, lo, hi)]
-        } else {
-            depth_budget -= 1;
-            rng_state = rng_state
-                .wrapping_mul(0xD120_0000_0000_1001)
-                .wrapping_add(1);
-            let r = (rng_state >> 33) as usize;
-            // Median of three pseudo-random probes.
-            let a = lo + r % (hi - lo);
-            let b = lo + (r / (hi - lo)) % (hi - lo);
-            let c = lo + (hi - lo) / 2;
-            vals[median3_index(vals, a, b, c)]
-        };
-        // V: Copy lets the pivot ride in a register, so no clone-free
-        // slice-splitting tricks are needed here, unlike the AoS kernel.
-        let (eq_lo, eq_hi) = paired_partition3(vals, ids, lo, hi, &pivot);
-        if target < eq_lo {
-            hi = eq_lo;
-        } else if target >= eq_hi {
-            lo = eq_hi;
-        } else {
-            return;
-        }
-    }
-}
-
-/// BFPRT median-of-medians pivot for `vals[lo..hi]`; returns its index.
-fn paired_mom_pivot<V: Ord + Copy, I>(
-    vals: &mut [V],
-    ids: &mut [I],
-    lo: usize,
-    hi: usize,
-) -> usize {
-    let mut ngroups = 0usize;
-    let mut g = lo;
-    while g < hi {
-        let len = (hi - g).min(5);
-        paired_insertion_sort(vals, ids, g, g + len);
-        let median = g + (len - 1) / 2;
-        swap2(vals, ids, lo + ngroups, median);
-        ngroups += 1;
-        g += len;
-    }
-    let mid = (ngroups - 1) / 2;
-    paired_select(vals, ids, lo, lo + ngroups, lo + mid);
-    lo + mid
 }
 
 /// Parallel value/id lanes as one [`Lanes`] buffer for the
@@ -246,7 +58,13 @@ pub struct PairedLanes<V, I> {
 impl<V: Ord + Copy + 'static, I> PairedLanes<V, I> {
     /// Pairs the two lanes, with the kernel resolved by
     /// [`Kernel::detect`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the lanes differ in length.
     pub fn new(vals: Vec<V>, ids: Vec<I>) -> Self {
+        let (vlen, ilen) = (vals.len(), ids.len());
+        assert!(vlen == ilen, "value/id lanes differ: {vlen} vs {ilen}");
         PairedLanes {
             vals,
             ids,
@@ -273,12 +91,19 @@ impl<V: Ord + Copy + 'static, I> Lanes for PairedLanes<V, I> {
         self.kernel
             .prefix_class_run(&self.vals[i..i + max], *pivot, pred)
     }
+
+    #[inline]
+    fn partition_parked(&mut self, lo: usize, hi: usize) -> (usize, usize) {
+        let pivot = self.vals[lo];
+        partition_by(self, lo + 1, hi, |l, i| l.vals[i].cmp(&pivot))
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::machine::{Direction, MachineStatus, NthElementMachine, WORK_BOUND_FACTOR};
+    use crate::quickselect::{nth_smallest_in, SMALL};
 
     fn splitmix(state: &mut u64) -> u64 {
         *state = state.wrapping_add(0x9E3779B97F4A7C15);
@@ -299,6 +124,15 @@ mod tests {
         }
     }
 
+    /// Runs the complete selection over paired lanes built from `vals`
+    /// and `ids`, writing the permuted lanes back.
+    fn select_paired(vals: &mut Vec<u64>, ids: &mut Vec<u32>, k: usize) {
+        let n = vals.len();
+        let mut lanes = PairedLanes::new(core::mem::take(vals), core::mem::take(ids));
+        nth_smallest_in(&mut lanes, 0, n, k);
+        (*vals, *ids) = (lanes.vals, lanes.ids);
+    }
+
     #[test]
     fn paired_select_matches_std_and_keeps_pairs() {
         let mut state = 7u64;
@@ -309,7 +143,7 @@ mod tests {
             for k in [0, n / 2, n - 1] {
                 let mut vals = base.clone();
                 let mut ids: Vec<u32> = (0..n as u32).collect();
-                paired_nth_smallest(&mut vals, &mut ids, k);
+                select_paired(&mut vals, &mut ids, k);
                 assert_eq!(vals[k], sorted[k], "n={n} k={k}");
                 assert!(vals[..k].iter().all(|v| *v <= vals[k]));
                 assert!(vals[k + 1..].iter().all(|v| *v >= vals[k]));
@@ -331,7 +165,7 @@ mod tests {
                 for k in [0, n / 2, n - 1] {
                     let mut vals = base.clone();
                     let mut ids: Vec<u32> = (0..n as u32).collect();
-                    paired_nth_smallest(&mut vals, &mut ids, k);
+                    select_paired(&mut vals, &mut ids, k);
                     let mut sorted = base.clone();
                     sorted.sort_unstable();
                     assert_eq!(vals[k], sorted[k]);
@@ -346,9 +180,9 @@ mod tests {
         let mut state = 9u64;
         let n = 300;
         let base: Vec<u64> = (0..n).map(|_| splitmix(&mut state) % 10).collect();
-        let mut vals = base.clone();
-        let mut ids: Vec<u32> = (0..n as u32).collect();
-        let (lt, gt) = paired_partition3(&mut vals, &mut ids, 10, 290, &5);
+        let mut lanes = PairedLanes::new(base.clone(), (0..n as u32).collect());
+        let (lt, gt) = partition_by(&mut lanes, 10, 290, |l, i| l.vals[i].cmp(&5));
+        let (vals, ids) = (lanes.vals, lanes.ids);
         assert!(vals[10..lt].iter().all(|&x| x < 5));
         assert!(vals[lt..gt].iter().all(|&x| x == 5));
         assert!(vals[gt..290].iter().all(|&x| x > 5));
@@ -490,8 +324,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "value/id lanes differ")]
     fn mismatched_lanes_panic() {
-        let mut vals = vec![1u64, 2, 3];
-        let mut ids = vec![0u32, 1];
-        paired_nth_smallest(&mut vals, &mut ids, 1);
+        let _ = PairedLanes::new(vec![1u64, 2, 3], vec![0u32, 1]);
     }
 }

@@ -1,10 +1,11 @@
 //! Differential property tests pinning the structure-of-arrays backends
 //! to the array-of-structs originals and to the standard library.
 //!
-//! The SoA fast path differs from the AoS backends in three places —
-//! branchless batch admission, paired selection kernels, and the paired
-//! lanes the one suspendable selection machine runs over (with its
-//! vectorized run assist) — so its contract is checked the strongest way
+//! The SoA fast path differs from the AoS backends in two places —
+//! branchless batch admission, and the paired lanes the one complete
+//! selection and the one suspendable selection machine run over (the
+//! machine with its vectorized run assist) — so its contract is checked
+//! the strongest way
 //! available: byte-for-byte agreement of thresholds and admission
 //! decisions with the AoS backends on every stream shape that has ever
 //! broken a selection algorithm (duplicate-heavy, all-equal, adversarial
@@ -19,7 +20,7 @@ use proptest::prelude::*;
 use qmax_core::{
     AmortizedQMax, BatchInsert, DeamortizedQMax, Entry, QMax, SoaAmortizedQMax, SoaDeamortizedQMax,
 };
-use qmax_select::{paired_nth_smallest, Direction, MachineStatus, NthElementMachine, PairedLanes};
+use qmax_select::{nth_smallest_in, Direction, MachineStatus, NthElementMachine, PairedLanes};
 
 fn reference_top_q(vals: &[u64], q: usize) -> Vec<u64> {
     let mut s = vals.to_vec();
@@ -164,8 +165,9 @@ proptest! {
         prop_assert_eq!(sorted_vals(one_d.query()), sorted_vals(bat_d.query()));
     }
 
-    /// The paired selection kernel agrees with `select_nth_unstable` and
-    /// carries the id lane through the exact value-lane permutation.
+    /// The complete selection over paired lanes agrees with
+    /// `select_nth_unstable` and carries the id lane through the exact
+    /// value-lane permutation.
     #[test]
     fn paired_select_matches_std_select_nth(
         base in prop::collection::vec(0u64..16, 1..600),
@@ -175,9 +177,9 @@ proptest! {
         let k = (k_seed as usize) % n;
         let mut by_std = base.clone();
         let (_, &mut expect, _) = by_std.select_nth_unstable(k);
-        let mut vals = base.clone();
-        let mut ids: Vec<u32> = (0..n as u32).collect();
-        paired_nth_smallest(&mut vals, &mut ids, k);
+        let mut lanes = PairedLanes::new(base.clone(), (0..n as u32).collect());
+        nth_smallest_in(&mut lanes, 0, n, k);
+        let (vals, ids) = (lanes.vals, lanes.ids);
         prop_assert_eq!(vals[k], expect, "order statistic diverged at k={}", k);
         for &v in &vals[..k] {
             prop_assert!(v <= vals[k]);
@@ -212,10 +214,9 @@ proptest! {
         };
         // Direction order: `before(a, b)` iff a may precede b.
         let before = |a: u32, b: u32| if descending { a >= b } else { a <= b };
-        let mut batch = base.clone();
-        let mut batch_ids: Vec<u32> = (0..n as u32).collect();
-        paired_nth_smallest(&mut batch, &mut batch_ids, rank);
-        let expect = batch[rank];
+        let mut batch = PairedLanes::new(base.clone(), (0..n as u32).collect());
+        nth_smallest_in(&mut batch, 0, n, rank);
+        let expect = batch.vals[rank];
         let mut lanes = PairedLanes::new(base.clone(), (0..n as u32).collect());
         let mut entries: Vec<Entry<u32, u32>> = base
             .iter()
@@ -250,5 +251,49 @@ proptest! {
         prop_assert_eq!(&entry_vals, vals);
         let entry_ids: Vec<u32> = entries.iter().map(|e| e.id).collect();
         prop_assert_eq!(&entry_ids, &lanes.ids);
+    }
+
+    /// One complete selection, whatever the layout: over a slice of
+    /// entries and over paired lanes built from the same values, the
+    /// same `(lo, hi, k)` leaves the same permutation, keeps every pair
+    /// intact and touches no slot outside `[lo, hi)`.
+    #[test]
+    fn introselect_is_layout_independent(
+        base in prop_oneof![
+            prop::collection::vec(any::<u64>(), 1..600),
+            prop::collection::vec(0u64..8, 1..600),
+        ],
+        lo_seed in any::<usize>(),
+        len_seed in any::<usize>(),
+        k_seed in any::<usize>(),
+    ) {
+        let n = base.len();
+        let lo = lo_seed % n;
+        let hi = lo + 1 + len_seed % (n - lo);
+        let k = k_seed % (hi - lo);
+        let mut entries: Vec<Entry<u32, u64>> = base
+            .iter()
+            .enumerate()
+            .map(|(i, &v)| Entry::new(i as u32, v))
+            .collect();
+        let mut lanes = PairedLanes::new(base.clone(), (0..n as u32).collect());
+        nth_smallest_in(&mut entries[..], lo, hi, k);
+        nth_smallest_in(&mut lanes, lo, hi, k);
+        let entry_vals: Vec<u64> = entries.iter().map(|e| e.val).collect();
+        prop_assert_eq!(&entry_vals, &lanes.vals);
+        let entry_ids: Vec<u32> = entries.iter().map(|e| e.id).collect();
+        prop_assert_eq!(&entry_ids, &lanes.ids);
+        for (i, (&v, &id)) in lanes.vals.iter().zip(&lanes.ids).enumerate() {
+            prop_assert_eq!(v, base[id as usize], "pair broken at index {}", i);
+            if i < lo || i >= hi {
+                prop_assert_eq!(id as usize, i, "slot {} outside [{}, {}) moved", i, lo, hi);
+            }
+        }
+        let mut range = base[lo..hi].to_vec();
+        range.sort_unstable();
+        let t = lo + k;
+        prop_assert_eq!(lanes.vals[t], range[k]);
+        prop_assert!(lanes.vals[lo..t].iter().all(|&v| v <= lanes.vals[t]));
+        prop_assert!(lanes.vals[t + 1..hi].iter().all(|&v| v >= lanes.vals[t]));
     }
 }
