@@ -4,9 +4,8 @@
 use crate::scale::Scale;
 use crate::{fmt, mpps, Report};
 use qmax_core::{
-    AdaptiveBasicSlackQMax, AdaptiveHierSlackQMax, AdaptiveLazySlackQMax, AmortizedQMax,
-    BasicSlackQMax, BatchInsert, HierSlackQMax, IntervalBackend, LazySlackQMax, OrderedF64,
-    PolicyMode, QMax, SoaAmortizedQMax,
+    AdaptiveBackend, AdaptiveBasicSlackQMax, AmortizedQMax, BasicSlackQMax, BatchInsert,
+    HierSlackQMax, IntervalBackend, LazySlackQMax, OrderedF64, PolicyMode, QMax, SoaAmortizedQMax,
 };
 use qmax_lrfu::{AdaptiveQMaxLrfu, QMaxLrfu, SoaQMaxLrfu};
 use qmax_traces::gen::{arc_like, random_u64_stream};
@@ -399,11 +398,12 @@ pub fn windows_backend(scale: &Scale) {
         });
 
         let label =
-            AdaptiveHierSlackQMax::<u64, u64>::new_adaptive(q, gamma, w, tau, 2).backend_label();
+            HierSlackQMax::<u64, u64, _>::with_backend(w, tau, 2, AdaptiveBackend::new(q, gamma))
+                .backend_label();
         let ([aos, soa, ada], vs_best) = tri_window_mips(
             || HierSlackQMax::new(q, gamma, w, tau, 2),
             || HierSlackQMax::with_backend(w, tau, 2, SoaAmortizedQMax::new(q, gamma)),
-            || AdaptiveHierSlackQMax::new_adaptive(q, gamma, w, tau, 2),
+            || HierSlackQMax::with_backend(w, tau, 2, AdaptiveBackend::new(q, gamma)),
             &stream,
             &format!("hier tau={tau}"),
         );
@@ -418,11 +418,12 @@ pub fn windows_backend(scale: &Scale) {
         });
 
         let label =
-            AdaptiveLazySlackQMax::<u64, u64>::new_adaptive(q, gamma, w, tau, 2).backend_label();
+            LazySlackQMax::<u64, u64, _>::with_backend(w, tau, 2, AdaptiveBackend::new(q, gamma))
+                .backend_label();
         let ([aos, soa, ada], vs_best) = tri_window_mips(
             || LazySlackQMax::new(q, gamma, w, tau, 2),
             || LazySlackQMax::with_backend(w, tau, 2, SoaAmortizedQMax::new(q, gamma)),
-            || AdaptiveLazySlackQMax::new_adaptive(q, gamma, w, tau, 2),
+            || LazySlackQMax::with_backend(w, tau, 2, AdaptiveBackend::new(q, gamma)),
             &stream,
             &format!("lazy tau={tau}"),
         );

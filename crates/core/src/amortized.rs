@@ -96,6 +96,10 @@ impl<I: Clone, V: Ord + Clone, S: Slots<I, V>> Amortized<I, V, S> {
     /// Fallible [`Amortized::new`]: rejects `q == 0` and non-positive /
     /// non-finite `gamma` (or one whose geometry overflows) instead of
     /// panicking.
+    // Inlinable into every codegen unit, so a fresh process's first
+    // construction does not depend on where the unit partitioning put
+    // this function (one more cold code page costs it about 10%).
+    #[inline]
     pub fn try_new(q: usize, gamma: f64) -> Result<Self, crate::QMaxError> {
         crate::error::check_q_gamma::<Entry<I, V>>(q, gamma)?;
         let cap = amortized_capacity(q, gamma);

@@ -36,6 +36,10 @@ pub enum QMaxError {
     BadValue(f64),
     /// A sharded engine with zero shards.
     ZeroShards,
+    /// A window geometry that overflows: the named parameter (`c`, `w`
+    /// or `window_ns`) makes the block count or the window span too
+    /// large to represent or allocate.
+    WindowOverflow(&'static str),
 }
 
 impl fmt::Display for QMaxError {
@@ -55,6 +59,9 @@ impl fmt::Display for QMaxError {
                 write!(f, "decayed values must be positive and finite (got {v})")
             }
             QMaxError::ZeroShards => write!(f, "need at least one shard"),
+            QMaxError::WindowOverflow(p) => {
+                write!(f, "{p} too large: the window geometry overflows")
+            }
         }
     }
 }
@@ -76,13 +83,20 @@ pub(crate) fn check_q_gamma<T>(q: usize, gamma: f64) -> Result<(), QMaxError> {
     }
     // The float-to-int cast saturates, so a huge γ overflows below.
     let g = (((q as f64) * gamma / 2.0).ceil() as usize).max(1);
-    let max_slots = isize::MAX as usize / std::mem::size_of::<T>().max(1);
     match g.checked_mul(2).and_then(|zones| zones.checked_add(q)) {
-        Some(slots) if slots <= max_slots && slots.checked_mul(WORK_BOUND_FACTOR).is_some() => {
+        Some(slots)
+            if slots <= max_slots::<T>() && slots.checked_mul(WORK_BOUND_FACTOR).is_some() =>
+        {
             Ok(())
         }
         _ => Err(QMaxError::BadGamma(gamma)),
     }
+}
+
+/// The longest `Vec<T>` an allocation can hold: `n · size_of::<T>()`
+/// must not exceed `isize::MAX`.
+pub(crate) fn max_slots<T>() -> usize {
+    isize::MAX as usize / std::mem::size_of::<T>().max(1)
 }
 
 /// Validates a slack-window `(w, tau)` pair.
@@ -126,6 +140,10 @@ mod tests {
             .to_string()
             .starts_with("decayed values must be positive and finite"));
         assert_eq!(QMaxError::ZeroShards.to_string(), "need at least one shard");
+        assert_eq!(
+            QMaxError::WindowOverflow("window_ns").to_string(),
+            "window_ns too large: the window geometry overflows"
+        );
     }
 
     #[test]

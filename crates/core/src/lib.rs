@@ -26,9 +26,10 @@
 //! * [`HeapQMax`], [`SkipListQMax`], [`SortedVecQMax`] — the classical
 //!   `O(log q)` (or worse) baselines the paper compares against, built
 //!   from scratch on our own [`heap::MinHeap`] and [`skiplist::SkipList`].
-//! * [`BasicSlackQMax`], [`HierSlackQMax`], [`LazySlackQMax`] — sliding
-//!   window variants over `(W, τ)`-*slack windows* (Algorithms 3–4 and
-//!   Theorem 7 of the paper).
+//! * [`BasicSlackQMax`], [`HierSlackQMax`], [`LazySlackQMax`],
+//!   [`TimeSlackQMax`] — sliding window variants over `(W, τ)`-*slack
+//!   windows* (Algorithms 3–4, Theorem 7 and the time-based windows of
+//!   Section 4.3.4), all on one epoch-stamped ring of interval blocks.
 //! * [`ExpDecayQMax`] — exponential-decay weighting (Section 5) via a
 //!   numerically stable log-domain transform.
 //!
@@ -86,12 +87,9 @@ pub use skiplist::{KeyedSkipListQMax, SkipListQMax};
 pub use slots::Slots;
 pub use soa::{SoaAmortizedQMax, SoaDeamortizedQMax};
 pub use sorted_vec::SortedVecQMax;
-pub use time_window::{AdaptiveTimeSlackQMax, TimeSlackQMax};
+pub use time_window::TimeSlackQMax;
 pub use traits::{BatchInsert, IntervalBackend, QMax};
 // Backend-policy types re-exported so callers configuring adaptive
 // structures need not depend on `qmax_select` directly.
 pub use qmax_select::{BackendChoice, PolicyMode};
-pub use window::{
-    AdaptiveBasicSlackQMax, AdaptiveHierSlackQMax, AdaptiveLazySlackQMax, BasicSlackQMax,
-    HierSlackQMax, LazySlackQMax,
-};
+pub use window::{AdaptiveBasicSlackQMax, BasicSlackQMax, HierSlackQMax, LazySlackQMax};

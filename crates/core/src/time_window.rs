@@ -5,12 +5,14 @@
 //! we get a slack window that varies between 23 and 24 hours",
 //! Section 4.3.4): distributed observation points cannot agree on item
 //! counts, but they share timestamps. This structure cuts *time* into
-//! `⌈1/τ⌉` fixed-duration blocks and otherwise works like
-//! [`crate::BasicSlackQMax`].
+//! `⌈1/τ⌉` fixed-duration blocks and otherwise is
+//! [`crate::BasicSlackQMax`]: the same epoch-stamped block ring, run on
+//! the timestamp clock instead of the arrival count.
 
 use crate::amortized::AmortizedQMax;
-use crate::entry::{retain_top_q, Entry};
+use crate::error::QMaxError;
 use crate::traits::IntervalBackend;
+use crate::window::{top_q_entries, EpochRing};
 
 /// q-MAX over a time-based `(W, τ)`-slack window: queries list the `q`
 /// largest items among those that arrived in the last `W(1−τ)..W`
@@ -26,7 +28,8 @@ use crate::traits::IntervalBackend;
 /// through the structure-of-arrays
 /// [`SoaAmortizedQMax`](crate::SoaAmortizedQMax) so
 /// [`TimeSlackQMax::insert_batch`] runs the branchless batched kernel
-/// per block.
+/// per block, and `with_backend(…, AdaptiveBackend::new(q, γ))` lets the
+/// backend policy pick the layout from the block capacity alone.
 ///
 /// ```
 /// use qmax_core::TimeSlackQMax;
@@ -42,16 +45,13 @@ use crate::traits::IntervalBackend;
 #[derive(Debug, Clone)]
 pub struct TimeSlackQMax<I, V, B = AmortizedQMax<I, V>> {
     q: usize,
-    /// Block duration in nanoseconds, `⌈W·τ⌉`.
-    block_ns: u64,
-    /// Ring of per-block reservoirs; slot = epoch % len.
-    blocks: Vec<B>,
-    /// Epoch (block index since time 0) of each slot's content;
-    /// `u64::MAX` = never used.
-    epochs: Vec<u64>,
+    /// `⌈1/τ⌉` blocks of `⌈W·τ⌉` nanoseconds on the timestamp clock.
+    ring: EpochRing<I, V, B>,
     /// Most recent timestamp seen (for monotonicity checking).
     last_ts: u64,
-    _marker: crate::window::RingMarker<I, V>,
+    /// Reused by [`TimeSlackQMax::insert_batch`] to gather each block's
+    /// span.
+    scratch: Vec<(I, V)>,
 }
 
 impl<I: Clone, V: Ord + Clone> TimeSlackQMax<I, V> {
@@ -69,39 +69,10 @@ impl<I: Clone, V: Ord + Clone> TimeSlackQMax<I, V> {
     }
 
     /// Fallible [`TimeSlackQMax::new`]: rejects `q == 0`, bad `gamma`,
-    /// `window_ns == 0`, and `tau` outside `(0, 1]` instead of
-    /// panicking.
-    pub fn try_new(
-        q: usize,
-        gamma: f64,
-        window_ns: u64,
-        tau: f64,
-    ) -> Result<Self, crate::QMaxError> {
+    /// `window_ns == 0`, `tau` outside `(0, 1]`, and a geometry too
+    /// large to allocate or to span in nanoseconds instead of panicking.
+    pub fn try_new(q: usize, gamma: f64, window_ns: u64, tau: f64) -> Result<Self, QMaxError> {
         Self::try_with_backend(window_ns, tau, AmortizedQMax::try_new(q, gamma)?)
-    }
-}
-
-/// [`TimeSlackQMax`] with per-block adaptive backends. Time blocks have
-/// no a-priori item count, so the policy sees no fill hint and keys on
-/// block capacity alone.
-pub type AdaptiveTimeSlackQMax<I, V> = TimeSlackQMax<I, V, crate::AdaptiveBackend<I, V>>;
-
-impl<I: Copy + 'static, V: Ord + Copy + 'static> AdaptiveTimeSlackQMax<I, V> {
-    /// Like [`TimeSlackQMax::new`], but every block delegates to the
-    /// layout the global backend policy picks for its capacity.
-    pub fn new_adaptive(q: usize, gamma: f64, window_ns: u64, tau: f64) -> Self {
-        Self::try_new_adaptive(q, gamma, window_ns, tau).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible [`AdaptiveTimeSlackQMax::new_adaptive`].
-    pub fn try_new_adaptive(
-        q: usize,
-        gamma: f64,
-        window_ns: u64,
-        tau: f64,
-    ) -> Result<Self, crate::QMaxError> {
-        let proto = crate::AdaptiveBackend::try_with_fill_hint(q, gamma, None)?;
-        Self::try_with_backend(window_ns, tau, proto)
     }
 }
 
@@ -119,48 +90,29 @@ impl<I, V: Ord, B: IntervalBackend<I, V>> TimeSlackQMax<I, V, B> {
     }
 
     /// Fallible [`TimeSlackQMax::with_backend`].
-    pub fn try_with_backend(window_ns: u64, tau: f64, proto: B) -> Result<Self, crate::QMaxError> {
-        if window_ns == 0 {
-            return Err(crate::QMaxError::ZeroWindow);
-        }
-        crate::error::check_tau(tau)?;
-        let n_blocks = (1.0 / tau).ceil() as usize;
-        let block_ns = window_ns.div_ceil(n_blocks as u64).max(1);
+    pub fn try_with_backend(window_ns: u64, tau: f64, proto: B) -> Result<Self, QMaxError> {
+        let (n_blocks, block_ns) = EpochRing::<I, V, B>::geometry(window_ns, tau, "window_ns")?;
         Ok(TimeSlackQMax {
             q: proto.q(),
-            block_ns,
-            blocks: (0..n_blocks).map(|_| proto.fresh()).collect(),
-            epochs: vec![u64::MAX; n_blocks],
+            ring: EpochRing::new(n_blocks, block_ns, &proto),
             last_ts: 0,
-            _marker: std::marker::PhantomData,
+            scratch: Vec::new(),
         })
     }
 
     /// Block duration in nanoseconds.
     pub fn block_ns(&self) -> u64 {
-        self.block_ns
+        self.ring.unit()
     }
 
     /// The effective window duration `block_ns · n_blocks`.
     pub fn effective_window_ns(&self) -> u64 {
-        self.block_ns * self.blocks.len() as u64
+        self.ring.span()
     }
 
     /// The configured reservoir size.
     pub fn q(&self) -> usize {
         self.q
-    }
-
-    /// Recycles the slot for `epoch` in place if its content belongs to
-    /// an older epoch, and returns the slot index.
-    fn slot_for(&mut self, epoch: u64) -> usize {
-        let slot = (epoch % self.blocks.len() as u64) as usize;
-        if self.epochs[slot] != epoch {
-            // The slot's previous content is a full window old: recycle.
-            self.blocks[slot].reset();
-            self.epochs[slot] = epoch;
-        }
-        slot
     }
 
     /// Offers an item observed at `ts_ns`. Timestamps must be
@@ -172,26 +124,15 @@ impl<I, V: Ord, B: IntervalBackend<I, V>> TimeSlackQMax<I, V, B> {
     pub fn insert(&mut self, id: I, val: V, ts_ns: u64) -> bool {
         debug_assert!(ts_ns >= self.last_ts, "timestamps must be non-decreasing");
         self.last_ts = ts_ns;
-        let epoch = ts_ns / self.block_ns;
-        let slot = self.slot_for(epoch);
-        self.blocks[slot].insert(id, val)
+        self.ring.block_at(ts_ns).0.insert(id, val)
     }
 
     /// Lists the `q` largest items within the slack window ending at
     /// `now_ns` (usually the most recent timestamp).
     pub fn query_at(&mut self, now_ns: u64) -> Vec<(I, V)> {
-        let cur_epoch = now_ns / self.block_ns;
-        let oldest = cur_epoch.saturating_sub(self.blocks.len() as u64 - 1);
-        let mut scratch: Vec<Entry<I, V>> = Vec::new();
-        for (slot, block) in self.blocks.iter().enumerate() {
-            let e = self.epochs[slot];
-            if e == u64::MAX || e < oldest || e > cur_epoch {
-                continue;
-            }
-            block.candidates_into(&mut scratch);
-        }
-        retain_top_q(&mut scratch, 0, self.q);
-        scratch.into_iter().map(|e| (e.id, e.val)).collect()
+        let mut scratch = Vec::new();
+        self.ring.collect_live(now_ns, &mut scratch);
+        top_q_entries(scratch, self.q)
     }
 
     /// Lists the `q` largest items as of the latest inserted timestamp.
@@ -201,10 +142,7 @@ impl<I, V: Ord, B: IntervalBackend<I, V>> TimeSlackQMax<I, V, B> {
 
     /// Clears the structure.
     pub fn reset(&mut self) {
-        for b in &mut self.blocks {
-            b.reset();
-        }
-        self.epochs.fill(u64::MAX);
+        self.ring.reset();
         self.last_ts = 0;
     }
 }
@@ -225,24 +163,17 @@ impl<I: Clone, V: Ord + Clone, B: IntervalBackend<I, V>> TimeSlackQMax<I, V, B> 
     /// Panics (debug builds) on a timestamp regression.
     pub fn insert_batch(&mut self, items: &[(I, V, u64)]) -> usize {
         let mut admitted = 0;
-        let mut scratch: Vec<(I, V)> = Vec::new();
         let mut i = 0;
         while i < items.len() {
-            let epoch = items[i].2 / self.block_ns;
-            let mut j = i;
-            scratch.clear();
-            while j < items.len() && items[j].2 / self.block_ns == epoch {
-                debug_assert!(
-                    items[j].2 >= self.last_ts,
-                    "timestamps must be non-decreasing"
-                );
-                self.last_ts = items[j].2;
-                scratch.push((items[j].0.clone(), items[j].1.clone()));
-                j += 1;
+            let (block, last) = self.ring.block_at(items[i].2);
+            self.scratch.clear();
+            for (id, val, ts) in items[i..].iter().take_while(|item| item.2 <= last) {
+                debug_assert!(*ts >= self.last_ts, "timestamps must be non-decreasing");
+                self.last_ts = *ts;
+                self.scratch.push((id.clone(), val.clone()));
             }
-            let slot = self.slot_for(epoch);
-            admitted += self.blocks[slot].insert_batch(&scratch);
-            i = j;
+            admitted += block.insert_batch(&self.scratch);
+            i += self.scratch.len();
         }
         admitted
     }
@@ -320,7 +251,7 @@ mod tests {
                 // The exact cutoff is block-aligned; accept any
                 // block-aligned window in range.
                 let cur_epoch = ts / block;
-                let oldest = cur_epoch + 1 - w.blocks.len() as u64;
+                let oldest = cur_epoch + 1 - w.ring.n_blocks() as u64;
                 let cutoff = oldest * block;
                 let mut expect: Vec<u64> = all
                     .iter()

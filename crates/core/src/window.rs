@@ -3,8 +3,8 @@
 //! Computing the exact maximum over a `W`-item sliding window requires
 //! `Ω(W)` space (Datar et al.), so the paper relaxes the window to a
 //! *slack window*: the answer may refer to any suffix of length between
-//! `W(1−τ)` and `W`. This module implements the paper's three slack
-//! algorithms:
+//! `W(1−τ)` and `W`. This module implements the paper's three
+//! count-based slack algorithms:
 //!
 //! * [`BasicSlackQMax`] (Algorithm 3): `⌈1/τ⌉` blocks, each an interval
 //!   q-MAX. `O(1)` update, `O(q/τ)` query.
@@ -14,110 +14,200 @@
 //!   every arrival, pushing only per-block top-`q` summaries into the
 //!   layers. `O(1)` amortized update with the hierarchical query time.
 //!
-//! All three are generic over the per-block interval backend via
+//! These and the time-based [`TimeSlackQMax`](crate::TimeSlackQMax)
+//! all run on one epoch-stamped block ring: each window maps its clock
+//! (the arrival count, or the timestamp) to an epoch, the ring hands
+//! back that epoch's block — recycling the slot in place if it still
+//! holds an older epoch — and reads keep only the slots whose stamp
+//! lies in the live range. Skipping clock positions is therefore just
+//! a clock update.
+//!
+//! All four are generic over the per-block interval backend via
 //! [`IntervalBackend`]: the default type parameter keeps the historical
 //! array-of-structs [`AmortizedQMax`] behavior (and works for non-`Copy`
 //! ids), while `with_backend(…, SoaAmortizedQMax::new(q, γ))` routes
 //! every block through the structure-of-arrays
 //! [`SoaAmortizedQMax`](crate::SoaAmortizedQMax) so the branchless
-//! batched insert path applies to windowed streams too. The
-//! [`BatchInsert`] impls split each batch at block boundaries, so
-//! batched and singleton insertion are observably identical.
+//! batched insert path applies to windowed streams too, and
+//! `with_backend(…, AdaptiveBackend::new(q, γ))` lets the backend policy
+//! pick the layout. The [`BatchInsert`] impls split each batch at block
+//! boundaries, so batched and singleton insertion are observably
+//! identical.
 
 use crate::adaptive::AdaptiveBackend;
 use crate::amortized::AmortizedQMax;
 use crate::entry::{retain_top_q, Entry};
+use crate::error::QMaxError;
 use crate::traits::{BatchInsert, IntervalBackend, QMax};
+use std::collections::VecDeque;
 use std::marker::PhantomData;
+use std::ops::RangeInclusive;
 
-/// Marker making a ring invariant in `(I, V)` without owning either
-/// (blocks own the data; the ring is just an indexing scheme).
-pub(crate) type RingMarker<I, V> = PhantomData<fn(I, V) -> (I, V)>;
-
-/// A ring of `blocks` interval q-MAX instances, advanced explicitly.
+/// A ring of interval q-MAX blocks, one per epoch of a window's clock,
+/// each slot stamped with the epoch it holds.
 ///
-/// The ring retains the current (partial) block plus the `blocks - 1`
-/// most recent completed blocks; advancing recycles the oldest block
-/// **in place** via [`QMax::reset`] — no per-epoch allocation.
+/// Epoch `e` covers the clock positions `[e·unit, (e+1)·unit)` and
+/// lives in slot `e % n`. Touching a slot whose stamp is older recycles
+/// its block **in place** via [`QMax::reset`] — no per-epoch
+/// allocation — and every read keeps only the slots stamped within the
+/// live range `[cur − n + 1, cur]`, so a slot left behind by skipped
+/// epochs is simply never read.
 #[derive(Debug, Clone)]
-struct BlockRing<I, V, B> {
-    blocks: Vec<B>,
-    /// Epoch of the current block; the block for epoch `e` lives at slot
-    /// `e % blocks.len()`.
-    epoch: u64,
-    _marker: RingMarker<I, V>,
+pub(crate) struct EpochRing<I, V, B> {
+    /// `(stamp, block)` per slot; slot `i` starts out holding epoch `i`.
+    slots: Vec<(u64, B)>,
+    /// Clock units per epoch.
+    unit: u64,
+    /// Slot of the last touched epoch and that epoch's last clock
+    /// position: clocks only move forward, so positions up to `last`
+    /// reach the block without a division.
+    cur: usize,
+    last: u64,
+    // Names `(I, V)` without owning either: the blocks own the data.
+    _marker: PhantomData<fn() -> (I, V)>,
 }
 
-impl<I, V: Ord, B: IntervalBackend<I, V>> BlockRing<I, V, B> {
-    fn from_proto(blocks: usize, proto: &B) -> Self {
-        assert!(blocks >= 1);
-        BlockRing {
-            blocks: (0..blocks).map(|_| proto.fresh()).collect(),
-            epoch: 0,
+impl<I, V: Ord, B: IntervalBackend<I, V>> EpochRing<I, V, B> {
+    /// The most slots one ring may hold: the bound `check_q_gamma` puts
+    /// on every buffer, `n · size_of::<slot>() ≤ isize::MAX`.
+    fn max_slots() -> usize {
+        crate::error::max_slots::<(u64, B)>()
+    }
+
+    /// Validates τ and returns the `⌈1/τ⌉` blocks of a `(W, τ)`-slack
+    /// window; `BadTau(τ)` when that many slots cannot be allocated.
+    fn blocks_for(tau: f64) -> Result<usize, QMaxError> {
+        crate::error::check_tau(tau)?;
+        let n = (1.0 / tau).ceil();
+        if n > Self::max_slots() as f64 {
+            return Err(QMaxError::BadTau(tau));
+        }
+        Ok(n as usize)
+    }
+
+    /// The geometry `(n, unit) = (⌈1/τ⌉, ⌈span/n⌉)` of a one-ring slack
+    /// window over `span` clock units. A span `n · unit` past the clock's
+    /// range is `WindowOverflow(param)`.
+    pub(crate) fn geometry(
+        span: u64,
+        tau: f64,
+        param: &'static str,
+    ) -> Result<(usize, u64), QMaxError> {
+        if span == 0 {
+            return Err(QMaxError::ZeroWindow);
+        }
+        let n = Self::blocks_for(tau)?;
+        let unit = span.div_ceil(n as u64).max(1);
+        unit.checked_mul(n as u64)
+            .ok_or(QMaxError::WindowOverflow(param))?;
+        Ok((n, unit))
+    }
+
+    /// A ring of `n` blocks of `unit` clock units stamped out of
+    /// `proto`, positioned at epoch 0.
+    pub(crate) fn new(n: usize, unit: u64, proto: &B) -> Self {
+        EpochRing {
+            slots: (0..n as u64).map(|e| (e, proto.fresh())).collect(),
+            unit,
+            cur: 0,
+            last: unit - 1,
             _marker: PhantomData,
         }
     }
 
-    fn n_blocks(&self) -> usize {
-        self.blocks.len()
+    pub(crate) fn n_blocks(&self) -> usize {
+        self.slots.len()
     }
 
-    fn cur_slot(&self) -> usize {
-        (self.epoch % self.blocks.len() as u64) as usize
+    /// Clock units per epoch.
+    pub(crate) fn unit(&self) -> u64 {
+        self.unit
     }
 
-    fn add(&mut self, id: I, val: V) {
-        let slot = self.cur_slot();
-        self.blocks[slot].insert(id, val);
+    /// The effective window `n · unit`, in clock units.
+    pub(crate) fn span(&self) -> u64 {
+        self.unit * self.slots.len() as u64
     }
 
-    /// Feeds a batch into the current block (callers must have split the
-    /// batch so it does not cross a block boundary).
-    fn add_batch(&mut self, items: &[(I, V)]) {
-        let slot = self.cur_slot();
-        self.blocks[slot].insert_batch(items);
+    /// The block of the epoch holding clock position `t` (recycled first
+    /// if its slot still holds an older epoch), and that epoch's last
+    /// clock position.
+    #[inline]
+    pub(crate) fn block_at(&mut self, t: u64) -> (&mut B, u64) {
+        if t > self.last {
+            self.seek(t);
+        }
+        (&mut self.slots[self.cur].1, self.last)
     }
 
-    /// Ends the current block and recycles the oldest one in place.
-    fn advance(&mut self) {
-        self.epoch += 1;
-        let slot = self.cur_slot();
-        self.blocks[slot].reset();
-    }
-
-    /// Collects the candidates of the `m` oldest retained blocks
-    /// (`m <= blocks - 1`; excludes the current block) into `out`.
-    fn collect_oldest(&self, m: usize, out: &mut Vec<Entry<I, V>>) {
-        debug_assert!(m < self.blocks.len());
-        let n = self.blocks.len() as u64;
-        let retained = (n - 1).min(self.epoch);
-        let oldest = self.epoch - retained;
-        for i in 0..m as u64 {
-            let e = oldest + i;
-            debug_assert!(e <= self.epoch);
-            let slot = (e % n) as usize;
-            self.blocks[slot].candidates_into(out);
+    #[cold]
+    fn seek(&mut self, t: u64) {
+        let epoch = t / self.unit;
+        self.cur = (epoch % self.slots.len() as u64) as usize;
+        self.last = (epoch * self.unit).saturating_add(self.unit - 1);
+        let (stamp, block) = &mut self.slots[self.cur];
+        if *stamp != epoch {
+            block.reset();
+            *stamp = epoch;
         }
     }
 
-    /// Collects the candidates of every retained block, including the
-    /// current partial one, into `out`.
+    /// The epochs a query at clock position `t` covers: the current one
+    /// and the `n − 1` before it.
+    fn live(&self, t: u64) -> RangeInclusive<u64> {
+        let cur = t / self.unit;
+        cur.saturating_sub(self.slots.len() as u64 - 1)..=cur
+    }
+
+    /// Appends the candidates of every live block at `t`, in slot order.
     ///
     /// Interval blocks may hold up to `q(1+γ)` candidates of which only
     /// the top `q` are guaranteed to matter; the superset is also
     /// correct and the final top-`q` cut happens once at the very end of
     /// the query, so it costs only a constant factor in merge size.
-    fn collect_all(&self, out: &mut Vec<Entry<I, V>>) {
-        for b in &self.blocks {
-            b.candidates_into(out);
+    pub(crate) fn collect_live(&self, t: u64, out: &mut Vec<Entry<I, V>>) {
+        let live = self.live(t);
+        for (stamp, block) in &self.slots {
+            if live.contains(stamp) {
+                block.candidates_into(out);
+            }
         }
     }
 
-    fn reset(&mut self) {
-        for b in &mut self.blocks {
-            b.reset();
+    /// Appends the candidates of the given epochs, in that order; an
+    /// epoch whose slot holds another one contributes nothing.
+    fn collect_epochs(&self, epochs: impl Iterator<Item = u64>, out: &mut Vec<Entry<I, V>>) {
+        let n = self.slots.len() as u64;
+        for e in epochs {
+            let (stamp, block) = &self.slots[(e % n) as usize];
+            if *stamp == e {
+                block.candidates_into(out);
+            }
         }
-        self.epoch = 0;
+    }
+
+    /// Items held by the live blocks at `t`.
+    fn len_live(&self, t: u64) -> usize {
+        let live = self.live(t);
+        self.slots
+            .iter()
+            .filter(|(stamp, _)| live.contains(stamp))
+            .map(|(_, block)| block.len())
+            .sum()
+    }
+
+    /// The blocks' backend label (all are stamped from one prototype).
+    fn backend_label(&self) -> &'static str {
+        self.slots[0].1.backend_label()
+    }
+
+    pub(crate) fn reset(&mut self) {
+        for (e, (stamp, block)) in self.slots.iter_mut().enumerate() {
+            block.reset();
+            *stamp = e as u64;
+        }
+        self.cur = 0;
+        self.last = self.unit - 1;
     }
 }
 
@@ -144,11 +234,10 @@ impl<I, V: Ord, B: IntervalBackend<I, V>> BlockRing<I, V, B> {
 #[derive(Debug, Clone)]
 pub struct BasicSlackQMax<I, V, B = AmortizedQMax<I, V>> {
     q: usize,
-    /// Items per block, `⌈Wτ⌉`.
-    block_size: usize,
-    ring: BlockRing<I, V, B>,
-    /// Items inserted into the current block.
-    fill: usize,
+    /// `⌈1/τ⌉` blocks of `⌈Wτ⌉` items on the arrival clock.
+    ring: EpochRing<I, V, B>,
+    /// Items inserted so far.
+    count: u64,
 }
 
 impl<I: Clone, V: Ord + Clone> BasicSlackQMax<I, V> {
@@ -165,8 +254,9 @@ impl<I: Clone, V: Ord + Clone> BasicSlackQMax<I, V> {
     }
 
     /// Fallible [`BasicSlackQMax::new`]: rejects `q == 0`, bad `gamma`,
-    /// `w == 0`, and `tau` outside `(0, 1]` instead of panicking.
-    pub fn try_new(q: usize, gamma: f64, w: usize, tau: f64) -> Result<Self, crate::QMaxError> {
+    /// `w == 0`, and `tau` outside `(0, 1]` (or too small for its
+    /// `⌈1/τ⌉` blocks to be allocated) instead of panicking.
+    pub fn try_new(q: usize, gamma: f64, w: usize, tau: f64) -> Result<Self, QMaxError> {
         Self::try_with_backend(w, tau, AmortizedQMax::try_new(q, gamma)?)
     }
 }
@@ -190,28 +280,15 @@ impl<I: Copy + 'static, V: Ord + Copy + 'static> AdaptiveBasicSlackQMax<I, V> {
     }
 
     /// Fallible [`AdaptiveBasicSlackQMax::new_adaptive`].
-    pub fn try_new_adaptive(
-        q: usize,
-        gamma: f64,
-        w: usize,
-        tau: f64,
-    ) -> Result<Self, crate::QMaxError> {
+    pub fn try_new_adaptive(q: usize, gamma: f64, w: usize, tau: f64) -> Result<Self, QMaxError> {
         // The prototype's layout must be chosen from the block size
         // before the ring can be stamped out of it; q/γ errors still
         // take precedence over window errors, as in every `try_new`.
         crate::error::check_q_gamma::<Entry<I, V>>(q, gamma)?;
-        let (_, block_size) = basic_geometry(w, tau)?;
-        let proto = AdaptiveBackend::try_with_fill_hint(q, gamma, Some(block_size))?;
+        let (_, block) = EpochRing::<I, V, AdaptiveBackend<I, V>>::geometry(w as u64, tau, "w")?;
+        let proto = AdaptiveBackend::try_with_fill_hint(q, gamma, Some(block as usize))?;
         Self::try_with_backend(w, tau, proto)
     }
-}
-
-/// Validates `(w, tau)` and derives the basic window's geometry:
-/// `(n_blocks, block_size)` = `(⌈1/τ⌉, ⌈w/n_blocks⌉)`.
-fn basic_geometry(w: usize, tau: f64) -> Result<(usize, usize), crate::QMaxError> {
-    crate::error::check_window(w, tau)?;
-    let n_blocks = (1.0 / tau).ceil() as usize;
-    Ok((n_blocks, w.div_ceil(n_blocks).max(1)))
 }
 
 impl<I, V: Ord, B: IntervalBackend<I, V>> BasicSlackQMax<I, V, B> {
@@ -227,19 +304,18 @@ impl<I, V: Ord, B: IntervalBackend<I, V>> BasicSlackQMax<I, V, B> {
     }
 
     /// Fallible [`BasicSlackQMax::with_backend`].
-    pub fn try_with_backend(w: usize, tau: f64, proto: B) -> Result<Self, crate::QMaxError> {
-        let (n_blocks, block_size) = basic_geometry(w, tau)?;
+    pub fn try_with_backend(w: usize, tau: f64, proto: B) -> Result<Self, QMaxError> {
+        let (n_blocks, block_size) = EpochRing::<I, V, B>::geometry(w as u64, tau, "w")?;
         Ok(BasicSlackQMax {
             q: proto.q(),
-            block_size,
-            ring: BlockRing::from_proto(n_blocks, &proto),
-            fill: 0,
+            ring: EpochRing::new(n_blocks, block_size, &proto),
+            count: 0,
         })
     }
 
     /// Items per block (`⌈Wτ⌉`).
     pub fn block_size(&self) -> usize {
-        self.block_size
+        self.ring.unit() as usize
     }
 
     /// Number of blocks (`⌈1/τ⌉`).
@@ -249,7 +325,7 @@ impl<I, V: Ord, B: IntervalBackend<I, V>> BasicSlackQMax<I, V, B> {
 
     /// The effective window length `block_size · n_blocks`.
     pub fn effective_window(&self) -> usize {
-        self.block_size * self.ring.n_blocks()
+        self.ring.span() as usize
     }
 
     /// The PARTIAL query of the paper's Algorithm 3: the `q` largest
@@ -267,41 +343,31 @@ impl<I, V: Ord, B: IntervalBackend<I, V>> BasicSlackQMax<I, V, B> {
             oldest < self.ring.n_blocks(),
             "oldest exceeds retained blocks"
         );
-        let n = self.ring.n_blocks() as u64;
+        let cur = self.count / self.ring.unit();
+        // Blocks not yet produced this early in the stream are skipped.
+        let epochs = (newest as u64..=oldest as u64).map_while(|ago| cur.checked_sub(ago));
         let mut scratch = Vec::new();
-        for ago in newest..=oldest {
-            let ago = ago as u64;
-            if ago > self.ring.epoch {
-                break; // block not yet produced this early in the stream
-            }
-            let e = self.ring.epoch - ago;
-            let slot = (e % n) as usize;
-            self.ring.blocks[slot].candidates_into(&mut scratch);
-        }
+        self.ring.collect_epochs(epochs, &mut scratch);
         top_q_entries(scratch, self.q)
     }
 }
 
 impl<I, V: Ord, B: IntervalBackend<I, V>> QMax<I, V> for BasicSlackQMax<I, V, B> {
     fn insert(&mut self, id: I, val: V) -> bool {
-        self.ring.add(id, val);
-        self.fill += 1;
-        if self.fill == self.block_size {
-            self.fill = 0;
-            self.ring.advance();
-        }
+        self.ring.block_at(self.count).0.insert(id, val);
+        self.count += 1;
         true
     }
 
     fn query(&mut self) -> Vec<(I, V)> {
         let mut scratch = Vec::new();
-        self.ring.collect_all(&mut scratch);
+        self.ring.collect_live(self.count, &mut scratch);
         top_q_entries(scratch, self.q)
     }
 
     fn reset(&mut self) {
         self.ring.reset();
-        self.fill = 0;
+        self.count = 0;
     }
 
     fn q(&self) -> usize {
@@ -309,7 +375,7 @@ impl<I, V: Ord, B: IntervalBackend<I, V>> QMax<I, V> for BasicSlackQMax<I, V, B>
     }
 
     fn len(&self) -> usize {
-        self.ring.blocks.iter().map(|b| b.len()).sum()
+        self.ring.len_live(self.count)
     }
 
     /// Always `None`: the window's block boundaries are defined by
@@ -327,7 +393,7 @@ impl<I, V: Ord, B: IntervalBackend<I, V>> QMax<I, V> for BasicSlackQMax<I, V, B>
     /// The per-block backend's label (all blocks are stamped from one
     /// prototype, so any block's answer describes the whole ring).
     fn backend_label(&self) -> &'static str {
-        self.ring.blocks[0].backend_label()
+        self.ring.backend_label()
     }
 }
 
@@ -338,21 +404,18 @@ impl<I, V: Ord, B: IntervalBackend<I, V>> BatchInsert<I, V> for BasicSlackQMax<I
     fn insert_batch(&mut self, items: &[(I, V)]) -> usize {
         let mut i = 0;
         while i < items.len() {
-            let take = (self.block_size - self.fill).min(items.len() - i);
-            self.ring.add_batch(&items[i..i + take]);
-            self.fill += take;
+            let (block, last) = self.ring.block_at(self.count);
+            let take = (items.len() - i).min((last - self.count) as usize + 1);
+            block.insert_batch(&items[i..i + take]);
+            self.count += take as u64;
             i += take;
-            if self.fill == self.block_size {
-                self.fill = 0;
-                self.ring.advance();
-            }
         }
         items.len()
     }
 }
 
 /// Cuts a candidate vector down to its `q` largest entries.
-fn top_q_entries<I, V: Ord>(mut scratch: Vec<Entry<I, V>>, q: usize) -> Vec<(I, V)> {
+pub(crate) fn top_q_entries<I, V: Ord>(mut scratch: Vec<Entry<I, V>>, q: usize) -> Vec<(I, V)> {
     retain_top_q(&mut scratch, 0, q);
     scratch.into_iter().map(|e| (e.id, e.val)).collect()
 }
@@ -371,13 +434,10 @@ pub struct HierSlackQMax<I, V, B = AmortizedQMax<I, V>> {
     q: usize,
     /// Base (finest) block size `s ≈ ⌈Wτ⌉`.
     base: usize,
-    /// Branching factor `b ≈ ⌈τ^{-1/c}⌉`.
-    branch: usize,
-    /// `rings[ℓ-1]` is layer ℓ; layer 1 (index 0) is the coarsest.
-    rings: Vec<BlockRing<I, V, B>>,
-    /// Block sizes per layer, `sizes[ℓ-1] = s · b^{c-ℓ}`.
-    sizes: Vec<usize>,
-    /// Total items inserted.
+    /// `rings[ℓ-1]` is layer ℓ: `bˡ` blocks of `s·bᶜ⁻ℓ` items on the
+    /// arrival clock. Layer 1 (index 0) is the coarsest.
+    rings: Vec<EpochRing<I, V, B>>,
+    /// Total items inserted (plus the lazy window's padding).
     count: u64,
 }
 
@@ -395,44 +455,10 @@ impl<I: Clone, V: Ord + Clone> HierSlackQMax<I, V> {
     }
 
     /// Fallible [`HierSlackQMax::new`]: rejects `q == 0`, bad `gamma`,
-    /// `w == 0`, `c == 0`, and `tau` outside `(0, 1]` instead of
-    /// panicking.
-    pub fn try_new(
-        q: usize,
-        gamma: f64,
-        w: usize,
-        tau: f64,
-        c: usize,
-    ) -> Result<Self, crate::QMaxError> {
+    /// `w == 0`, `c == 0`, `tau` outside `(0, 1]`, and a geometry too
+    /// large to allocate instead of panicking.
+    pub fn try_new(q: usize, gamma: f64, w: usize, tau: f64, c: usize) -> Result<Self, QMaxError> {
         Self::try_with_backend(w, tau, c, AmortizedQMax::try_new(q, gamma)?)
-    }
-}
-
-/// [`HierSlackQMax`] with per-block adaptive backends keyed on the
-/// finest layer's expected block fill.
-pub type AdaptiveHierSlackQMax<I, V> = HierSlackQMax<I, V, AdaptiveBackend<I, V>>;
-
-impl<I: Copy + 'static, V: Ord + Copy + 'static> AdaptiveHierSlackQMax<I, V> {
-    /// Like [`HierSlackQMax::new`], but every block delegates to the
-    /// layout the global backend policy picks. No lifetime fill hint is
-    /// passed: the coarser rings absorb merged batches from every block
-    /// below them, so each block's lifetime arrivals are amplified far
-    /// past the finest layer's base block size — the compaction-heavy
-    /// regime the hint-less (unbounded) policy path models.
-    pub fn new_adaptive(q: usize, gamma: f64, w: usize, tau: f64, c: usize) -> Self {
-        Self::try_new_adaptive(q, gamma, w, tau, c).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible [`AdaptiveHierSlackQMax::new_adaptive`].
-    pub fn try_new_adaptive(
-        q: usize,
-        gamma: f64,
-        w: usize,
-        tau: f64,
-        c: usize,
-    ) -> Result<Self, crate::QMaxError> {
-        let proto = AdaptiveBackend::try_with_fill_hint(q, gamma, None)?;
-        Self::try_with_backend(w, tau, c, proto)
     }
 }
 
@@ -449,45 +475,44 @@ impl<I, V: Ord, B: IntervalBackend<I, V>> HierSlackQMax<I, V, B> {
     }
 
     /// Fallible [`HierSlackQMax::with_backend`].
-    pub fn try_with_backend(
-        w: usize,
-        tau: f64,
-        c: usize,
-        proto: B,
-    ) -> Result<Self, crate::QMaxError> {
+    pub fn try_with_backend(w: usize, tau: f64, c: usize, proto: B) -> Result<Self, QMaxError> {
         crate::error::check_window(w, tau)?;
         if c == 0 {
-            return Err(crate::QMaxError::ZeroLayers);
+            return Err(QMaxError::ZeroLayers);
         }
+        EpochRing::<I, V, B>::blocks_for(tau)?;
         let branch = ((1.0 / tau).powf(1.0 / c as f64)).ceil() as usize;
         let branch = branch.max(2);
         // Effective total blocks at the finest layer: b^c; base block
         // sized so the finest layer spans at least w.
-        let total_fine = branch.pow(c as u32);
+        let total_fine = u32::try_from(c)
+            .ok()
+            .and_then(|c| branch.checked_pow(c))
+            .filter(|&n| n <= EpochRing::<I, V, B>::max_slots())
+            .ok_or(QMaxError::WindowOverflow("c"))?;
         let base = w.div_ceil(total_fine).max(1);
-        let mut rings = Vec::with_capacity(c);
-        let mut sizes = Vec::with_capacity(c);
-        for level in 1..=c {
-            let size = base * branch.pow((c - level) as u32);
-            // Layer ℓ has b^ℓ blocks: the current partial one plus
-            // b^ℓ − 1 full ones, spanning between w − size and w items.
-            let blocks = branch.pow(level as u32);
-            sizes.push(size);
-            rings.push(BlockRing::from_proto(blocks, &proto));
-        }
+        base.checked_mul(total_fine)
+            .ok_or(QMaxError::WindowOverflow("w"))?;
+        // Layer ℓ has b^ℓ blocks of s·b^{c−ℓ} items: the current partial
+        // one plus b^ℓ − 1 full ones, spanning between w − size and w
+        // items. Every factor divides b^c, so none of these overflow.
+        let rings = (1..=c as u32)
+            .map(|level| {
+                let size = base * branch.pow(c as u32 - level);
+                EpochRing::new(branch.pow(level), size as u64, &proto)
+            })
+            .collect();
         Ok(HierSlackQMax {
             q: proto.q(),
             base,
-            branch,
             rings,
-            sizes,
             count: 0,
         })
     }
 
     /// The branching factor `b`.
     pub fn branch(&self) -> usize {
-        self.branch
+        self.rings[0].n_blocks()
     }
 
     /// The finest block size.
@@ -497,58 +522,43 @@ impl<I, V: Ord, B: IntervalBackend<I, V>> HierSlackQMax<I, V, B> {
 
     /// The effective window length `base · bᶜ`.
     pub fn effective_window(&self) -> usize {
-        self.base * self.branch.pow(self.rings.len() as u32)
-    }
-
-    /// Advances every ring whose block boundary coincides with the
-    /// current item count.
-    fn advance_full_rings(&mut self) {
-        for (ring, &size) in self.rings.iter_mut().zip(&self.sizes) {
-            if self.count.is_multiple_of(size as u64) {
-                ring.advance();
-            }
-        }
+        self.rings[0].span() as usize
     }
 }
 
 impl<I: Clone, V: Ord + Clone, B: IntervalBackend<I, V>> QMax<I, V> for HierSlackQMax<I, V, B> {
     fn insert(&mut self, id: I, val: V) -> bool {
-        let last = self.rings.len() - 1;
-        for ring in &mut self.rings[..last] {
-            ring.add(id.clone(), val.clone());
+        let count = self.count;
+        let (finest, coarser) = self.rings.split_last_mut().expect("c >= 1");
+        for ring in coarser {
+            ring.block_at(count).0.insert(id.clone(), val.clone());
         }
-        self.rings[last].add(id, val);
+        finest.block_at(count).0.insert(id, val);
         self.count += 1;
-        self.advance_full_rings();
         true
     }
 
     fn query(&mut self) -> Vec<(I, V)> {
         let mut scratch = Vec::new();
-        let w_eff = self.effective_window() as u64;
+        let count = self.count;
+        let target = count.saturating_sub(self.rings[0].span());
         // Coarsest layer: merge everything it retains. It covers
-        // [start_1, count) with start_1 aligned down to its block size.
-        self.rings[0].collect_all(&mut scratch);
-        let covered_start = |ring: &BlockRing<I, V, B>, size: u64, count: u64| -> u64 {
-            let retained = (ring.n_blocks() as u64 - 1).min(ring.epoch);
-            (count / size) * size - retained * size
-        };
-        let mut frontier = covered_start(&self.rings[0], self.sizes[0] as u64, self.count);
-        let target = self.count.saturating_sub(w_eff);
-        // Finer layers: patch [layer_start, frontier) with their oldest
+        // [frontier, count), from the start of its oldest live block.
+        self.rings[0].collect_live(count, &mut scratch);
+        let mut frontier = self.rings[0].live(count).start() * self.rings[0].unit();
+        // Finer layers: patch [start, frontier) with their oldest
         // retained blocks.
-        for (ring, &size) in self.rings.iter().zip(&self.sizes).skip(1) {
+        for ring in &self.rings[1..] {
             if frontier <= target {
                 break;
             }
-            let size = size as u64;
-            let start = covered_start(ring, size, self.count);
+            let oldest = *ring.live(count).start();
+            let start = oldest * ring.unit();
             if start >= frontier {
                 continue;
             }
-            let m = ((frontier - start) / size) as usize;
-            let m = m.min(ring.n_blocks() - 1);
-            ring.collect_oldest(m, &mut scratch);
+            let m = ((frontier - start) / ring.unit()).min(ring.n_blocks() as u64 - 1);
+            ring.collect_epochs(oldest..oldest + m, &mut scratch);
             frontier = start;
         }
         top_q_entries(scratch, self.q)
@@ -566,11 +576,7 @@ impl<I: Clone, V: Ord + Clone, B: IntervalBackend<I, V>> QMax<I, V> for HierSlac
     }
 
     fn len(&self) -> usize {
-        self.rings
-            .iter()
-            .flat_map(|r| r.blocks.iter())
-            .map(|b| b.len())
-            .sum()
+        self.rings.iter().map(|r| r.len_live(self.count)).sum()
     }
 
     /// Always `None` — see [`BasicSlackQMax::threshold`].
@@ -585,7 +591,7 @@ impl<I: Clone, V: Ord + Clone, B: IntervalBackend<I, V>> QMax<I, V> for HierSlac
     /// The per-block backend's label (every layer's blocks are stamped
     /// from the same prototype).
     fn backend_label(&self) -> &'static str {
-        self.rings[0].blocks[0].backend_label()
+        self.rings[0].backend_label()
     }
 }
 
@@ -593,22 +599,22 @@ impl<I: Clone, V: Ord + Clone, B: IntervalBackend<I, V>> BatchInsert<I, V>
     for HierSlackQMax<I, V, B>
 {
     /// Splits the batch at the nearest block boundary across *all*
-    /// layers, multicasts each span to every layer's current block, and
-    /// advances exactly the rings a singleton loop would advance.
+    /// layers and multicasts each span to every layer's current block —
+    /// identical block contents to inserting the items one by one.
     fn insert_batch(&mut self, items: &[(I, V)]) -> usize {
         let mut i = 0;
         while i < items.len() {
-            let mut take = items.len() - i;
-            for &size in &self.sizes {
-                let room = size as u64 - (self.count % size as u64);
-                take = take.min(room as usize);
-            }
+            let count = self.count;
+            let mut take = (items.len() - i) as u64;
             for ring in &mut self.rings {
-                ring.add_batch(&items[i..i + take]);
+                take = take.min(ring.block_at(count).1 - count + 1);
             }
-            self.count += take as u64;
-            self.advance_full_rings();
-            i += take;
+            let span = &items[i..i + take as usize];
+            for ring in &mut self.rings {
+                ring.block_at(count).0.insert_batch(span);
+            }
+            self.count += take;
+            i += take as usize;
         }
         items.len()
     }
@@ -629,14 +635,16 @@ pub struct LazySlackQMax<I, V, B = AmortizedQMax<I, V>> {
     hier: HierSlackQMax<I, V, B>,
     /// Items inserted into the current base block.
     fill: usize,
-    /// Deferred-feed queue (deamortized mode): the previous block's
-    /// summary, drained a few items per arrival instead of in one
-    /// burst. `None` in the default (immediate-feed) mode.
-    pending: Option<std::collections::VecDeque<(I, V)>>,
+    /// The completed block's summary not yet fed into the layers.
+    pending: VecDeque<(I, V)>,
     /// Counter padding still owed to the layers for the pending block.
     pending_pad: usize,
-    /// Items drained from `pending` per arrival.
+    /// Summary items fed per arrival: 0 feeds each summary whole when
+    /// its block completes; the deamortized mode spreads it over the
+    /// next block's arrivals.
     drain_rate: usize,
+    /// Reused to extract each block's summary from the front buffer.
+    summary: Vec<Entry<I, V>>,
 }
 
 impl<I: Clone, V: Ord + Clone> LazySlackQMax<I, V> {
@@ -653,13 +661,7 @@ impl<I: Clone, V: Ord + Clone> LazySlackQMax<I, V> {
     }
 
     /// Fallible [`LazySlackQMax::new`].
-    pub fn try_new(
-        q: usize,
-        gamma: f64,
-        w: usize,
-        tau: f64,
-        c: usize,
-    ) -> Result<Self, crate::QMaxError> {
+    pub fn try_new(q: usize, gamma: f64, w: usize, tau: f64, c: usize) -> Result<Self, QMaxError> {
         Self::try_with_backend(w, tau, c, AmortizedQMax::try_new(q, gamma)?)
     }
 
@@ -676,43 +678,6 @@ impl<I: Clone, V: Ord + Clone> LazySlackQMax<I, V> {
     }
 }
 
-/// [`LazySlackQMax`] with an adaptive front buffer and blocks.
-pub type AdaptiveLazySlackQMax<I, V> = LazySlackQMax<I, V, AdaptiveBackend<I, V>>;
-
-impl<I: Copy + 'static, V: Ord + Copy + 'static> AdaptiveLazySlackQMax<I, V> {
-    /// Like [`LazySlackQMax::new`], but the front buffer and every
-    /// block delegate to the layout the global backend policy picks. No
-    /// lifetime fill hint is passed: the front buffer and the coarser
-    /// rings absorb merged batches (every arrival funnels through the
-    /// front; coarse blocks absorb every block below them), so block
-    /// lifetimes sit in the compaction-heavy regime the hint-less
-    /// policy path models.
-    pub fn new_adaptive(q: usize, gamma: f64, w: usize, tau: f64, c: usize) -> Self {
-        Self::try_new_adaptive(q, gamma, w, tau, c).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible [`AdaptiveLazySlackQMax::new_adaptive`].
-    pub fn try_new_adaptive(
-        q: usize,
-        gamma: f64,
-        w: usize,
-        tau: f64,
-        c: usize,
-    ) -> Result<Self, crate::QMaxError> {
-        let proto = AdaptiveBackend::try_with_fill_hint(q, gamma, None)?;
-        Self::try_with_backend(w, tau, c, proto)
-    }
-
-    /// [`LazySlackQMax::new_deamortized`] over adaptive backends.
-    pub fn new_adaptive_deamortized(q: usize, gamma: f64, w: usize, tau: f64, c: usize) -> Self {
-        assert!(q > 0, "q must be positive");
-        assert!(c > 0, "c must be positive");
-        let proto =
-            AdaptiveBackend::try_with_fill_hint(q, gamma, None).unwrap_or_else(|e| panic!("{e}"));
-        Self::with_backend_deamortized(w, tau, c, proto)
-    }
-}
-
 impl<I: Clone, V: Ord + Clone, B: IntervalBackend<I, V>> LazySlackQMax<I, V, B> {
     /// Creates a lazy slack-window q-MAX whose front buffer and blocks
     /// are stamped out of the given backend prototype.
@@ -726,12 +691,7 @@ impl<I: Clone, V: Ord + Clone, B: IntervalBackend<I, V>> LazySlackQMax<I, V, B> 
     }
 
     /// Fallible [`LazySlackQMax::with_backend`].
-    pub fn try_with_backend(
-        w: usize,
-        tau: f64,
-        c: usize,
-        proto: B,
-    ) -> Result<Self, crate::QMaxError> {
+    pub fn try_with_backend(w: usize, tau: f64, c: usize, proto: B) -> Result<Self, QMaxError> {
         let front = proto.fresh();
         let hier = HierSlackQMax::try_with_backend(w, tau, c, proto)?;
         Ok(LazySlackQMax {
@@ -739,9 +699,10 @@ impl<I: Clone, V: Ord + Clone, B: IntervalBackend<I, V>> LazySlackQMax<I, V, B> 
             front,
             hier,
             fill: 0,
-            pending: None,
+            pending: VecDeque::new(),
             pending_pad: 0,
             drain_rate: 0,
+            summary: Vec::new(),
         })
     }
 
@@ -753,79 +714,48 @@ impl<I: Clone, V: Ord + Clone, B: IntervalBackend<I, V>> LazySlackQMax<I, V, B> 
         // base block, with constant-bounded work per arrival whenever
         // W = Omega(q / tau) as Theorem 7 assumes.
         this.drain_rate = this.q.div_ceil(this.hier.base_block()) * 2 + 2;
-        this.pending = Some(std::collections::VecDeque::new());
         this
     }
 
-    /// Feeds up to `k` deferred summary items into the layers.
-    fn drain_pending(&mut self, k: usize) {
-        let Some(pending) = &mut self.pending else {
-            return;
-        };
-        for _ in 0..k {
-            match pending.pop_front() {
-                Some((id, val)) => {
-                    self.pending_pad -= 1;
-                    self.hier.insert(id, val);
-                }
-                None => break,
-            }
+    /// Feeds up to `k` pending summary items into the layers, one
+    /// contiguous run of the queue at a time through the batch path
+    /// (identical admissions and ring advances to a singleton loop,
+    /// without a per-item dispatch — the merge feed is as hot as the
+    /// arrival path at small τ).
+    fn feed(&mut self, mut k: usize) {
+        while k > 0 && !self.pending.is_empty() {
+            let run = self.pending.as_slices().0;
+            let take = run.len().min(k);
+            self.hier.insert_batch(&run[..take]);
+            self.pending.drain(..take);
+            self.pending_pad -= take;
+            k -= take;
         }
     }
 
-    /// Forces the deferred queue empty and settles the owed counter
-    /// padding so layer block boundaries stay stream-aligned.
-    fn flush_pending(&mut self) {
-        self.drain_pending(usize::MAX);
-        let pad = self.pending_pad;
+    /// Feeds the whole pending summary and settles the owed counter
+    /// padding, so layer block boundaries stay aligned with real stream
+    /// positions.
+    fn flush(&mut self) {
+        self.feed(usize::MAX);
+        self.hier.count += self.pending_pad as u64;
         self.pending_pad = 0;
-        if pad == 0 {
-            return;
-        }
-        self.hier.count += pad as u64;
-        for (ring, &size) in self.hier.rings.iter_mut().zip(&self.hier.sizes) {
-            let before = (self.hier.count - pad as u64) / size as u64;
-            let after = self.hier.count / size as u64;
-            for _ in before..after {
-                ring.advance();
-            }
-        }
     }
 
-    /// Closes the current base block: extracts the front buffer's top-q
-    /// summary **without consuming the buffer** (it is recycled in place
-    /// right after), pushes it into the layers (or queues it in deferred
-    /// mode), and settles the layers' counter padding.
+    /// Closes the current base block: settles the previous block's
+    /// summary (deamortized mode), queues this block's top-q summary —
+    /// extracted **without consuming the front buffer**, which is
+    /// recycled in place right after — and, in immediate mode, feeds it
+    /// at once.
     fn complete_block(&mut self) {
-        let mut summary = Vec::new();
-        self.front.top_q_into(&mut summary);
-        if self.pending.is_some() {
-            // Deferred mode: settle the previous block completely,
-            // then queue this block's summary for lazy feeding.
-            self.flush_pending();
-            self.pending_pad = self.hier.base_block();
-            let base = self.hier.base_block();
-            let pending = self.pending.as_mut().expect("deferred mode");
-            pending.extend(summary.into_iter().take(base).map(|e| (e.id, e.val)));
-        } else {
-            // Immediate mode: push the block's top-q summary into
-            // every layer through the batch path (identical admissions
-            // and ring advances to the singleton loop, without a
-            // per-item dispatch on the summary — the merge feed is as
-            // hot as the arrival path at small τ), then pad the
-            // layers' item counters to keep block boundaries aligned
-            // with real stream positions.
-            let pad = self.hier.base_block() - summary.len().min(self.hier.base_block());
-            let batch: Vec<(I, V)> = summary.into_iter().map(|e| (e.id, e.val)).collect();
-            self.hier.insert_batch(&batch);
-            self.hier.count += pad as u64;
-            for (ring, &size) in self.hier.rings.iter_mut().zip(&self.hier.sizes) {
-                let before = (self.hier.count - pad as u64) / size as u64;
-                let after = self.hier.count / size as u64;
-                for _ in before..after {
-                    ring.advance();
-                }
-            }
+        self.flush();
+        self.summary.clear();
+        self.front.top_q_into(&mut self.summary);
+        self.pending_pad = self.hier.base_block();
+        self.pending
+            .extend(self.summary.drain(..).map(|e| (e.id, e.val)));
+        if self.drain_rate == 0 {
+            self.flush();
         }
         self.front.reset();
         self.fill = 0;
@@ -845,8 +775,8 @@ impl<I: Clone, V: Ord + Clone, B: IntervalBackend<I, V>> LazySlackQMax<I, V, B> 
 
 impl<I: Clone, V: Ord + Clone, B: IntervalBackend<I, V>> QMax<I, V> for LazySlackQMax<I, V, B> {
     fn insert(&mut self, id: I, val: V) -> bool {
-        if self.pending.is_some() {
-            self.drain_pending(self.drain_rate);
+        if !self.pending.is_empty() {
+            self.feed(self.drain_rate);
         }
         self.front.insert(id, val);
         self.fill += 1;
@@ -859,14 +789,12 @@ impl<I: Clone, V: Ord + Clone, B: IntervalBackend<I, V>> QMax<I, V> for LazySlac
     fn query(&mut self) -> Vec<(I, V)> {
         let mut scratch = Vec::new();
         self.front.candidates_into(&mut scratch);
-        if let Some(pending) = &self.pending {
-            // Deferred items are recent and still in the window.
-            scratch.extend(
-                pending
-                    .iter()
-                    .map(|(id, val)| Entry::new(id.clone(), val.clone())),
-            );
-        }
+        // Pending items are recent and still in the window.
+        scratch.extend(
+            self.pending
+                .iter()
+                .map(|(id, val)| Entry::new(id.clone(), val.clone())),
+        );
         for (id, val) in self.hier.query() {
             scratch.push(Entry::new(id, val));
         }
@@ -877,9 +805,7 @@ impl<I: Clone, V: Ord + Clone, B: IntervalBackend<I, V>> QMax<I, V> for LazySlac
         self.front.reset();
         self.hier.reset();
         self.fill = 0;
-        if let Some(pending) = &mut self.pending {
-            pending.clear();
-        }
+        self.pending.clear();
         self.pending_pad = 0;
     }
 
@@ -888,7 +814,7 @@ impl<I: Clone, V: Ord + Clone, B: IntervalBackend<I, V>> QMax<I, V> for LazySlac
     }
 
     fn len(&self) -> usize {
-        self.front.len() + self.hier.len() + self.pending.as_ref().map_or(0, |p| p.len())
+        self.front.len() + self.hier.len() + self.pending.len()
     }
 
     /// Always `None`. The front buffer does have an internal Ψ, but
@@ -900,7 +826,7 @@ impl<I: Clone, V: Ord + Clone, B: IntervalBackend<I, V>> QMax<I, V> for LazySlac
     }
 
     fn name(&self) -> &'static str {
-        if self.pending.is_some() {
+        if self.drain_rate > 0 {
             "slack-lazy-wc"
         } else {
             "slack-lazy"
@@ -918,18 +844,16 @@ impl<I: Clone, V: Ord + Clone, B: IntervalBackend<I, V>> BatchInsert<I, V>
     for LazySlackQMax<I, V, B>
 {
     /// Splits the batch at base-block boundaries and feeds each span to
-    /// the front buffer's batch kernel. In deferred mode the pending
-    /// queue is drained by `drain_rate` per *arrival* (one bulk drain of
-    /// `drain_rate · span` items per span), which drains exactly as many
+    /// the front buffer's batch kernel. In deamortized mode the pending
+    /// summary is fed `drain_rate` items per *arrival* (one bulk feed of
+    /// `drain_rate · span` items per span), which feeds exactly as many
     /// items as the singleton loop would have by each block boundary —
     /// refills only happen at boundaries, where spans end.
     fn insert_batch(&mut self, items: &[(I, V)]) -> usize {
         let mut i = 0;
         while i < items.len() {
             let take = (self.hier.base_block() - self.fill).min(items.len() - i);
-            if self.pending.is_some() {
-                self.drain_pending(self.drain_rate.saturating_mul(take));
-            }
+            self.feed(self.drain_rate.saturating_mul(take));
             self.front.insert_batch(&items[i..i + take]);
             self.fill += take;
             i += take;

@@ -3,9 +3,9 @@
 //! degenerate value distributions, and extreme parameters.
 
 use qmax_core::{
-    AdaptiveBackend, AmortizedQMax, BasicSlackQMax, DeamortizedQMax, DedupQMax, HeapQMax,
-    HierSlackQMax, IndexedHeapQMax, KeyedSkipListQMax, LazySlackQMax, QMax, QMaxError,
-    SkipListQMax, SoaAmortizedQMax, SoaDeamortizedQMax, SortedVecQMax,
+    AdaptiveBackend, AdaptiveBasicSlackQMax, AmortizedQMax, BasicSlackQMax, DeamortizedQMax,
+    DedupQMax, HeapQMax, HierSlackQMax, IndexedHeapQMax, KeyedSkipListQMax, LazySlackQMax, QMax,
+    QMaxError, SkipListQMax, SoaAmortizedQMax, SoaDeamortizedQMax, SortedVecQMax, TimeSlackQMax,
 };
 use qmax_engine::ShardedQMax;
 use qmax_lrfu::{Cache, DeamortizedLrfu, HeapLrfu, QMaxLrfu, ScanLrfu};
@@ -189,6 +189,61 @@ fn finite_gamma_with_overflowing_geometry_is_rejected() {
     // A large but sizable γ still builds, with capacity at least q.
     let big = DeamortizedQMax::<u64, u64>::try_new(4, 1e3).expect("sizable gamma");
     assert!(big.capacity() >= 4);
+}
+
+#[test]
+fn window_geometry_overflow_is_rejected() {
+    // A τ so small that its `⌈1/τ⌉` blocks cannot be allocated.
+    let tiny = 1e-300;
+    let bad_tau = Some(QMaxError::BadTau(tiny));
+    assert_eq!(
+        BasicSlackQMax::<u64, u64>::try_new(2, 0.5, 100, tiny).err(),
+        bad_tau
+    );
+    assert_eq!(
+        AdaptiveBasicSlackQMax::<u64, u64>::try_new_adaptive(2, 0.5, 100, tiny).err(),
+        bad_tau
+    );
+    assert_eq!(
+        TimeSlackQMax::<u64, u64>::try_new(2, 0.5, 100, tiny).err(),
+        bad_tau
+    );
+    for c in [1, 2, 3] {
+        assert_eq!(
+            HierSlackQMax::<u64, u64>::try_new(2, 0.5, 100, tiny, c).err(),
+            bad_tau
+        );
+        assert_eq!(
+            LazySlackQMax::<u64, u64>::try_new(2, 0.5, 100, tiny, c).err(),
+            bad_tau
+        );
+    }
+    // A layer count whose `b^c` finest blocks overflow.
+    let bad_c = Some(QMaxError::WindowOverflow("c"));
+    for c in [64, 200, usize::MAX] {
+        assert_eq!(
+            HierSlackQMax::<u64, u64>::try_new(2, 0.5, 100, 1.0, c).err(),
+            bad_c
+        );
+        assert_eq!(
+            LazySlackQMax::<u64, u64>::try_new(2, 0.5, 100, 1.0, c).err(),
+            bad_c
+        );
+    }
+    // A window whose effective span `block · n_blocks` wraps the clock.
+    assert_eq!(
+        TimeSlackQMax::<u64, u64>::try_new(2, 0.5, u64::MAX, 0.3).err(),
+        Some(QMaxError::WindowOverflow("window_ns"))
+    );
+    assert_eq!(
+        BasicSlackQMax::<u64, u64>::try_new(2, 0.5, usize::MAX, 0.3).err(),
+        Some(QMaxError::WindowOverflow("w"))
+    );
+    // The largest spans that do fit still build, and report them.
+    let t = TimeSlackQMax::<u64, u64>::try_new(2, 0.5, u64::MAX, 1.0).expect("one block");
+    assert_eq!(t.effective_window_ns(), u64::MAX);
+    let t = TimeSlackQMax::<u64, u64>::try_new(2, 0.5, u64::MAX / 2, 0.3).expect("fits");
+    assert!(t.effective_window_ns() >= u64::MAX / 2);
 }
 
 #[test]

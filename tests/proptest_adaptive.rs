@@ -18,8 +18,8 @@
 
 use proptest::prelude::*;
 use qmax_core::{
-    AdaptiveBackend, AdaptiveBasicSlackQMax, AdaptiveHierSlackQMax, AdaptiveLazySlackQMax,
-    BackendChoice, BasicSlackQMax, BatchInsert, HierSlackQMax, OrderedF64, PolicyMode, QMax,
+    AdaptiveBackend, AdaptiveBasicSlackQMax, BackendChoice, BasicSlackQMax, BatchInsert,
+    HierSlackQMax, LazySlackQMax, OrderedF64, PolicyMode, QMax,
 };
 use qmax_engine::ShardedQMax;
 use qmax_lrfu::AdaptiveQMaxLrfu;
@@ -297,14 +297,24 @@ fn auto_choices_are_pinned_to_shipped_shapes() {
             (
                 "hier-c2",
                 Soa,
-                AdaptiveHierSlackQMax::<u64, u64>::new_adaptive(q, gamma, w, tau, 2)
-                    .backend_label(),
+                HierSlackQMax::<u64, u64, _>::with_backend(
+                    w,
+                    tau,
+                    2,
+                    AdaptiveBackend::new(q, gamma),
+                )
+                .backend_label(),
             ),
             (
                 "lazy-c2",
                 Soa,
-                AdaptiveLazySlackQMax::<u64, u64>::new_adaptive(q, gamma, w, tau, 2)
-                    .backend_label(),
+                LazySlackQMax::<u64, u64, _>::with_backend(
+                    w,
+                    tau,
+                    2,
+                    AdaptiveBackend::new(q, gamma),
+                )
+                .backend_label(),
             ),
         ];
         for (variant, expect, built) in rows {

@@ -20,7 +20,8 @@
 
 use proptest::prelude::*;
 use qmax_core::{
-    BasicSlackQMax, BatchInsert, HierSlackQMax, LazySlackQMax, QMax, SoaAmortizedQMax, StdIndex,
+    AmortizedQMax, BasicSlackQMax, BatchInsert, HierSlackQMax, IntervalBackend, LazySlackQMax,
+    QMax, SoaAmortizedQMax, StdIndex, TimeSlackQMax,
 };
 use qmax_lrfu::{Cache, DeamortizedLrfu, QMaxLrfu, SoaQMaxLrfu};
 use qmax_traces::zipf::ZipfSampler;
@@ -64,8 +65,84 @@ macro_rules! feed_and_compare {
     }};
 }
 
+fn sorted_pairs(mut pairs: Vec<(u32, u64)>) -> Vec<(u32, u64)> {
+    pairs.sort_unstable();
+    pairs
+}
+
+/// Drives `vals` through a basic window and a time window stamped out of
+/// the same prototype, giving item `i` the timestamp `i`: singletons
+/// for the first half, `chunk`-sized batches for the rest. After every
+/// insert and every batch both must list the same `(id, value)` pairs,
+/// the time window queried at the arrival count.
+fn assert_time_window_on_arrival_clock<B: IntervalBackend<u32, u64>>(
+    vals: &[u64],
+    w: usize,
+    tau: f64,
+    proto: B,
+    chunk: usize,
+) {
+    let mut count = BasicSlackQMax::with_backend(w, tau, proto.fresh());
+    let mut time = TimeSlackQMax::with_backend(w as u64, tau, proto);
+    prop_assert_eq!(count.block_size() as u64, time.block_ns());
+    prop_assert_eq!(count.effective_window() as u64, time.effective_window_ns());
+    let half = vals.len() / 2;
+    for (i, &v) in vals[..half].iter().enumerate() {
+        count.insert(i as u32, v);
+        time.insert(i as u32, v, i as u64);
+        prop_assert_eq!(
+            sorted_pairs(count.query()),
+            sorted_pairs(time.query_at(i as u64 + 1)),
+            "clocks diverged after singleton {}",
+            i
+        );
+    }
+    let timed: Vec<(u32, u64, u64)> = (half..vals.len())
+        .map(|i| (i as u32, vals[i], i as u64))
+        .collect();
+    for span in timed.chunks(chunk) {
+        let pairs: Vec<(u32, u64)> = span.iter().map(|&(id, v, _)| (id, v)).collect();
+        count.insert_batch(&pairs);
+        time.insert_batch(span);
+        let now = span[span.len() - 1].2 + 1;
+        prop_assert_eq!(
+            sorted_pairs(count.query()),
+            sorted_pairs(time.query_at(now)),
+            "clocks diverged after the batch ending at {}",
+            now
+        );
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The count window is the time window on the arrival clock: the
+    /// basic window over `w` items and the time window over `w` ns,
+    /// with item `i` stamped `ts = i`, hold identical answers at every
+    /// position, on both layouts, across τ ∈ [0.003, 1.0] and
+    /// duplicate-heavy streams. Windowed shards stamped with a global
+    /// arrival index stand on this equivalence.
+    #[test]
+    fn basic_window_is_the_time_window_on_the_arrival_clock(
+        seed in any::<u64>(),
+        n in 32usize..1200,
+        q in 1usize..40,
+        w in 1usize..1200,
+        tau_sel in 0usize..6,
+        all_equal in 0usize..2,
+        soa in 0usize..2,
+        gamma in 0.05f64..1.5,
+        chunk in 1usize..200,
+    ) {
+        let tau = TAUS[tau_sel];
+        let vals = value_stream(n, seed, all_equal == 1);
+        if soa == 1 {
+            assert_time_window_on_arrival_clock(&vals, w, tau, SoaAmortizedQMax::new(q, gamma), chunk);
+        } else {
+            assert_time_window_on_arrival_clock(&vals, w, tau, AmortizedQMax::new(q, gamma), chunk);
+        }
+    }
 
     /// Basic slack window: AoS singletons ≡ SoA batches at mid-stream
     /// and end-of-stream, across τ ∈ [0.003, 1.0] and both stream shapes.

@@ -8,9 +8,10 @@
 //! counting global allocator: any regression that re-allocates or clones
 //! a block per epoch shows up as a nonzero delta.
 //!
-//! The lazy window is deliberately absent: completing a base block
-//! extracts a top-q summary into a fresh `Vec`, which is an accepted
-//! `O(q)`-per-block allocation, not ring churn.
+//! The same holds for the per-window scratch: the time window's batch
+//! path gathers each block's span into a reused buffer, and the lazy
+//! window extracts and queues each base block's top-q summary in reused
+//! buffers, in both feed modes and on both arrival paths.
 //!
 //! This file holds exactly one `#[test]` so no concurrent test thread
 //! can perturb the allocation counter.
@@ -19,7 +20,8 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use qmax_core::{
-    BasicSlackQMax, BatchInsert, HierSlackQMax, QMax, SoaAmortizedQMax, TimeSlackQMax,
+    BasicSlackQMax, BatchInsert, HierSlackQMax, LazySlackQMax, QMax, SoaAmortizedQMax,
+    TimeSlackQMax,
 };
 
 /// Counts every allocator call that can return a new block of memory.
@@ -140,10 +142,78 @@ fn steady_state_window_inserts_do_not_allocate() {
     });
     assert_eq!(delta, 0, "time windows allocated in steady state");
 
+    // --- Time-based slack window, batched: spans are gathered per block ---
+    let mut timed: Vec<(u64, u64, u64)> = Vec::with_capacity(256);
+    // The first batches lap the ring and size the span buffer.
+    let mut ts = 60_000u64;
+    for round in 0..265 {
+        timed.clear();
+        for _ in 0..256 {
+            timed.push((ts, splitmix(&mut rng), ts));
+            ts += 1 + splitmix(&mut rng) % 8;
+        }
+        let delta = alloc_delta(|| {
+            tw.insert_batch(&timed);
+            tw_soa.insert_batch(&timed);
+        });
+        assert!(
+            round < 30 || delta == 0,
+            "time windows allocated during a batch"
+        );
+    }
+
+    // --- Lazy slack window, immediate and deamortized feed ---
+    // Warm-up completes enough base blocks to size the summary buffer
+    // and queue, then each further completion must reuse them.
+    let mut lazy = LazySlackQMax::<u64, u64>::new(Q, GAMMA, W, TAU, 2);
+    let mut lazy_wc = LazySlackQMax::<u64, u64>::new_deamortized(Q, GAMMA, W, TAU, 2);
+    let mut lazy_soa =
+        LazySlackQMax::with_backend(W, TAU, 2, SoaAmortizedQMax::<u64, u64>::new(Q, GAMMA));
+    let mut lazy_wc_soa = LazySlackQMax::with_backend_deamortized(
+        W,
+        TAU,
+        2,
+        SoaAmortizedQMax::<u64, u64>::new(Q, GAMMA),
+    );
+    for i in 0..(3 * lazy.effective_window()) as u64 {
+        lazy.insert(i, splitmix(&mut rng));
+        lazy_wc.insert(i, splitmix(&mut rng));
+        lazy_soa.insert(i, splitmix(&mut rng));
+        lazy_wc_soa.insert(i, splitmix(&mut rng));
+    }
+    let delta = alloc_delta(|| {
+        for i in 0..steady as u64 {
+            lazy.insert(i, splitmix(&mut rng));
+            lazy_wc.insert(i, splitmix(&mut rng));
+        }
+    });
+    assert_eq!(
+        delta,
+        0,
+        "lazy windows allocated across {} block completions",
+        steady / lazy.base_block()
+    );
+    for chunk_start in 0..steady / 256 {
+        batch.clear();
+        for i in 0..256u64 {
+            batch.push((chunk_start as u64 * 256 + i, splitmix(&mut rng)));
+        }
+        let delta = alloc_delta(|| {
+            lazy_soa.insert_batch(&batch);
+            lazy_wc_soa.insert_batch(&batch);
+            lazy.insert_batch(&batch);
+            lazy_wc.insert_batch(&batch);
+        });
+        assert_eq!(delta, 0, "lazy windows allocated during a batch");
+    }
+
     // The structures still answer queries correctly after the whole run
     // (queries may allocate; that is outside the steady-state contract).
     assert_eq!(basic.query().len(), Q);
     assert_eq!(soa.query().len(), Q);
     assert_eq!(hier.query().len(), Q);
     assert_eq!(hier_soa.query().len(), Q);
+    assert_eq!(tw.query().len(), Q);
+    assert_eq!(lazy.query().len(), Q);
+    assert_eq!(lazy_wc_soa.query().len(), Q);
 }
