@@ -1,4 +1,8 @@
 //! KMV count-distinct estimation (Bar-Yossef et al., RANDOM 2002).
+//!
+//! Each observation costs one membership probe of the admitted-hash
+//! set, plus one insert on the rare admission; a span of keys is one
+//! [`CountDistinct::observe`] per key.
 
 use qmax_core::{FlowIndex, IndexFamily, KeyIndex, Minimal, QMax};
 use qmax_traces::hash;
@@ -77,6 +81,7 @@ impl<Q: QMax<u64, Minimal<u64>>, F: IndexFamily> CountDistinct<Q, F> {
     }
 
     /// Processes one stream key.
+    #[inline]
     pub fn observe(&mut self, key: u64) -> bool {
         let h = hash::hash64(key, self.seed);
         if let Some(admitted) = &mut self.admitted {
@@ -91,44 +96,6 @@ impl<Q: QMax<u64, Minimal<u64>>, F: IndexFamily> CountDistinct<Q, F> {
         } else {
             self.reservoir.insert(key, Minimal(h))
         }
-    }
-
-    /// Processes a span of stream keys, returning how many were
-    /// admitted to the reservoir. Observationally identical to calling
-    /// [`CountDistinct::observe`] per key — duplicates within the span
-    /// included — but hashes each [`qmax_core::PROBE_PIPELINE`]-key
-    /// stage up front and prefetches the admitted-set groups before any
-    /// membership probe resolves, so the per-key dependent miss chains
-    /// overlap.
-    pub fn observe_batch(&mut self, keys: &[u64]) -> usize {
-        let mut count = 0;
-        let mut hashes = [0u64; qmax_core::PROBE_PIPELINE];
-        for chunk in keys.chunks(qmax_core::PROBE_PIPELINE) {
-            for (j, &k) in chunk.iter().enumerate() {
-                hashes[j] = hash::hash64(k, self.seed);
-            }
-            if let Some(admitted) = &self.admitted {
-                admitted.prefetch_keys(&hashes[..chunk.len()]);
-            }
-            for (j, &k) in chunk.iter().enumerate() {
-                let h = hashes[j];
-                let ok = if let Some(admitted) = &mut self.admitted {
-                    if admitted.contains_key(&h) {
-                        false
-                    } else {
-                        let ok = self.reservoir.insert(k, Minimal(h));
-                        if ok {
-                            admitted.insert(h, ());
-                        }
-                        ok
-                    }
-                } else {
-                    self.reservoir.insert(k, Minimal(h))
-                };
-                count += usize::from(ok);
-            }
-        }
-        count
     }
 
     /// Estimates the number of distinct keys seen (within the window,
@@ -214,39 +181,6 @@ mod tests {
         let est = cd.estimate();
         let rel = (est - distinct).abs() / distinct;
         assert!(rel < 0.3, "est {est} rel {rel}");
-    }
-
-    #[test]
-    fn observe_batch_matches_singletons() {
-        let keys: Vec<u64> = (0..60_000u64).map(|i| i * i % 14_000).collect();
-        let mut one = CountDistinct::new(AmortizedQMax::new(256, 0.5), 7);
-        let mut batched = CountDistinct::new(AmortizedQMax::new(256, 0.5), 7);
-        let mut n1 = 0usize;
-        for &k in &keys {
-            n1 += usize::from(one.observe(k));
-        }
-        let mut n2 = 0usize;
-        for span in keys.chunks(997) {
-            n2 += batched.observe_batch(span);
-        }
-        assert_eq!(n1, n2);
-        assert_eq!(one.admitted_count(), batched.admitted_count());
-        assert_eq!(one.estimate(), batched.estimate());
-    }
-
-    #[test]
-    fn windowed_observe_batch_matches_singletons() {
-        let mut one = CountDistinct::new_windowed(BasicSlackQMax::new(128, 0.5, 5_000, 0.25), 5);
-        let mut batched =
-            CountDistinct::new_windowed(BasicSlackQMax::new(128, 0.5, 5_000, 0.25), 5);
-        let keys: Vec<u64> = (0..30_000u64).collect();
-        for &k in &keys {
-            one.observe(k);
-        }
-        for span in keys.chunks(511) {
-            batched.observe_batch(span);
-        }
-        assert_eq!(one.estimate(), batched.estimate());
     }
 
     #[test]

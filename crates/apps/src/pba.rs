@@ -1,4 +1,10 @@
 //! Priority-Based Aggregation (Duffield et al., CIKM 2017).
+//!
+//! Each arrival costs one probe of the aggregation map
+//! ([`KeyIndex::entry`] finds or inserts the key's running total) and
+//! one reservoir insert. Arrivals are processed strictly in order —
+//! the map can be purged between any two of them — so a span of
+//! arrivals is one [`Pba::observe`] per arrival.
 
 use qmax_core::{FlowIndex, IndexFamily, KeyIndex, OrderedF64, QMax};
 use qmax_traces::hash;
@@ -44,8 +50,8 @@ pub struct Pba<Q, F: IndexFamily = FlowIndex> {
     reservoir: Q,
     seed: u64,
     /// Running aggregate weight per key still relevant to the sample —
-    /// by default a SIMD-probed [`qmax_core::FlowTable`], hit once per
-    /// arrival.
+    /// by default a SIMD-probed [`qmax_core::FlowTable`], probed once
+    /// per arrival ([`KeyIndex::entry`]).
     agg: F::Index<u64, f64>,
     /// Purge the aggregate map when it exceeds this many entries.
     purge_at: usize,
@@ -83,46 +89,15 @@ impl<Q: QMax<u64, OrderedF64>, F: IndexFamily> Pba<Q, F> {
             "weights must be positive and finite"
         );
         let u = hash::to_unit_open(key, self.seed);
-        let total = match self.agg.get_mut(&key) {
-            Some(t) => {
-                *t += weight;
-                *t
-            }
-            None => {
-                self.agg.insert(key, weight);
-                weight
-            }
-        };
+        let (t, present) = self.agg.entry(key, || weight);
+        if present {
+            *t += weight;
+        }
+        let total = *t;
         let priority = total / u;
         let admitted = self.reservoir.insert(key, OrderedF64(priority));
         if self.agg.len() > self.purge_at {
             self.purge();
-        }
-        admitted
-    }
-
-    /// Processes a span of arrivals, returning how many were admitted.
-    /// Observationally identical to calling [`Pba::observe`] per
-    /// arrival — the aggregate map can be purged *mid-span*, so the
-    /// per-arrival sequencing must be preserved exactly — but each
-    /// [`qmax_core::PROBE_PIPELINE`]-arrival stage issues the
-    /// aggregation-map prefetches up front, overlapping the per-key
-    /// probe misses.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any weight is not positive and finite.
-    pub fn observe_batch(&mut self, arrivals: &[(u64, f64)]) -> usize {
-        let mut admitted = 0;
-        let mut keys = [0u64; qmax_core::PROBE_PIPELINE];
-        for chunk in arrivals.chunks(qmax_core::PROBE_PIPELINE) {
-            for (j, &(k, _)) in chunk.iter().enumerate() {
-                keys[j] = k;
-            }
-            self.agg.prefetch_keys(&keys[..chunk.len()]);
-            for &(k, w) in chunk {
-                admitted += usize::from(self.observe(k, w));
-            }
         }
         admitted
     }
@@ -206,7 +181,7 @@ impl<Q: QMax<u64, OrderedF64>, F: IndexFamily> Pba<Q, F> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qmax_core::{DedupQMax, IndexedHeapQMax, KeyedSkipListQMax};
+    use qmax_core::{DedupQMax, IndexedHeapQMax, KeyedSkipListQMax, StdIndex};
 
     #[test]
     fn aggregates_repeated_keys() {
@@ -298,25 +273,17 @@ mod tests {
     }
 
     #[test]
-    fn observe_batch_matches_singletons() {
-        // Includes enough distinct keys that purges fire mid-span, the
-        // case that forbids reordering arrivals within a batch.
-        let mut one = Pba::new(DedupQMax::new(16, 0.5), 4);
-        let mut batched = Pba::new(DedupQMax::new(16, 0.5), 4);
-        let arrivals: Vec<(u64, f64)> = (0..40_000u64)
-            .map(|i| (i * i % 9173, 1.0 + (i % 11) as f64))
-            .collect();
-        let mut a1 = 0usize;
-        for &(k, w) in &arrivals {
-            a1 += usize::from(one.observe(k, w));
+    fn flow_index_replays_std_index() {
+        // Includes enough distinct keys that purges fire, so the
+        // aggregate upserts run through retain-rebuilt tables too.
+        let mut flow = Pba::new(DedupQMax::new(16, 0.5), 4);
+        let mut std = Pba::<_, StdIndex>::new_in(DedupQMax::new(16, 0.5), 4);
+        for i in 0..40_000u64 {
+            let (k, w) = (i * i % 9173, 1.0 + (i % 11) as f64);
+            assert_eq!(flow.observe(k, w), std.observe(k, w), "arrival {i}");
         }
-        let mut a2 = 0usize;
-        for span in arrivals.chunks(701) {
-            a2 += batched.observe_batch(span);
-        }
-        assert_eq!(a1, a2);
-        assert_eq!(one.tracked_keys(), batched.tracked_keys());
-        assert_eq!(one.sample(), batched.sample());
+        assert_eq!(flow.tracked_keys(), std.tracked_keys());
+        assert_eq!(flow.sample(), std.sample());
     }
 
     #[test]

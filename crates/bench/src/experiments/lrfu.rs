@@ -118,7 +118,7 @@ struct IndexRow {
 /// Per-component cost estimates for one LRFU request (nanoseconds),
 /// measured by standalone micro-loops on the same machine and stream.
 struct ComponentNs {
-    /// One batched flow-table probe on a warm q-sized table.
+    /// One flow-table `get` on a warm q-sized table.
     flow_probe: f64,
     /// One exact `logaddexp` score merge (dependent chain).
     exact_merge: f64,
@@ -134,14 +134,13 @@ struct ComponentNs {
 /// [`StdIndex`] and once with the SIMD-probed [`qmax_core::FlowTable`]
 /// (the default). Both runs feed identical streams and every pair is
 /// cross-checked (hits, stats, query multisets, estimates) so the
-/// speedups cannot come from divergent behavior. Both throughput levers
-/// from the batched-probe PR are on for *both* sides: arrivals go
-/// through the batch entry points (pipelined hash+prefetch probing) and
-/// LRFU scores merge via the bounded-error fast `logaddexp` — so the
-/// flow-vs-std ratio still isolates the index. A batch-size sweep
-/// (1/64/256/1024) on `lrfu-g1` shows how much of the win is
-/// memory-level parallelism. Series mirror to
-/// `results/lrfu_flow_table.csv` and `BENCH_lrfu.json`.
+/// speedups cannot come from divergent behavior. Every keyed operation
+/// probes its index once, and LRFU scores merge via the bounded-error
+/// fast `logaddexp` on *both* sides, so the flow-vs-std ratio isolates
+/// the index. A request-span sweep (1/64/256/1024) on `lrfu-g1` shows
+/// what batching the log appends (one backend `insert_batch` per span)
+/// is worth. Series mirror to `results/lrfu_flow_table.csv` and
+/// `BENCH_lrfu.json`.
 pub fn lrfu_flow_table(scale: &Scale) {
     println!("# Keyed paths: SIMD-probed flow table vs std HashMap index");
     let c = 0.75;
@@ -156,10 +155,10 @@ pub fn lrfu_flow_table(scale: &Scale) {
 
     // q-MAX LRFU (batched requests + fast merge), the structures
     // BENCH_windows.json showed at 3–6 MIPS against 237–428 MIPS for
-    // the core reservoirs. The γ=1 point also sweeps the request batch
-    // size: span 1 disables the probe pipeline (each request resolves
-    // its own miss chain), spans ≥ 64 fill at least two
-    // PROBE_PIPELINE stages.
+    // the core reservoirs. The γ=1 point also sweeps the request span:
+    // span 1 appends each log entry through its own backend call,
+    // longer spans append a whole between-maintenance run at once.
+    // Each request probes the index once either way.
     for gamma in [0.25, 1.0] {
         let sweep: &[usize] = if gamma == 1.0 {
             &[1, 64, 256, BATCH]
@@ -191,30 +190,23 @@ pub fn lrfu_flow_table(scale: &Scale) {
         }
     }
 
-    // De-amortized LRFU: batched requests prefetch-warm the index ahead
-    // of each per-request step (the hit path is too stateful to
-    // reorder), and the refresh feed probes through `get_mut_batch`.
+    // De-amortized LRFU: one registry upsert per request, and the
+    // refresh feed reads the registry with one `get_mut` per slot.
     {
         let mut std_cache =
             DeamortizedLrfu::<u64, _, StdIndex>::new_in(q, 0.25, c).with_fast_merge(true);
         let mut flow_cache = DeamortizedLrfu::new(q, 0.25, c).with_fast_merge(true);
         let start = Instant::now();
-        let mut std_hits = 0usize;
-        for chunk in trace.chunks(BATCH) {
-            std_hits += std_cache.request_batch(chunk);
-        }
+        let std_hits = trace.iter().filter(|&&k| std_cache.request(k)).count();
         let std_mips = mpps(reqs, start.elapsed());
         let start = Instant::now();
-        let mut flow_hits = 0usize;
-        for chunk in trace.chunks(BATCH) {
-            flow_hits += flow_cache.request_batch(chunk);
-        }
+        let flow_hits = trace.iter().filter(|&&k| flow_cache.request(k)).count();
         let flow_mips = mpps(reqs, start.elapsed());
         assert_eq!(std_hits, flow_hits, "de-amortized indexes diverged");
         assert_eq!(std_cache.stats(), flow_cache.stats());
         rows.push(IndexRow {
             workload: "lrfu-wc-g0.25".into(),
-            batch: BATCH,
+            batch: 1,
             std_mips,
             flow_mips,
         });
@@ -228,8 +220,8 @@ pub fn lrfu_flow_table(scale: &Scale) {
         .collect();
 
     // Duplicate-merging q-MAX (PBA's reservoir): spans go through
-    // `insert_batch`, so every triggered compaction merges through the
-    // pipelined `entry_batch` upsert.
+    // `insert_batch`; every triggered compaction merges the buffer with
+    // one `entry` upsert per entry.
     {
         let mut std_qm = DedupQMax::<u64, u64, StdIndex>::new_in(app_q, 0.25);
         let mut flow_qm = DedupQMax::new(app_q, 0.25);
@@ -268,8 +260,7 @@ pub fn lrfu_flow_table(scale: &Scale) {
         });
     }
 
-    // KMV count-distinct: one admitted-set membership test per key,
-    // hashed and prefetched a PROBE_PIPELINE stage ahead.
+    // KMV count-distinct: one admitted-set membership test per key.
     {
         let mut std_cd = CountDistinct::<_, StdIndex>::new_in(
             AmortizedQMax::<u64, Minimal<u64>>::new(app_q, 0.5),
@@ -279,13 +270,13 @@ pub fn lrfu_flow_table(scale: &Scale) {
             CountDistinct::new(AmortizedQMax::<u64, Minimal<u64>>::new(app_q, 0.5), 3);
         let keys: Vec<u64> = pairs.iter().map(|&(id, _)| id).collect();
         let start = Instant::now();
-        for span in keys.chunks(BATCH) {
-            std_cd.observe_batch(span);
+        for &k in &keys {
+            std_cd.observe(k);
         }
         let std_mips = mpps(reqs, start.elapsed());
         let start = Instant::now();
-        for span in keys.chunks(BATCH) {
-            flow_cd.observe_batch(span);
+        for &k in &keys {
+            flow_cd.observe(k);
         }
         let flow_mips = mpps(reqs, start.elapsed());
         assert_eq!(
@@ -296,15 +287,13 @@ pub fn lrfu_flow_table(scale: &Scale) {
         assert_eq!(std_cd.admitted_count(), flow_cd.admitted_count());
         rows.push(IndexRow {
             workload: "count-distinct".into(),
-            batch: BATCH,
+            batch: 1,
             std_mips,
             flow_mips,
         });
     }
 
-    // Priority-based aggregation: one aggregate upsert per arrival,
-    // prefetch-warmed per stage (purges can fire mid-span, so arrival
-    // order is preserved exactly).
+    // Priority-based aggregation: one aggregate upsert per arrival.
     {
         let mut std_pba = Pba::<_, StdIndex>::new_in(
             DedupQMax::<u64, OrderedF64, StdIndex>::new_in(app_q, 0.25),
@@ -316,13 +305,13 @@ pub fn lrfu_flow_table(scale: &Scale) {
             .map(|&(id, v)| (id, 1.0 + (v % 1024) as f64))
             .collect();
         let start = Instant::now();
-        for span in arrivals.chunks(BATCH) {
-            std_pba.observe_batch(span);
+        for &(k, w) in &arrivals {
+            std_pba.observe(k, w);
         }
         let std_mips = mpps(reqs, start.elapsed());
         let start = Instant::now();
-        for span in arrivals.chunks(BATCH) {
-            flow_pba.observe_batch(span);
+        for &(k, w) in &arrivals {
+            flow_pba.observe(k, w);
         }
         let flow_mips = mpps(reqs, start.elapsed());
         assert_eq!(
@@ -333,7 +322,7 @@ pub fn lrfu_flow_table(scale: &Scale) {
         assert_eq!(std_pba.sample().len(), flow_pba.sample().len());
         rows.push(IndexRow {
             workload: "pba".into(),
-            batch: BATCH,
+            batch: 1,
             std_mips,
             flow_mips,
         });
@@ -380,8 +369,8 @@ impl ComponentNs {
 
 /// Standalone micro-loops sizing the components of one LRFU request.
 fn component_estimates(trace: &[u64], q: usize, c: f64, lrfu_g1_total: f64) -> ComponentNs {
-    // Batched probes against a warm q-sized flow table, keys remapped
-    // so every probe hits (the request path's common case).
+    // `get` probes against a warm q-sized flow table, keys remapped so
+    // every probe hits (the request path's common case).
     let mut table: FlowTable<u64, u64> = FlowTable::new();
     for i in 0..q as u64 {
         table.insert(i, i);
@@ -389,8 +378,8 @@ fn component_estimates(trace: &[u64], q: usize, c: f64, lrfu_g1_total: f64) -> C
     let keys: Vec<u64> = trace.iter().map(|&k| k % q as u64).collect();
     let mut acc = 0u64;
     let start = Instant::now();
-    for span in keys.chunks(BATCH) {
-        table.probe_batch(span, |_, v| acc += v.copied().unwrap_or(0));
+    for k in &keys {
+        acc += table.get(k).copied().unwrap_or(0);
     }
     let flow_probe = start.elapsed().as_secs_f64() * 1e9 / keys.len() as f64;
     std::hint::black_box(acc);
@@ -479,17 +468,15 @@ fn write_lrfu_bench_json(rows: &[IndexRow], comps: &ComponentNs, stream_len: usi
             "relative flow-vs-std speedups are the signal, absolute MIPS are not ",
             "comparable across machines or runs — use the unchanged indexed-heap row ",
             "as the cross-run anchor when comparing against an earlier recording\",\n",
-            "  \"target_note\": \"both throughput levers from the batched-probe PR are ",
-            "on for both index variants: requests resolve through the batched upsert ",
-            "pipeline and record each key's score-arena slot at probe time, so a ",
-            "maintenance pass folds its log with zero additional index probes (one ",
-            "probe per request total, down from two) and survivors are never ",
-            "reinserted into the log; score merges use the bounded-error fast ",
-            "logaddexp (abs err <= 2e-8, proptest-enforced), which cuts the exact ",
-            "merge's measured cost (see component_ns) out of the per-request floor; ",
-            "the lrfu-g1 batch sweep shows the span-size sensitivity of the upsert ",
-            "pipeline, and the flow-vs-std ratio still isolates the index because ",
-            "both sides run the same levers\",\n",
+            "  \"target_note\": \"every keyed operation probes its index once ",
+            "(KeyIndex::entry finds or inserts in one probe, with no prefetch stage); ",
+            "LRFU requests record each key's score-arena slot at probe time, so a ",
+            "maintenance pass folds its log with zero additional index probes and ",
+            "survivors are never reinserted into the log; score merges use the ",
+            "bounded-error fast logaddexp (abs err <= 2e-8, proptest-enforced) on ",
+            "both index variants, so the flow-vs-std ratio isolates the index; the ",
+            "lrfu-g1 batch sweep varies only how many log entries share one backend ",
+            "insert_batch call; batch 1 rows run singleton calls\",\n",
             "  \"component_ns\": {{\"flow_probe\": {probe:.1}, \"exact_merge\": ",
             "{exact:.1}, \"fast_merge\": {fast:.1}, \"lrfu_g1_total\": {total:.1}, ",
             "\"selection_and_bookkeeping_residual\": {resid:.1}}},\n",

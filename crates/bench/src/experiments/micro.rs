@@ -153,7 +153,7 @@ pub fn fig7(scale: &Scale) {
             "ed-heap".into(),
             fmt(crate::mpps(n, start.elapsed())),
         ]);
-        let mut eds: ExpDecayQMax<SkipListQMax<u32, OrderedF64>> =
+        let mut eds: ExpDecayQMax<SkipListQMax<u32, OrderedF64>, u32> =
             ExpDecayQMax::new(SkipListQMax::new(q), c);
         let start = Instant::now();
         for (i, &v) in vals.iter().enumerate() {

@@ -9,7 +9,9 @@
 //! 5.1), this variant merges duplicates — keeping each key's largest
 //! value — as part of every compaction, preserving the `O(1)` amortized
 //! update cost: after merging, at most `q` distinct candidates remain,
-//! so at least `⌈qγ⌉` arrivals separate consecutive compactions.
+//! so at least `⌈qγ⌉` arrivals separate consecutive compactions. The
+//! merge probes the key index once per buffered entry
+//! ([`KeyIndex::entry`]).
 
 use crate::entry::Entry;
 use crate::flow_table::{FlowIndex, IndexFamily, KeyIndex};
@@ -44,8 +46,6 @@ pub struct DedupQMax<I: Clone + Hash + Eq, V: Clone, F: IndexFamily = FlowIndex>
     /// Persistent merge scratch for [`Self::compact`] (always empty
     /// between compactions, so merging allocates nothing steady-state).
     best: F::Index<I, V>,
-    /// Persistent key scratch for the batched merge probes.
-    key_scratch: Vec<I>,
     threshold: Option<V>,
     compactions: u64,
     filtered: u64,
@@ -74,7 +74,6 @@ impl<I: Clone + Hash + Eq, V: Ord + Clone, F: IndexFamily> DedupQMax<I, V, F> {
             cap,
             buf: Vec::with_capacity(cap),
             best: F::Index::with_capacity(cap),
-            key_scratch: Vec::new(),
             threshold: None,
             compactions: 0,
             filtered: 0,
@@ -96,25 +95,14 @@ impl<I: Clone + Hash + Eq, V: Ord + Clone, F: IndexFamily> DedupQMax<I, V, F> {
     /// below the q-th largest and raises the threshold.
     fn compact(&mut self) {
         debug_assert!(self.best.is_empty());
-        // Batched merge: one `entry_batch` upsert pipeline over the
-        // whole buffer overlaps the per-entry index probes. Visit order
-        // is buffer order and ties keep the resident value, exactly as
-        // the singleton get/insert loop did.
-        let mut keys = std::mem::take(&mut self.key_scratch);
-        keys.clear();
-        keys.extend(self.buf.iter().map(|e| e.id.clone()));
-        let buf_ref = &self.buf;
-        self.best.entry_batch(
-            &keys,
-            |i| buf_ref[i].val.clone(),
-            |i, v, present| {
-                if present && buf_ref[i].val > *v {
-                    *v = buf_ref[i].val.clone();
-                }
-            },
-        );
-        keys.clear();
-        self.key_scratch = keys;
+        // One `entry` probe per buffered entry, in buffer order; ties
+        // keep the resident value.
+        for e in &self.buf {
+            let (v, present) = self.best.entry(e.id.clone(), || e.val.clone());
+            if present && e.val > *v {
+                *v = e.val.clone();
+            }
+        }
         self.buf.clear();
         let buf = &mut self.buf;
         self.best
@@ -181,11 +169,9 @@ impl<I: Clone + Hash + Eq, V: Ord + Clone, F: IndexFamily> QMax<I, V> for DedupQ
 impl<I: Clone + Hash + Eq, V: Ord + Clone, F: IndexFamily> BatchInsert<I, V>
     for DedupQMax<I, V, F>
 {
-    /// Offers a span of arrivals in order. Per-item behaviour —
-    /// threshold filtering, buffer pressure, compaction points — is
-    /// identical to singleton [`QMax::insert`] calls; the batched win
-    /// comes from every triggered compaction merging through the
-    /// pipelined [`KeyIndex::entry_batch`].
+    /// Offers a span of arrivals in order, exactly as singleton
+    /// [`QMax::insert`] calls would: threshold filtering, buffer
+    /// pressure and compaction points are per item.
     fn insert_batch(&mut self, items: &[(I, V)]) -> usize {
         let mut admitted = 0;
         for (id, val) in items {

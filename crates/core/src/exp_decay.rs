@@ -38,8 +38,10 @@ const REBASE_OFFSET_LIMIT: f64 = (1u64 << 40) as f64;
 /// restarts the clock, which leaves all score *comparisons* — and hence
 /// the top-`q` — unchanged.
 ///
-/// The type is generic over its backend so the paper's comparisons
-/// (Figure 7: heap / skip list / q-MAX) reuse the same transform.
+/// The type is generic over its backend `Q` so the paper's comparisons
+/// (Figure 7: heap / skip list / q-MAX) reuse the same transform, and
+/// over the item id `I` the backend stores, so the batch path can keep
+/// its transformed-batch buffer between calls.
 ///
 /// ```
 /// use qmax_core::{AmortizedQMax, ExpDecayQMax, QMax};
@@ -54,7 +56,7 @@ const REBASE_OFFSET_LIMIT: f64 = (1u64 << 40) as f64;
 /// assert!(!ids.contains(&1));
 /// ```
 #[derive(Debug, Clone)]
-pub struct ExpDecayQMax<Q> {
+pub struct ExpDecayQMax<Q, I> {
     backend: Q,
     /// `−ln c ≥ 0`; added per time step to incoming log-values.
     lambda: f64,
@@ -63,9 +65,13 @@ pub struct ExpDecayQMax<Q> {
     /// Non-positive / non-finite values skipped (not panicked on) by
     /// the trait-dispatched insert paths.
     skipped_invalid: u64,
+    /// The transformed batch [`BatchInsert::insert_batch`] hands the
+    /// backend; empty between calls, kept so batches allocate nothing
+    /// steady-state.
+    scratch: Vec<(I, OrderedF64)>,
 }
 
-impl<Q> ExpDecayQMax<Q> {
+impl<I, Q: QMax<I, OrderedF64>> ExpDecayQMax<Q, I> {
     /// Wraps `backend` with exponential decay of parameter `c` (the
     /// paper's aging parameter; `c = 1` disables decay).
     ///
@@ -88,6 +94,7 @@ impl<Q> ExpDecayQMax<Q> {
             lambda: -c.ln(),
             time: 0,
             skipped_invalid: 0,
+            scratch: Vec::new(),
         })
     }
 
@@ -128,9 +135,7 @@ impl<Q> ExpDecayQMax<Q> {
     pub fn decayed_weight(&self, stored: OrderedF64) -> f64 {
         (stored.get() - self.time as f64 * self.lambda).exp()
     }
-}
 
-impl<Q> ExpDecayQMax<Q> {
     /// Offers an item with (positive) value `val`; its effective weight
     /// from now on decays by a factor `c` per subsequent arrival.
     ///
@@ -142,10 +147,7 @@ impl<Q> ExpDecayQMax<Q> {
     /// [`ExpDecayQMax::try_insert`] where the stream may carry
     /// corrupted values (a measurement path must not die on one bad
     /// parse).
-    pub fn insert<I>(&mut self, id: I, val: f64) -> bool
-    where
-        Q: QMax<I, OrderedF64>,
-    {
+    pub fn insert(&mut self, id: I, val: f64) -> bool {
         self.try_insert(id, val).unwrap_or_else(|e| panic!("{e}"))
     }
 
@@ -153,10 +155,7 @@ impl<Q> ExpDecayQMax<Q> {
     /// number, and returns [`QMaxError::BadValue`] otherwise — without
     /// touching the backend or advancing the decay clock (a rejected
     /// value is not an arrival).
-    pub fn try_insert<I>(&mut self, id: I, val: f64) -> Result<bool, QMaxError>
-    where
-        Q: QMax<I, OrderedF64>,
-    {
+    pub fn try_insert(&mut self, id: I, val: f64) -> Result<bool, QMaxError> {
         if !(val > 0.0 && val.is_finite()) {
             return Err(QMaxError::BadValue(val));
         }
@@ -181,10 +180,7 @@ impl<Q> ExpDecayQMax<Q> {
     /// The backend's admission threshold Ψ is dropped in the process
     /// (it would be stale after the shift), so the next few arrivals
     /// are admitted unfiltered until a compaction re-establishes it.
-    pub fn rebase<I>(&mut self)
-    where
-        Q: QMax<I, OrderedF64>,
-    {
+    pub fn rebase(&mut self) {
         let offset = self.log_offset();
         let kept = self.backend.query();
         self.backend.reset();
@@ -197,18 +193,12 @@ impl<Q> ExpDecayQMax<Q> {
     /// Lists the `q` items with the largest decayed weights. The values
     /// returned are the internal transformed scores; convert with
     /// [`ExpDecayQMax::decayed_weight`] if absolute weights are needed.
-    pub fn query<I>(&mut self) -> Vec<(I, OrderedF64)>
-    where
-        Q: QMax<I, OrderedF64>,
-    {
+    pub fn query(&mut self) -> Vec<(I, OrderedF64)> {
         self.backend.query()
     }
 
     /// Clears the structure and restarts time at zero.
-    pub fn reset<I>(&mut self)
-    where
-        Q: QMax<I, OrderedF64>,
-    {
+    pub fn reset(&mut self) {
         self.backend.reset();
         self.time = 0;
         self.skipped_invalid = 0;
@@ -228,7 +218,7 @@ impl<Q> ExpDecayQMax<Q> {
 /// not die on it. A skipped item is not an arrival — the decay clock
 /// does not advance — so a stream with invalid items interleaved ages
 /// exactly like the same stream with them removed.
-impl<I, Q: QMax<I, OrderedF64>> QMax<I, OrderedF64> for ExpDecayQMax<Q> {
+impl<I, Q: QMax<I, OrderedF64>> QMax<I, OrderedF64> for ExpDecayQMax<Q, I> {
     fn insert(&mut self, id: I, val: OrderedF64) -> bool {
         // Inherent inserts take raw f64 and win method resolution at
         // call sites; this trait path unwraps and re-dispatches.
@@ -279,7 +269,7 @@ impl<I, Q: QMax<I, OrderedF64>> QMax<I, OrderedF64> for ExpDecayQMax<Q> {
     }
 }
 
-impl<I: Clone, Q: BatchInsert<I, OrderedF64>> BatchInsert<I, OrderedF64> for ExpDecayQMax<Q> {
+impl<I: Clone, Q: BatchInsert<I, OrderedF64>> BatchInsert<I, OrderedF64> for ExpDecayQMax<Q, I> {
     /// Stamps the whole batch with its per-item log-transformed scores
     /// in one pass, then hands the transformed chunk to the backend's
     /// batch kernel — on structure-of-arrays backends the branchless
@@ -294,7 +284,6 @@ impl<I: Clone, Q: BatchInsert<I, OrderedF64>> BatchInsert<I, OrderedF64> for Exp
         if self.needs_rebase() {
             self.rebase();
         }
-        let mut transformed: Vec<(I, OrderedF64)> = Vec::with_capacity(items.len());
         for (id, val) in items {
             let v = val.get();
             if !(v > 0.0 && v.is_finite()) {
@@ -307,9 +296,11 @@ impl<I: Clone, Q: BatchInsert<I, OrderedF64>> BatchInsert<I, OrderedF64> for Exp
                 "log-domain score overflowed; rebase failed to bound the offset"
             );
             self.time += 1;
-            transformed.push((id.clone(), OrderedF64(score)));
+            self.scratch.push((id.clone(), OrderedF64(score)));
         }
-        self.backend.insert_batch(&transformed)
+        let admitted = self.backend.insert_batch(&self.scratch);
+        self.scratch.clear();
+        admitted
     }
 }
 

@@ -64,11 +64,11 @@
 //! lands in a group that already had an `EMPTY` or every later group
 //! has been ruled out.
 
-use std::collections::HashMap;
+use std::collections::hash_map::{self, HashMap};
 use std::fmt;
 use std::hash::{BuildHasher, Hash, Hasher};
 
-use qmax_select::{prefetch_read, ProbeKernel, GROUP_WIDTH};
+use qmax_select::{ProbeKernel, GROUP_WIDTH};
 
 /// Control byte for a never-used (or deleted-and-reclosed) slot.
 /// Probes stop at the first group containing one.
@@ -89,14 +89,6 @@ pub const MIGRATE_GROUPS_PER_STEP: usize = 2;
 
 const LOAD_NUM: usize = 7;
 const LOAD_DEN: usize = 8;
-
-/// Keys processed per stage of the batched-probe software pipeline:
-/// each stage hashes this many keys and issues a prefetch for every
-/// home group *before* resolving any of the probes, so up to this many
-/// cache-miss chains are in flight at once. 32 comfortably exceeds the
-/// line-fill-buffer depth of current cores (10–16) without pushing the
-/// oldest prefetched line out of L1 before its resolve runs.
-pub const PROBE_PIPELINE: usize = 32;
 
 // ---------------------------------------------------------------------------
 // Fixed-seed multiplicative hasher
@@ -507,11 +499,6 @@ impl<K: Hash + Eq, V> FlowTable<K, V> {
     #[inline]
     pub fn get(&self, key: &K) -> Option<&V> {
         let h = self.hash(key);
-        self.get_prehashed(h, key)
-    }
-
-    #[inline]
-    fn get_prehashed(&self, h: u64, key: &K) -> Option<&V> {
         if let Some(s) = self.live.find(h, key, &self.probe) {
             return self.live.slots[s].as_ref().map(|(_, v)| v);
         }
@@ -524,11 +511,6 @@ impl<K: Hash + Eq, V> FlowTable<K, V> {
     #[inline]
     pub fn get_mut(&mut self, key: &K) -> Option<&mut V> {
         let h = self.hash(key);
-        self.get_mut_prehashed(h, key)
-    }
-
-    #[inline]
-    fn get_mut_prehashed(&mut self, h: u64, key: &K) -> Option<&mut V> {
         if let Some(s) = self.live.find(h, key, &self.probe) {
             return self.live.slots[s].as_mut().map(|(_, v)| v);
         }
@@ -538,7 +520,7 @@ impl<K: Hash + Eq, V> FlowTable<K, V> {
     }
 
     /// Borrow-free residence check: which core holds `key`, and at
-    /// which slot. Lets the batch upsert branch on presence and then
+    /// which slot. Lets [`Self::entry`] branch on presence and then
     /// take the mutable borrow it needs without re-probing.
     #[inline]
     fn locate(&self, h: u64, key: &K) -> Option<(bool, usize)> {
@@ -555,140 +537,38 @@ impl<K: Hash + Eq, V> FlowTable<K, V> {
         self.get(key).is_some()
     }
 
-    /// Best-effort prefetch of the home control group (and candidate
-    /// slot span) for hash `h` in both cores. Purely a hint: issued for
-    /// the *home* group only, which resolves the overwhelming majority
-    /// of probes at 7/8 load; chain walks past it pay their misses as
-    /// before.
+    /// Upsert: the resident value for `key` (`present = true`), or a
+    /// fresh `or_insert()` value inserted for it (`present = false`).
+    ///
+    /// One probe per call, where a `get_mut`-then-`insert` pair pays
+    /// two on a miss: `locate` resolves hit-or-miss once, and a miss
+    /// steps the incremental migration exactly as [`Self::insert`]
+    /// does (so the resize schedule is unchanged) before writing the
+    /// proven-absent key straight into its first empty slot.
     #[inline]
-    fn prefetch_groups(&self, h: u64) {
-        let g = split_hash(h, self.live.group_mask).0;
-        prefetch_read(&self.live.ctrl, g * GROUP_WIDTH);
-        prefetch_read(&self.live.slots, g * GROUP_WIDTH);
-        if let Some(old) = &self.old {
-            let og = split_hash(h, old.group_mask).0;
-            prefetch_read(&old.ctrl, og * GROUP_WIDTH);
-            prefetch_read(&old.slots, og * GROUP_WIDTH);
-        }
-    }
-
-    /// Issue prefetch hints for every key's home group without
-    /// resolving any probe — the warm-up half of the batch pipeline,
-    /// for callers whose per-key work is too stateful to batch (e.g. a
-    /// cache hit path that mutates as it goes) but who still know the
-    /// next span of keys in advance.
-    pub fn prefetch_keys(&self, keys: &[K]) {
-        for k in keys {
-            self.prefetch_groups(self.hash(k));
-        }
-    }
-
-    /// Batched lookup: calls `f(i, value)` once per key, in order.
-    ///
-    /// Observationally identical to `keys.iter().map(|k| self.get(k))`
-    /// — the differential battery replays exactly that equivalence —
-    /// but executed as a software pipeline: each [`PROBE_PIPELINE`]-key
-    /// stage hashes every key and prefetches every home group before
-    /// resolving any probe, so the N dependent cache-miss chains of a
-    /// singleton loop overlap into (at most) ⌈N/32⌉ memory round-trips.
-    pub fn probe_batch(&self, keys: &[K], mut f: impl FnMut(usize, Option<&V>)) {
-        let mut hashes = [0u64; PROBE_PIPELINE];
-        for (stage, chunk) in keys.chunks(PROBE_PIPELINE).enumerate() {
-            for (j, k) in chunk.iter().enumerate() {
-                let h = self.hash(k);
-                hashes[j] = h;
-                self.prefetch_groups(h);
+    pub fn entry(&mut self, key: K, or_insert: impl FnOnce() -> V) -> (&mut V, bool) {
+        let h = self.hash(&key);
+        let slot = match self.locate(h, &key) {
+            Some((true, s)) => &mut self.live.slots[s],
+            Some((false, s)) => &mut self.old.as_mut().expect("old core located").slots[s],
+            None => {
+                // `locate` proved the key absent from both cores;
+                // stepping the migration or growing cannot make it
+                // appear, so skip the re-find `insert` pays.
+                self.step_migration();
+                self.maybe_grow();
+                let s = self.live.insert_fresh(h, key, or_insert(), &self.probe);
+                let (_, v) = self.live.slots[s].as_mut().expect("just inserted");
+                return (v, false);
             }
-            let base = stage * PROBE_PIPELINE;
-            for (j, k) in chunk.iter().enumerate() {
-                f(base + j, self.get_prehashed(hashes[j], k));
-            }
-        }
-    }
-
-    /// Batched mutable lookup: `f(i, value)` once per key, in order.
-    /// The pipelined twin of a `get_mut` loop; see [`Self::probe_batch`].
-    pub fn get_mut_batch(&mut self, keys: &[K], mut f: impl FnMut(usize, Option<&mut V>)) {
-        let mut hashes = [0u64; PROBE_PIPELINE];
-        for (stage, chunk) in keys.chunks(PROBE_PIPELINE).enumerate() {
-            for (j, k) in chunk.iter().enumerate() {
-                let h = self.hash(k);
-                hashes[j] = h;
-                self.prefetch_groups(h);
-            }
-            let base = stage * PROBE_PIPELINE;
-            for (j, k) in chunk.iter().enumerate() {
-                f(base + j, self.get_mut_prehashed(hashes[j], k));
-            }
-        }
-    }
-
-    /// Batched upsert: for each key in order, visit the resident value
-    /// (`present = true`) or insert `or_insert(i)` and visit the fresh
-    /// value (`present = false`).
-    ///
-    /// Equivalent, op for op, to the singleton sequence `if let Some(v)
-    /// = get_mut(k) { visit } else { insert(k, or_insert(i)); visit }`
-    /// — inserts step the incremental migration exactly as
-    /// [`Self::insert`] does, so the resize schedule is unchanged. The
-    /// hash for each stage is computed once and its home group
-    /// prefetched up front; keys are re-probed per op, so a resize
-    /// triggered mid-stage only wastes hints, never correctness.
-    pub fn entry_batch(
-        &mut self,
-        keys: &[K],
-        mut or_insert: impl FnMut(usize) -> V,
-        mut visit: impl FnMut(usize, &mut V, bool),
-    ) where
-        K: Clone,
-    {
-        let mut hashes = [0u64; PROBE_PIPELINE];
-        for (stage, chunk) in keys.chunks(PROBE_PIPELINE).enumerate() {
-            for (j, k) in chunk.iter().enumerate() {
-                let h = self.hash(k);
-                hashes[j] = h;
-                self.prefetch_groups(h);
-            }
-            let base = stage * PROBE_PIPELINE;
-            for (j, k) in chunk.iter().enumerate() {
-                let i = base + j;
-                let h = hashes[j];
-                match self.locate(h, k) {
-                    Some((true, s)) => {
-                        let (_, v) = self.live.slots[s].as_mut().expect("located slot");
-                        visit(i, v, true);
-                    }
-                    Some((false, s)) => {
-                        let old = self.old.as_mut().expect("old core located");
-                        let (_, v) = old.slots[s].as_mut().expect("located slot");
-                        visit(i, v, true);
-                    }
-                    None => {
-                        // `locate` proved the key absent from both
-                        // cores; stepping the migration or growing
-                        // cannot make it appear, so skip the re-find
-                        // that singleton `insert` pays and write the
-                        // fresh slot directly.
-                        self.step_migration();
-                        self.maybe_grow();
-                        let s = self
-                            .live
-                            .insert_fresh(h, k.clone(), or_insert(i), &self.probe);
-                        let (_, v) = self.live.slots[s].as_mut().expect("just inserted");
-                        visit(i, v, false);
-                    }
-                }
-            }
-        }
+        };
+        let (_, v) = slot.as_mut().expect("located slot is occupied");
+        (v, true)
     }
 
     /// Insert or update; returns the previous value if any.
     pub fn insert(&mut self, key: K, val: V) -> Option<V> {
         let h = self.hash(&key);
-        self.insert_prehashed(h, key, val)
-    }
-
-    fn insert_prehashed(&mut self, h: u64, key: K, val: V) -> Option<V> {
         self.step_migration();
         if let Some(s) = self.live.find(h, &key, &self.probe) {
             let (_, v) = self.live.slots[s].as_mut().expect("found slot is occupied");
@@ -807,6 +687,10 @@ pub trait KeyIndex<K, V> {
     fn get_mut(&mut self, key: &K) -> Option<&mut V>;
     /// Insert or update; returns the previous value if any.
     fn insert(&mut self, key: K, val: V) -> Option<V>;
+    /// The resident value for `key` (`present = true`), or a fresh
+    /// `or_insert()` value inserted for it (`present = false`) — one
+    /// probe per call on [`FlowTable`].
+    fn entry(&mut self, key: K, or_insert: impl FnOnce() -> V) -> (&mut V, bool);
     /// Remove `key`, returning its value.
     fn remove(&mut self, key: &K) -> Option<V>;
     /// Whether `key` is resident.
@@ -819,57 +703,6 @@ pub trait KeyIndex<K, V> {
     fn drain_each(&mut self, f: impl FnMut(K, V));
     /// Keep only the entries `f` approves.
     fn retain_with(&mut self, f: impl FnMut(&K, &mut V) -> bool);
-
-    /// Hint that `keys` are about to be probed. Purely advisory — the
-    /// default is a no-op, which is also the correct oracle semantics;
-    /// [`FlowTable`] overrides it with home-group prefetches.
-    fn prefetch_keys(&self, keys: &[K]) {
-        let _ = keys;
-    }
-
-    /// Batched lookup: `f(i, value)` once per key, in order. The
-    /// default is the plain singleton loop — exactly the semantics an
-    /// oracle index must have — so [`StdKeyIndex`] stays a valid
-    /// differential baseline; [`FlowTable`] overrides it with the
-    /// prefetch-pipelined probe.
-    fn probe_batch(&self, keys: &[K], mut f: impl FnMut(usize, Option<&V>)) {
-        for (i, k) in keys.iter().enumerate() {
-            f(i, self.get(k));
-        }
-    }
-
-    /// Batched mutable lookup: `f(i, value)` once per key, in order.
-    /// Default is the singleton `get_mut` loop (see
-    /// [`probe_batch`](KeyIndex::probe_batch)).
-    fn get_mut_batch(&mut self, keys: &[K], mut f: impl FnMut(usize, Option<&mut V>)) {
-        for (i, k) in keys.iter().enumerate() {
-            f(i, self.get_mut(k));
-        }
-    }
-
-    /// Batched upsert: per key in order, visit the resident value
-    /// (`present = true`) or insert `or_insert(i)` and visit the fresh
-    /// value (`present = false`). Default is the equivalent singleton
-    /// sequence (see [`probe_batch`](KeyIndex::probe_batch)).
-    fn entry_batch(
-        &mut self,
-        keys: &[K],
-        mut or_insert: impl FnMut(usize) -> V,
-        mut visit: impl FnMut(usize, &mut V, bool),
-    ) where
-        K: Clone,
-    {
-        for (i, k) in keys.iter().enumerate() {
-            if self.contains_key(k) {
-                let v = self.get_mut(k).expect("probed above");
-                visit(i, v, true);
-            } else {
-                self.insert(k.clone(), or_insert(i));
-                let v = self.get_mut(k).expect("just inserted");
-                visit(i, v, false);
-            }
-        }
-    }
 }
 
 impl<K: Hash + Eq, V> KeyIndex<K, V> for FlowTable<K, V> {
@@ -888,6 +721,10 @@ impl<K: Hash + Eq, V> KeyIndex<K, V> for FlowTable<K, V> {
     fn insert(&mut self, key: K, val: V) -> Option<V> {
         FlowTable::insert(self, key, val)
     }
+    #[inline]
+    fn entry(&mut self, key: K, or_insert: impl FnOnce() -> V) -> (&mut V, bool) {
+        FlowTable::entry(self, key, or_insert)
+    }
     fn remove(&mut self, key: &K) -> Option<V> {
         FlowTable::remove(self, key)
     }
@@ -905,25 +742,6 @@ impl<K: Hash + Eq, V> KeyIndex<K, V> for FlowTable<K, V> {
     }
     fn retain_with(&mut self, f: impl FnMut(&K, &mut V) -> bool) {
         FlowTable::retain_with(self, f)
-    }
-    fn prefetch_keys(&self, keys: &[K]) {
-        FlowTable::prefetch_keys(self, keys)
-    }
-    fn probe_batch(&self, keys: &[K], f: impl FnMut(usize, Option<&V>)) {
-        FlowTable::probe_batch(self, keys, f)
-    }
-    fn get_mut_batch(&mut self, keys: &[K], f: impl FnMut(usize, Option<&mut V>)) {
-        FlowTable::get_mut_batch(self, keys, f)
-    }
-    fn entry_batch(
-        &mut self,
-        keys: &[K],
-        or_insert: impl FnMut(usize) -> V,
-        visit: impl FnMut(usize, &mut V, bool),
-    ) where
-        K: Clone,
-    {
-        FlowTable::entry_batch(self, keys, or_insert, visit)
     }
 }
 
@@ -959,6 +777,12 @@ impl<K: Hash + Eq, V> KeyIndex<K, V> for StdKeyIndex<K, V> {
     }
     fn insert(&mut self, key: K, val: V) -> Option<V> {
         self.map.insert(key, val)
+    }
+    fn entry(&mut self, key: K, or_insert: impl FnOnce() -> V) -> (&mut V, bool) {
+        match self.map.entry(key) {
+            hash_map::Entry::Occupied(o) => (o.into_mut(), true),
+            hash_map::Entry::Vacant(v) => (v.insert(or_insert()), false),
+        }
     }
     fn remove(&mut self, key: &K) -> Option<V> {
         self.map.remove(key)
@@ -1121,87 +945,34 @@ mod tests {
         }
     }
 
-    /// `probe_batch` must be the singleton `get` loop, observationally
-    /// — over spans longer than the pipeline, shorter than it, empty,
-    /// and with duplicate keys inside one stage.
-    #[test]
-    fn probe_batch_matches_singleton_gets() {
-        let mut t: FlowTable<u64, u64> = FlowTable::new();
-        for i in 0..300u64 {
-            t.insert(i * 3, i);
-        }
-        for span in [0usize, 1, 7, PROBE_PIPELINE, PROBE_PIPELINE + 1, 257] {
-            let keys: Vec<u64> = (0..span as u64).map(|i| (i % 180) * 2).collect();
-            let mut got: Vec<Option<u64>> = Vec::new();
-            t.probe_batch(&keys, |i, v| {
-                assert_eq!(i, got.len(), "indices must arrive in order");
-                got.push(v.copied());
-            });
-            let want: Vec<Option<u64>> = keys.iter().map(|k| t.get(k).copied()).collect();
-            assert_eq!(got, want, "span {span}");
-        }
-    }
-
-    #[test]
-    fn get_mut_batch_mutates_like_singletons() {
-        let mut a: FlowTable<u64, u64> = FlowTable::new();
-        for i in 0..200u64 {
-            a.insert(i, i);
-        }
-        let mut b = a.clone();
-        let keys: Vec<u64> = (0..300u64).map(|i| i * 7 % 250).collect();
-        a.get_mut_batch(&keys, |_, v| {
-            if let Some(v) = v {
-                *v += 1000;
-            }
-        });
-        for k in &keys {
-            if let Some(v) = b.get_mut(k) {
-                *v += 1000;
-            }
-        }
-        let (mut sa, mut sb) = (Vec::new(), Vec::new());
-        a.for_each(|&k, &v| sa.push((k, v)));
-        b.for_each(|&k, &v| sb.push((k, v)));
-        sa.sort_unstable();
-        sb.sort_unstable();
-        assert_eq!(sa, sb);
-    }
-
-    /// `entry_batch` ≡ the singleton contains/get_mut/insert sequence,
+    /// `entry` ≡ the singleton contains/get_mut/insert sequence,
     /// including while the inserts it performs trigger and then drive
-    /// an incremental resize mid-batch.
+    /// an incremental resize.
     #[test]
-    fn entry_batch_upserts_like_singletons_through_a_resize() {
+    fn entry_upserts_like_singletons_through_a_resize() {
         let mut a: FlowTable<u64, u64> = FlowTable::new();
         let mut b: FlowTable<u64, u64> = FlowTable::new();
-        // Enough fresh keys to force resizes inside one entry_batch
-        // call, with repeats interleaved so hits and misses mix.
+        // Enough fresh keys to force resizes, with repeats interleaved
+        // so hits and misses mix.
         let keys: Vec<u64> = (0..600u64).map(|i| i % 400).collect();
-        let mut seen_a: Vec<(usize, bool)> = Vec::new();
-        a.entry_batch(
-            &keys,
-            |i| i as u64,
-            |i, v, present| {
-                *v += 1;
-                seen_a.push((i, present));
-            },
-        );
-        let mut seen_b: Vec<(usize, bool)> = Vec::new();
+        let mut seen_a: Vec<bool> = Vec::new();
+        for (i, &k) in keys.iter().enumerate() {
+            let (v, present) = a.entry(k, || i as u64);
+            *v += 1;
+            seen_a.push(present);
+        }
+        let mut seen_b: Vec<bool> = Vec::new();
         for (i, k) in keys.iter().enumerate() {
-            if b.contains_key(k) {
-                let v = b.get_mut(k).unwrap();
-                *v += 1;
-                seen_b.push((i, true));
-            } else {
+            let present = b.contains_key(k);
+            if !present {
                 b.insert(*k, i as u64);
-                let v = b.get_mut(k).unwrap();
-                *v += 1;
-                seen_b.push((i, false));
             }
+            *b.get_mut(k).unwrap() += 1;
+            seen_b.push(present);
         }
         assert_eq!(seen_a, seen_b, "hit/miss pattern diverged");
         assert_eq!(a.len(), b.len());
+        assert!(a.resizes() >= 2, "600 upserts from 16 slots must resize");
         assert_eq!(a.resizes(), b.resizes(), "resize schedule diverged");
         let (mut sa, mut sb) = (Vec::new(), Vec::new());
         a.for_each(|&k, &v| sa.push((k, v)));
@@ -1211,62 +982,44 @@ mod tests {
         assert_eq!(sa, sb);
     }
 
-    /// Batch probes during an in-flight migration must hit both cores.
+    /// `entry` during an in-flight migration must find residents in
+    /// both cores, and insert absent keys without disturbing them.
     #[test]
-    fn probe_batch_spans_both_cores_mid_migration() {
+    fn entry_spans_both_cores_mid_migration() {
         let mut t: FlowTable<u64, u64> = FlowTable::new();
         let mut n = 0u64;
         while !t.is_migrating() {
             t.insert(n, n * 2);
             n += 1;
         }
-        let keys: Vec<u64> = (0..n + 10).collect();
-        let mut hits = 0usize;
-        t.probe_batch(&keys, |i, v| {
-            let want = if (i as u64) < n {
-                Some(2 * i as u64)
-            } else {
-                None
-            };
-            assert_eq!(v.copied(), want, "key {i} while migrating");
-            hits += usize::from(v.is_some());
-        });
-        assert_eq!(hits, n as usize);
+        for k in 0..n + 10 {
+            let (v, present) = t.entry(k, || u64::MAX);
+            assert_eq!(present, k < n, "key {k} while migrating");
+            assert_eq!(*v, if k < n { 2 * k } else { u64::MAX }, "key {k}");
+        }
+        assert_eq!(t.len() as u64, n + 10);
+        for k in 0..n {
+            assert_eq!(t.get(&k), Some(&(2 * k)));
+        }
     }
 
-    /// The `KeyIndex` defaults and the `FlowTable` overrides agree —
-    /// the property that keeps `StdIndex` a valid oracle for batches.
+    /// The `KeyIndex::entry` of the flow table and of the `HashMap`
+    /// oracle agree — the property that keeps `StdIndex` a valid oracle.
     #[test]
-    fn keyindex_batch_defaults_agree_with_flow_overrides() {
+    fn keyindex_entry_agrees_across_flow_and_std() {
         let mut flow: FlowTable<u64, u64> = KeyIndex::with_capacity(0);
         let mut std: StdKeyIndex<u64, u64> = KeyIndex::with_capacity(0);
         let keys: Vec<u64> = (0..300u64).map(|i| i * i % 157).collect();
-        let mut out_f: Vec<(usize, bool)> = Vec::new();
-        let mut out_s: Vec<(usize, bool)> = Vec::new();
-        KeyIndex::entry_batch(
-            &mut flow,
-            &keys,
-            |i| i as u64,
-            |i, v, p| {
-                *v ^= 1;
-                out_f.push((i, p));
-            },
-        );
-        KeyIndex::entry_batch(
-            &mut std,
-            &keys,
-            |i| i as u64,
-            |i, v, p| {
-                *v ^= 1;
-                out_s.push((i, p));
-            },
-        );
-        assert_eq!(out_f, out_s);
-        let mut probe_f: Vec<Option<u64>> = Vec::new();
-        let mut probe_s: Vec<Option<u64>> = Vec::new();
-        KeyIndex::probe_batch(&flow, &keys, |_, v| probe_f.push(v.copied()));
-        KeyIndex::probe_batch(&std, &keys, |_, v| probe_s.push(v.copied()));
-        assert_eq!(probe_f, probe_s);
+        for (i, &k) in keys.iter().enumerate() {
+            let (vf, pf) = KeyIndex::entry(&mut flow, k, || i as u64);
+            *vf ^= 1;
+            let (vs, ps) = KeyIndex::entry(&mut std, k, || i as u64);
+            *vs ^= 1;
+            assert_eq!((pf, *vf), (ps, *vs), "key {k} at {i}");
+        }
+        for k in &keys {
+            assert_eq!(KeyIndex::get(&flow, k), KeyIndex::get(&std, k));
+        }
     }
 
     #[test]

@@ -519,7 +519,9 @@ impl<I: Copy + 'static, V: Ord + Copy + 'static> ShardedQMax<I, V, AdaptiveBasic
     }
 }
 
-impl<I: Copy + 'static> ShardedQMax<I, OrderedF64, ExpDecayQMax<AdaptiveBackend<I, OrderedF64>>> {
+impl<I: Copy + 'static>
+    ShardedQMax<I, OrderedF64, ExpDecayQMax<AdaptiveBackend<I, OrderedF64>, I>>
+{
     /// Creates `shards` exponential-decay shards whose reservoir layout
     /// is chosen by the static backend policy rules. Decayed reservoirs
     /// score in [`OrderedF64`], a lane the SIMD kernels cannot

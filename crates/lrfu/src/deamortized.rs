@@ -15,11 +15,17 @@
 //!    was hit, so it stays).
 //!
 //! Hits never touch the pipeline: they bump the key's log-score in the
-//! registry in `O(1)`. The eviction rule preserves the paper's LRFU
-//! guarantee — the `q` highest-score keys are never evicted: Ψ never
-//! exceeds the q-th largest snapshot score, scores only grow, and the
-//! comparison is strict, so every current top-`q` key scores at least
-//! Ψ (or arrived after the snapshot and is not evictable this round).
+//! registry in `O(1)`. Every request probes the registry index once
+//! ([`KeyIndex::entry`] resolves hit or miss and inserts a miss in the
+//! same probe), the refresh feed reads it with one `get_mut` per slot,
+//! and the refresh chunk reuses a kept scratch buffer, so the request
+//! path does not allocate once the snapshot backend has warmed up.
+//!
+//! The eviction rule preserves the paper's LRFU guarantee — the `q`
+//! highest-score keys are never evicted: Ψ never exceeds the q-th
+//! largest snapshot score, scores only grow, and the comparison is
+//! strict, so every current top-`q` key scores at least Ψ (or arrived
+//! after the snapshot and is not evictable this round).
 //!
 //! The snapshot backend is an [`IntervalBackend`] (default: the
 //! array-of-structs [`AmortizedQMax`]), so the structure-of-arrays
@@ -95,6 +101,9 @@ pub struct DeamortizedLrfu<
     snap: B,
     /// Number of registry slots covered by the current snapshot.
     snap_len: usize,
+    /// The `(slot, score)` chunk a refresh step feeds the snapshot,
+    /// kept so the request path never allocates steady-state.
+    refresh_scratch: Vec<(u64, OrderedF64)>,
     /// Refresh round counter (stamps [`Info::snap_round`]).
     round: u64,
     phase: Phase,
@@ -159,9 +168,10 @@ impl<K: Clone + Hash + Eq, B: IntervalBackend<u64, OrderedF64>, F: IndexFamily>
             g,
             score: DecayScore::new(c),
             map: F::Index::with_capacity(hi),
-            keys: Vec::new(),
+            keys: Vec::with_capacity(hi),
             snap: proto.fresh(),
             snap_len: 0,
+            refresh_scratch: Vec::new(),
             round: 0,
             phase: Phase::Idle,
             budget,
@@ -177,24 +187,6 @@ impl<K: Clone + Hash + Eq, B: IntervalBackend<u64, OrderedF64>, F: IndexFamily>
     pub fn with_fast_merge(mut self, fast: bool) -> Self {
         self.score = self.score.with_fast_merge(fast);
         self
-    }
-
-    /// Processes a span of requests, returning the number of hits.
-    /// Observationally identical to calling [`Cache::request`] per key
-    /// — the hit path is too stateful to reorder — but each
-    /// [`qmax_core::PROBE_PIPELINE`]-key stage issues the registry
-    /// prefetches for the whole stage up front, so the per-request
-    /// probe miss overlaps the previous request's bookkeeping instead
-    /// of serializing behind it.
-    pub fn request_batch(&mut self, keys: &[K]) -> usize {
-        let mut hits = 0;
-        for chunk in keys.chunks(qmax_core::PROBE_PIPELINE) {
-            self.map.prefetch_keys(chunk);
-            for key in chunk {
-                hits += usize::from(self.request(key.clone()));
-            }
-        }
-        hits
     }
 
     /// Execution counters.
@@ -221,7 +213,6 @@ impl<K: Clone + Hash + Eq, B: IntervalBackend<u64, OrderedF64>, F: IndexFamily>
     /// Advances the maintenance pipeline by at most `budget` units.
     fn advance(&mut self) {
         let mut rem = self.budget as i64;
-        let mut scratch: Vec<(u64, OrderedF64)> = Vec::new();
         while rem > 0 {
             match self.phase {
                 Phase::Idle => {
@@ -255,20 +246,14 @@ impl<K: Clone + Hash + Eq, B: IntervalBackend<u64, OrderedF64>, F: IndexFamily>
                         rem -= 1;
                     } else {
                         let take = (self.snap_len - next).min(rem as usize);
-                        scratch.clear();
-                        // Batched registry probes: the refresh feed is
-                        // the pipeline's only index-bound loop, so run
-                        // it through the prefetch-pipelined
-                        // `get_mut_batch` (slot order preserved).
-                        let round = self.round;
-                        self.map
-                            .get_mut_batch(&self.keys[next..next + take], |j, info| {
-                                let info = info.expect("registry in sync");
-                                info.snap_w = info.w;
-                                info.snap_round = round;
-                                scratch.push(((next + j) as u64, OrderedF64(info.w)));
-                            });
-                        self.snap.insert_batch(&scratch);
+                        self.refresh_scratch.clear();
+                        for (slot, key) in (next..next + take).zip(&self.keys[next..next + take]) {
+                            let info = self.map.get_mut(key).expect("registry in sync");
+                            info.snap_w = info.w;
+                            info.snap_round = self.round;
+                            self.refresh_scratch.push((slot as u64, OrderedF64(info.w)));
+                        }
+                        self.snap.insert_batch(&self.refresh_scratch);
                         self.phase = Phase::Refresh { next: next + take };
                         rem -= take as i64;
                     }
@@ -308,21 +293,18 @@ impl<K: Clone + Hash + Eq, B: IntervalBackend<u64, OrderedF64>, F: IndexFamily> 
     fn request(&mut self, key: K) -> bool {
         self.time += 1;
         let t = self.time;
-        if let Some(info) = self.map.get_mut(&key) {
-            info.w = self.score.bump(info.w, t);
+        let (score, idx) = (self.score, self.keys.len());
+        let (info, hit) = self.map.entry(key.clone(), || Info {
+            idx,
+            w: score.access(t),
+            snap_w: f64::NEG_INFINITY,
+            snap_round: 0,
+        });
+        if hit {
+            info.w = score.bump(info.w, t);
             return true;
         }
-        let idx = self.keys.len();
-        self.keys.push(key.clone());
-        self.map.insert(
-            key,
-            Info {
-                idx,
-                w: self.score.access(t),
-                snap_w: f64::NEG_INFINITY,
-                snap_round: 0,
-            },
-        );
+        self.keys.push(key);
         self.advance();
         false
     }
@@ -454,24 +436,6 @@ mod tests {
         }
         assert_eq!(aos.len(), soa.len());
         assert_eq!(aos.stats().iterations, soa.stats().iterations);
-    }
-
-    #[test]
-    fn request_batch_matches_singletons() {
-        let trace = arc_like(40_000, 4_000, 23);
-        let mut one = DeamortizedLrfu::new(300, 0.5, 0.75);
-        let mut batched = DeamortizedLrfu::new(300, 0.5, 0.75);
-        let mut h1 = 0usize;
-        for &k in &trace {
-            h1 += usize::from(one.request(k));
-        }
-        let mut h2 = 0usize;
-        for span in trace.chunks(513) {
-            h2 += batched.request_batch(span);
-        }
-        assert_eq!(h1, h2, "prefetch warm-up must not change behaviour");
-        assert_eq!(one.len(), batched.len());
-        assert_eq!(one.stats().iterations, batched.stats().iterations);
     }
 
     #[test]

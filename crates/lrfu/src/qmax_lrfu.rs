@@ -97,6 +97,9 @@ pub struct QMaxLrfu<
     /// dense score column directly instead of materializing
     /// `(score, slot)` pairs (see [`Self::maintain`]).
     score_scratch: Vec<OrderedF64>,
+    /// Log entries of the span [`Self::request_batch`] is appending,
+    /// kept so a batch allocates nothing steady-state.
+    batch_scratch: Vec<(K, OrderedF64)>,
     /// Runtime-dispatched comparison kernel for the pivot census over
     /// the score column ([`Kernel::count_gt_eq`]).
     kernel: Kernel<OrderedF64>,
@@ -104,25 +107,11 @@ pub struct QMaxLrfu<
     maintenance_passes: u64,
 }
 
-/// Per-key pointer into the score arena. Every resident key owns a
-/// slot from the moment it is inserted (misses allocate on the spot);
-/// `INVALID` only exists transiently as the pre-allocation value the
-/// batched upsert writes before its visit callback claims a slot.
+/// Per-key pointer into the score arena: every resident key owns a
+/// slot from the moment it is inserted (misses allocate on the spot).
 #[derive(Debug, Clone, Copy)]
 struct MergeSlot {
     arena: u32,
-}
-
-impl MergeSlot {
-    const INVALID: u32 = u32::MAX;
-}
-
-impl Default for MergeSlot {
-    fn default() -> Self {
-        MergeSlot {
-            arena: MergeSlot::INVALID,
-        }
-    }
 }
 
 /// [`QMaxLrfu`] whose request log lives in the structure-of-arrays
@@ -235,6 +224,7 @@ impl<K: Clone + Hash + Eq, B: IntervalBackend<K, OrderedF64>, F: IndexFamily> QM
             carried: 0,
             log_scratch: Vec::new(),
             score_scratch: Vec::new(),
+            batch_scratch: Vec::new(),
             kernel: Kernel::detect(),
             time: 0,
             maintenance_passes: 0,
@@ -389,82 +379,52 @@ impl<K: Clone + Hash + Eq, B: IntervalBackend<K, OrderedF64>, F: IndexFamily> QM
         self.maintenance_passes += 1;
     }
 
-    /// Registers a request for `key` in the cache index, records the
-    /// key's arena-slot hint, and returns `(hit, log entry to
-    /// append)`. Hits are read-only probes; only misses write to the
-    /// index (and claim an arena slot).
-    fn account(&mut self, key: K) -> (bool, (K, OrderedF64)) {
+    /// Registers a request for `key` with one index probe
+    /// ([`KeyIndex::entry`]): a hit reads the key's arena slot off its
+    /// resident [`MergeSlot`], a miss claims a fresh arena slot for it.
+    /// Records the slot hint and returns `(hit, log score)`.
+    #[inline]
+    fn account(&mut self, key: &K) -> (bool, OrderedF64) {
         self.time += 1;
         let w = OrderedF64(self.score.access(self.time));
-        let (hit, hint) = match self.cached.get_mut(&key) {
-            Some(ms) => (true, ms.arena),
-            None => {
-                let idx = Self::alloc_slot(
-                    &mut self.arena_keys,
-                    &mut self.arena_vals,
-                    &mut self.arena_live,
-                    &mut self.arena_free,
-                    key.clone(),
-                );
-                self.cached.insert(key.clone(), MergeSlot { arena: idx });
-                (false, idx)
-            }
-        };
-        self.hints.push(hint);
-        (hit, (key, w))
+        let (slot, hit) = self.cached.entry(key.clone(), || MergeSlot {
+            arena: Self::alloc_slot(
+                &mut self.arena_keys,
+                &mut self.arena_vals,
+                &mut self.arena_live,
+                &mut self.arena_free,
+                key.clone(),
+            ),
+        });
+        self.hints.push(slot.arena);
+        (hit, w)
     }
 
     /// Processes a span of requests, returning the number of hits.
-    /// Semantically identical to calling [`Cache::request`] per key,
-    /// but appends each between-maintenance run of entries to the log
-    /// in one backend batch call, and registers the whole span in the
-    /// cache index through one batched-upsert pipeline
-    /// ([`KeyIndex::entry_batch`]) — the index probes for up to
-    /// [`qmax_core::PROBE_PIPELINE`] requests overlap instead of each
-    /// paying a dependent cache-miss chain. A duplicate key inside one
-    /// span hits from its second occurrence on, exactly as the
-    /// singleton loop behaves.
+    /// Semantically identical to calling [`Cache::request`] per key
+    /// (each request probes the index once), but appends each
+    /// between-maintenance run of entries to the log in one backend
+    /// batch call.
     pub fn request_batch(&mut self, keys: &[K]) -> usize {
         let mut hits = 0;
-        let mut scratch: Vec<(K, OrderedF64)> = Vec::new();
+        let mut scratch = std::mem::take(&mut self.batch_scratch);
         let mut i = 0;
         while i < keys.len() {
             let take = (self.cap - self.carried - self.buf.len()).min(keys.len() - i);
-            let span = &keys[i..i + take];
             scratch.clear();
-            let t0 = self.time;
-            let score = self.score;
-            let arena_keys = &mut self.arena_keys;
-            let arena_vals = &mut self.arena_vals;
-            let arena_live = &mut self.arena_live;
-            let arena_free = &mut self.arena_free;
-            let hints = &mut self.hints;
-            self.cached.entry_batch(
-                span,
-                |_| MergeSlot::default(),
-                |j, slot, present| {
-                    hits += usize::from(present);
-                    if !present {
-                        slot.arena = Self::alloc_slot(
-                            arena_keys,
-                            arena_vals,
-                            arena_live,
-                            arena_free,
-                            span[j].clone(),
-                        );
-                    }
-                    hints.push(slot.arena);
-                    let w = OrderedF64(score.access(t0 + j as u64 + 1));
-                    scratch.push((span[j].clone(), w));
-                },
-            );
-            self.time = t0 + take as u64;
+            for key in &keys[i..i + take] {
+                let (hit, w) = self.account(key);
+                hits += usize::from(hit);
+                scratch.push((key.clone(), w));
+            }
             self.buf.insert_batch(&scratch);
             i += take;
             if self.buf.len() + self.carried == self.cap {
                 self.maintain();
             }
         }
+        scratch.clear();
+        self.batch_scratch = scratch;
         hits
     }
 }
@@ -473,7 +433,7 @@ impl<K: Clone + Hash + Eq, B: IntervalBackend<K, OrderedF64>, F: IndexFamily> Ca
     for QMaxLrfu<K, B, F>
 {
     fn request(&mut self, key: K) -> bool {
-        let (hit, (key, w)) = self.account(key);
+        let (hit, w) = self.account(&key);
         self.buf.insert(key, w);
         if self.buf.len() + self.carried == self.cap {
             self.maintain();

@@ -69,7 +69,7 @@ mod neon;
 mod probe;
 mod scalar;
 
-pub use probe::{prefetch_read, ProbeKernel, GROUP_WIDTH};
+pub use probe::{ProbeKernel, GROUP_WIDTH};
 
 /// Which implementation a [`Kernel`] dispatches to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -96,46 +96,6 @@ impl ProbeKernel {
     }
 }
 
-/// Issue a best-effort *read* prefetch for the cache line holding
-/// `data[index]`, as deep into the hierarchy as the ISA allows (L1,
-/// temporal). This is the memory-level-parallelism primitive behind the
-/// flow table's batched probes: hash a whole span of keys, prefetch
-/// every home group's control bytes, *then* resolve the probes — so N
-/// dependent miss chains overlap instead of serializing.
-///
-/// Semantics: purely a hint. It never faults, never writes, and never
-/// changes observable behaviour — out-of-range indices are ignored, and
-/// the function compiles to nothing under Miri (prefetch has no shadow-
-/// memory meaning) and on architectures without a stable prefetch
-/// primitive. `qmax-core` forbids `unsafe`, which is why this safe
-/// wrapper lives here beside the probe kernel.
-#[inline]
-pub fn prefetch_read<T>(data: &[T], index: usize) {
-    let Some(slot) = data.get(index) else { return };
-    let ptr = slot as *const T as *const u8;
-    #[cfg(all(target_arch = "x86_64", not(miri)))]
-    // SAFETY: `_mm_prefetch` is SSE (x86_64 baseline) and architecturally
-    // cannot fault: it is a hint that at most populates a cache line. The
-    // pointer is derived from an in-bounds slice element.
-    unsafe {
-        use core::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-        _mm_prefetch(ptr as *const i8, _MM_HINT_T0);
-    }
-    #[cfg(all(target_arch = "aarch64", not(miri)))]
-    // SAFETY: PRFM is a hint instruction — it cannot fault regardless of
-    // the address and performs no architectural memory access. `nomem`
-    // is deliberately *not* claimed; `readonly` models the prefetch.
-    unsafe {
-        core::arch::asm!(
-            "prfm pldl1keep, [{addr}]",
-            addr = in(reg) ptr,
-            options(nostack, preserves_flags, readonly)
-        );
-    }
-    #[cfg(any(miri, not(any(target_arch = "x86_64", target_arch = "aarch64"))))]
-    let _ = ptr;
-}
-
 /// Portable reference: defines the exact mask semantics.
 #[inline]
 pub(super) fn match_byte_scalar(group: &[u8; GROUP_WIDTH], tag: u8) -> u16 {
@@ -228,20 +188,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn prefetch_is_a_pure_hint() {
-        // In-range, boundary, and out-of-range indices must all be
-        // side-effect free (this test also runs under Miri, where the
-        // helper compiles to nothing — pinning that it stays UB-free).
-        let data: Vec<u64> = (0..64).collect();
-        prefetch_read(&data, 0);
-        prefetch_read(&data, 63);
-        prefetch_read(&data, 64);
-        prefetch_read(&data, usize::MAX);
-        prefetch_read::<u64>(&[], 0);
-        assert_eq!(data[63], 63, "prefetch must not write");
     }
 
     #[test]

@@ -46,7 +46,7 @@ pub mod policy;
 mod quickselect;
 mod soa;
 
-pub use kernels::{prefetch_read, Kernel, KernelKind, ProbeKernel, RunPred, GROUP_WIDTH};
+pub use kernels::{Kernel, KernelKind, ProbeKernel, RunPred, GROUP_WIDTH};
 pub use machine::{Direction, Lanes, MachineStatus, NthElementMachine, WORK_BOUND_FACTOR};
 pub use partition::{insertion_sort, median_of_five, partition3};
 pub use policy::{BackendChoice, PolicyMode};

@@ -14,6 +14,11 @@
 //! first fill and the first sampled compaction. After that warm-up, its
 //! arrivals, compactions included, allocate nothing on either layout.
 //!
+//! The keyed LRFU caches and the exponential-decay wrapper keep their
+//! per-request and per-batch scratch buffers as fields: once warmed up
+//! through several maintenance passes (compactions), their requests
+//! (batches) allocate nothing either.
+//!
 //! The counter is thread-local, so allocations made by other test
 //! threads of this binary do not reach it.
 
@@ -21,9 +26,10 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use qmax_core::{
-    AdaptiveBackend, Amortized, AmortizedQMax, BatchInsert, Deamortized, Entry, IntervalBackend,
-    QMax, Slots, SoaAmortizedQMax,
+    AdaptiveBackend, Amortized, AmortizedQMax, BatchInsert, Deamortized, Entry, ExpDecayQMax,
+    IntervalBackend, OrderedF64, QMax, Slots, SoaAmortizedQMax,
 };
+use qmax_lrfu::{Cache, DeamortizedLrfu, QMaxLrfu};
 use qmax_select::kernels::SAMPLED_COMPACT_MIN;
 use qmax_select::PairedLanes;
 
@@ -219,4 +225,95 @@ fn amortized_construction_does_not_allocate() {
         assert_eq!(built, 0, "{backend}: try_new allocated {built} times");
         assert_eq!(fresh, 0, "{backend}: fresh allocated {fresh} times");
     }
+}
+
+/// Cache requests over a 20k-key universe: a mix of hits and misses
+/// that keeps the maintenance passes coming.
+fn request_stream(n: usize) -> Vec<u64> {
+    let mut state = 41u64;
+    (0..n).map(|_| splitmix(&mut state) % 20_000).collect()
+}
+
+#[test]
+fn deamortized_lrfu_requests_do_not_allocate() {
+    let requests = request_stream(200_000);
+    let mut cache = DeamortizedLrfu::new(1_000, 0.25, 0.75);
+    // The first pipeline iterations snapshot fewer keys than the
+    // snapshot backend holds, so its first compaction (which sizes the
+    // pivot sample) waits until the population has grown past that.
+    let mut warm = 0;
+    while cache.stats().iterations < 10 {
+        cache.request(requests[warm]);
+        warm += 1;
+    }
+    let before = cache.stats().iterations;
+    let (calls, ()) = calls_during(|| {
+        for &k in &requests[warm..] {
+            cache.request(k);
+        }
+    });
+    let iterations = cache.stats().iterations - before;
+    assert!(iterations >= 10, "only {iterations} pipeline iterations");
+    assert_eq!(
+        calls,
+        0,
+        "{calls} allocations over {} requests ({iterations} iterations)",
+        requests.len() - warm
+    );
+}
+
+#[test]
+fn qmax_lrfu_steady_state_requests_do_not_allocate() {
+    let requests = request_stream(200_000);
+    for batched in [false, true] {
+        let mut cache = QMaxLrfu::new(1_000, 0.5, 0.75);
+        let mut warm = 0;
+        while cache.maintenance_passes() < 5 {
+            cache.request_batch(&requests[warm..warm + 256]);
+            warm += 256;
+        }
+        let before = cache.maintenance_passes();
+        let (calls, ()) = calls_during(|| {
+            if batched {
+                for span in requests[warm..].chunks(256) {
+                    cache.request_batch(span);
+                }
+            } else {
+                for &k in &requests[warm..] {
+                    cache.request(k);
+                }
+            }
+        });
+        let passes = cache.maintenance_passes() - before;
+        assert!(passes >= 10, "batched={batched}: only {passes} passes");
+        assert_eq!(
+            calls, 0,
+            "batched={batched}: {calls} allocations over {passes} maintenance passes"
+        );
+    }
+}
+
+#[test]
+fn exp_decay_batches_do_not_allocate() {
+    let mut state = 53u64;
+    let items: Vec<(u64, OrderedF64)> = (0..100_000u64)
+        .map(|i| (i, OrderedF64(1.0 + (splitmix(&mut state) % 1_000) as f64)))
+        .collect();
+    let mut decayed = ExpDecayQMax::new(AdaptiveBackend::new(2048, GAMMA), 0.999);
+    let mut chunks = items.chunks(256);
+    while decayed.backend().compactions() < 2 {
+        decayed.insert_batch(chunks.next().expect("warm-up compacts"));
+    }
+    let before = decayed.backend().compactions();
+    let (calls, ()) = calls_during(|| {
+        for chunk in chunks {
+            decayed.insert_batch(chunk);
+        }
+    });
+    let compactions = decayed.backend().compactions() - before;
+    assert!(compactions >= 10, "only {compactions} compactions");
+    assert_eq!(
+        calls, 0,
+        "{calls} allocations over {compactions} compactions"
+    );
 }

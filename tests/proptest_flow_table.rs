@@ -20,6 +20,7 @@ use proptest::prelude::*;
 use qmax_core::flow_table::FX_K;
 use qmax_core::FlowTable;
 use qmax_select::ProbeKernel;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 /// Multiplicative inverse of the FxHash key `FX_K` modulo 2^64 (the
@@ -109,60 +110,56 @@ fn replay_stream(mode: u8, seed: u64, ops: &[(u8, u64, u32)]) -> FlowTable<u64, 
     det
 }
 
-/// Replays one upsert stream through the batched probe pipeline in
-/// `span`-key slices — [`FlowTable::entry_batch`] on a dispatched and a
-/// forced-scalar table — against a singleton `get_mut`/`insert` replay
-/// on a third flow table and the `HashMap` oracle. The upsert counts
-/// occurrences, so within-span duplicates must observe the value written
-/// earlier in the *same* span, and the hit/miss sequence reported by
-/// `visit` must match the oracle key-for-key. After every span,
-/// [`FlowTable::probe_batch`] is checked against oracle gets (catching
-/// stale reads while a span-triggered migration is in flight), and the
-/// run ends with a [`FlowTable::get_mut_batch`] sweep plus full-content
-/// and resize-schedule comparisons — batching must not move a single
-/// resize point. Panics (rather than `prop_assert!`s) so the pinned
-/// `#[test]`s below can reuse it.
-fn replay_batched_keys(keys: &[u64], span: usize) -> FlowTable<u64, u64> {
+/// Replays one upsert stream through [`FlowTable::entry`] on a
+/// dispatched and a forced-scalar table, against a singleton
+/// `get_mut`/`insert` replay on a third flow table and `HashMap::entry`
+/// on the oracle. The upsert counts occurrences, so a repeated key must
+/// observe the value its earlier upserts wrote, and the hit/miss flag
+/// `entry` returns must match the oracle key-for-key. After every
+/// `span` keys, `get` on both tables is checked against the oracle for
+/// that span's keys (catching stale reads while a migration is in
+/// flight), and the run ends with a `get_mut` sweep plus full-content
+/// and resize-schedule comparisons — the one-probe upsert must not move
+/// a single resize point. Panics (rather than `prop_assert!`s) so the
+/// pinned `#[test]`s below can reuse it.
+fn replay_entry_keys(keys: &[u64], span: usize) -> FlowTable<u64, u64> {
     let span = span.max(1);
     let mut det: FlowTable<u64, u64> = FlowTable::new();
     let mut sca: FlowTable<u64, u64> = FlowTable::with_capacity_and_probe(0, ProbeKernel::scalar());
     let mut single: FlowTable<u64, u64> = FlowTable::new();
     let mut oracle: HashMap<u64, u64> = HashMap::new();
     for (s, chunk) in keys.chunks(span).enumerate() {
-        let mut want = Vec::with_capacity(chunk.len());
-        for &k in chunk {
-            match oracle.get_mut(&k) {
-                Some(v) => {
-                    *v += 1;
-                    want.push(true);
+        for (j, &k) in chunk.iter().enumerate() {
+            let want = match oracle.entry(k) {
+                Entry::Occupied(mut o) => {
+                    *o.get_mut() += 1;
+                    true
                 }
-                None => {
-                    oracle.insert(k, 1);
-                    want.push(false);
+                Entry::Vacant(v) => {
+                    v.insert(1);
+                    false
                 }
-            }
-        }
-        for &k in chunk {
+            };
             match single.get_mut(&k) {
                 Some(v) => *v += 1,
                 None => {
                     single.insert(k, 1);
                 }
             }
-        }
-        for table in [&mut det, &mut sca] {
-            let mut seen = Vec::with_capacity(chunk.len());
-            table.entry_batch(
-                chunk,
-                |_| 1u64,
-                |_, v, present| {
-                    if present {
-                        *v += 1;
-                    }
-                    seen.push(present);
-                },
-            );
-            assert_eq!(seen, want, "entry_batch hit/miss diverged in span {s}");
+            for table in [&mut det, &mut sca] {
+                let (v, present) = table.entry(k, || 1);
+                if present {
+                    *v += 1;
+                }
+                assert_eq!(
+                    present, want,
+                    "entry hit/miss diverged at key {j} of span {s}"
+                );
+                assert_eq!(
+                    *v, oracle[&k],
+                    "entry value diverged at key {j} of span {s}"
+                );
+            }
         }
         assert_eq!(det.len(), oracle.len(), "len diverged after span {s}");
         assert_eq!(
@@ -170,19 +167,14 @@ fn replay_batched_keys(keys: &[u64], span: usize) -> FlowTable<u64, u64> {
             oracle.len(),
             "scalar len diverged after span {s}"
         );
-        let mut got: Vec<Option<u64>> = Vec::with_capacity(chunk.len());
-        det.probe_batch(chunk, |_, v| got.push(v.copied()));
         let expect: Vec<Option<u64>> = chunk.iter().map(|k| oracle.get(k).copied()).collect();
-        assert_eq!(got, expect, "probe_batch diverged after span {s}");
-        let mut got_sca: Vec<Option<u64>> = Vec::with_capacity(chunk.len());
-        sca.probe_batch(chunk, |_, v| got_sca.push(v.copied()));
-        assert_eq!(
-            got_sca, expect,
-            "scalar probe_batch diverged after span {s}"
-        );
+        let got: Vec<Option<u64>> = chunk.iter().map(|k| det.get(k).copied()).collect();
+        assert_eq!(got, expect, "get diverged after span {s}");
+        let got_sca: Vec<Option<u64>> = chunk.iter().map(|k| sca.get(k).copied()).collect();
+        assert_eq!(got_sca, expect, "scalar get diverged after span {s}");
     }
     // Closing sweep: bump every resident (plus one guaranteed-absent
-    // key) through get_mut_batch, mirrored singleton-wise in the oracle.
+    // key) through get_mut, mirrored in the oracle.
     let mut all: Vec<u64> = sorted_oracle(&oracle).into_iter().map(|(k, _)| k).collect();
     let absent = (0..)
         .map(|i| u64::MAX - i)
@@ -191,11 +183,13 @@ fn replay_batched_keys(keys: &[u64], span: usize) -> FlowTable<u64, u64> {
     all.push(absent);
     for table in [&mut det, &mut sca] {
         let mut misses = 0usize;
-        table.get_mut_batch(&all, |_, v| match v {
-            Some(v) => *v += 7,
-            None => misses += 1,
-        });
-        assert_eq!(misses, 1, "get_mut_batch must miss exactly the absent key");
+        for k in &all {
+            match table.get_mut(k) {
+                Some(v) => *v += 7,
+                None => misses += 1,
+            }
+        }
+        assert_eq!(misses, 1, "get_mut must miss exactly the absent key");
     }
     for k in &all[..all.len() - 1] {
         *oracle.get_mut(k).unwrap() += 7;
@@ -207,7 +201,7 @@ fn replay_batched_keys(keys: &[u64], span: usize) -> FlowTable<u64, u64> {
     assert_eq!(
         det.resizes(),
         single.resizes(),
-        "batching changed the resize schedule"
+        "entry changed the resize schedule"
     );
     assert_eq!(sca.resizes(), single.resizes());
     det
@@ -287,10 +281,10 @@ proptest! {
         prop_assert_eq!(sorted_pairs(&sca), sorted_oracle(&oracle));
     }
 
-    /// Batched probes ≡ singleton replay on all three stream shapes
-    /// (Zipf-skewed, all-equal, adversarial same-bucket), for span sizes
-    /// both below and well above the [`qmax_core::PROBE_PIPELINE`]
-    /// prefetch stage, on the dispatched *and* the forced-scalar kernel.
+    /// `entry` upserts ≡ singleton replay ≡ `HashMap::entry` on all
+    /// three stream shapes (Zipf-skewed, all-equal, adversarial
+    /// same-bucket), with `get` cross-checks every `span` keys, on the
+    /// dispatched *and* the forced-scalar kernel.
     #[test]
     fn batched_probes_match_singleton_replay(
         mode in 0u8..3,
@@ -302,14 +296,15 @@ proptest! {
             .iter()
             .map(|&(raw, shift)| key_for(mode, raw, shift, seed))
             .collect();
-        replay_batched_keys(&keys, span);
+        replay_entry_keys(&keys, span);
     }
 
-    /// Batched upserts with enough distinct keys that incremental
-    /// resizes trigger *inside* an `entry_batch` span: later keys in the
-    /// span must probe through the old core, the live core, and DRAINED
-    /// pass-through slots mid-migration — and the resize schedule must
-    /// land on exactly the same inserts as the singleton replay.
+    /// `entry` upserts with enough distinct keys that incremental
+    /// resizes trigger *inside* a span between `get` cross-checks:
+    /// later keys must probe through the old core, the live core, and
+    /// DRAINED pass-through slots mid-migration — and the resize
+    /// schedule must land on exactly the same inserts as the singleton
+    /// replay.
     #[test]
     fn batched_upserts_resize_mid_span(
         crafted in 0u8..2,
@@ -325,11 +320,10 @@ proptest! {
                 seed.wrapping_add(i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
             }
         };
-        // Each distinct key appears twice (second pass all hits), and the
-        // span size exceeds PROBE_PIPELINE so one span covers multiple
-        // prefetch stages.
+        // Each distinct key appears twice (second pass all hits), and
+        // every span is long enough to hold a migration's first steps.
         let keys: Vec<u64> = (0..distinct).chain(0..distinct).map(key).collect();
-        let det = replay_batched_keys(&keys, span);
+        let det = replay_entry_keys(&keys, span);
         prop_assert!(det.resizes() >= 2, "only {} resizes", det.resizes());
     }
 
@@ -390,11 +384,10 @@ fn pinned_all_equal_single_key_stream() {
     replay_stream(1, 0xDEAD_BEEF, &ops);
 }
 
-/// Pinned case from `proptest_flow_table.proptest-regressions`: batched
-/// upserts over adversarial same-bucket keys (groups 0..4) in spans of
-/// 48 — larger than one PROBE_PIPELINE stage — sized so both incremental
-/// resizes trigger mid-span while the probe chains are maximally
-/// clustered.
+/// Pinned case from `proptest_flow_table.proptest-regressions`: `entry`
+/// upserts over adversarial same-bucket keys (groups 0..4), checked in
+/// spans of 48, sized so both incremental resizes trigger mid-span
+/// while the probe chains are maximally clustered.
 #[test]
 fn pinned_batched_same_bucket_spans_through_resizes() {
     let mut s: u64 = 0x9E37_79B9_7F4A_7C15;
@@ -406,19 +399,18 @@ fn pinned_batched_same_bucket_spans_through_resizes() {
         let raw = s.wrapping_mul(0x2545_F491_4F6C_DD1D);
         keys.push(key_for(2, raw, 0, 0));
     }
-    let det = replay_batched_keys(&keys, 48);
+    let det = replay_entry_keys(&keys, 48);
     assert!(!det.is_empty());
 }
 
-/// Pinned case: an entire batch span made of one repeated key — every
-/// visit after the first must see `present == true` and the value
-/// written earlier in the same span, the shape that would break if
-/// `entry_batch` resolved its prefetch stage against a pre-span
-/// snapshot instead of replaying singleton semantics.
+/// Pinned case: an entire span made of one repeated key — every
+/// upsert after the first must see `present == true` and the value
+/// written by the previous one, the shape that breaks if a miss
+/// inserts a duplicate instead of finding the resident key.
 #[test]
 fn pinned_batched_all_equal_span_of_one_key() {
     let keys = vec![0xDEAD_BEEF_u64 | 1; 300];
-    let det = replay_batched_keys(&keys, 64);
+    let det = replay_entry_keys(&keys, 64);
     assert_eq!(det.len(), 1);
     assert_eq!(
         det.get(&(0xDEAD_BEEF_u64 | 1)).copied(),
