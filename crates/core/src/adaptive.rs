@@ -79,15 +79,10 @@ impl<I: Copy + 'static, V: Ord + Copy + 'static> AdaptiveBackend<I, V> {
         Self::try_with_policy(q, gamma, None, PolicyMode::global())
     }
 
-    /// Like [`AdaptiveBackend::new`], with a lifetime fill hint: how
+    /// Fallible [`AdaptiveBackend::new`] with a lifetime fill hint: how
     /// many items this block is expected to see before it is recycled.
     /// The basic slack window passes its per-block size here; merge-fed
     /// structures pass `None` (see the module docs).
-    pub fn with_fill_hint(q: usize, gamma: f64, expected_fill: Option<usize>) -> Self {
-        Self::try_with_fill_hint(q, gamma, expected_fill).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible [`AdaptiveBackend::with_fill_hint`].
     pub fn try_with_fill_hint(
         q: usize,
         gamma: f64,

@@ -422,12 +422,6 @@ impl<K: Hash + Eq, V> FlowTable<K, V> {
         self.old.is_some()
     }
 
-    /// The probe kernel this table dispatches group compares to.
-    #[inline]
-    pub fn probe_kernel(&self) -> ProbeKernel {
-        self.probe
-    }
-
     /// Total slot capacity of the live core.
     #[inline]
     pub fn capacity_slots(&self) -> usize {

@@ -19,9 +19,10 @@
 //! # Safety
 //!
 //! Every function is `#[target_feature(enable = "avx2")]` and must only
-//! be called when the process-wide probe in [`super`] found
-//! `CPUID.1:ECX` XSAVE and OSXSAVE (bits 26–27), XCR0 SSE and AVX state
-//! (bits 1–2) and `CPUID.(7,0):EBX` AVX2 (bit 5) — the dispatch layer
+//! be called when the process-wide probe in [`super`] found AVX2
+//! (`CPUID.(7,0):EBX` bit 5) usable, which glibc and the standard
+//! library report only when XCR0 enables the SSE and AVX state, or
+//! found AVX-512F, which needs that state too — the dispatch layer
 //! only hands out an `Avx2` or `Avx512` kernel on that answer. Wide stores are
 //! only issued while `cursor + 4 <= limit` for the region being
 //! written, so no store ever leaves the caller-provided bounds; the

@@ -12,9 +12,9 @@
 //!
 //! Every function is `#[target_feature(enable = "avx512f")]` and must
 //! only be called when the process-wide probe in [`super`] found
-//! `CPUID.1:ECX` XSAVE and OSXSAVE (bits 26–27), XCR0 SSE/AVX state
-//! (bits 1–2) and opmask/ZMM state (bits 5–7), and `CPUID.(7,0):EBX`
-//! AVX-512F (bit 16) — the dispatch layer only hands out an `Avx512`
+//! AVX-512F (`CPUID.(7,0):EBX` bit 16) usable, which glibc and the
+//! standard library report only when XCR0 enables the SSE/AVX state and
+//! the opmask/ZMM state — the dispatch layer only hands out an `Avx512`
 //! kernel on that answer. Masked
 //! compress stores touch only the lanes the mask admits, which by the
 //! callers' cursor invariants always lie inside the destination slice.

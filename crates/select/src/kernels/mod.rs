@@ -19,14 +19,13 @@
 //! and then dispatches each call to an AVX-512F or AVX2 (x86_64) or
 //! NEON (aarch64) implementation when
 //!
-//! 1. the CPU and OS report the feature at runtime. On x86_64 a
-//!    direct probe reads only the bits the dispatch branches on:
-//!    `CPUID.1:ECX` XSAVE and OSXSAVE, then `XGETBV(0)` for the SSE/AVX
-//!    state (XCR0 bits 1–2) and the opmask/ZMM state (bits 5–7), then
-//!    `CPUID.(7,0):EBX` AVX2 (bit 5) and AVX-512F (bit 16). On aarch64
-//!    it is `is_aarch64_feature_detected!("neon")`. The probe runs at
-//!    most once per process; its answer, with rule 3 folded in, is
-//!    cached in one static;
+//! 1. the CPU and OS report the feature at runtime: on x86_64 Linux
+//!    with glibc, its start-up CPUID table (no `CPUID` of our own;
+//!    `GLIBC_TUNABLES=glibc.cpu.hwcaps=-AVX512F` caps it at AVX2), on
+//!    other x86_64 targets `is_x86_feature_detected!`, on aarch64
+//!    `is_aarch64_feature_detected!("neon")`. The probe runs at most
+//!    once per process; its answer, with rule 3 folded in, is cached in
+//!    one static;
 //! 2. the lane type is exactly `u64` (checked via [`TypeId`]; the SIMD
 //!    paths compare unsigned 64-bit lanes), and
 //! 3. `QMAX_FORCE_SCALAR` is unset or `"0"` in the environment (CI
@@ -45,8 +44,9 @@
 //!
 //! * every `#[target_feature]` function is only reachable through a
 //!   [`Kernel`] whose `kind` was set from the process-wide probe
-//!   result, which names a tier only when its CPUID and XCR0 bits are
-//!   all set (or, on aarch64, NEON was detected);
+//!   result, which names a tier only when glibc or the standard library
+//!   found its `CPUID` bit and the XCR0 state it needs (or, on aarch64,
+//!   NEON was detected);
 //! * every slice reinterpretation is gated on a `TypeId` equality
 //!   proving the cast is an identity (`V == u64`);
 //! * every SIMD store stays inside the caller-provided bounds: wide
@@ -186,45 +186,49 @@ fn detected_kind() -> KernelKind {
     })
 }
 
-/// Uncached x86_64 probe for the `u64` lane kernels. It applies the
-/// conditions the standard library applies to `avx2` and `avx512f`, but
-/// issues only `CPUID` leaves 1 and (7,0) plus one `XGETBV`, where the
-/// standard library's first query sweeps about seven leaves (each a VM
-/// exit under virtualization).
+/// Leaf `index` of the CPUID table glibc's loader fills before `main`
+/// (`struct cpuid_feature`, `<sys/platform/x86.h>`, glibc 2.33 and
+/// later): the raw `CPUID` registers EAX–EDX, then the bits of them glibc
+/// found usable, with XCR0 and `GLIBC_TUNABLES` applied. Index 0 is
+/// `CPUID.1`, 1 is `CPUID.(7,0)`; an index glibc does not know reads zero.
+#[cfg(all(
+    target_arch = "x86_64",
+    target_os = "linux",
+    target_env = "gnu",
+    not(miri)
+))]
+fn glibc_cpuid_leaf(index: u32) -> [[u32; 4]; 2] {
+    extern "C" {
+        fn __x86_get_cpuid_feature_leaf(index: u32) -> *const [[u32; 4]; 2];
+    }
+    // SAFETY: glibc returns a non-null pointer into its feature table,
+    // written before `main` and never again, or to a static zero leaf.
+    unsafe { *__x86_get_cpuid_feature_leaf(index) }
+}
+
+/// Uncached x86_64 probe for the `u64` lane kernels. With glibc it reads
+/// the usable AVX-512F (16) and AVX2 (5) bits of `CPUID.(7,0):EBX` from
+/// glibc's table and runs no `CPUID` (each a VM exit under
+/// virtualization). glibc sets AVX2 only when XCR0 enables the SSE and
+/// AVX state, and AVX-512F only when it also enables the opmask and ZMM
+/// state: what the standard library checks, and asks on other targets.
 #[cfg(all(target_arch = "x86_64", not(miri)))]
 fn probe_arch_kind() -> KernelKind {
-    use core::arch::x86_64::{__cpuid, __cpuid_count, _xgetbv};
-    const XSAVE: u32 = 1 << 26;
-    const OSXSAVE: u32 = 1 << 27;
-    // SSE and AVX (YMM upper half) state.
-    const XCR0_AVX: u64 = 0b110;
-    // Opmask, ZMM_Hi256 and Hi16_ZMM state.
-    const XCR0_AVX512: u64 = 0b1110_0000;
-    const AVX2: u32 = 1 << 5;
-    const AVX512F: u32 = 1 << 16;
-
-    if __cpuid(1).ecx & (XSAVE | OSXSAVE) != XSAVE | OSXSAVE {
-        return KernelKind::Scalar;
-    }
-    // SAFETY: OSXSAVE says the OS has enabled XSAVE, which makes XGETBV
-    // executable (it raises #UD only while CR4.OSXSAVE is clear).
-    let xcr0 = unsafe { _xgetbv(0) };
-    if xcr0 & XCR0_AVX != XCR0_AVX {
-        return KernelKind::Scalar;
-    }
-    // SAFETY: the tier returned here licenses `#[target_feature]` calls,
-    // so leaf 7 must be a real leaf: above the maximum basic leaf, Intel
-    // CPUs answer with the highest basic leaf's data, whose EBX bits 5
-    // and 16 mean something else. No `CPUID.0` max-leaf guard is needed:
-    // XSAVE (checked above) implies leaf 0xD, the XSAVE state
-    // enumeration, exists, so the maximum basic leaf is at least 0xD > 7.
-    let ebx = __cpuid_count(7, 0).ebx;
-    if ebx & AVX512F != 0 && xcr0 & XCR0_AVX512 == XCR0_AVX512 {
-        KernelKind::Avx512
-    } else if ebx & AVX2 != 0 {
-        KernelKind::Avx2
-    } else {
-        KernelKind::Scalar
+    #[cfg(all(target_os = "linux", target_env = "gnu"))]
+    let (avx512f, avx2) = {
+        let [_, usable] = glibc_cpuid_leaf(1);
+        let ebx = usable[1];
+        (ebx & (1 << 16) != 0, ebx & (1 << 5) != 0)
+    };
+    #[cfg(not(all(target_os = "linux", target_env = "gnu")))]
+    let (avx512f, avx2) = (
+        std::arch::is_x86_feature_detected!("avx512f"),
+        std::arch::is_x86_feature_detected!("avx2"),
+    );
+    match (avx512f, avx2) {
+        (true, _) => KernelKind::Avx512,
+        (_, true) => KernelKind::Avx2,
+        _ => KernelKind::Scalar,
     }
 }
 
@@ -239,8 +243,8 @@ fn probe_arch_kind() -> KernelKind {
     }
 }
 
-/// No vector tier elsewhere, nor under Miri, which cannot execute a raw
-/// `CPUID` (the standard library's detection reports nothing there).
+/// No vector tier elsewhere, nor under Miri, which can neither call into
+/// glibc's table nor execute a raw `CPUID`.
 #[cfg(not(any(all(target_arch = "x86_64", not(miri)), target_arch = "aarch64")))]
 fn probe_arch_kind() -> KernelKind {
     KernelKind::Scalar
@@ -601,12 +605,43 @@ mod tests {
         } else {
             KernelKind::Scalar
         };
-        assert_eq!(probe_arch_kind(), std_kind);
+        let probed = probe_arch_kind();
+        if let Ok(tunables) = std::env::var("GLIBC_TUNABLES") {
+            // Tunables can switch glibc's `active` bits off, never on;
+            // CI masks AVX-512F to run the AVX2 tier on AVX-512 hosts.
+            assert!(probed as u8 <= std_kind as u8, "{probed:?}");
+            let glibc = cfg!(all(target_os = "linux", target_env = "gnu"));
+            if glibc && tunables.contains("-AVX512F") {
+                assert_ne!(probed, KernelKind::Avx512);
+            }
+        } else {
+            assert_eq!(probed, std_kind);
+        }
         let forced = std::env::var_os("QMAX_FORCE_SCALAR").is_some_and(|v| v != "0");
-        let want = if forced { KernelKind::Scalar } else { std_kind };
+        let want = if forced { KernelKind::Scalar } else { probed };
         for _ in 0..2 {
             assert_eq!(Kernel::<u64>::detect().kind(), want);
             assert_eq!(ProbeKernel::detect().kind(), want);
+        }
+    }
+
+    #[cfg(all(
+        target_arch = "x86_64",
+        target_os = "linux",
+        target_env = "gnu",
+        not(miri)
+    ))]
+    #[test]
+    fn glibc_cpuid_table_matches_the_hardware() {
+        use core::arch::x86_64::{__cpuid, __cpuid_count};
+        assert_eq!(glibc_cpuid_leaf(0)[0][2], __cpuid(1).ecx);
+        assert_eq!(glibc_cpuid_leaf(1)[0][1], __cpuid_count(7, 0).ebx);
+        assert_eq!(glibc_cpuid_leaf(99), [[0; 4]; 2]);
+        for index in 0..16 {
+            let [cpuid, usable] = glibc_cpuid_leaf(index);
+            for reg in 0..4 {
+                assert_eq!(usable[reg] & !cpuid[reg], 0, "leaf {index} reg {reg}");
+            }
         }
     }
 

@@ -46,12 +46,11 @@ pub struct ProbeKernel {
 impl ProbeKernel {
     /// Resolves the best probe kernel for this CPU from the tier
     /// [`Kernel::detect`](super::Kernel::detect) uses: one process-wide
-    /// answer, probed once from `CPUID.1:ECX` XSAVE/OSXSAVE, the XCR0
-    /// SSE/AVX and opmask/ZMM state bits and `CPUID.(7,0):EBX`
-    /// AVX2/AVX-512F on x86_64 (NEON detection on aarch64). Any vector
-    /// tier selects the 16-lane byte-compare path — the probe needs only
-    /// baseline 128-bit compares, so the tiers all map to the same
-    /// implementation per architecture — scalar otherwise (or when
+    /// answer, probed once (on x86_64 Linux with glibc from its start-up
+    /// CPUID table, elsewhere from the standard library's detection). Any
+    /// vector tier selects the 16-lane byte-compare path — the probe
+    /// needs only baseline 128-bit compares, so the tiers all map to the
+    /// same implementation per architecture — scalar otherwise (or when
     /// `QMAX_FORCE_SCALAR` is set to anything but `"0"`).
     pub fn detect() -> Self {
         ProbeKernel {
