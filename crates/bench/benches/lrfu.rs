@@ -3,13 +3,17 @@
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use qmax_core::SoaAmortizedQMax;
-use qmax_lrfu::{Cache, DeamortizedLrfu, HeapLrfu, QMaxLrfu, ScanLrfu, SoaQMaxLrfu};
+use qmax_lrfu::{Cache, DeamortizedLrfu, HeapLrfu, QMaxLrfu, ScanLrfu};
 use qmax_traces::gen::arc_like;
 
 fn bench_lrfu(c: &mut Criterion) {
     let trace = arc_like(300_000, 50_000, 9);
     let q = 5_000;
     let decay = 0.75;
+    let soa = || {
+        let cap = QMaxLrfu::<u64>::log_capacity(q, 0.25);
+        QMaxLrfu::<u64, _>::with_buffer(q, decay, SoaAmortizedQMax::new(cap, 0.25))
+    };
     let mut group = c.benchmark_group("lrfu_request");
     group.throughput(Throughput::Elements(trace.len() as u64));
     group.sample_size(10);
@@ -33,7 +37,7 @@ fn bench_lrfu(c: &mut Criterion) {
     });
     group.bench_function("qmax_g0.25_soa", |b| {
         b.iter(|| {
-            let mut cache = SoaQMaxLrfu::new_soa(q, 0.25, decay);
+            let mut cache = soa();
             for &k in &trace {
                 cache.request(k);
             }
@@ -42,7 +46,7 @@ fn bench_lrfu(c: &mut Criterion) {
     });
     group.bench_function("qmax_g0.25_soa_batch", |b| {
         b.iter(|| {
-            let mut cache = SoaQMaxLrfu::new_soa(q, 0.25, decay);
+            let mut cache = soa();
             let mut hits = 0;
             for chunk in trace.chunks(1024) {
                 hits += cache.request_batch(chunk);

@@ -7,7 +7,7 @@ use qmax_core::{
     AdaptiveBackend, AdaptiveBasicSlackQMax, AmortizedQMax, BasicSlackQMax, BatchInsert,
     HierSlackQMax, IntervalBackend, LazySlackQMax, OrderedF64, PolicyMode, QMax, SoaAmortizedQMax,
 };
-use qmax_lrfu::{AdaptiveQMaxLrfu, QMaxLrfu, SoaQMaxLrfu};
+use qmax_lrfu::QMaxLrfu;
 use qmax_traces::gen::{arc_like, random_u64_stream};
 use qmax_traces::zipf::ZipfSampler;
 use std::io::Write;
@@ -447,12 +447,17 @@ pub fn windows_backend(scale: &Scale) {
     let trace = arc_like(reqs, 200_000, 11);
     let lrfu_q = 50_000;
     for lrfu_gamma in [0.25, 1.0] {
-        let label =
-            AdaptiveQMaxLrfu::<u64>::new_adaptive(lrfu_q, lrfu_gamma, 0.75).log_backend_label();
+        let cap = QMaxLrfu::<u64>::log_capacity(lrfu_q, lrfu_gamma);
+        let soa = || {
+            QMaxLrfu::<u64, _>::with_buffer(lrfu_q, 0.75, SoaAmortizedQMax::new(cap, lrfu_gamma))
+        };
+        let adaptive =
+            || QMaxLrfu::<u64, _>::with_buffer(lrfu_q, 0.75, AdaptiveBackend::new(cap, lrfu_gamma));
+        let label = adaptive().log_backend_label();
         let ([aos_mips, soa_mips, ada_mips], vs_best) = tri_cache_mips(
             || QMaxLrfu::new(lrfu_q, lrfu_gamma, 0.75),
-            || SoaQMaxLrfu::new_soa(lrfu_q, lrfu_gamma, 0.75),
-            || AdaptiveQMaxLrfu::new_adaptive(lrfu_q, lrfu_gamma, 0.75),
+            soa,
+            adaptive,
             &trace,
             &format!("lrfu gamma={lrfu_gamma}"),
         );

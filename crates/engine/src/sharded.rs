@@ -626,7 +626,7 @@ impl<I: ShardKey + Clone, V: Ord + Clone, B: BatchInsert<I, V>> BatchInsert<I, V
 mod tests {
     use super::*;
     use qmax_core::{BasicSlackQMax, HeapQMax, SoaAmortizedQMax, SoaDeamortizedQMax};
-    use qmax_traces::gen::random_u64_stream;
+    use qmax_traces::gen::{caida_like, random_u64_stream};
 
     fn top_q_reference(vals: &[u64], q: usize) -> Vec<u64> {
         let mut s = vals.to_vec();
@@ -979,5 +979,66 @@ mod tests {
             engine.prefiltered(),
             items.len()
         );
+    }
+
+    /// Flow keys as ids (shards load as unevenly as flows do) with
+    /// random values, so each top-q value is one particular arrival.
+    fn packet_items(n: usize, seed: u64) -> Vec<(u64, u64)> {
+        caida_like(n, seed)
+            .zip(random_u64_stream(n, seed))
+            .map(|(p, v)| (p.flow().as_u64(), v))
+            .collect()
+    }
+
+    #[test]
+    fn cold_rebuild_degrades_one_shard_and_keeps_the_rest_exact() {
+        let items = packet_items(30_000, 17);
+        let q = 48;
+        let mut engine: ShardedQMax<u64, u64> = ShardedQMax::new(q, 0.25, 4);
+        let (first, second) = items.split_at(items.len() / 2);
+        // A driver run records the conserved counts coverage reads.
+        engine.run_threaded(first.iter().copied(), crate::DriverConfig::default());
+        let discarded = engine.rebuild_shard(1);
+        assert!(!discarded.is_empty(), "shard 1 held no candidates");
+        assert_eq!(engine.shard_health()[1], ShardHealth::Degraded);
+        let annotated = engine.query_with_coverage();
+        assert_eq!(annotated.items.len(), q, "engine stopped answering");
+        assert!(annotated.coverage < 1.0, "cold rebuild kept full coverage");
+        assert_eq!(annotated.degraded_shards, vec![1]);
+        // Measurement continues on every shard, the rebuilt one too.
+        for chunk in second.chunks(32) {
+            engine.insert_batch(chunk);
+        }
+        // The merged result is exact over what the shards have seen:
+        // everything except shard 1's pre-rebuild sub-stream.
+        let seen: Vec<u64> = first
+            .iter()
+            .filter(|(id, _)| engine.shard_of(id) != 1)
+            .chain(second)
+            .map(|&(_, v)| v)
+            .collect();
+        assert_eq!(sorted_vals(&mut engine), top_q_reference(&seen, q));
+    }
+
+    #[test]
+    fn warm_rebuild_keeps_full_history_top_q() {
+        let items = packet_items(30_000, 17);
+        let q = 48;
+        let mut engine: ShardedQMax<u64, u64> = ShardedQMax::new(q, 0.25, 4);
+        let (first, second) = items.split_at(items.len() / 2);
+        for chunk in first.chunks(32) {
+            engine.insert_batch(chunk);
+        }
+        let carried = engine.rebuild_shard_warm(1);
+        assert!(carried > 0, "a loaded shard should salvage candidates");
+        assert!(carried <= q, "salvage is the local top-q, at most q");
+        assert_eq!(engine.shard_health()[1], ShardHealth::Restored);
+        for chunk in second.chunks(32) {
+            engine.insert_batch(chunk);
+        }
+        // Unlike the cold rebuild, nothing is lost: the merged top-q
+        // equals a reference over the full history.
+        let all: Vec<u64> = items.iter().map(|&(_, v)| v).collect();
+        assert_eq!(sorted_vals(&mut engine), top_q_reference(&all, q));
     }
 }

@@ -20,7 +20,8 @@
 //!   no-sift-heap behaviour the paper benchmarks against (Figure 9).
 //! * [`QMaxLrfu`] — the paper's q-MAX based LRFU: amortized `O(1)` per
 //!   request, population in `[q, q(1+γ)]`, guaranteeing the `q`
-//!   highest-score items are never evicted.
+//!   highest-score items are never evicted. [`QMaxLrfu::with_buffer`]
+//!   pins the layout of its request log.
 //! * [`Cache`] / [`hit_ratio`] — the shared policy interface and
 //!   evaluation harness (Table 2).
 
@@ -35,7 +36,7 @@ mod score;
 
 pub use deamortized::{DeamortizedLrfu, DeamortizedLrfuStats};
 pub use heap_lrfu::HeapLrfu;
-pub use qmax_lrfu::{AdaptiveQMaxLrfu, QMaxLrfu, SoaQMaxLrfu};
+pub use qmax_lrfu::QMaxLrfu;
 pub use scan_lrfu::ScanLrfu;
 pub use score::{fast_logaddexp, logaddexp, DecayScore, FAST_LOGADDEXP_ABS_ERR};
 

@@ -4,8 +4,7 @@
 use crate::score::DecayScore;
 use crate::Cache;
 use qmax_core::{
-    AdaptiveBackend, AmortizedQMax, Entry, FlowIndex, IndexFamily, IntervalBackend, KeyIndex,
-    OrderedF64, SoaAmortizedQMax,
+    AmortizedQMax, Entry, FlowIndex, IndexFamily, IntervalBackend, KeyIndex, OrderedF64,
 };
 use qmax_select::{nth_smallest, Kernel};
 use std::hash::Hash;
@@ -28,13 +27,12 @@ use std::hash::Hash;
 /// baseline.
 ///
 /// The request log is hosted in an [`IntervalBackend`] (default: the
-/// array-of-structs [`AmortizedQMax`]); [`QMaxLrfu::new_soa`] swaps in
-/// the structure-of-arrays backend so
+/// array-of-structs [`AmortizedQMax`]); [`QMaxLrfu::with_buffer`] pins
+/// another layout, e.g. the structure-of-arrays backend so
 /// [`request_batch`](QMaxLrfu::request_batch) appends whole spans
-/// through the backend's batch kernel. The backend is configured so it
-/// never self-compacts (its own `q` equals the log capacity), which
-/// makes the two backends bit-for-bit interchangeable: same hits, same
-/// evictions.
+/// through its batch kernel. The backend never self-compacts (its own
+/// `q` is the [`log_capacity`](QMaxLrfu::log_capacity)), which makes
+/// every layout bit-for-bit interchangeable: same hits, same evictions.
 ///
 /// The cache population floats between `q` and `⌈q(1+γ)⌉` distinct
 /// keys, and — like the paper's construction — the `q` highest-score
@@ -114,10 +112,6 @@ struct MergeSlot {
     arena: u32,
 }
 
-/// [`QMaxLrfu`] whose request log lives in the structure-of-arrays
-/// backend (requires `Copy` keys).
-pub type SoaQMaxLrfu<K, F = FlowIndex> = QMaxLrfu<K, SoaAmortizedQMax<K, OrderedF64>, F>;
-
 impl<K: Clone + Hash + Eq> QMaxLrfu<K, AmortizedQMax<K, OrderedF64>, FlowIndex> {
     /// Creates a q-MAX LRFU cache that always retains the `q`
     /// highest-score keys, holds at most `⌈q(1+γ)⌉` keys, and decays
@@ -142,53 +136,11 @@ impl<K: Clone + Hash + Eq, F: IndexFamily> QMaxLrfu<K, AmortizedQMax<K, OrderedF
     }
 }
 
-impl<K: Copy + Clone + Hash + Eq + 'static> SoaQMaxLrfu<K, FlowIndex> {
-    /// Like [`QMaxLrfu::new`], but the request log is a
-    /// structure-of-arrays [`SoaAmortizedQMax`]. Behaviorally identical
-    /// to the default backend — same hits and evictions on the same
-    /// trace — but batch appends run the branchless lane kernel.
-    pub fn new_soa(q: usize, gamma: f64, c: f64) -> Self {
-        Self::new_soa_in(q, gamma, c)
-    }
-}
-
-impl<K: Copy + Clone + Hash + Eq + 'static, F: IndexFamily> SoaQMaxLrfu<K, F> {
-    /// Like [`SoaQMaxLrfu::new_soa`], but with an explicit
-    /// [`IndexFamily`].
-    pub fn new_soa_in(q: usize, gamma: f64, c: f64) -> Self {
-        let cap = Self::log_capacity(q, gamma);
-        Self::with_buffer(q, c, SoaAmortizedQMax::new(cap, gamma))
-    }
-}
-
-/// [`QMaxLrfu`] whose request-log layout is chosen by the static
-/// backend policy rules. The log's value lane is [`OrderedF64`] (decayed
-/// scores), which the SIMD kernels cannot vectorize, so under the
-/// `auto` policy this resolves to the array-of-structs log — the
-/// measured-faster layout for the never-self-compacting buffer — while
-/// still honoring `QMAX_BACKEND_POLICY=force-soa` overrides.
-pub type AdaptiveQMaxLrfu<K, F = FlowIndex> = QMaxLrfu<K, AdaptiveBackend<K, OrderedF64>, F>;
-
-impl<K: Copy + Clone + Hash + Eq + 'static> AdaptiveQMaxLrfu<K, FlowIndex> {
-    /// Like [`QMaxLrfu::new`], but the request log delegates to the
-    /// layout the global backend policy picks. Behaviorally identical
-    /// to both fixed-layout constructors on any trace.
-    pub fn new_adaptive(q: usize, gamma: f64, c: f64) -> Self {
-        Self::new_adaptive_in(q, gamma, c)
-    }
-}
-
-impl<K: Copy + Clone + Hash + Eq + 'static, F: IndexFamily> AdaptiveQMaxLrfu<K, F> {
-    /// Like [`AdaptiveQMaxLrfu::new_adaptive`], but with an explicit
-    /// [`IndexFamily`].
-    pub fn new_adaptive_in(q: usize, gamma: f64, c: f64) -> Self {
-        let cap = Self::log_capacity(q, gamma);
-        Self::with_buffer(q, c, AdaptiveBackend::new(cap, gamma))
-    }
-}
-
 impl<K: Clone + Hash + Eq, B: IntervalBackend<K, OrderedF64>, F: IndexFamily> QMaxLrfu<K, B, F> {
-    fn log_capacity(q: usize, gamma: f64) -> usize {
+    /// The log capacity `⌈q(1+γ)⌉ ∨ (q+1)`: the `q()` of a prototype
+    /// for [`with_buffer`](Self::with_buffer). Panics on a zero `q` or
+    /// a `gamma` that is not positive and finite.
+    pub fn log_capacity(q: usize, gamma: f64) -> usize {
         assert!(q > 0, "q must be positive");
         assert!(
             gamma > 0.0 && gamma.is_finite(),
@@ -471,7 +423,16 @@ impl<K: Clone + Hash + Eq, B: IntervalBackend<K, OrderedF64>, F: IndexFamily> Ca
 mod tests {
     use super::*;
     use crate::HeapLrfu;
+    use qmax_core::{AdaptiveBackend, SoaAmortizedQMax};
     use std::collections::HashMap;
+
+    /// A q=500, γ=0.5, c=0.75 cache whose log is built from `proto`.
+    fn pinned<B: IntervalBackend<u64, OrderedF64>>(
+        proto: impl FnOnce(usize, f64) -> B,
+    ) -> QMaxLrfu<u64, B> {
+        let cap = QMaxLrfu::<u64>::log_capacity(500, 0.5);
+        QMaxLrfu::with_buffer(500, 0.75, proto(cap, 0.5))
+    }
 
     #[test]
     fn hits_and_misses() {
@@ -584,7 +545,7 @@ mod tests {
         // exact same entries and produce the exact same hit sequence.
         let trace = qmax_traces::gen::arc_like(60_000, 6_000, 13);
         let mut aos = QMaxLrfu::new(500, 0.5, 0.75);
-        let mut soa = SoaQMaxLrfu::new_soa(500, 0.5, 0.75);
+        let mut soa = pinned(SoaAmortizedQMax::new);
         for &k in &trace {
             assert_eq!(aos.request(k), soa.request(k));
         }
@@ -598,7 +559,7 @@ mod tests {
         // must match the fixed-layout construction exactly.
         let trace = qmax_traces::gen::arc_like(60_000, 6_000, 13);
         let mut aos = QMaxLrfu::new(500, 0.5, 0.75);
-        let mut ada = AdaptiveQMaxLrfu::new_adaptive(500, 0.5, 0.75);
+        let mut ada = pinned(AdaptiveBackend::new);
         for &k in &trace {
             assert_eq!(aos.request(k), ada.request(k));
         }
@@ -609,7 +570,7 @@ mod tests {
     fn request_batch_matches_singletons() {
         let trace = qmax_traces::gen::arc_like(60_000, 6_000, 29);
         let mut one = QMaxLrfu::new(500, 0.5, 0.75);
-        let mut batched = SoaQMaxLrfu::new_soa(500, 0.5, 0.75);
+        let mut batched = pinned(SoaAmortizedQMax::new);
         let mut hits_one = 0usize;
         for &k in &trace {
             hits_one += usize::from(one.request(k));

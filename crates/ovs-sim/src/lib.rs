@@ -37,7 +37,7 @@ mod topology;
 
 pub use datapath::{Action, Emc, FlowMask, Megaflow, Switch, SwitchStats};
 pub use linerate::{evaluate_throughput, LineRate, NullHook, ThroughputReport};
-pub use pmd::{PmdPool, ShardedQMaxPool};
+pub use pmd::PmdPool;
 use qmax_traces::FlowKey;
 pub use topology::{LeafSpine, Path};
 

@@ -9,11 +9,9 @@
 //! own [`Switch`] and [`MeasurementHook`], and aggregate throughput is
 //! limited by the most loaded PMD.
 
-use crate::datapath::{Action, Switch};
+use crate::datapath::Switch;
 use crate::linerate::{LineRate, ThroughputReport, WIRE_OVERHEAD_BYTES};
 use crate::MeasurementHook;
-use qmax_core::DeamortizedStats;
-use qmax_engine::{QMax, ShardHealth, ShardedQMax};
 use qmax_traces::{hash, Packet};
 use std::time::Instant;
 
@@ -40,11 +38,6 @@ impl<H: MeasurementHook> PmdPool<H> {
             hooks: (0..n).map(|_| make_hook()).collect(),
             loads: vec![0; n],
         }
-    }
-
-    /// Number of PMDs.
-    pub fn pmds(&self) -> usize {
-        self.switches.len()
     }
 
     /// The RSS queue (PMD index) for a packet: a 5-tuple hash, so all
@@ -119,197 +112,6 @@ impl<H: MeasurementHook> PmdPool<H> {
     }
 }
 
-/// A PMD pool whose measurement side is a [`ShardedQMax`] engine with
-/// exactly **one shard per PMD thread** — the paper's "one shared memory
-/// block for each PMD thread of OVS", expressed through `qmax-engine`.
-///
-/// Routing uses the engine's own id→shard hash for *both* the switch
-/// datapath and the measurement insert, so a flow's packets always hit
-/// the same `(Switch, shard)` pair: the datapath keeps its EMC locality
-/// and the shard sees the flow's complete sub-stream, which is what
-/// makes [`ShardedQMaxPool::merged_top_q`] exact.
-///
-/// Packets are ranked by IP total length, i.e. a query returns the `q`
-/// largest packets observed across all PMDs.
-#[derive(Debug)]
-pub struct ShardedQMaxPool {
-    switches: Vec<Switch>,
-    engine: ShardedQMax<u64, u64>,
-    loads: Vec<u64>,
-    /// Scratch for batched datapath actions (reused across batches).
-    actions: Vec<Action>,
-}
-
-impl ShardedQMaxPool {
-    /// Creates `pmds` PMD pipelines, each owning one de-amortized q-MAX
-    /// shard configured for the global top-`q` with space-slack `gamma`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `pmds == 0`, `q == 0`, or `gamma` is invalid.
-    pub fn new(pmds: usize, q: usize, gamma: f64) -> Self {
-        assert!(pmds > 0, "need at least one PMD");
-        ShardedQMaxPool {
-            switches: (0..pmds).map(|_| Switch::new(8)).collect(),
-            engine: ShardedQMax::new(q, gamma, pmds),
-            loads: vec![0; pmds],
-            actions: Vec::new(),
-        }
-    }
-
-    /// Number of PMD pipelines (= engine shards).
-    pub fn pmds(&self) -> usize {
-        self.switches.len()
-    }
-
-    /// The PMD (and shard) a packet routes to; flow-stable.
-    #[inline]
-    pub fn pmd_of(&self, pkt: &Packet) -> usize {
-        self.engine.shard_of(&pkt.flow().as_u64())
-    }
-
-    /// Processes one packet: switch forwarding plus a measurement
-    /// insert into the packet's PMD-local shard.
-    pub fn process(&mut self, pkt: &Packet) {
-        let i = self.pmd_of(pkt);
-        self.loads[i] += 1;
-        self.switches[i].process(pkt);
-        self.engine.insert(pkt.flow().as_u64(), pkt.len as u64);
-    }
-
-    /// Processes an RX burst PMD-wise: packets are grouped per PMD,
-    /// forwarded with [`Switch::process_batch`], and measured with the
-    /// engine's Ψ-pre-filtered [`ShardedQMax::insert_batch`] — the
-    /// batched hot path end to end.
-    pub fn process_batch(&mut self, batch: &[Packet]) {
-        let n = self.switches.len();
-        let mut groups: Vec<Vec<Packet>> = vec![Vec::new(); n];
-        for p in batch {
-            groups[self.pmd_of(p)].push(*p);
-        }
-        let mut actions = std::mem::take(&mut self.actions);
-        for (i, group) in groups.iter().enumerate() {
-            if group.is_empty() {
-                continue;
-            }
-            self.loads[i] += group.len() as u64;
-            self.switches[i].process_batch(group, &mut actions);
-            let items: Vec<(u64, u64)> = group
-                .iter()
-                .map(|p| (p.flow().as_u64(), p.len as u64))
-                .collect();
-            self.engine.insert_batch(&items);
-        }
-        self.actions = actions;
-    }
-
-    /// Packets dispatched to each PMD.
-    pub fn loads(&self) -> &[u64] {
-        &self.loads
-    }
-
-    /// The global top-`q` packets by length, merged across all PMD
-    /// shards (exact: see [`ShardedQMax`]).
-    pub fn merged_top_q(&mut self) -> Vec<(u64, u64)> {
-        self.engine.query()
-    }
-
-    /// The measurement engine (e.g. to reset it between intervals).
-    pub fn engine_mut(&mut self) -> &mut ShardedQMax<u64, u64> {
-        &mut self.engine
-    }
-
-    /// Quarantines one PMD's measurement shard: its reservoir is
-    /// replaced with a fresh, empty one and the number of discarded
-    /// candidates is returned. The switch datapath and the other PMDs'
-    /// shards are untouched, so forwarding and measurement continue —
-    /// the operational move when one PMD's instance is suspected
-    /// corrupt (the paper's per-PMD independence means restarting one
-    /// instance never stalls the others).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `pmd` is out of range.
-    pub fn quarantine_pmd(&mut self, pmd: usize) -> usize {
-        let discarded = self.engine.rebuild_shard(pmd);
-        discarded.len()
-    }
-
-    /// Warm-quarantines one PMD's measurement shard: the reservoir
-    /// structure is replaced, but the displaced shard's local top-`q`
-    /// candidates are salvaged into the fresh one (the number carried
-    /// over is returned). Unlike [`quarantine_pmd`](Self::quarantine_pmd),
-    /// the merged top-`q` over the *full* packet history stays exact
-    /// afterwards — the operational move when a PMD instance's
-    /// structure is suspect but its candidates are still trusted.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `pmd` is out of range.
-    pub fn quarantine_pmd_warm(&mut self, pmd: usize) -> usize {
-        self.engine.rebuild_shard_warm(pmd)
-    }
-
-    /// Per-PMD measurement-shard health: `Degraded` after a cold
-    /// [`quarantine_pmd`](Self::quarantine_pmd) that discarded
-    /// candidates, `Restored` after a warm one, `Healthy` otherwise.
-    pub fn shard_health(&self) -> &[ShardHealth] {
-        self.engine.shard_health()
-    }
-
-    /// Per-PMD de-amortized execution counters, for observability: the
-    /// worst-case-bound invariants stay checkable shard by shard.
-    pub fn shard_stats(&self) -> Vec<DeamortizedStats> {
-        self.engine.shard_stats()
-    }
-
-    /// Runs `packets` through the pool PMD-wise (batched datapath +
-    /// batched measurement), timing each PMD's share in isolation, and
-    /// reports achievable throughput against `rate` — the pool keeps
-    /// line rate iff the most loaded PMD fits its share of the budget
-    /// (same model as [`PmdPool::evaluate_throughput`]).
-    pub fn evaluate_throughput(&mut self, packets: &[Packet], rate: LineRate) -> ThroughputReport {
-        assert!(!packets.is_empty(), "need packets to measure");
-        let n = self.switches.len();
-        let mut shards: Vec<Vec<Packet>> = vec![Vec::new(); n];
-        for p in packets {
-            shards[self.pmd_of(p)].push(*p);
-        }
-        let mut capacity_pps = f64::INFINITY;
-        let mut max_cost_ns = 0.0f64;
-        let mut actions = std::mem::take(&mut self.actions);
-        for (i, shard) in shards.iter().enumerate() {
-            if shard.is_empty() {
-                continue;
-            }
-            let start = Instant::now();
-            for burst in shard.chunks(32) {
-                self.loads[i] += burst.len() as u64;
-                self.switches[i].process_batch(burst, &mut actions);
-                let items: Vec<(u64, u64)> = burst
-                    .iter()
-                    .map(|p| (p.flow().as_u64(), p.len as u64))
-                    .collect();
-                self.engine.insert_batch(&items);
-            }
-            let cost_ns = start.elapsed().as_nanos() as f64 / shard.len() as f64;
-            let share = shard.len() as f64 / packets.len() as f64;
-            capacity_pps = capacity_pps.min(1e9 / (cost_ns * share));
-            max_cost_ns = max_cost_ns.max(cost_ns);
-        }
-        self.actions = actions;
-        let offered = rate.offered_pps();
-        let achieved = offered.min(capacity_pps);
-        ThroughputReport {
-            offered_mpps: offered / 1e6,
-            achieved_mpps: achieved / 1e6,
-            achieved_gbps: achieved * 8.0 * (rate.frame_bytes + WIRE_OVERHEAD_BYTES) as f64 / 1e9,
-            cost_ns_per_packet: max_cost_ns,
-            budget_utilization: offered / capacity_pps,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -364,140 +166,6 @@ mod tests {
             r4.achieved_mpps
         );
         assert!(r4.achieved_mpps <= r4.offered_mpps + 1e-9);
-    }
-
-    #[test]
-    fn sharded_pool_top_q_matches_global_sort() {
-        let pkts: Vec<Packet> = caida_like(30_000, 6).collect();
-        let q = 64;
-        let mut expect: Vec<u64> = pkts.iter().map(|p| p.len as u64).collect();
-        expect.sort_unstable_by(|a, b| b.cmp(a));
-        expect.truncate(q);
-        expect.sort_unstable();
-        for pmds in [1usize, 2, 4] {
-            let mut pool = ShardedQMaxPool::new(pmds, q, 0.25);
-            for burst in pkts.chunks(32) {
-                pool.process_batch(burst);
-            }
-            let mut got: Vec<u64> = pool.merged_top_q().into_iter().map(|(_, v)| v).collect();
-            got.sort_unstable();
-            assert_eq!(got, expect, "merged top-q wrong at {pmds} PMDs");
-            assert_eq!(pool.loads().iter().sum::<u64>(), pkts.len() as u64);
-        }
-    }
-
-    #[test]
-    fn sharded_pool_routing_keeps_flows_pmd_local() {
-        let pool = ShardedQMaxPool::new(4, 16, 0.5);
-        let pkts: Vec<Packet> = caida_like(5_000, 12).collect();
-        let mut assignment = std::collections::HashMap::new();
-        for p in &pkts {
-            let e = assignment
-                .entry(p.flow().as_u64())
-                .or_insert_with(|| pool.pmd_of(p));
-            assert_eq!(*e, pool.pmd_of(p), "flow changed PMD");
-        }
-    }
-
-    #[test]
-    fn sharded_pool_single_and_batch_paths_agree() {
-        let pkts: Vec<Packet> = caida_like(20_000, 13).collect();
-        let q = 32;
-        let mut single = ShardedQMaxPool::new(3, q, 0.5);
-        let mut batched = ShardedQMaxPool::new(3, q, 0.5);
-        for p in &pkts {
-            single.process(p);
-        }
-        for burst in pkts.chunks(32) {
-            batched.process_batch(burst);
-        }
-        let mut a: Vec<u64> = single.merged_top_q().into_iter().map(|(_, v)| v).collect();
-        let mut b: Vec<u64> = batched.merged_top_q().into_iter().map(|(_, v)| v).collect();
-        a.sort_unstable();
-        b.sort_unstable();
-        assert_eq!(a, b);
-        assert_eq!(single.loads(), batched.loads());
-    }
-
-    #[test]
-    fn sharded_pool_throughput_report_is_sane() {
-        let pkts: Vec<Packet> = caida_like(40_000, 14).collect();
-        let rate = LineRate {
-            gbps: 10.0,
-            frame_bytes: 64,
-        };
-        let mut pool = ShardedQMaxPool::new(2, 1000, 0.25);
-        let r = pool.evaluate_throughput(&pkts, rate);
-        assert!(r.achieved_mpps <= r.offered_mpps + 1e-9);
-        assert!(r.cost_ns_per_packet > 0.0);
-        // Observability: every shard obeys the worst-case bound.
-        for (i, s) in pool.shard_stats().iter().enumerate() {
-            assert_eq!(s.forced_completions, 0, "shard {i} violated the work bound");
-        }
-    }
-
-    #[test]
-    fn pool_survives_a_quarantined_pmd() {
-        let pkts: Vec<Packet> = caida_like(30_000, 17).collect();
-        let q = 48;
-        let mut pool = ShardedQMaxPool::new(4, q, 0.25);
-        let (first, second) = pkts.split_at(pkts.len() / 2);
-        for burst in first.chunks(32) {
-            pool.process_batch(burst);
-        }
-        let discarded = pool.quarantine_pmd(1);
-        assert!(discarded > 0, "a loaded shard should hold candidates");
-        // Forwarding and measurement continue on all PMDs, including
-        // the rebuilt one.
-        for burst in second.chunks(32) {
-            pool.process_batch(burst);
-        }
-        // The merged result is exact over what the shards have seen:
-        // everything except PMD 1's pre-quarantine sub-stream.
-        let mut expect: Vec<u64> = first
-            .iter()
-            .filter(|p| pool.pmd_of(p) != 1)
-            .chain(second.iter())
-            .map(|p| p.len as u64)
-            .collect();
-        expect.sort_unstable_by(|a, b| b.cmp(a));
-        expect.truncate(q);
-        expect.sort_unstable();
-        let mut got: Vec<u64> = pool.merged_top_q().into_iter().map(|(_, v)| v).collect();
-        got.sort_unstable();
-        assert_eq!(got, expect, "merged top-q wrong after quarantine");
-        assert_eq!(pool.loads().iter().sum::<u64>(), pkts.len() as u64);
-    }
-
-    #[test]
-    fn pool_warm_quarantine_keeps_full_history_top_q() {
-        let pkts: Vec<Packet> = caida_like(30_000, 17).collect();
-        let q = 48;
-        let mut pool = ShardedQMaxPool::new(4, q, 0.25);
-        let (first, second) = pkts.split_at(pkts.len() / 2);
-        for burst in first.chunks(32) {
-            pool.process_batch(burst);
-        }
-        let carried = pool.quarantine_pmd_warm(1);
-        assert!(carried > 0, "a loaded shard should salvage candidates");
-        assert!(carried <= q, "salvage is the local top-q, at most q");
-        assert_eq!(pool.shard_health()[1], qmax_engine::ShardHealth::Restored);
-        for burst in second.chunks(32) {
-            pool.process_batch(burst);
-        }
-        // Unlike the cold quarantine, nothing is lost: the merged
-        // top-q equals a reference over the full packet history.
-        let mut expect: Vec<u64> = pkts.iter().map(|p| p.len as u64).collect();
-        expect.sort_unstable_by(|a, b| b.cmp(a));
-        expect.truncate(q);
-        expect.sort_unstable();
-        let mut got: Vec<u64> = pool.merged_top_q().into_iter().map(|(_, v)| v).collect();
-        got.sort_unstable();
-        assert_eq!(
-            got, expect,
-            "merged top-q lost items across warm quarantine"
-        );
-        assert_eq!(pool.loads().iter().sum::<u64>(), pkts.len() as u64);
     }
 
     #[test]

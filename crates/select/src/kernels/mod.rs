@@ -762,13 +762,13 @@ mod tests {
         assert_eq!(p1, p2, "same seed must sample the same pivot");
         assert!(vals.contains(&p1), "pivot must be a buffer value");
         let p3 = k.sample_pivot(&vals, 2_000, PIVOT_SEED ^ 1, &mut scratch);
+        assert!(vals.contains(&p3), "pivot must be a buffer value");
         // Different seed *may* coincide, but the positions must differ.
         let mut a = Vec::new();
         let mut b = Vec::new();
         sample_positions(vals.len(), PIVOT_SEED, &mut a);
         sample_positions(vals.len(), PIVOT_SEED ^ 1, &mut b);
         assert_ne!(a, b);
-        let _ = p3;
     }
 
     #[test]

@@ -19,6 +19,10 @@
 //! through several maintenance passes (compactions), their requests
 //! (batches) allocate nothing either.
 //!
+//! Construction is pinned as well: a de-amortized build allocates only
+//! the buffers its arrivals will use, and a sharded engine of them only
+//! its fixed bookkeeping besides.
+//!
 //! The counter is thread-local, so allocations made by other test
 //! threads of this binary do not reach it.
 
@@ -26,9 +30,10 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use qmax_core::{
-    AdaptiveBackend, Amortized, AmortizedQMax, BatchInsert, Deamortized, Entry, ExpDecayQMax,
-    IntervalBackend, OrderedF64, QMax, Slots, SoaAmortizedQMax,
+    AdaptiveBackend, Amortized, AmortizedQMax, BatchInsert, Deamortized, DeamortizedQMax, Entry,
+    ExpDecayQMax, IntervalBackend, OrderedF64, QMax, Slots, SoaAmortizedQMax, SoaDeamortizedQMax,
 };
+use qmax_engine::ShardedQMax;
 use qmax_lrfu::{Cache, DeamortizedLrfu, QMaxLrfu};
 use qmax_select::kernels::SAMPLED_COMPACT_MIN;
 use qmax_select::PairedLanes;
@@ -194,12 +199,17 @@ fn soa_amortized_arrivals_do_not_allocate() {
     check_amortized_layout::<PairedLanes<u64, u64>>("soa");
 }
 
-/// Allocator calls of a second `build()` and of a `fresh()` block from
-/// it; the first `build()` fills the process-wide caches (kernel tier,
-/// backend policy).
-fn construction_calls<B: IntervalBackend<u64, u64>>(build: impl Fn() -> B) -> (usize, usize) {
+/// Allocator calls of a second `build()`; the first fills the
+/// process-wide caches (kernel tier, backend policy).
+fn second_build_calls<T>(build: impl Fn() -> T) -> (usize, T) {
     drop(build());
-    let (built, proto) = calls_during(&build);
+    calls_during(&build)
+}
+
+/// Allocator calls of a second `build()` and of a `fresh()` block from
+/// it.
+fn construction_calls<B: IntervalBackend<u64, u64>>(build: impl Fn() -> B) -> (usize, usize) {
+    let (built, proto) = second_build_calls(build);
     let (fresh, _) = calls_during(|| proto.fresh());
     (built, fresh)
 }
@@ -224,6 +234,42 @@ fn amortized_construction_does_not_allocate() {
     for (backend, (built, fresh)) in cases {
         assert_eq!(built, 0, "{backend}: try_new allocated {built} times");
         assert_eq!(fresh, 0, "{backend}: fresh allocated {fresh} times");
+    }
+}
+
+/// The de-amortized q-MAX allocates everything its arrivals use at
+/// construction, so its buffers are all a build allocates: the slots
+/// and the selection machine's frame stack, with the structure-of-arrays
+/// slots as two lanes. A four-shard engine makes two calls per shard plus
+/// one each for its boxed shard factory and its shard, health and
+/// conserved-count vectors. A buffer of 128 KB or more costs an `mmap`
+/// and a first-touch fault in a fresh process, so an extra one shows in
+/// the first construction.
+#[test]
+fn deamortized_construction_allocates_only_its_buffers() {
+    const Q: usize = 10_000;
+    let cases = [
+        (
+            "aos",
+            2,
+            second_build_calls(|| DeamortizedQMax::<u64, u64>::try_new(Q, GAMMA).unwrap()).0,
+        ),
+        (
+            "soa",
+            3,
+            second_build_calls(|| SoaDeamortizedQMax::<u64, u64>::try_new(Q, GAMMA).unwrap()).0,
+        ),
+        (
+            "sharded-4",
+            12,
+            second_build_calls(|| ShardedQMax::<u64, u64>::new(Q, GAMMA, 4)).0,
+        ),
+    ];
+    for (structure, expect, built) in cases {
+        assert_eq!(
+            built, expect,
+            "{structure}: a build allocated {built} times"
+        );
     }
 }
 

@@ -23,7 +23,7 @@ use qmax_core::{
     AmortizedQMax, BasicSlackQMax, BatchInsert, HierSlackQMax, IntervalBackend, LazySlackQMax,
     QMax, SoaAmortizedQMax, StdIndex, TimeSlackQMax,
 };
-use qmax_lrfu::{Cache, DeamortizedLrfu, QMaxLrfu, SoaQMaxLrfu};
+use qmax_lrfu::{Cache, DeamortizedLrfu, QMaxLrfu};
 use qmax_traces::zipf::ZipfSampler;
 
 const TAUS: [f64; 6] = [0.003, 0.01, 0.1, 0.33, 0.9, 1.0];
@@ -257,8 +257,10 @@ proptest! {
         let mut zipf = ZipfSampler::new(keyspace, 1.0, seed);
         let trace: Vec<u64> = (0..n).map(|_| zipf.sample() as u64).collect();
 
+        let cap = QMaxLrfu::<u64>::log_capacity(q, gamma);
+        let soa_lrfu = || QMaxLrfu::<u64, _>::with_buffer(q, decay, SoaAmortizedQMax::new(cap, gamma));
         let mut aos = QMaxLrfu::new(q, gamma, decay);
-        let mut soa = SoaQMaxLrfu::new_soa(q, gamma, decay);
+        let mut soa = soa_lrfu();
         let mut singleton_hits = 0usize;
         for (i, &k) in trace.iter().enumerate() {
             let a = aos.request(k);
@@ -268,7 +270,7 @@ proptest! {
         }
         prop_assert_eq!(aos.len(), soa.len());
 
-        let mut batched = SoaQMaxLrfu::new_soa(q, gamma, decay);
+        let mut batched = soa_lrfu();
         let mut batch_hits = 0usize;
         for span in trace.chunks(chunk) {
             batch_hits += batched.request_batch(span);
