@@ -5,7 +5,7 @@ use crate::scale::Scale;
 use crate::{fmt, mpps, Report};
 use qmax_core::{
     AdaptiveBackend, AdaptiveBasicSlackQMax, AmortizedQMax, BasicSlackQMax, BatchInsert,
-    HierSlackQMax, IntervalBackend, LazySlackQMax, OrderedF64, PolicyMode, QMax, SoaAmortizedQMax,
+    HierSlackQMax, IntervalBackend, LazySlackQMax, OrderedF64, QMax, SoaAmortizedQMax,
 };
 use qmax_lrfu::QMaxLrfu;
 use qmax_traces::gen::{arc_like, random_u64_stream};
@@ -140,7 +140,7 @@ const BATCH: usize = 1024;
 /// three layouts back-to-back and the per-layout best is reported. Six
 /// rounds = two full rotations of the measurement order (see
 /// [`tri_window_mips`]), enough that the CI gate at 0.95 measures the
-/// policy and not single-round scheduler or allocator interference
+/// layout rules and not single-round scheduler or allocator interference
 /// (observed at 5–10% on the ~0.3 s LRFU rows and the ~10 ms
 /// basic-window rows alike).
 const PASSES: usize = 6;
@@ -337,7 +337,7 @@ struct BackendRow {
     /// round-paired (see [`tri_window_mips`]) — the quantity the CI
     /// regression gate bounds from below.
     adaptive_vs_best: f64,
-    /// The layout the policy actually chose for the adaptive run.
+    /// The layout the rules actually chose for the adaptive run.
     adaptive_label: &'static str,
 }
 
@@ -347,13 +347,13 @@ struct BackendRow {
 /// Every slack-window algorithm and the q-MAX LRFU are generic over
 /// their interval backend; this experiment measures what the
 /// structure-of-arrays backend buys them on a Zipf-skewed stream fed
-/// through the batched insert path, and what the static [`PolicyMode`]
-/// rules recover by picking the layout per block shape.
+/// through the batched insert path, and what [`AdaptiveBackend`]'s
+/// static layout rules recover by picking the layout per block shape.
 /// Along the way it asserts all three layouts produce identical top-q
 /// value multisets (windows) and identical hit counts (LRFU). Series
 /// mirror to `results/windows_backend_compare.csv` (with an
 /// `adaptive_vs_best` column for the CI gate) and `BENCH_windows.json`
-/// (with the policy mode and its rules embedded for provenance).
+/// (with the layout rules embedded for provenance).
 pub fn windows_backend(scale: &Scale) {
     println!("# Windowed/LRFU q-MAX: AoS vs SoA vs adaptive block backends (batched inserts)");
     let n = scale.stream(4_000_000);
@@ -440,7 +440,7 @@ pub fn windows_backend(scale: &Scale) {
 
     // q-MAX LRFU: the log buffer rides the same backends; batch the
     // requests and compare layouts on an ARC-like cache trace. The log's
-    // score lane is OrderedF64, so the auto policy resolves the adaptive
+    // score lane is OrderedF64, so the layout rules resolve the adaptive
     // log to AoS — the layout that measured faster for the
     // never-self-compacting buffer.
     let reqs = scale.stream(2_000_000);
@@ -498,8 +498,8 @@ impl<B: IntervalBackend<u64, OrderedF64>> CacheBatch for QMaxLrfu<u64, B> {
 }
 
 /// Hand-rolled JSON mirror (no serde in the dependency-free build).
-/// Embeds the backend policy mode and its rules so every published
-/// number carries what produced the adaptive decisions.
+/// Embeds the layout rules so every published number carries what
+/// produced the adaptive decisions.
 fn write_bench_json(rows: &[BackendRow], stream_len: usize, q: usize) {
     let ts = std::time::SystemTime::now()
         .duration_since(std::time::UNIX_EPOCH)
@@ -535,7 +535,6 @@ fn write_bench_json(rows: &[BackendRow], stream_len: usize, q: usize) {
             "  \"q\": {q},\n",
             "  \"stream_len\": {n},\n",
             "  \"batch\": {batch},\n",
-            "  \"backend_policy_mode\": \"{mode:?}\",\n",
             "  \"backend_policy_rules\": \"non-u64 value lane -> AoS; ",
             "lifetime fill <= capacity (append-only) -> AoS; otherwise SoA\",\n",
             "  \"machine_caveats\": \"wall-clock timing on a shared, unpinned machine ",
@@ -549,7 +548,6 @@ fn write_bench_json(rows: &[BackendRow], stream_len: usize, q: usize) {
         q = q,
         n = stream_len,
         batch = BATCH,
-        mode = PolicyMode::global(),
         body = body,
     );
     match std::fs::File::create("BENCH_windows.json").and_then(|mut f| f.write_all(json.as_bytes()))

@@ -1,5 +1,5 @@
-//! Per-block adaptive backend: AoS or SoA, chosen by the static
-//! [`PolicyMode`] rules (DESIGN.md §4.6).
+//! Per-block adaptive backend: AoS or SoA, chosen by three static
+//! rules on the block's shape (DESIGN.md §4.6).
 //!
 //! [`AdaptiveBackend`] is an [`IntervalBackend`] that delegates every
 //! operation to either the array-of-structs [`AmortizedQMax`] (scalar
@@ -9,9 +9,18 @@
 //! from the block's capacity `⌈q(1+γ)⌉`, an optional *lifetime fill*
 //! hint (how many items the block sees before it is recycled: the basic
 //! slack window passes its per-block fill, merge-fed structures pass
-//! `None`), the value-lane type (non-`u64` lanes go to AoS under `auto`),
-//! and the process-wide mode ([`PolicyMode::global`], overridable via
-//! `QMAX_BACKEND_POLICY=auto|force-aos|force-soa`).
+//! `None`) and the value-lane type — no timing and no process state:
+//!
+//! * a non-`u64` value lane goes to AoS: the SIMD tiers only accept
+//!   `u64` lanes, so the SoA layout's split lanes buy nothing there;
+//! * an **append-only** block — one whose lifetime fill is at most its
+//!   capacity, so it is recycled before it ever compacts — goes to AoS:
+//!   without compactions the kernel path never runs, and the single
+//!   interleaved AoS push beats the SoA two-lane push;
+//! * every other block cycles through kernel admits and goes to SoA.
+//!
+//! `QMAX_FORCE_SCALAR` pins the kernels the SoA layout dispatches to but
+//! never changes which layout is picked.
 //!
 //! Both delegates are the one amortized algorithm
 //! ([`Amortized`](crate::Amortized)) over different slot layouts: same
@@ -25,7 +34,37 @@ use crate::checkpoint::{BackendSnapshot, Checkpoint};
 use crate::entry::Entry;
 use crate::soa::SoaAmortizedQMax;
 use crate::traits::{BatchInsert, IntervalBackend, QMax};
-use qmax_select::{BackendChoice, PolicyMode};
+use core::any::TypeId;
+
+/// Which layout the rules picked for one block prototype.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum BackendChoice {
+    /// Array-of-structs `AmortizedQMax`: scalar admit loop, no kernel
+    /// handle — the append-only and non-`u64` fast path.
+    Aos,
+    /// Structure-of-arrays `SoaAmortizedQMax`: kernel-dispatched batch
+    /// admit and partition over split lanes.
+    Soa,
+}
+
+/// Picks a layout for a block of `capacity` slots holding `V` values
+/// that is expected to see `lifetime_fill` items between recycles
+/// (`None`: unbounded, the block fills and compacts over and over).
+/// A pure function of its inputs (see the module docs).
+fn choose<V: 'static>(capacity: usize, lifetime_fill: Option<usize>) -> BackendChoice {
+    let append_only = lifetime_fill.is_some_and(|fill| fill <= capacity);
+    if !lane_is_u64::<V>() || append_only {
+        BackendChoice::Aos
+    } else {
+        BackendChoice::Soa
+    }
+}
+
+/// Whether `V` is exactly `u64` — the only lane type the SIMD tiers
+/// accept.
+fn lane_is_u64<V: 'static>() -> bool {
+    TypeId::of::<V>() == TypeId::of::<u64>()
+}
 
 /// An interval backend that delegates to AoS or SoA per constructed
 /// block capacity and expected fill (see the module docs).
@@ -62,9 +101,8 @@ macro_rules! delegate {
 
 impl<I: Copy + 'static, V: Ord + Copy + 'static> AdaptiveBackend<I, V> {
     /// Creates an adaptive q-MAX for the `q` largest items with
-    /// space-slack `gamma`, letting the global mode pick the layout
-    /// with no fill hint (the block is assumed to fill to capacity —
-    /// the plain interval use).
+    /// space-slack `gamma` and no fill hint (the block is assumed to
+    /// fill to capacity — the plain interval use).
     ///
     /// # Panics
     ///
@@ -76,7 +114,7 @@ impl<I: Copy + 'static, V: Ord + Copy + 'static> AdaptiveBackend<I, V> {
 
     /// Fallible [`AdaptiveBackend::new`].
     pub fn try_new(q: usize, gamma: f64) -> Result<Self, crate::QMaxError> {
-        Self::try_with_policy(q, gamma, None, PolicyMode::global())
+        Self::try_with_fill_hint(q, gamma, None)
     }
 
     /// Fallible [`AdaptiveBackend::new`] with a lifetime fill hint: how
@@ -88,26 +126,15 @@ impl<I: Copy + 'static, V: Ord + Copy + 'static> AdaptiveBackend<I, V> {
         gamma: f64,
         expected_fill: Option<usize>,
     ) -> Result<Self, crate::QMaxError> {
-        Self::try_with_policy(q, gamma, expected_fill, PolicyMode::global())
-    }
-
-    /// Fully explicit constructor: tests and benchmarks pin a mode
-    /// instead of consulting the process-global one.
-    pub fn try_with_policy(
-        q: usize,
-        gamma: f64,
-        expected_fill: Option<usize>,
-        mode: PolicyMode,
-    ) -> Result<Self, crate::QMaxError> {
         crate::error::check_q_gamma::<Entry<I, V>>(q, gamma)?;
-        let inner = match mode.choose::<V>(amortized_capacity(q, gamma), expected_fill) {
+        let inner = match choose::<V>(amortized_capacity(q, gamma), expected_fill) {
             BackendChoice::Aos => Inner::Aos(AmortizedQMax::try_new(q, gamma)?),
             BackendChoice::Soa => Inner::Soa(SoaAmortizedQMax::try_new(q, gamma)?),
         };
         Ok(AdaptiveBackend { inner })
     }
 
-    /// Which layout the policy picked for this instance.
+    /// Which layout the rules picked for this instance.
     pub fn choice(&self) -> BackendChoice {
         match &self.inner {
             Inner::Aos(_) => BackendChoice::Aos,
@@ -198,7 +225,7 @@ impl<I: Copy + 'static, V: Ord + Copy + 'static> Checkpoint<I, V> for AdaptiveBa
 }
 
 impl<I: Copy + 'static, V: Ord + Copy + 'static> IntervalBackend<I, V> for AdaptiveBackend<I, V> {
-    /// Fresh instances keep the prototype's choice: the policy decided
+    /// Fresh instances keep the prototype's choice: the rules decided
     /// once for this capacity/fill shape, and a window stamping blocks
     /// out of one prototype must get a homogeneous ring.
     fn fresh(&self) -> Self {
@@ -227,58 +254,68 @@ impl<I: Copy + 'static, V: Ord + Copy + 'static> IntervalBackend<I, V> for Adapt
 mod tests {
     use super::*;
     use crate::OrderedF64;
+    use BackendChoice::{Aos, Soa};
 
     #[test]
-    fn forced_modes_pick_their_layout() {
-        let aos = AdaptiveBackend::<u32, u64>::try_with_policy(10, 0.5, None, PolicyMode::ForceAos)
-            .unwrap();
-        assert_eq!(aos.choice(), BackendChoice::Aos);
-        assert_eq!(aos.backend_label(), "qmax-adaptive-aos");
-        let soa =
-            AdaptiveBackend::<u32, u64>::try_with_policy(10, 0.5, Some(1), PolicyMode::ForceSoa)
-                .unwrap();
-        assert_eq!(soa.choice(), BackendChoice::Soa);
-        assert_eq!(soa.backend_label(), "qmax-adaptive-soa");
+    fn auto_distinguishes_append_only_from_compaction_heavy() {
+        // No hint: unbounded stream, compaction-heavy at any capacity.
+        assert_eq!(choose::<u64>(1000, None), Soa);
+        assert_eq!(choose::<u64>(1, None), Soa);
+        // Lifetime fill within capacity: append-only.
+        assert_eq!(choose::<u64>(1000, Some(10)), Aos);
+        assert_eq!(choose::<u64>(1000, Some(1000)), Aos);
+        assert_eq!(choose::<u64>(1001, Some(1002)), Soa);
+        // The shapes this repository ships: random-q1e5, caida-driver,
+        // caida-window, and the basic window's block geometry at
+        // τ = 0.01 and τ = 0.1 (q = 10⁴, γ = 0.25, W = 10⁶), which lands
+        // on either side.
+        assert_eq!(choose::<u64>(125_000, None), Soa);
+        assert_eq!(choose::<u64>(12_500, None), Soa);
+        assert_eq!(choose::<u64>(1_250, Some(104_858)), Soa);
+        assert_eq!(choose::<u64>(12_500, Some(10_000)), Aos);
+        assert_eq!(choose::<u64>(12_500, Some(100_000)), Soa);
     }
 
     #[test]
-    fn auto_splits_on_fill_hint() {
-        let p = PolicyMode::Auto;
-        let small = AdaptiveBackend::<u32, u64>::try_with_policy(100, 0.25, Some(10), p).unwrap();
-        assert_eq!(small.choice(), BackendChoice::Aos);
-        let large = AdaptiveBackend::<u32, u64>::try_with_policy(100, 0.25, Some(5000), p).unwrap();
-        assert_eq!(large.choice(), BackendChoice::Soa);
-        // Lifetime fill within capacity (125) stays append-only AoS.
-        let append_only =
-            AdaptiveBackend::<u32, u64>::try_with_policy(100, 0.25, Some(125), p).unwrap();
-        assert_eq!(append_only.choice(), BackendChoice::Aos);
-        let unbounded = AdaptiveBackend::<u32, u64>::try_with_policy(100, 0.25, None, p).unwrap();
-        assert_eq!(unbounded.choice(), BackendChoice::Soa);
+    fn rules_route_non_u64_lanes_to_aos() {
+        for fill in [None, Some(1), Some(1 << 30)] {
+            assert_eq!(choose::<u32>(100, fill), Aos);
+            assert_eq!(choose::<i64>(100, fill), Aos);
+        }
+        // The LRFU log (q = 5·10⁴, γ = 0.25), with no fill hint.
+        assert_eq!(choose::<OrderedF64>(62_500, None), Aos);
     }
 
     #[test]
     fn auto_routes_non_u64_lanes_to_aos() {
-        // A non-u64 value lane lands on AoS in auto mode, even with no
-        // fill hint — but forced SoA is honored.
-        let qm =
-            AdaptiveBackend::<u32, OrderedF64>::try_with_policy(10, 0.5, None, PolicyMode::Auto)
-                .unwrap();
-        assert_eq!(qm.choice(), BackendChoice::Aos);
-        let forced = AdaptiveBackend::<u32, OrderedF64>::try_with_policy(
-            10,
-            0.5,
-            None,
-            PolicyMode::ForceSoa,
-        )
-        .unwrap();
-        assert_eq!(forced.choice(), BackendChoice::Soa);
+        // A non-u64 value lane lands on AoS even with no fill hint.
+        let qm = AdaptiveBackend::<u32, OrderedF64>::try_new(10, 0.5).unwrap();
+        assert_eq!(qm.choice(), Aos);
+        assert_eq!(qm.backend_label(), "qmax-adaptive-aos");
+    }
+
+    #[test]
+    fn lane_check_matches_types() {
+        assert!(lane_is_u64::<u64>());
+        assert!(!lane_is_u64::<u32>());
+        assert!(!lane_is_u64::<i64>());
+    }
+
+    #[test]
+    fn auto_splits_on_fill_hint() {
+        let build = |fill| AdaptiveBackend::<u32, u64>::try_with_fill_hint(100, 0.25, fill);
+        assert_eq!(build(Some(10)).unwrap().choice(), Aos);
+        assert_eq!(build(Some(5000)).unwrap().choice(), Soa);
+        // Lifetime fill within capacity (125) stays append-only AoS.
+        assert_eq!(build(Some(125)).unwrap().choice(), Aos);
+        let unbounded = build(None).unwrap();
+        assert_eq!(unbounded.choice(), Soa);
+        assert_eq!(unbounded.backend_label(), "qmax-adaptive-soa");
     }
 
     #[test]
     fn fresh_preserves_choice() {
-        let proto =
-            AdaptiveBackend::<u32, u64>::try_with_policy(100, 0.25, Some(10), PolicyMode::Auto)
-                .unwrap();
+        let proto = AdaptiveBackend::<u32, u64>::try_with_fill_hint(100, 0.25, Some(10)).unwrap();
         let block = IntervalBackend::fresh(&proto);
         assert_eq!(block.choice(), proto.choice());
         assert_eq!(IntervalBackend::capacity(&block), proto.capacity());
@@ -293,12 +330,15 @@ mod tests {
         expect.sort_unstable_by(|a, b| b.cmp(a));
         expect.truncate(37);
         expect.sort_unstable();
-        for mode in [PolicyMode::ForceAos, PolicyMode::ForceSoa] {
-            let mut qm = AdaptiveBackend::<u32, u64>::try_with_policy(37, 0.6, None, mode).unwrap();
+        // A one-item lifetime fill reaches the AoS arm; no hint on a
+        // `u64` lane reaches the SoA arm.
+        for (fill, arm) in [(Some(1), Aos), (None, Soa)] {
+            let mut qm = AdaptiveBackend::<u32, u64>::try_with_fill_hint(37, 0.6, fill).unwrap();
+            assert_eq!(qm.choice(), arm);
             qm.insert_batch(&items);
             let mut got: Vec<u64> = qm.query().into_iter().map(|(_, v)| v).collect();
             got.sort_unstable();
-            assert_eq!(got, expect, "{mode:?}");
+            assert_eq!(got, expect, "{arm:?}");
         }
     }
 
@@ -311,10 +351,7 @@ mod tests {
         let mut got: Vec<u64> = qm.query().into_iter().map(|(_, v)| v).collect();
         got.sort_unstable();
         assert_eq!(got, vec![995, 996, 997, 998, 999]);
-        assert!(matches!(
-            qm.backend_label(),
-            "qmax-adaptive-aos" | "qmax-adaptive-soa"
-        ));
+        assert_eq!(qm.backend_label(), "qmax-adaptive-soa");
     }
 
     #[test]

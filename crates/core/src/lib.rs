@@ -70,7 +70,7 @@ mod time_window;
 mod traits;
 pub mod window;
 
-pub use adaptive::AdaptiveBackend;
+pub use adaptive::{AdaptiveBackend, BackendChoice};
 pub use amortized::{Amortized, AmortizedQMax};
 pub use checkpoint::{BackendSnapshot, Checkpoint};
 pub use deamortized::{Deamortized, DeamortizedQMax, DeamortizedStats};
@@ -87,7 +87,4 @@ pub use soa::{SoaAmortizedQMax, SoaDeamortizedQMax};
 pub use sorted_vec::SortedVecQMax;
 pub use time_window::TimeSlackQMax;
 pub use traits::{BatchInsert, IntervalBackend, QMax};
-// Backend-policy types re-exported so callers configuring adaptive
-// structures need not depend on `qmax_select` directly.
-pub use qmax_select::{BackendChoice, PolicyMode};
 pub use window::{AdaptiveBasicSlackQMax, BasicSlackQMax, HierSlackQMax, LazySlackQMax};

@@ -29,7 +29,7 @@ use crate::window::{top_q_entries, EpochRing};
 /// [`SoaAmortizedQMax`](crate::SoaAmortizedQMax) so
 /// [`TimeSlackQMax::insert_batch`] runs the branchless batched kernel
 /// per block, and `with_backend(…, AdaptiveBackend::new(q, γ))` lets the
-/// backend policy pick the layout from the block capacity alone.
+/// adaptive layout rules pick the layout from the block capacity alone.
 ///
 /// ```
 /// use qmax_core::TimeSlackQMax;

@@ -29,7 +29,7 @@
 //! every block through the structure-of-arrays
 //! [`SoaAmortizedQMax`](crate::SoaAmortizedQMax) so the branchless
 //! batched insert path applies to windowed streams too, and
-//! `with_backend(…, AdaptiveBackend::new(q, γ))` lets the backend policy
+//! `with_backend(…, AdaptiveBackend::new(q, γ))` lets the layout rules
 //! pick the layout. The [`BatchInsert`] impls split each batch at block
 //! boundaries, so batched and singleton insertion are observably
 //! identical.
@@ -263,17 +263,17 @@ impl<I: Clone, V: Ord + Clone> BasicSlackQMax<I, V> {
 
 /// [`BasicSlackQMax`] with per-block adaptive backends: each block's
 /// layout (array-of-structs vs structure-of-arrays) is picked by the
-/// static [`PolicyMode`](crate::PolicyMode) rules from the block's
+/// static rules of [`AdaptiveBackend`] from the block's
 /// lifetime fill `⌈w·τ⌉` — a basic-window block receives exactly one
 /// block's worth of arrivals, then recycles. When that lifetime fill
 /// sits below the block capacity the block never compacts, and the
-/// policy routes it to the append-fast AoS layout (the small-τ regime
-/// where forced SoA measurably loses).
+/// rules route it to the append-fast AoS layout (the small-τ regime
+/// where a hand-picked SoA layout measurably loses).
 pub type AdaptiveBasicSlackQMax<I, V> = BasicSlackQMax<I, V, AdaptiveBackend<I, V>>;
 
 impl<I: Copy + 'static, V: Ord + Copy + 'static> AdaptiveBasicSlackQMax<I, V> {
     /// Like [`BasicSlackQMax::new`], but every block delegates to the
-    /// layout the global backend policy picks for a lifetime fill of
+    /// layout the adaptive layout rules pick for a lifetime fill of
     /// one block's worth of arrivals (`⌈w/⌈1/τ⌉⌉` items).
     pub fn new_adaptive(q: usize, gamma: f64, w: usize, tau: f64) -> Self {
         Self::try_new_adaptive(q, gamma, w, tau).unwrap_or_else(|e| panic!("{e}"))

@@ -1080,7 +1080,7 @@ where
             returned.push(fresh);
         }
         self.restore_shards(returned);
-        self.set_coverage(health, r.per_shard_drained.clone());
+        self.set_coverage(health, &r.per_shard_drained);
         r.per_shard_backend = self.shard_backend_labels();
         r
     }

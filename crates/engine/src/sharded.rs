@@ -69,9 +69,10 @@ pub struct ShardedQMax<I, V, B = DeamortizedQMax<I, V>> {
     /// Per-shard health as of the most recent threaded/supervised run
     /// (all [`ShardHealth::Healthy`] for a purely sequential engine).
     health: Vec<ShardHealth>,
-    /// Per-shard conserved items: items drained into the shard whose
-    /// effect the engine committed to represent, as of the most recent
-    /// threaded/supervised run.
+    /// Per-shard conserved items: items routed or drained into the
+    /// shard whose effect the engine committed to represent, summed
+    /// over sequential inserts (pre-filtered items included) and every
+    /// threaded/supervised run since construction or the last reset.
     conserved: Vec<u64>,
     _marker: ItemMarker<I, V>,
 }
@@ -346,13 +347,16 @@ impl<I, V, B: QMax<I, V>> ShardedQMax<I, V, B> {
         &self.health
     }
 
-    /// Records the per-shard health and conserved-item counts of a
-    /// finished driver run (the inputs to coverage annotation).
-    pub(crate) fn set_coverage(&mut self, health: Vec<ShardHealth>, conserved: Vec<u64>) {
+    /// Records the per-shard health of a finished driver run and adds
+    /// its drained counts to the conserved items (the inputs to
+    /// coverage annotation).
+    pub(crate) fn set_coverage(&mut self, health: Vec<ShardHealth>, drained: &[u64]) {
         debug_assert_eq!(health.len(), self.stated_shards);
-        debug_assert_eq!(conserved.len(), self.stated_shards);
+        debug_assert_eq!(drained.len(), self.stated_shards);
         self.health = health;
-        self.conserved = conserved;
+        for (c, &d) in self.conserved.iter_mut().zip(drained) {
+            *c += d;
+        }
     }
 
     /// The merged top-`q` annotated with the fraction of conserved
@@ -454,6 +458,7 @@ impl<I, V, B: QMax<I, V>> ShardedQMax<I, V, B> {
         if self.shards.len() == 1 {
             // Single shard: routing and pre-filtering are pure overhead;
             // the backend's own admission filter sees the batch whole.
+            self.conserved[0] += items.len() as u64;
             return self.shards[0].insert_batch(items);
         }
         let router = self.router();
@@ -461,6 +466,7 @@ impl<I, V, B: QMax<I, V>> ShardedQMax<I, V, B> {
         let mut runs: Vec<Vec<(I, V)>> = (0..self.shards.len()).map(|_| Vec::new()).collect();
         for (id, val) in items {
             let s = router.route(id);
+            self.conserved[s] += 1;
             if let Some(t) = &psi[s] {
                 if val <= t {
                     self.prefiltered += 1;
@@ -481,8 +487,8 @@ impl<I, V, B: QMax<I, V>> ShardedQMax<I, V, B> {
 
 impl<I: Copy + 'static, V: Ord + Copy + 'static> ShardedQMax<I, V, AdaptiveBasicSlackQMax<I, V>> {
     /// Creates `shards` slack-window shards whose per-block layout is
-    /// chosen by the static backend policy rules (see
-    /// [`qmax_core::PolicyMode`]): each shard's expected per-block
+    /// chosen by the static layout rules of
+    /// [`qmax_core::AdaptiveBackend`]: each shard's expected per-block
     /// fill `⌈(w/S)·τ⌉` decides between the array-of-structs and
     /// structure-of-arrays block, ending the small-τ collapse of the
     /// hand-picked SoA configuration while keeping its large-fill wins.
@@ -523,11 +529,12 @@ impl<I: Copy + 'static>
     ShardedQMax<I, OrderedF64, ExpDecayQMax<AdaptiveBackend<I, OrderedF64>, I>>
 {
     /// Creates `shards` exponential-decay shards whose reservoir layout
-    /// is chosen by the static backend policy rules. Decayed reservoirs
-    /// score in [`OrderedF64`], a lane the SIMD kernels cannot
-    /// vectorize, so the `auto` policy resolves these shards to the
-    /// array-of-structs layout; `QMAX_BACKEND_POLICY=force-soa` still
-    /// pins the split-lane layout for comparison runs.
+    /// is chosen by the static layout rules of
+    /// [`qmax_core::AdaptiveBackend`]. Decayed reservoirs score in
+    /// [`OrderedF64`], a lane the SIMD kernels cannot vectorize, so
+    /// these shards always take the array-of-structs layout; pin the
+    /// split-lane layout for comparison runs with
+    /// [`ShardedQMax::with_backends`] and a `SoaAmortizedQMax` reservoir.
     ///
     /// Each shard ages its sub-stream with per-shard decay `c^S`, so an
     /// item `k` *global* arrivals old has decayed by ≈ `c^k` (its shard
@@ -558,6 +565,7 @@ impl<I: Copy + 'static>
 impl<I: ShardKey, V: Ord + Clone, B: QMax<I, V>> QMax<I, V> for ShardedQMax<I, V, B> {
     fn insert(&mut self, id: I, val: V) -> bool {
         let s = self.shard_of(&id);
+        self.conserved[s] += 1;
         self.shards[s].insert(id, val)
     }
 
@@ -950,11 +958,9 @@ mod tests {
         };
         assert_eq!(ids(ada.query()), ids(soa.query()));
         // The score lane is OrderedF64, which SIMD cannot vectorize, so
-        // the auto policy must resolve decayed shards to AoS.
-        if std::env::var("QMAX_BACKEND_POLICY").is_err() {
-            for l in ada.shard_backend_labels() {
-                assert_eq!(l, "qmax-adaptive-aos");
-            }
+        // the layout rules must resolve decayed shards to AoS.
+        for l in ada.shard_backend_labels() {
+            assert_eq!(l, "qmax-adaptive-aos");
         }
     }
 
@@ -1018,6 +1024,21 @@ mod tests {
             .map(|&(_, v)| v)
             .collect();
         assert_eq!(sorted_vals(&mut engine), top_q_reference(&seen, q));
+    }
+
+    #[test]
+    fn cold_rebuild_of_a_sequentially_fed_engine_loses_coverage() {
+        let items = packet_items(30_000, 17);
+        let mut engine: ShardedQMax<u64, u64> = ShardedQMax::new(48, 0.25, 4);
+        for chunk in items.chunks(32) {
+            engine.insert_batch(chunk);
+        }
+        assert_eq!(engine.query_with_coverage().coverage, 1.0);
+        engine.rebuild_shard(2);
+        let annotated = engine.query_with_coverage();
+        assert!(annotated.coverage < 1.0, "cold rebuild kept full coverage");
+        assert!(annotated.coverage > 0.0, "other shards lost their coverage");
+        assert_eq!(annotated.degraded_shards, vec![2]);
     }
 
     #[test]

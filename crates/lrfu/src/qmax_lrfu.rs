@@ -554,8 +554,8 @@ mod tests {
 
     #[test]
     fn adaptive_backend_replays_identically() {
-        // Whatever layout the policy picks for the log (AoS under
-        // `auto` — the score lane is OrderedF64), hits and evictions
+        // Whatever layout the rules pick for the log (AoS — the score
+        // lane is OrderedF64), hits and evictions
         // must match the fixed-layout construction exactly.
         let trace = qmax_traces::gen::arc_like(60_000, 6_000, 13);
         let mut aos = QMaxLrfu::new(500, 0.5, 0.75);

@@ -42,13 +42,11 @@
 pub mod kernels;
 mod machine;
 mod partition;
-pub mod policy;
 mod quickselect;
 mod soa;
 
 pub use kernels::{Kernel, KernelKind, ProbeKernel, RunPred, GROUP_WIDTH};
 pub use machine::{Direction, Lanes, MachineStatus, NthElementMachine, WORK_BOUND_FACTOR};
 pub use partition::{insertion_sort, median_of_five, partition3};
-pub use policy::{BackendChoice, PolicyMode};
 pub use quickselect::{mom_nth_smallest, nth_largest, nth_smallest, nth_smallest_in};
 pub use soa::PairedLanes;

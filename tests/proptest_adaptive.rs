@@ -1,16 +1,15 @@
 //! Differential property tests for the adaptive backend layer: a
 //! structure built on [`AdaptiveBackend`] must be observationally
 //! identical — same top-q value multisets, same admission threshold Ψ,
-//! same arrival accounting — no matter which layout the policy picks.
-//! The policy moves *performance*, never semantics: forced-AoS,
-//! forced-SoA, and `auto` must answer every query the same way.
+//! same arrival accounting — no matter which layout the rules pick.
+//! The layout moves *performance*, never semantics: the AoS arm, the
+//! SoA arm and the layout the rules pick for the drawn shape must answer
+//! every query the same way.
 //!
-//! Modes are pinned through [`AdaptiveBackend::try_with_policy`] /
-//! window prototypes rather than the `QMAX_BACKEND_POLICY` environment
-//! variable: the global mode is cached in a `OnceLock`, so env
-//! overrides cannot be varied within one process. The env parsing
-//! itself is covered by the policy module's unit tests; here we cover
-//! every mode the env knob can select.
+//! Each arm is reached through the fill hint of
+//! [`AdaptiveBackend::try_with_fill_hint`]: a one-item lifetime fill
+//! gives AoS, no hint on a `u64` lane gives SoA, and every property
+//! asserts [`AdaptiveBackend::choice`] so neither arm goes unexercised.
 //!
 //! Streams cover the shapes named by the paper's workloads: Zipf-skewed
 //! values, all-equal values, slack fractions τ from 0.003 to 1.0, and
@@ -19,7 +18,7 @@
 use proptest::prelude::*;
 use qmax_core::{
     AdaptiveBackend, AdaptiveBasicSlackQMax, BackendChoice, BasicSlackQMax, BatchInsert,
-    HierSlackQMax, LazySlackQMax, OrderedF64, PolicyMode, QMax,
+    HierSlackQMax, LazySlackQMax, QMax,
 };
 use qmax_engine::ShardedQMax;
 use qmax_lrfu::QMaxLrfu;
@@ -27,9 +26,15 @@ use qmax_traces::zipf::ZipfSampler;
 
 const TAUS: [f64; 6] = [0.003, 0.01, 0.1, 0.33, 0.9, 1.0];
 
-/// The modes the differential tests sweep — every layout decision
-/// `QMAX_BACKEND_POLICY` can induce.
-const MODES: [PolicyMode; 3] = [PolicyMode::ForceAos, PolicyMode::ForceSoa, PolicyMode::Auto];
+/// The adaptive prototypes the differential tests sweep: the AoS arm,
+/// the SoA arm, and whichever arm the rules pick for `hint`.
+fn arms(q: usize, gamma: f64, hint: Option<usize>) -> Vec<AdaptiveBackend<u32, u64>> {
+    let build = |fill| AdaptiveBackend::try_with_fill_hint(q, gamma, fill).unwrap();
+    let (aos, soa) = (build(Some(1)), build(None));
+    assert_eq!(aos.choice(), BackendChoice::Aos);
+    assert_eq!(soa.choice(), BackendChoice::Soa);
+    vec![aos, soa, build(hint)]
+}
 
 fn value_stream(n: usize, seed: u64, all_equal: bool) -> Vec<u64> {
     if all_equal {
@@ -48,7 +53,7 @@ fn sorted_vals(pairs: Vec<(u32, u64)>) -> Vec<u64> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// Plain interval reservoir: every mode admits the
+    /// Plain interval reservoir: every arm admits the
     /// same items, reports the same Ψ, and answers the same top-q —
     /// singleton and batched arrivals alike.
     #[test]
@@ -67,10 +72,7 @@ proptest! {
             1 => Some(1),
             _ => Some(n),
         };
-        let mut backends: Vec<AdaptiveBackend<u32, u64>> = MODES
-            .iter()
-            .map(|&m| AdaptiveBackend::try_with_policy(q, gamma, hint, m).unwrap())
-            .collect();
+        let mut backends = arms(q, gamma, hint);
         // Feed the first backend singleton-wise, the rest batched.
         for (i, &v) in vals.iter().enumerate() {
             backends[0].insert(i as u32, v);
@@ -96,7 +98,7 @@ proptest! {
         }
     }
 
-    /// Basic slack window over adaptive blocks: every mode
+    /// Basic slack window over adaptive blocks: every arm
     /// agrees at mid-stream (blocks recycled in place) and at
     /// end-of-stream, across τ ∈ [0.003, 1] and both stream shapes.
     #[test]
@@ -113,14 +115,11 @@ proptest! {
         let tau = TAUS[tau_sel];
         let vals = value_stream(n, seed, all_equal == 1);
         let block = w.div_ceil(((1.0 / tau).ceil() as usize).max(1)).max(1);
-        let mut windows: Vec<BasicSlackQMax<u32, u64, AdaptiveBackend<u32, u64>>> = MODES
-            .iter()
-            .map(|&m| {
-                let proto =
-                    AdaptiveBackend::try_with_policy(q, gamma, Some(block), m).unwrap();
-                BasicSlackQMax::try_with_backend(w, tau, proto).unwrap()
-            })
-            .collect();
+        let mut windows: Vec<BasicSlackQMax<u32, u64, AdaptiveBackend<u32, u64>>> =
+            arms(q, gamma, Some(block))
+                .into_iter()
+                .map(|proto| BasicSlackQMax::try_with_backend(w, tau, proto).unwrap())
+                .collect();
         let items: Vec<(u32, u64)> = vals.iter().enumerate().map(|(i, &v)| (i as u32, v)).collect();
         // Two checkpoints: mid-stream (short streams) and end-of-stream
         // (n can exceed w several times over, so rings recycle blocks
@@ -167,13 +166,11 @@ proptest! {
     ) {
         let tau = TAUS[tau_sel];
         let vals = value_stream(n, seed, all_equal == 1);
-        let mut windows: Vec<HierSlackQMax<u32, u64, AdaptiveBackend<u32, u64>>> = MODES
-            .iter()
-            .map(|&m| {
-                let proto = AdaptiveBackend::try_with_policy(q, gamma, None, m).unwrap();
-                HierSlackQMax::try_with_backend(w, tau, c, proto).unwrap()
-            })
-            .collect();
+        let mut windows: Vec<HierSlackQMax<u32, u64, AdaptiveBackend<u32, u64>>> =
+            arms(q, gamma, None)
+                .into_iter()
+                .map(|proto| HierSlackQMax::try_with_backend(w, tau, c, proto).unwrap())
+                .collect();
         let items: Vec<(u32, u64)> = vals.iter().enumerate().map(|(i, &v)| (i as u32, v)).collect();
         for (k, sw) in windows.iter_mut().enumerate() {
             if k == 0 {
@@ -198,23 +195,22 @@ proptest! {
     }
 }
 
-/// Mode determinism on one longer stream: whatever mode the env knob
-/// selects, query results and Ψ are identical.
+/// Layout determinism on one longer stream: whichever arm holds the
+/// block, query results and Ψ are identical.
 #[test]
 fn policy_modes_are_observationally_identical() {
     let mut zipf = ZipfSampler::new(10_000, 1.0, 0xCA11);
     let items: Vec<(u32, u64)> = (0..50_000u32).map(|i| (i, zipf.sample() as u64)).collect();
     let mut reference: Option<(Vec<u64>, Option<u64>)> = None;
-    for mode in MODES {
-        let mut b: AdaptiveBackend<u32, u64> =
-            AdaptiveBackend::try_with_policy(500, 0.25, None, mode).unwrap();
+    for mut b in arms(500, 0.25, None) {
+        let arm = b.choice();
         for span in items.chunks(777) {
             b.insert_batch(span);
         }
         let got = (sorted_vals(b.query()), b.threshold());
         match &reference {
             None => reference = Some(got),
-            Some(r) => assert_eq!(&got, r, "mode {mode:?} diverged"),
+            Some(r) => assert_eq!(&got, r, "{arm:?} arm diverged"),
         }
     }
 }
@@ -239,39 +235,23 @@ fn recorded_label(bench: &str, variant: &str, tau: &str) -> String {
     row[start..start + row[start..].find('"').unwrap()].to_string()
 }
 
-/// Auto-mode choices are a pure function of (capacity, lifetime fill,
+/// Layout choices are a pure function of (capacity, lifetime fill,
 /// value-lane type), pinned on the shapes this repository ships: the
 /// qbench workloads and the windows-backend experiment's geometry
-/// (q = 10⁴, γ = 0.25, W = 10⁶). The shipped constructors consult the
-/// process-wide mode, so they are checked against what that mode
-/// picks; the auto answers are also checked against the
+/// (q = 10⁴, γ = 0.25, W = 10⁶). Each shipped constructor's label is
+/// checked exactly, and the windows-backend rows also against the
 /// `adaptive_label` column of the committed `BENCH_windows.json`.
 #[test]
 fn auto_choices_are_pinned_to_shipped_shapes() {
     use BackendChoice::{Aos, Soa};
-    let global = PolicyMode::global();
-    let under_global = |auto: BackendChoice| match global {
-        PolicyMode::Auto => auto,
-        PolicyMode::ForceAos => Aos,
-        PolicyMode::ForceSoa => Soa,
-    };
-
-    // The rules alone, on each shape's (capacity, fill, lane type).
-    let auto = PolicyMode::Auto;
-    assert_eq!(auto.choose::<u64>(125_000, None), Soa); // random-q1e5
-    assert_eq!(auto.choose::<u64>(12_500, None), Soa); // caida-driver
-    assert_eq!(auto.choose::<u64>(1_250, Some(104_858)), Soa); // caida-window
-    assert_eq!(auto.choose::<u64>(12_500, Some(10_000)), Aos); // basic τ = 0.01
-    assert_eq!(auto.choose::<u64>(12_500, Some(100_000)), Soa); // basic τ = 0.1
-    assert_eq!(auto.choose::<OrderedF64>(62_500, None), Aos); // LRFU log
 
     // qbench workloads.
     let random_q1e5 = AdaptiveBackend::<u64, u64>::new(100_000, 0.25);
-    assert_eq!(random_q1e5.backend_label(), label(under_global(Soa)));
+    assert_eq!(random_q1e5.backend_label(), label(Soa));
     let driver = ShardedQMax::with_backends(10_000, 1, |_| {
         AdaptiveBackend::<u64, u64>::new(10_000, 0.25)
     });
-    assert_eq!(driver.shard_backend_labels(), [label(under_global(Soa))]);
+    assert_eq!(driver.shard_backend_labels(), [label(Soa)]);
     let window = ShardedQMax::<u64, u64, AdaptiveBasicSlackQMax<u64, u64>>::new_windowed(
         1_000,
         0.25,
@@ -279,12 +259,11 @@ fn auto_choices_are_pinned_to_shipped_shapes() {
         1 << 20,
         0.1,
     );
-    assert_eq!(window.shard_backend_labels(), [label(under_global(Soa))]);
+    assert_eq!(window.shard_backend_labels(), [label(Soa)]);
 
     // windows-backend rows, against the committed artifact.
     let bench = std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_windows.json"))
         .expect("BENCH_windows.json is committed at the repository root");
-    assert!(bench.contains("\"backend_policy_mode\": \"Auto\""));
     let (q, gamma, w) = (10_000, 0.25, 1_000_000);
     for (tau, basic) in [(0.01, Aos), (0.1, Soa)] {
         let t = format!("{tau}");
@@ -318,7 +297,7 @@ fn auto_choices_are_pinned_to_shipped_shapes() {
             ),
         ];
         for (variant, expect, built) in rows {
-            assert_eq!(built, label(under_global(expect)), "{variant} tau={t}");
+            assert_eq!(built, label(expect), "{variant} tau={t}");
             assert_eq!(
                 recorded_label(&bench, variant, &t),
                 label(expect),
@@ -331,7 +310,7 @@ fn auto_choices_are_pinned_to_shipped_shapes() {
         let built =
             QMaxLrfu::<u64, _>::with_buffer(50_000, 0.75, AdaptiveBackend::new(cap, lrfu_gamma))
                 .log_backend_label();
-        assert_eq!(built, label(under_global(Aos)), "lrfu gamma={lrfu_gamma}");
+        assert_eq!(built, label(Aos), "lrfu gamma={lrfu_gamma}");
         let variant = format!("lrfu-g{lrfu_gamma}");
         assert_eq!(
             recorded_label(&bench, &variant, "-"),
