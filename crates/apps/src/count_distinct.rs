@@ -4,7 +4,7 @@
 //! set, plus one insert on the rare admission; a span of keys is one
 //! [`CountDistinct::observe`] per key.
 
-use qmax_core::{FlowIndex, IndexFamily, KeyIndex, Minimal, QMax};
+use qmax_core::{FlowTable, Minimal, QMax};
 use qmax_traces::hash;
 
 /// Estimates the number of distinct keys in a stream by keeping the `q`
@@ -32,21 +32,25 @@ use qmax_traces::hash;
 /// assert!((est - 10_000.0).abs() / 10_000.0 < 0.25, "estimate {est}");
 /// ```
 #[derive(Debug, Clone)]
-pub struct CountDistinct<Q, F: IndexFamily = FlowIndex> {
+pub struct CountDistinct<Q> {
     reservoir: Q,
     seed: u64,
     /// `Some` in interval mode (suppress re-insertions of hashes already
     /// admitted once); `None` in windowed mode, where a re-occurrence
-    /// must refresh the key's position in the window. By default a
-    /// SIMD-probed [`qmax_core::FlowTable`] used as a set: this
-    /// membership test runs once per observed key.
-    admitted: Option<F::Index<u64, ()>>,
+    /// must refresh the key's position in the window. A SIMD-probed
+    /// [`FlowTable`] used as a set: this membership test runs once per
+    /// observed key.
+    admitted: Option<FlowTable<u64, ()>>,
 }
 
-impl<Q: QMax<u64, Minimal<u64>>> CountDistinct<Q, FlowIndex> {
+impl<Q: QMax<u64, Minimal<u64>>> CountDistinct<Q> {
     /// Creates an interval estimator over the given q-MIN backend.
     pub fn new(reservoir: Q, seed: u64) -> Self {
-        Self::new_in(reservoir, seed)
+        CountDistinct {
+            reservoir,
+            seed,
+            admitted: Some(FlowTable::with_capacity(0)),
+        }
     }
 
     /// Creates a sliding-window estimator: pair with a slack-window
@@ -54,25 +58,6 @@ impl<Q: QMax<u64, Minimal<u64>>> CountDistinct<Q, FlowIndex> {
     /// re-inserted (so recent duplicates keep a key alive in the
     /// window); the estimator de-duplicates hashes at query time.
     pub fn new_windowed(reservoir: Q, seed: u64) -> Self {
-        Self::new_windowed_in(reservoir, seed)
-    }
-}
-
-impl<Q: QMax<u64, Minimal<u64>>, F: IndexFamily> CountDistinct<Q, F> {
-    /// Like [`CountDistinct::new`], but with an explicit
-    /// [`IndexFamily`] for the admitted-hash set (e.g.
-    /// [`qmax_core::StdIndex`] for the HashMap-era baseline).
-    pub fn new_in(reservoir: Q, seed: u64) -> Self {
-        CountDistinct {
-            reservoir,
-            seed,
-            admitted: Some(F::Index::with_capacity(0)),
-        }
-    }
-
-    /// Like [`CountDistinct::new_windowed`], but with an explicit
-    /// [`IndexFamily`].
-    pub fn new_windowed_in(reservoir: Q, seed: u64) -> Self {
         CountDistinct {
             reservoir,
             seed,

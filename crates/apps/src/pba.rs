@@ -1,12 +1,12 @@
 //! Priority-Based Aggregation (Duffield et al., CIKM 2017).
 //!
 //! Each arrival costs one probe of the aggregation map
-//! ([`KeyIndex::entry`] finds or inserts the key's running total) and
+//! ([`FlowTable::entry`] finds or inserts the key's running total) and
 //! one reservoir insert. Arrivals are processed strictly in order —
 //! the map can be purged between any two of them — so a span of
 //! arrivals is one [`Pba::observe`] per arrival.
 
-use qmax_core::{FlowIndex, IndexFamily, KeyIndex, OrderedF64, QMax};
+use qmax_core::{FlowTable, OrderedF64, QMax};
 use qmax_traces::hash;
 use std::collections::HashMap;
 
@@ -46,34 +46,25 @@ pub struct PbaSample {
 /// assert!(pba.sample().len() <= 10);
 /// ```
 #[derive(Debug, Clone)]
-pub struct Pba<Q, F: IndexFamily = FlowIndex> {
+pub struct Pba<Q> {
     reservoir: Q,
     seed: u64,
     /// Running aggregate weight per key still relevant to the sample —
-    /// by default a SIMD-probed [`qmax_core::FlowTable`], probed once
-    /// per arrival ([`KeyIndex::entry`]).
-    agg: F::Index<u64, f64>,
+    /// a SIMD-probed [`FlowTable`], probed once per arrival
+    /// ([`FlowTable::entry`]).
+    agg: FlowTable<u64, f64>,
     /// Purge the aggregate map when it exceeds this many entries.
     purge_at: usize,
 }
 
-impl<Q: QMax<u64, OrderedF64>> Pba<Q, FlowIndex> {
+impl<Q: QMax<u64, OrderedF64>> Pba<Q> {
     /// Creates a PBA instance over the given reservoir backend.
     pub fn new(reservoir: Q, seed: u64) -> Self {
-        Self::new_in(reservoir, seed)
-    }
-}
-
-impl<Q: QMax<u64, OrderedF64>, F: IndexFamily> Pba<Q, F> {
-    /// Like [`Pba::new`], but with an explicit [`IndexFamily`] for the
-    /// aggregation map (e.g. [`qmax_core::StdIndex`] for the
-    /// HashMap-era baseline).
-    pub fn new_in(reservoir: Q, seed: u64) -> Self {
         let purge_at = (reservoir.q() * 8).max(1024);
         Pba {
             reservoir,
             seed,
-            agg: F::Index::with_capacity(0),
+            agg: FlowTable::with_capacity(0),
             purge_at,
         }
     }
@@ -181,7 +172,7 @@ impl<Q: QMax<u64, OrderedF64>, F: IndexFamily> Pba<Q, F> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qmax_core::{DedupQMax, IndexedHeapQMax, KeyedSkipListQMax, StdIndex};
+    use qmax_core::{DedupQMax, IndexedHeapQMax, KeyedSkipListQMax};
 
     #[test]
     fn aggregates_repeated_keys() {
@@ -270,20 +261,6 @@ mod tests {
         let est = pba.estimate_subset(|k| k % 2 == 0);
         let rel = (est - truth).abs() / truth;
         assert!(rel < 0.15, "est {est} truth {truth} rel {rel}");
-    }
-
-    #[test]
-    fn flow_index_replays_std_index() {
-        // Includes enough distinct keys that purges fire, so the
-        // aggregate upserts run through retain-rebuilt tables too.
-        let mut flow = Pba::new(DedupQMax::new(16, 0.5), 4);
-        let mut std = Pba::<_, StdIndex>::new_in(DedupQMax::new(16, 0.5), 4);
-        for i in 0..40_000u64 {
-            let (k, w) = (i * i % 9173, 1.0 + (i % 11) as f64);
-            assert_eq!(flow.observe(k, w), std.observe(k, w), "arrival {i}");
-        }
-        assert_eq!(flow.tracked_keys(), std.tracked_keys());
-        assert_eq!(flow.sample(), std.sample());
     }
 
     #[test]

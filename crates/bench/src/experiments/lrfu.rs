@@ -1,12 +1,11 @@
 //! LRFU experiments: Figure 9 (throughput), Table 2 (hit ratios), and
-//! the keyed-path flow-table-vs-HashMap index comparison.
+//! the keyed-path throughput on the flow table.
 
 use crate::scale::Scale;
 use crate::{fmt, mpps, Report};
 use qmax_apps::{CountDistinct, Pba};
 use qmax_core::{
     AmortizedQMax, BatchInsert, DedupQMax, FlowTable, IndexedHeapQMax, Minimal, OrderedF64, QMax,
-    StdIndex,
 };
 use qmax_lrfu::{hit_ratio, Cache, DeamortizedLrfu, DecayScore, HeapLrfu, QMaxLrfu, ScanLrfu};
 use qmax_traces::gen::{arc_like, random_u64_stream};
@@ -86,15 +85,9 @@ pub fn table2(scale: &Scale) {
     }
 }
 
-/// Request batch size for the LRFU index comparison — same as the
-/// `windows-backend` experiment that produced the BENCH_windows.json
-/// baseline numbers.
+/// Request batch size for the keyed-path throughput rows — same as
+/// the `windows-backend` experiment.
 const BATCH: usize = 1024;
-
-/// The `lrfu-g1` AoS throughput recorded in BENCH_windows.json before
-/// the flow-table rewrite (std `HashMap` + SipHash keyed index). The
-/// keyed paths were the ~60× bottleneck this number documents.
-const HASHMAP_ERA_LRFU_G1_MIPS: f64 = 5.936;
 
 /// Pre-change recording of the maintenance selection that materialized
 /// `(score, slot)` pairs for `nth_smallest`, taken on the same machine
@@ -108,10 +101,9 @@ const PAIR_SELECTION_LRFU_G1_TOTAL_NS: f64 = 73.8;
 /// `lrfu-g1` flow-table MIPS at batch 1024 in the same recording.
 const PAIR_SELECTION_LRFU_G1_MIPS: f64 = 13.550;
 
-struct IndexRow {
+struct KeyedRow {
     workload: String,
     batch: usize,
-    std_mips: f64,
     flow_mips: f64,
 }
 
@@ -129,36 +121,27 @@ struct ComponentNs {
     lrfu_g1_total: f64,
 }
 
-/// Keyed-path comparison: every structure whose hot loop is dominated
-/// by a key→slot index, timed twice — once with the HashMap-era
-/// [`StdIndex`] and once with the SIMD-probed [`qmax_core::FlowTable`]
-/// (the default). Both runs feed identical streams and every pair is
-/// cross-checked (hits, stats, query multisets, estimates) so the
-/// speedups cannot come from divergent behavior. Every keyed operation
-/// probes its index once, and LRFU scores merge via the bounded-error
-/// fast `logaddexp` on *both* sides, so the flow-vs-std ratio isolates
-/// the index. A request-span sweep (1/64/256/1024) on `lrfu-g1` shows
-/// what batching the log appends (one backend `insert_batch` per span)
-/// is worth. Series mirror to `results/lrfu_flow_table.csv` and
-/// `BENCH_lrfu.json`.
+/// Keyed-path throughput: every structure whose hot loop is dominated
+/// by a key→slot index, all on the SIMD-probed [`FlowTable`]. Every
+/// keyed operation probes the table once, and LRFU scores merge via
+/// the bounded-error fast `logaddexp`. A request-span sweep
+/// (1/64/256/1024) on `lrfu-g1` shows what batching the log appends
+/// (one backend `insert_batch` per span) is worth. Series mirror to
+/// `results/lrfu_flow_table.csv` and `BENCH_lrfu.json`.
 pub fn lrfu_flow_table(scale: &Scale) {
-    println!("# Keyed paths: SIMD-probed flow table vs std HashMap index");
+    println!("# Keyed paths on the SIMD-probed flow table");
     let c = 0.75;
     let q = 50_000;
     let reqs = scale.stream(2_000_000);
     let trace = arc_like(reqs, 200_000, 11);
-    let mut rep = Report::new(
-        "lrfu_flow_table",
-        &["workload", "batch", "std_mips", "flow_mips", "speedup"],
-    );
-    let mut rows: Vec<IndexRow> = Vec::new();
+    let mut rep = Report::new("lrfu_flow_table", &["workload", "batch", "flow_mips"]);
+    let mut rows: Vec<KeyedRow> = Vec::new();
 
-    // q-MAX LRFU (batched requests + fast merge), the structures
-    // BENCH_windows.json showed at 3–6 MIPS against 237–428 MIPS for
-    // the core reservoirs. The γ=1 point also sweeps the request span:
-    // span 1 appends each log entry through its own backend call,
-    // longer spans append a whole between-maintenance run at once.
-    // Each request probes the index once either way.
+    // q-MAX LRFU (batched requests + fast merge). The γ=1 point also
+    // sweeps the request span: span 1 appends each log entry through
+    // its own backend call, longer spans append a whole
+    // between-maintenance run at once. Each request probes the table
+    // once either way.
     for gamma in [0.25, 1.0] {
         let sweep: &[usize] = if gamma == 1.0 {
             &[1, 64, 256, BATCH]
@@ -166,26 +149,15 @@ pub fn lrfu_flow_table(scale: &Scale) {
             &[BATCH]
         };
         for &b in sweep {
-            let mut std_cache =
-                QMaxLrfu::<u64, _, StdIndex>::new_in(q, gamma, c).with_fast_merge(true);
-            let mut flow_cache = QMaxLrfu::new(q, gamma, c).with_fast_merge(true);
-            let (mut std_hits, mut flow_hits) = (0usize, 0usize);
+            let mut cache = QMaxLrfu::new(q, gamma, c).with_fast_merge(true);
             let start = Instant::now();
             for chunk in trace.chunks(b) {
-                std_hits += std_cache.request_batch(chunk);
+                std::hint::black_box(cache.request_batch(chunk));
             }
-            let std_mips = mpps(reqs, start.elapsed());
-            let start = Instant::now();
-            for chunk in trace.chunks(b) {
-                flow_hits += flow_cache.request_batch(chunk);
-            }
-            let flow_mips = mpps(reqs, start.elapsed());
-            assert_eq!(std_hits, flow_hits, "indexes diverged at gamma={gamma}");
-            rows.push(IndexRow {
+            rows.push(KeyedRow {
                 workload: format!("lrfu-g{gamma}"),
                 batch: b,
-                std_mips,
-                flow_mips,
+                flow_mips: mpps(reqs, start.elapsed()),
             });
         }
     }
@@ -193,26 +165,19 @@ pub fn lrfu_flow_table(scale: &Scale) {
     // De-amortized LRFU: one registry upsert per request, and the
     // refresh feed reads the registry with one `get_mut` per slot.
     {
-        let mut std_cache =
-            DeamortizedLrfu::<u64, _, StdIndex>::new_in(q, 0.25, c).with_fast_merge(true);
-        let mut flow_cache = DeamortizedLrfu::new(q, 0.25, c).with_fast_merge(true);
+        let mut cache = DeamortizedLrfu::new(q, 0.25, c).with_fast_merge(true);
         let start = Instant::now();
-        let std_hits = trace.iter().filter(|&&k| std_cache.request(k)).count();
-        let std_mips = mpps(reqs, start.elapsed());
-        let start = Instant::now();
-        let flow_hits = trace.iter().filter(|&&k| flow_cache.request(k)).count();
-        let flow_mips = mpps(reqs, start.elapsed());
-        assert_eq!(std_hits, flow_hits, "de-amortized indexes diverged");
-        assert_eq!(std_cache.stats(), flow_cache.stats());
-        rows.push(IndexRow {
+        for &k in &trace {
+            std::hint::black_box(cache.request(k));
+        }
+        rows.push(KeyedRow {
             workload: "lrfu-wc-g0.25".into(),
             batch: 1,
-            std_mips,
-            flow_mips,
+            flow_mips: mpps(reqs, start.elapsed()),
         });
     }
 
-    // Keyed apps: zipf-skewed ids so the index sees heavy re-touches.
+    // Keyed apps: zipf-skewed ids so the table sees heavy re-touches.
     let app_q = 10_000;
     let mut ids = ZipfSampler::new(1_000_000, 1.0, 7);
     let pairs: Vec<(u64, u64)> = random_u64_stream(reqs, 7 ^ 0x5EED)
@@ -222,120 +187,55 @@ pub fn lrfu_flow_table(scale: &Scale) {
     // Duplicate-merging q-MAX (PBA's reservoir): spans go through
     // `insert_batch`; every triggered compaction merges the buffer with
     // one `entry` upsert per entry.
-    {
-        let mut std_qm = DedupQMax::<u64, u64, StdIndex>::new_in(app_q, 0.25);
-        let mut flow_qm = DedupQMax::new(app_q, 0.25);
-        let std_mips = time_insert_batches(&mut std_qm, &pairs);
-        let flow_mips = time_insert_batches(&mut flow_qm, &pairs);
-        assert_eq!(
-            sorted_query_vals(&mut std_qm),
-            sorted_query_vals(&mut flow_qm),
-            "dedup indexes diverged"
-        );
-        rows.push(IndexRow {
-            workload: "dedup".into(),
-            batch: BATCH,
-            std_mips,
-            flow_mips,
-        });
-    }
+    rows.push(KeyedRow {
+        workload: "dedup".into(),
+        batch: BATCH,
+        flow_mips: time_insert_batches(&mut DedupQMax::new(app_q, 0.25), &pairs),
+    });
 
     // Indexed-heap keyed baseline (update-in-place top-q, singleton —
     // the sift chain is inherently serial).
-    {
-        let mut std_qm = IndexedHeapQMax::<u64, u64, StdIndex>::new_in(app_q);
-        let mut flow_qm = IndexedHeapQMax::new(app_q);
-        let std_mips = time_inserts(&mut std_qm, &pairs);
-        let flow_mips = time_inserts(&mut flow_qm, &pairs);
-        assert_eq!(
-            sorted_query_vals(&mut std_qm),
-            sorted_query_vals(&mut flow_qm),
-            "indexed-heap indexes diverged"
-        );
-        rows.push(IndexRow {
-            workload: "indexed-heap".into(),
-            batch: 1,
-            std_mips,
-            flow_mips,
-        });
-    }
+    rows.push(KeyedRow {
+        workload: "indexed-heap".into(),
+        batch: 1,
+        flow_mips: time_inserts(&mut IndexedHeapQMax::new(app_q), &pairs),
+    });
 
     // KMV count-distinct: one admitted-set membership test per key.
     {
-        let mut std_cd = CountDistinct::<_, StdIndex>::new_in(
-            AmortizedQMax::<u64, Minimal<u64>>::new(app_q, 0.5),
-            3,
-        );
-        let mut flow_cd =
-            CountDistinct::new(AmortizedQMax::<u64, Minimal<u64>>::new(app_q, 0.5), 3);
+        let mut cd = CountDistinct::new(AmortizedQMax::<u64, Minimal<u64>>::new(app_q, 0.5), 3);
         let keys: Vec<u64> = pairs.iter().map(|&(id, _)| id).collect();
         let start = Instant::now();
         for &k in &keys {
-            std_cd.observe(k);
+            std::hint::black_box(cd.observe(k));
         }
-        let std_mips = mpps(reqs, start.elapsed());
-        let start = Instant::now();
-        for &k in &keys {
-            flow_cd.observe(k);
-        }
-        let flow_mips = mpps(reqs, start.elapsed());
-        assert_eq!(
-            std_cd.estimate().to_bits(),
-            flow_cd.estimate().to_bits(),
-            "count-distinct indexes diverged"
-        );
-        assert_eq!(std_cd.admitted_count(), flow_cd.admitted_count());
-        rows.push(IndexRow {
+        rows.push(KeyedRow {
             workload: "count-distinct".into(),
             batch: 1,
-            std_mips,
-            flow_mips,
+            flow_mips: mpps(reqs, start.elapsed()),
         });
     }
 
     // Priority-based aggregation: one aggregate upsert per arrival.
     {
-        let mut std_pba = Pba::<_, StdIndex>::new_in(
-            DedupQMax::<u64, OrderedF64, StdIndex>::new_in(app_q, 0.25),
-            1,
-        );
-        let mut flow_pba = Pba::new(DedupQMax::<u64, OrderedF64>::new(app_q, 0.25), 1);
+        let mut pba = Pba::new(DedupQMax::<u64, OrderedF64>::new(app_q, 0.25), 1);
         let arrivals: Vec<(u64, f64)> = pairs
             .iter()
             .map(|&(id, v)| (id, 1.0 + (v % 1024) as f64))
             .collect();
         let start = Instant::now();
         for &(k, w) in &arrivals {
-            std_pba.observe(k, w);
+            std::hint::black_box(pba.observe(k, w));
         }
-        let std_mips = mpps(reqs, start.elapsed());
-        let start = Instant::now();
-        for &(k, w) in &arrivals {
-            flow_pba.observe(k, w);
-        }
-        let flow_mips = mpps(reqs, start.elapsed());
-        assert_eq!(
-            std_pba.tracked_keys(),
-            flow_pba.tracked_keys(),
-            "pba aggregate maps diverged"
-        );
-        assert_eq!(std_pba.sample().len(), flow_pba.sample().len());
-        rows.push(IndexRow {
+        rows.push(KeyedRow {
             workload: "pba".into(),
             batch: 1,
-            std_mips,
-            flow_mips,
+            flow_mips: mpps(reqs, start.elapsed()),
         });
     }
 
     for r in &rows {
-        rep.row(&[
-            r.workload.clone(),
-            r.batch.to_string(),
-            fmt(r.std_mips),
-            fmt(r.flow_mips),
-            fmt(r.flow_mips / r.std_mips),
-        ]);
+        rep.row(&[r.workload.clone(), r.batch.to_string(), fmt(r.flow_mips)]);
     }
 
     let lrfu_g1_total = rows
@@ -423,14 +323,8 @@ fn time_insert_batches<Q: BatchInsert<u64, u64>>(qm: &mut Q, pairs: &[(u64, u64)
     mpps(pairs.len(), start.elapsed())
 }
 
-fn sorted_query_vals<Q: QMax<u64, u64>>(qm: &mut Q) -> Vec<u64> {
-    let mut v: Vec<u64> = qm.query().into_iter().map(|(_, v)| v).collect();
-    v.sort_unstable();
-    v
-}
-
 /// Hand-rolled JSON mirror (no serde in the dependency-free build).
-fn write_lrfu_bench_json(rows: &[IndexRow], comps: &ComponentNs, stream_len: usize, q: usize) {
+fn write_lrfu_bench_json(rows: &[KeyedRow], comps: &ComponentNs, stream_len: usize, q: usize) {
     let ts = std::time::SystemTime::now()
         .duration_since(std::time::UNIX_EPOCH)
         .map(|d| d.as_secs())
@@ -442,14 +336,10 @@ fn write_lrfu_bench_json(rows: &[IndexRow], comps: &ComponentNs, stream_len: usi
         }
         body.push_str(&format!(
             concat!(
-                "    {{\"workload\": \"{}\", \"batch\": {}, \"std_mips\": {:.3}, ",
-                "\"flow_mips\": {:.3}, \"speedup\": {:.3}}}"
+                "    {{\"workload\": \"{}\", \"batch\": {}, ",
+                "\"flow_mips\": {:.3}}}"
             ),
-            r.workload,
-            r.batch,
-            r.std_mips,
-            r.flow_mips,
-            r.flow_mips / r.std_mips,
+            r.workload, r.batch, r.flow_mips,
         ));
     }
     let json = format!(
@@ -461,20 +351,16 @@ fn write_lrfu_bench_json(rows: &[IndexRow], comps: &ComponentNs, stream_len: usi
             "  \"stream_len\": {n},\n",
             "  \"batch\": {batch},\n",
             "  \"fast_merge\": true,\n",
-            "  \"hashmap_era_baseline\": {{\"source\": \"BENCH_windows.json\", ",
-            "\"lrfu_g1_aos_mips\": {base}}},\n",
             "  \"machine_caveats\": \"wall-clock timing on a shared, unpinned machine ",
             "(no CPU isolation, no frequency control, container noise); ",
-            "relative flow-vs-std speedups are the signal, absolute MIPS are not ",
-            "comparable across machines or runs — use the unchanged indexed-heap row ",
-            "as the cross-run anchor when comparing against an earlier recording\",\n",
+            "absolute MIPS are not comparable across machines or runs — compare ",
+            "against an earlier recording with alternating runs of both binaries\",\n",
             "  \"target_note\": \"every keyed operation probes its index once ",
-            "(KeyIndex::entry finds or inserts in one probe, with no prefetch stage); ",
+            "(FlowTable::entry finds or inserts in one probe, with no prefetch stage); ",
             "LRFU requests record each key's score-arena slot at probe time, so a ",
             "maintenance pass folds its log with zero additional index probes and ",
             "survivors are never reinserted into the log; score merges use the ",
-            "bounded-error fast logaddexp (abs err <= 2e-8, proptest-enforced) on ",
-            "both index variants, so the flow-vs-std ratio isolates the index; the ",
+            "bounded-error fast logaddexp (abs err <= 2e-8, proptest-enforced); the ",
             "lrfu-g1 batch sweep varies only how many log entries share one backend ",
             "insert_batch call; batch 1 rows run singleton calls\",\n",
             "  \"component_ns\": {{\"flow_probe\": {probe:.1}, \"exact_merge\": ",
@@ -496,7 +382,6 @@ fn write_lrfu_bench_json(rows: &[IndexRow], comps: &ComponentNs, stream_len: usi
         q = q,
         n = stream_len,
         batch = BATCH,
-        base = HASHMAP_ERA_LRFU_G1_MIPS,
         pair_resid = PAIR_SELECTION_RESIDUAL_NS,
         pair_total = PAIR_SELECTION_LRFU_G1_TOTAL_NS,
         pair_mips = PAIR_SELECTION_LRFU_G1_MIPS,

@@ -11,10 +11,10 @@
 //! update cost: after merging, at most `q` distinct candidates remain,
 //! so at least `⌈qγ⌉` arrivals separate consecutive compactions. The
 //! merge probes the key index once per buffered entry
-//! ([`KeyIndex::entry`]).
+//! ([`FlowTable::entry`]).
 
 use crate::entry::Entry;
-use crate::flow_table::{FlowIndex, IndexFamily, KeyIndex};
+use crate::flow_table::FlowTable;
 use crate::traits::{BatchInsert, QMax};
 use qmax_select::nth_smallest;
 use std::hash::Hash;
@@ -34,24 +34,20 @@ use std::hash::Hash;
 /// ids.sort();
 /// assert_eq!(ids, vec!["hot", "warm"]);
 /// ```
-/// The duplicate-merge index defaults to the SIMD-probed
-/// [`crate::FlowTable`] ([`FlowIndex`]); [`crate::StdIndex`] restores
-/// the `std::collections::HashMap` merge, kept as the differential
-/// oracle.
+/// The duplicate merge runs on the SIMD-probed [`FlowTable`].
 #[derive(Debug, Clone)]
-pub struct DedupQMax<I: Clone + Hash + Eq, V: Clone, F: IndexFamily = FlowIndex> {
+pub struct DedupQMax<I: Clone + Hash + Eq, V: Clone> {
     q: usize,
     cap: usize,
     buf: Vec<Entry<I, V>>,
     /// Persistent merge scratch for [`Self::compact`] (always empty
     /// between compactions, so merging allocates nothing steady-state).
-    best: F::Index<I, V>,
+    best: FlowTable<I, V>,
     threshold: Option<V>,
     compactions: u64,
-    filtered: u64,
 }
 
-impl<I: Clone + Hash + Eq, V: Ord + Clone> DedupQMax<I, V, FlowIndex> {
+impl<I: Clone + Hash + Eq, V: Ord + Clone> DedupQMax<I, V> {
     /// Creates a duplicate-merging q-MAX for the `q` largest distinct
     /// keys with space-slack parameter `gamma`.
     ///
@@ -59,24 +55,15 @@ impl<I: Clone + Hash + Eq, V: Ord + Clone> DedupQMax<I, V, FlowIndex> {
     ///
     /// Panics if `q == 0` or `gamma` is not a positive finite number.
     pub fn new(q: usize, gamma: f64) -> Self {
-        Self::new_in(q, gamma)
-    }
-}
-
-impl<I: Clone + Hash + Eq, V: Ord + Clone, F: IndexFamily> DedupQMax<I, V, F> {
-    /// Like [`DedupQMax::new`], but with an explicit [`IndexFamily`]
-    /// (e.g. `StdIndex` for the HashMap-era merge baseline).
-    pub fn new_in(q: usize, gamma: f64) -> Self {
         crate::error::check_q_gamma::<Entry<I, V>>(q, gamma).unwrap_or_else(|e| panic!("{e}"));
         let cap = crate::amortized::amortized_capacity(q, gamma);
         DedupQMax {
             q,
             cap,
             buf: Vec::with_capacity(cap),
-            best: F::Index::with_capacity(cap),
+            best: FlowTable::with_capacity(cap),
             threshold: None,
             compactions: 0,
-            filtered: 0,
         }
     }
 
@@ -121,11 +108,10 @@ impl<I: Clone + Hash + Eq, V: Ord + Clone, F: IndexFamily> DedupQMax<I, V, F> {
     }
 }
 
-impl<I: Clone + Hash + Eq, V: Ord + Clone, F: IndexFamily> QMax<I, V> for DedupQMax<I, V, F> {
+impl<I: Clone + Hash + Eq, V: Ord + Clone> QMax<I, V> for DedupQMax<I, V> {
     fn insert(&mut self, id: I, val: V) -> bool {
         if let Some(t) = &self.threshold {
             if val <= *t {
-                self.filtered += 1;
                 return false;
             }
         }
@@ -166,9 +152,7 @@ impl<I: Clone + Hash + Eq, V: Ord + Clone, F: IndexFamily> QMax<I, V> for DedupQ
     }
 }
 
-impl<I: Clone + Hash + Eq, V: Ord + Clone, F: IndexFamily> BatchInsert<I, V>
-    for DedupQMax<I, V, F>
-{
+impl<I: Clone + Hash + Eq, V: Ord + Clone> BatchInsert<I, V> for DedupQMax<I, V> {
     /// Offers a span of arrivals in order, exactly as singleton
     /// [`QMax::insert`] calls would: threshold filtering, buffer
     /// pressure and compaction points are per item.

@@ -27,12 +27,10 @@
 //!   per-update bounds survive: no operation ever pays an `O(n)`
 //!   rehash.
 //!
-//! The [`KeyIndex`] trait + [`IndexFamily`] GAT let every keyed
-//! consumer (`QMaxLrfu`, `DeamortizedLrfu`, `DedupQMax`,
-//! `IndexedHeapQMax`, the keyed apps) stay generic over the index:
-//! [`FlowIndex`] is the default, [`StdIndex`] keeps the HashMap-era
-//! behaviour available as a baseline and as the oracle for the
-//! differential battery in `tests/proptest_flow_table.rs`.
+//! Every keyed consumer (`QMaxLrfu`, `DeamortizedLrfu`, `DedupQMax`,
+//! `IndexedHeapQMax`, the keyed apps) holds a [`FlowTable`] directly.
+//! `tests/proptest_flow_table.rs` checks it op by op against
+//! `std::collections::HashMap`.
 //!
 //! # Control bytes and probing
 //!
@@ -64,7 +62,6 @@
 //! lands in a group that already had an `EMPTY` or every later group
 //! has been ruled out.
 
-use std::collections::hash_map::{self, HashMap};
 use std::fmt;
 use std::hash::{BuildHasher, Hash, Hasher};
 
@@ -660,173 +657,6 @@ impl<K: Hash + Eq, V> FlowTable<K, V> {
     }
 }
 
-// ---------------------------------------------------------------------------
-// KeyIndex abstraction
-// ---------------------------------------------------------------------------
-
-/// The `HashMap` subset the keyed q-MAX paths need, so each consumer
-/// can be generic over its index implementation.
-pub trait KeyIndex<K, V> {
-    /// An empty index sized for `cap` entries.
-    fn with_capacity(cap: usize) -> Self;
-    /// Number of resident entries.
-    fn len(&self) -> usize;
-    /// Whether the index holds no entries.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-    /// A shared reference to the value for `key`.
-    fn get(&self, key: &K) -> Option<&V>;
-    /// A mutable reference to the value for `key`.
-    fn get_mut(&mut self, key: &K) -> Option<&mut V>;
-    /// Insert or update; returns the previous value if any.
-    fn insert(&mut self, key: K, val: V) -> Option<V>;
-    /// The resident value for `key` (`present = true`), or a fresh
-    /// `or_insert()` value inserted for it (`present = false`) — one
-    /// probe per call on [`FlowTable`].
-    fn entry(&mut self, key: K, or_insert: impl FnOnce() -> V) -> (&mut V, bool);
-    /// Remove `key`, returning its value.
-    fn remove(&mut self, key: &K) -> Option<V>;
-    /// Whether `key` is resident.
-    fn contains_key(&self, key: &K) -> bool;
-    /// Drop every entry, keeping capacity.
-    fn clear(&mut self);
-    /// Visit every entry (arbitrary order).
-    fn for_each(&self, f: impl FnMut(&K, &V));
-    /// Drain every entry into `f`, leaving the index empty.
-    fn drain_each(&mut self, f: impl FnMut(K, V));
-    /// Keep only the entries `f` approves.
-    fn retain_with(&mut self, f: impl FnMut(&K, &mut V) -> bool);
-}
-
-impl<K: Hash + Eq, V> KeyIndex<K, V> for FlowTable<K, V> {
-    fn with_capacity(cap: usize) -> Self {
-        FlowTable::with_capacity(cap)
-    }
-    fn len(&self) -> usize {
-        FlowTable::len(self)
-    }
-    fn get(&self, key: &K) -> Option<&V> {
-        FlowTable::get(self, key)
-    }
-    fn get_mut(&mut self, key: &K) -> Option<&mut V> {
-        FlowTable::get_mut(self, key)
-    }
-    fn insert(&mut self, key: K, val: V) -> Option<V> {
-        FlowTable::insert(self, key, val)
-    }
-    #[inline]
-    fn entry(&mut self, key: K, or_insert: impl FnOnce() -> V) -> (&mut V, bool) {
-        FlowTable::entry(self, key, or_insert)
-    }
-    fn remove(&mut self, key: &K) -> Option<V> {
-        FlowTable::remove(self, key)
-    }
-    fn contains_key(&self, key: &K) -> bool {
-        FlowTable::contains_key(self, key)
-    }
-    fn clear(&mut self) {
-        FlowTable::clear(self)
-    }
-    fn for_each(&self, f: impl FnMut(&K, &V)) {
-        FlowTable::for_each(self, f)
-    }
-    fn drain_each(&mut self, f: impl FnMut(K, V)) {
-        FlowTable::drain_each(self, f)
-    }
-    fn retain_with(&mut self, f: impl FnMut(&K, &mut V) -> bool) {
-        FlowTable::retain_with(self, f)
-    }
-}
-
-/// [`KeyIndex`] over `std::collections::HashMap` — the HashMap-era
-/// baseline, kept for benchmarks and as the differential oracle.
-#[derive(Clone)]
-pub struct StdKeyIndex<K, V> {
-    map: HashMap<K, V>,
-}
-
-impl<K, V> fmt::Debug for StdKeyIndex<K, V> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("StdKeyIndex")
-            .field("len", &self.map.len())
-            .finish()
-    }
-}
-
-impl<K: Hash + Eq, V> KeyIndex<K, V> for StdKeyIndex<K, V> {
-    fn with_capacity(cap: usize) -> Self {
-        StdKeyIndex {
-            map: HashMap::with_capacity(cap),
-        }
-    }
-    fn len(&self) -> usize {
-        self.map.len()
-    }
-    fn get(&self, key: &K) -> Option<&V> {
-        self.map.get(key)
-    }
-    fn get_mut(&mut self, key: &K) -> Option<&mut V> {
-        self.map.get_mut(key)
-    }
-    fn insert(&mut self, key: K, val: V) -> Option<V> {
-        self.map.insert(key, val)
-    }
-    fn entry(&mut self, key: K, or_insert: impl FnOnce() -> V) -> (&mut V, bool) {
-        match self.map.entry(key) {
-            hash_map::Entry::Occupied(o) => (o.into_mut(), true),
-            hash_map::Entry::Vacant(v) => (v.insert(or_insert()), false),
-        }
-    }
-    fn remove(&mut self, key: &K) -> Option<V> {
-        self.map.remove(key)
-    }
-    fn contains_key(&self, key: &K) -> bool {
-        self.map.contains_key(key)
-    }
-    fn clear(&mut self) {
-        self.map.clear()
-    }
-    fn for_each(&self, mut f: impl FnMut(&K, &V)) {
-        for (k, v) in &self.map {
-            f(k, v);
-        }
-    }
-    fn drain_each(&mut self, mut f: impl FnMut(K, V)) {
-        for (k, v) in self.map.drain() {
-            f(k, v);
-        }
-    }
-    fn retain_with(&mut self, mut f: impl FnMut(&K, &mut V) -> bool) {
-        self.map.retain(|k, v| f(k, v));
-    }
-}
-
-/// Family of index implementations: a zero-sized marker selecting
-/// which [`KeyIndex`] a generic keyed structure instantiates, without
-/// fixing the key/value types at the consumer's type level.
-pub trait IndexFamily {
-    /// The index type this family provides for `(K, V)`.
-    type Index<K: Hash + Eq + Clone, V: Clone>: KeyIndex<K, V> + Clone + fmt::Debug;
-}
-
-/// Selects [`FlowTable`] — the default for every keyed path.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FlowIndex;
-
-impl IndexFamily for FlowIndex {
-    type Index<K: Hash + Eq + Clone, V: Clone> = FlowTable<K, V>;
-}
-
-/// Selects [`StdKeyIndex`] (`std::collections::HashMap`) — the
-/// pre-flow-table behaviour, kept as baseline and oracle.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StdIndex;
-
-impl IndexFamily for StdIndex {
-    type Index<K: Hash + Eq + Clone, V: Clone> = StdKeyIndex<K, V>;
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -994,25 +824,6 @@ mod tests {
         assert_eq!(t.len() as u64, n + 10);
         for k in 0..n {
             assert_eq!(t.get(&k), Some(&(2 * k)));
-        }
-    }
-
-    /// The `KeyIndex::entry` of the flow table and of the `HashMap`
-    /// oracle agree — the property that keeps `StdIndex` a valid oracle.
-    #[test]
-    fn keyindex_entry_agrees_across_flow_and_std() {
-        let mut flow: FlowTable<u64, u64> = KeyIndex::with_capacity(0);
-        let mut std: StdKeyIndex<u64, u64> = KeyIndex::with_capacity(0);
-        let keys: Vec<u64> = (0..300u64).map(|i| i * i % 157).collect();
-        for (i, &k) in keys.iter().enumerate() {
-            let (vf, pf) = KeyIndex::entry(&mut flow, k, || i as u64);
-            *vf ^= 1;
-            let (vs, ps) = KeyIndex::entry(&mut std, k, || i as u64);
-            *vs ^= 1;
-            assert_eq!((pf, *vf), (ps, *vs), "key {k} at {i}");
-        }
-        for k in &keys {
-            assert_eq!(KeyIndex::get(&flow, k), KeyIndex::get(&std, k));
         }
     }
 

@@ -7,38 +7,30 @@
 //! a position map enabling `O(log q)` increase/decrease-key — so the
 //! speedups we report for q-MAX are conservative.
 
-use crate::flow_table::{FlowIndex, IndexFamily, KeyIndex};
+use crate::flow_table::FlowTable;
 use crate::traits::QMax;
 use std::hash::Hash;
 
 /// A binary min-heap over `(key, value)` pairs with a key→position map
 /// enabling `O(log n)` value updates.
 ///
-/// The position map defaults to the SIMD-probed [`crate::FlowTable`]
-/// ([`FlowIndex`]): every sift step fixes up two positions, so the
-/// baseline's `O(log q)` updates are keyed-lookup-bound too.
+/// The position map is the SIMD-probed [`FlowTable`]: every sift step
+/// fixes up two positions, so the baseline's `O(log q)` updates are
+/// keyed-lookup-bound too.
 #[derive(Debug, Clone)]
-pub struct IndexedMinHeap<I: Clone + Hash + Eq, V, F: IndexFamily = FlowIndex> {
+pub struct IndexedMinHeap<I: Clone + Hash + Eq, V> {
     /// Heap array of (key, value), min value at index 0.
     data: Vec<(I, V)>,
     /// Key → index in `data`.
-    pos: F::Index<I, usize>,
+    pos: FlowTable<I, usize>,
 }
 
-impl<I: Clone + Hash + Eq, V: Ord + Clone> IndexedMinHeap<I, V, FlowIndex> {
+impl<I: Clone + Hash + Eq, V: Ord + Clone> IndexedMinHeap<I, V> {
     /// Creates an empty heap.
     pub fn new() -> Self {
-        Self::new_in()
-    }
-}
-
-impl<I: Clone + Hash + Eq, V: Ord + Clone, F: IndexFamily> IndexedMinHeap<I, V, F> {
-    /// Like [`IndexedMinHeap::new`], but with an explicit
-    /// [`IndexFamily`].
-    pub fn new_in() -> Self {
         IndexedMinHeap {
             data: Vec::new(),
-            pos: F::Index::with_capacity(0),
+            pos: FlowTable::with_capacity(0),
         }
     }
 
@@ -151,9 +143,9 @@ impl<I: Clone + Hash + Eq, V: Ord + Clone, F: IndexFamily> IndexedMinHeap<I, V, 
     }
 }
 
-impl<I: Clone + Hash + Eq, V: Ord + Clone, F: IndexFamily> Default for IndexedMinHeap<I, V, F> {
+impl<I: Clone + Hash + Eq, V: Ord + Clone> Default for IndexedMinHeap<I, V> {
     fn default() -> Self {
-        Self::new_in()
+        Self::new()
     }
 }
 
@@ -164,35 +156,27 @@ impl<I: Clone + Hash + Eq, V: Ord + Clone, F: IndexFamily> Default for IndexedMi
 /// the stored value unchanged (values are treated as monotone, matching
 /// the aggregation applications this structure serves).
 #[derive(Debug, Clone)]
-pub struct IndexedHeapQMax<I: Clone + Hash + Eq, V, F: IndexFamily = FlowIndex> {
+pub struct IndexedHeapQMax<I: Clone + Hash + Eq, V> {
     q: usize,
-    heap: IndexedMinHeap<I, V, F>,
+    heap: IndexedMinHeap<I, V>,
 }
 
-impl<I: Clone + Hash + Eq, V: Ord + Clone> IndexedHeapQMax<I, V, FlowIndex> {
+impl<I: Clone + Hash + Eq, V: Ord + Clone> IndexedHeapQMax<I, V> {
     /// Creates a keyed heap baseline for the `q` largest distinct keys.
     ///
     /// # Panics
     ///
     /// Panics if `q == 0`.
     pub fn new(q: usize) -> Self {
-        Self::new_in(q)
-    }
-}
-
-impl<I: Clone + Hash + Eq, V: Ord + Clone, F: IndexFamily> IndexedHeapQMax<I, V, F> {
-    /// Like [`IndexedHeapQMax::new`], but with an explicit
-    /// [`IndexFamily`].
-    pub fn new_in(q: usize) -> Self {
         assert!(q > 0, "q must be positive");
         IndexedHeapQMax {
             q,
-            heap: IndexedMinHeap::new_in(),
+            heap: IndexedMinHeap::new(),
         }
     }
 }
 
-impl<I: Clone + Hash + Eq, V: Ord + Clone, F: IndexFamily> QMax<I, V> for IndexedHeapQMax<I, V, F> {
+impl<I: Clone + Hash + Eq, V: Ord + Clone> QMax<I, V> for IndexedHeapQMax<I, V> {
     fn insert(&mut self, id: I, val: V) -> bool {
         if let Some(cur) = self.heap.get(&id) {
             if *cur >= val {

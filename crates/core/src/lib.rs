@@ -78,7 +78,7 @@ pub use dedup::DedupQMax;
 pub use entry::{retain_top_q, Entry, Minimal, OrderedF64};
 pub use error::QMaxError;
 pub use exp_decay::ExpDecayQMax;
-pub use flow_table::{FixedState, FlowIndex, FlowTable, IndexFamily, KeyIndex, StdIndex};
+pub use flow_table::{FixedState, FlowTable};
 pub use heap::HeapQMax;
 pub use indexed_heap::{IndexedHeapQMax, IndexedMinHeap};
 pub use skiplist::{KeyedSkipListQMax, SkipListQMax};

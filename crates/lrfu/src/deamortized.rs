@@ -16,7 +16,7 @@
 //!
 //! Hits never touch the pipeline: they bump the key's log-score in the
 //! registry in `O(1)`. Every request probes the registry index once
-//! ([`KeyIndex::entry`] resolves hit or miss and inserts a miss in the
+//! ([`FlowTable::entry`] resolves hit or miss and inserts a miss in the
 //! same probe), the refresh feed reads it with one `get_mut` per slot,
 //! and the refresh chunk reuses a kept scratch buffer, so the request
 //! path does not allocate once the snapshot backend has warmed up.
@@ -38,7 +38,7 @@
 
 use crate::score::DecayScore;
 use crate::Cache;
-use qmax_core::{AmortizedQMax, FlowIndex, IndexFamily, IntervalBackend, KeyIndex, OrderedF64};
+use qmax_core::{AmortizedQMax, FlowTable, IntervalBackend, OrderedF64};
 use std::hash::Hash;
 
 #[derive(Debug, Clone, Copy)]
@@ -79,22 +79,15 @@ pub struct DeamortizedLrfuStats {
 /// LRFU with worst-case `O(γ⁻¹)` charged work per request and
 /// population between `q` and roughly `q(1+γ) + 3⌈qγ/2⌉` keys.
 ///
-/// The key registry index defaults to the SIMD-probed
-/// [`qmax_core::FlowTable`] ([`FlowIndex`]) — important here, since a
-/// registry lookup is the *entire* `O(1)` hit path —
-/// [`qmax_core::StdIndex`] restores the `std::collections::HashMap`
-/// index as baseline and replay oracle.
+/// The key registry index is the SIMD-probed [`FlowTable`], since a
+/// registry lookup is the *entire* `O(1)` hit path.
 #[derive(Debug)]
-pub struct DeamortizedLrfu<
-    K: Clone + Hash + Eq,
-    B = AmortizedQMax<u64, OrderedF64>,
-    F: IndexFamily = FlowIndex,
-> {
+pub struct DeamortizedLrfu<K: Clone + Hash + Eq, B = AmortizedQMax<u64, OrderedF64>> {
     q: usize,
     /// Pipeline granularity `⌈qγ/2⌉`.
     g: usize,
     score: DecayScore,
-    map: F::Index<K, Info>,
+    map: FlowTable<K, Info>,
     keys: Vec<K>,
     /// Snapshot backend: refreshed from the registry each round; its
     /// threshold Ψ after a full refresh is the eviction cutoff.
@@ -113,7 +106,7 @@ pub struct DeamortizedLrfu<
     stats: DeamortizedLrfuStats,
 }
 
-impl<K: Clone + Hash + Eq> DeamortizedLrfu<K, AmortizedQMax<u64, OrderedF64>, FlowIndex> {
+impl<K: Clone + Hash + Eq> DeamortizedLrfu<K, AmortizedQMax<u64, OrderedF64>> {
     /// Creates a de-amortized LRFU cache that never evicts the `q`
     /// highest-score keys, holds at most about `q(1+γ) + 3⌈qγ/2⌉` keys,
     /// and decays with parameter `c`.
@@ -123,26 +116,12 @@ impl<K: Clone + Hash + Eq> DeamortizedLrfu<K, AmortizedQMax<u64, OrderedF64>, Fl
     /// Panics if `q == 0`, `gamma` is not positive and finite, or `c`
     /// is outside `(0, 1)`.
     pub fn new(q: usize, gamma: f64, c: f64) -> Self {
-        Self::new_in(q, gamma, c)
-    }
-}
-
-impl<K: Clone + Hash + Eq, F: IndexFamily> DeamortizedLrfu<K, AmortizedQMax<u64, OrderedF64>, F> {
-    /// Like [`DeamortizedLrfu::new`], but with an explicit
-    /// [`IndexFamily`] (e.g. `StdIndex` for the HashMap-era baseline).
-    pub fn new_in(q: usize, gamma: f64, c: f64) -> Self {
-        assert!(q > 0, "q must be positive");
-        assert!(
-            gamma > 0.0 && gamma.is_finite(),
-            "gamma must be positive and finite"
-        );
+        // `AmortizedQMax::new` panics on a zero `q` or a bad `gamma`.
         Self::with_snapshot(gamma, c, AmortizedQMax::new(q, gamma))
     }
 }
 
-impl<K: Clone + Hash + Eq, B: IntervalBackend<u64, OrderedF64>, F: IndexFamily>
-    DeamortizedLrfu<K, B, F>
-{
+impl<K: Clone + Hash + Eq, B: IntervalBackend<u64, OrderedF64>> DeamortizedLrfu<K, B> {
     /// Creates a de-amortized LRFU cache around the given snapshot
     /// backend prototype; `proto.q()` is the cache target `q`.
     ///
@@ -167,7 +146,7 @@ impl<K: Clone + Hash + Eq, B: IntervalBackend<u64, OrderedF64>, F: IndexFamily>
             q,
             g,
             score: DecayScore::new(c),
-            map: F::Index::with_capacity(hi),
+            map: FlowTable::with_capacity(hi),
             keys: Vec::with_capacity(hi),
             snap: proto.fresh(),
             snap_len: 0,
@@ -287,9 +266,7 @@ impl<K: Clone + Hash + Eq, B: IntervalBackend<u64, OrderedF64>, F: IndexFamily>
     }
 }
 
-impl<K: Clone + Hash + Eq, B: IntervalBackend<u64, OrderedF64>, F: IndexFamily> Cache<K>
-    for DeamortizedLrfu<K, B, F>
-{
+impl<K: Clone + Hash + Eq, B: IntervalBackend<u64, OrderedF64>> Cache<K> for DeamortizedLrfu<K, B> {
     fn request(&mut self, key: K) -> bool {
         self.time += 1;
         let t = self.time;

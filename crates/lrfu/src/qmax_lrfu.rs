@@ -3,9 +3,7 @@
 
 use crate::score::DecayScore;
 use crate::Cache;
-use qmax_core::{
-    AmortizedQMax, Entry, FlowIndex, IndexFamily, IntervalBackend, KeyIndex, OrderedF64,
-};
+use qmax_core::{AmortizedQMax, Entry, FlowTable, IntervalBackend, OrderedF64};
 use qmax_select::{nth_smallest, Kernel};
 use std::hash::Hash;
 
@@ -38,16 +36,9 @@ use std::hash::Hash;
 /// keys, and — like the paper's construction — the `q` highest-score
 /// keys are never evicted.
 ///
-/// The cache index defaults to the SIMD-probed [`qmax_core::FlowTable`]
-/// ([`FlowIndex`]); [`qmax_core::StdIndex`] restores the
-/// `std::collections::HashMap` index, kept as the baseline and as the
-/// replay oracle for the differential tests.
+/// The cache index is the SIMD-probed [`FlowTable`].
 #[derive(Debug, Clone)]
-pub struct QMaxLrfu<
-    K: Clone + Hash + Eq,
-    B = AmortizedQMax<K, OrderedF64>,
-    F: IndexFamily = FlowIndex,
-> {
+pub struct QMaxLrfu<K: Clone + Hash + Eq, B = AmortizedQMax<K, OrderedF64>> {
     q: usize,
     cap: usize,
     score: DecayScore,
@@ -60,7 +51,7 @@ pub struct QMaxLrfu<
     /// Cached keys (the cache content). The value points at the key's
     /// score accumulator in [`Self::arena`] (or is the fresh-insert
     /// sentinel until the first maintenance pass touches the key).
-    cached: F::Index<K, MergeSlot>,
+    cached: FlowTable<K, MergeSlot>,
     /// Stable score arena, stored as parallel key/score columns so
     /// the maintenance fold and the selection scan walk dense `f64`
     /// memory: one slot per resident key, holding the key's running
@@ -112,7 +103,7 @@ struct MergeSlot {
     arena: u32,
 }
 
-impl<K: Clone + Hash + Eq> QMaxLrfu<K, AmortizedQMax<K, OrderedF64>, FlowIndex> {
+impl<K: Clone + Hash + Eq> QMaxLrfu<K, AmortizedQMax<K, OrderedF64>> {
     /// Creates a q-MAX LRFU cache that always retains the `q`
     /// highest-score keys, holds at most `⌈q(1+γ)⌉` keys, and decays
     /// with parameter `c`.
@@ -122,21 +113,12 @@ impl<K: Clone + Hash + Eq> QMaxLrfu<K, AmortizedQMax<K, OrderedF64>, FlowIndex> 
     /// Panics if `q == 0`, `gamma` is not positive and finite, or `c`
     /// is outside `(0, 1)`.
     pub fn new(q: usize, gamma: f64, c: f64) -> Self {
-        Self::new_in(q, gamma, c)
-    }
-}
-
-impl<K: Clone + Hash + Eq, F: IndexFamily> QMaxLrfu<K, AmortizedQMax<K, OrderedF64>, F> {
-    /// Like [`QMaxLrfu::new`], but with an explicit [`IndexFamily`]
-    /// (e.g. `QMaxLrfu::<u64, _, StdIndex>::new_in(...)` for the
-    /// HashMap-era baseline).
-    pub fn new_in(q: usize, gamma: f64, c: f64) -> Self {
         let cap = Self::log_capacity(q, gamma);
         Self::with_buffer(q, c, AmortizedQMax::new(cap, gamma))
     }
 }
 
-impl<K: Clone + Hash + Eq, B: IntervalBackend<K, OrderedF64>, F: IndexFamily> QMaxLrfu<K, B, F> {
+impl<K: Clone + Hash + Eq, B: IntervalBackend<K, OrderedF64>> QMaxLrfu<K, B> {
     /// The log capacity `⌈q(1+γ)⌉ ∨ (q+1)`: the `q()` of a prototype
     /// for [`with_buffer`](Self::with_buffer). Panics on a zero `q` or
     /// a `gamma` that is not positive and finite.
@@ -167,7 +149,7 @@ impl<K: Clone + Hash + Eq, B: IntervalBackend<K, OrderedF64>, F: IndexFamily> QM
             cap,
             score: DecayScore::new(c),
             buf: proto.fresh(),
-            cached: F::Index::with_capacity(cap),
+            cached: FlowTable::with_capacity(cap),
             arena_keys: Vec::new(),
             arena_vals: Vec::new(),
             arena_live: Vec::new(),
@@ -262,9 +244,8 @@ impl<K: Clone + Hash + Eq, B: IntervalBackend<K, OrderedF64>, F: IndexFamily> QM
     /// and slot identities are recovered by the sweep. Tie-breaking
     /// (lowest slot number evicted first) and free-slot recycling
     /// (ascending slot order) depend only on arena slot numbers, which
-    /// are assigned in miss order — identical for every index family —
-    /// so eviction decisions cannot depend on index iteration order
-    /// even through exact score ties.
+    /// are assigned in miss order, so eviction decisions cannot depend
+    /// on the table's iteration order even through exact score ties.
     fn maintain(&mut self) {
         let mut log = std::mem::take(&mut self.log_scratch);
         log.clear();
@@ -332,7 +313,7 @@ impl<K: Clone + Hash + Eq, B: IntervalBackend<K, OrderedF64>, F: IndexFamily> QM
     }
 
     /// Registers a request for `key` with one index probe
-    /// ([`KeyIndex::entry`]): a hit reads the key's arena slot off its
+    /// ([`FlowTable::entry`]): a hit reads the key's arena slot off its
     /// resident [`MergeSlot`], a miss claims a fresh arena slot for it.
     /// Records the slot hint and returns `(hit, log score)`.
     #[inline]
@@ -381,9 +362,7 @@ impl<K: Clone + Hash + Eq, B: IntervalBackend<K, OrderedF64>, F: IndexFamily> QM
     }
 }
 
-impl<K: Clone + Hash + Eq, B: IntervalBackend<K, OrderedF64>, F: IndexFamily> Cache<K>
-    for QMaxLrfu<K, B, F>
-{
+impl<K: Clone + Hash + Eq, B: IntervalBackend<K, OrderedF64>> Cache<K> for QMaxLrfu<K, B> {
     fn request(&mut self, key: K) -> bool {
         let (hit, w) = self.account(&key);
         self.buf.insert(key, w);

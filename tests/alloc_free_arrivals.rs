@@ -17,7 +17,9 @@
 //! The keyed LRFU caches and the exponential-decay wrapper keep their
 //! per-request and per-batch scratch buffers as fields: once warmed up
 //! through several maintenance passes (compactions), their requests
-//! (batches) allocate nothing either.
+//! (batches) allocate nothing either. The duplicate-merging q-MAX keeps
+//! its merge table as a field and drains it at every compaction, so its
+//! arrivals, merges included, allocate nothing after the first.
 //!
 //! Construction is pinned as well: a de-amortized build allocates only
 //! the buffers its arrivals will use, and a sharded engine of them only
@@ -30,8 +32,9 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use qmax_core::{
-    AdaptiveBackend, Amortized, AmortizedQMax, BatchInsert, Deamortized, DeamortizedQMax, Entry,
-    ExpDecayQMax, IntervalBackend, OrderedF64, QMax, Slots, SoaAmortizedQMax, SoaDeamortizedQMax,
+    AdaptiveBackend, Amortized, AmortizedQMax, BatchInsert, Deamortized, DeamortizedQMax,
+    DedupQMax, Entry, ExpDecayQMax, IntervalBackend, OrderedF64, QMax, Slots, SoaAmortizedQMax,
+    SoaDeamortizedQMax,
 };
 use qmax_engine::ShardedQMax;
 use qmax_lrfu::{Cache, DeamortizedLrfu, QMaxLrfu};
@@ -362,4 +365,35 @@ fn exp_decay_batches_do_not_allocate() {
         calls, 0,
         "{calls} allocations over {compactions} compactions"
     );
+}
+
+/// Duplicate-merging q-MAX over 5,000 keys whose values mostly rise:
+/// two thirds of the arrivals are admitted, so the buffer fills and
+/// merges every few hundred arrivals.
+#[test]
+fn dedup_arrivals_do_not_allocate() {
+    let mut state = 61u64;
+    let items: Vec<(u64, u64)> = rising_stream(300_000)
+        .into_iter()
+        .map(|(_, v)| (splitmix(&mut state) % 5_000, v))
+        .collect();
+    for batched in [false, true] {
+        let mut dedup = DedupQMax::new(1_000, GAMMA);
+        let mut warm = 0;
+        while dedup.compactions() == 0 {
+            let (id, v) = items[warm];
+            dedup.insert(id, v);
+            warm += 1;
+        }
+        let (calls, ()) = calls_during(|| feed(&mut dedup, &items[warm..], batched));
+        let compactions = dedup.compactions() - 1;
+        assert!(
+            compactions >= 10,
+            "batched={batched}: only {compactions} compactions"
+        );
+        assert_eq!(
+            calls, 0,
+            "batched={batched}: {calls} allocations over {compactions} compactions"
+        );
+    }
 }

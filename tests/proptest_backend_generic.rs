@@ -21,7 +21,7 @@
 use proptest::prelude::*;
 use qmax_core::{
     AmortizedQMax, BasicSlackQMax, BatchInsert, HierSlackQMax, IntervalBackend, LazySlackQMax,
-    QMax, SoaAmortizedQMax, StdIndex, TimeSlackQMax,
+    QMax, SoaAmortizedQMax, TimeSlackQMax,
 };
 use qmax_lrfu::{Cache, DeamortizedLrfu, QMaxLrfu};
 use qmax_traces::zipf::ZipfSampler;
@@ -307,59 +307,5 @@ proptest! {
         let (lo, hi) = aos.capacity_bounds();
         prop_assert!(aos.len() <= hi, "population {} above bound {}", aos.len(), hi);
         prop_assert!(lo <= hi);
-    }
-
-    /// Keyed-index replay: the flow-table index (default) must replay
-    /// the HashMap-era `StdIndex` bit-exactly — same hit/miss on every
-    /// request. The two indexes iterate their merge scratch in
-    /// different orders, but LRFU scores are tie-free floats on any
-    /// deterministic trace, so maintenance must cut the same survivor
-    /// set regardless of iteration order.
-    #[test]
-    fn qmax_lrfu_flow_index_replays_std_index_exactly(
-        seed in any::<u64>(),
-        n in 16usize..3000,
-        keyspace in 8usize..600,
-        q in 2usize..64,
-        gamma in 0.05f64..1.5,
-        decay in 0.5f64..0.99,
-    ) {
-        let mut zipf = ZipfSampler::new(keyspace, 1.0, seed);
-        let trace: Vec<u64> = (0..n).map(|_| zipf.sample() as u64).collect();
-
-        let mut flow = QMaxLrfu::new(q, gamma, decay);
-        let mut std_ = QMaxLrfu::<u64, _, StdIndex>::new_in(q, gamma, decay);
-        for (i, &k) in trace.iter().enumerate() {
-            let f = flow.request(k);
-            let s = std_.request(k);
-            prop_assert_eq!(f, s, "hit/miss diverged at request {}", i);
-        }
-        prop_assert_eq!(flow.len(), std_.len());
-    }
-
-    /// Same replay for the de-amortized pipeline: its registry order is
-    /// a `Vec` independent of the key index, so FlowIndex and StdIndex
-    /// must agree on hits, pipeline stats, and population exactly.
-    #[test]
-    fn deamortized_lrfu_flow_index_replays_std_index_exactly(
-        seed in any::<u64>(),
-        n in 16usize..3000,
-        keyspace in 8usize..600,
-        q in 4usize..64,
-        gamma in 0.1f64..1.5,
-        decay in 0.5f64..0.99,
-    ) {
-        let mut zipf = ZipfSampler::new(keyspace, 1.0, seed);
-        let trace: Vec<u64> = (0..n).map(|_| zipf.sample() as u64).collect();
-
-        let mut flow = DeamortizedLrfu::new(q, gamma, decay);
-        let mut std_ = DeamortizedLrfu::<u64, _, StdIndex>::new_in(q, gamma, decay);
-        for (i, &k) in trace.iter().enumerate() {
-            let f = flow.request(k);
-            let s = std_.request(k);
-            prop_assert_eq!(f, s, "hit/miss diverged at request {}", i);
-        }
-        prop_assert_eq!(flow.len(), std_.len());
-        prop_assert_eq!(flow.stats(), std_.stats());
     }
 }

@@ -207,6 +207,96 @@ fn replay_entry_keys(keys: &[u64], span: usize) -> FlowTable<u64, u64> {
     det
 }
 
+/// Applies an interleaved insert / `entry` upsert / get / remove stream
+/// to a {dispatched, forced-scalar} table pair that may already hold
+/// entries — or have been drained, cleared or retain-rebuilt — mirroring
+/// every op in the `HashMap` oracle. `len()` and `contains_key` of the
+/// op's key are checked on both tables after every op. Panics (rather
+/// than `prop_assert!`s), like the replays above.
+fn apply_mixed_ops(
+    tables: &mut [FlowTable<u64, u64>; 2],
+    oracle: &mut HashMap<u64, u64>,
+    mode: u8,
+    seed: u64,
+    ops: &[(u8, u64, u32)],
+    phase: &str,
+) {
+    for (i, &(op, raw, shift)) in ops.iter().enumerate() {
+        let k = key_for(mode, raw, shift, seed);
+        let v = i as u64;
+        match op % 16 {
+            0..=5 => {
+                let want = oracle.insert(k, v);
+                for t in tables.iter_mut() {
+                    assert_eq!(t.insert(k, v), want, "{phase}: insert diverged at op {i}");
+                }
+            }
+            6..=9 => {
+                let want = oracle.contains_key(&k);
+                oracle.entry(k).and_modify(|x| *x += 1).or_insert(v);
+                for t in tables.iter_mut() {
+                    let (x, present) = t.entry(k, || v);
+                    if present {
+                        *x += 1;
+                    }
+                    assert_eq!(present, want, "{phase}: entry hit/miss diverged at op {i}");
+                    assert_eq!(*x, oracle[&k], "{phase}: entry value diverged at op {i}");
+                }
+            }
+            10..=11 => {
+                let want = oracle.get(&k).copied();
+                for t in tables.iter() {
+                    assert_eq!(t.get(&k).copied(), want, "{phase}: get diverged at op {i}");
+                }
+            }
+            _ => {
+                let want = oracle.remove(&k);
+                for t in tables.iter_mut() {
+                    assert_eq!(t.remove(&k), want, "{phase}: remove diverged at op {i}");
+                }
+            }
+        }
+        for t in tables.iter() {
+            assert_eq!(t.len(), oracle.len(), "{phase}: len diverged at op {i}");
+            assert_eq!(
+                t.contains_key(&k),
+                oracle.contains_key(&k),
+                "{phase}: contains_key diverged at op {i}"
+            );
+        }
+    }
+}
+
+/// Inserts fresh keys (mirrored in the oracle) until both tables are
+/// mid-migration (`migrating`) or at rest (`!migrating`). Inserts step
+/// a migration, and distinct keys eventually force a resize, so either
+/// state is reached within a few thousand inserts.
+fn drive_to_migration_state(
+    tables: &mut [FlowTable<u64, u64>; 2],
+    oracle: &mut HashMap<u64, u64>,
+    seed: u64,
+    migrating: bool,
+) {
+    for j in 0u64..100_000 {
+        assert_eq!(
+            tables[0].is_migrating(),
+            tables[1].is_migrating(),
+            "probe kernel choice changed the migration schedule"
+        );
+        if tables[0].is_migrating() == migrating {
+            return;
+        }
+        let k = (seed ^ 0xA5A5_5A5A)
+            .wrapping_add(j)
+            .wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        let want = oracle.insert(k, j);
+        for t in tables.iter_mut() {
+            assert_eq!(t.insert(k, j), want, "fill insert diverged at {j}");
+        }
+    }
+    panic!("tables never reached migrating == {migrating}");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -349,6 +439,66 @@ proptest! {
         drained.sort_unstable();
         prop_assert_eq!(drained, sorted_oracle(&oracle));
         prop_assert!(det.is_empty());
+    }
+    /// Table reuse, the way the keyed consumers reuse theirs: after a
+    /// `retain_with` (PBA's purge), a `drain_each` (`DedupQMax`'s
+    /// compaction) or a `clear()` (every `reset`) — taken at rest or
+    /// in the middle of a migration — the same tables keep taking an
+    /// interleaved insert/`entry`/remove stream three times the length
+    /// of the one that filled them, op-for-op against the oracle.
+    #[test]
+    fn reused_table_keeps_matching_oracle(
+        mode in 0u8..3,
+        seed in any::<u64>(),
+        ops in prop::collection::vec((any::<u8>(), any::<u64>(), 0u32..48), 1..300),
+        more in prop::collection::vec((any::<u8>(), any::<u64>(), 0u32..48), 900..901),
+        reuse in 0u8..3,
+        mid_migration in any::<bool>(),
+        keep_mod in 2u64..5,
+    ) {
+        let mut tables = [
+            FlowTable::new(),
+            FlowTable::with_capacity_and_probe(0, ProbeKernel::scalar()),
+        ];
+        let mut oracle: HashMap<u64, u64> = HashMap::new();
+        apply_mixed_ops(&mut tables, &mut oracle, mode, seed, &ops, "fill");
+        drive_to_migration_state(&mut tables, &mut oracle, seed, mid_migration);
+
+        match reuse {
+            0 => {
+                oracle.retain(|_, v| *v % keep_mod != 0);
+                for t in tables.iter_mut() {
+                    t.retain_with(|_, v| *v % keep_mod != 0);
+                    prop_assert_eq!(sorted_pairs(t), sorted_oracle(&oracle));
+                }
+            }
+            1 => {
+                for t in tables.iter_mut() {
+                    let mut drained: Vec<(u64, u64)> = Vec::new();
+                    t.drain_each(|k, v| drained.push((k, v)));
+                    drained.sort_unstable();
+                    prop_assert_eq!(drained, sorted_oracle(&oracle));
+                }
+                oracle.clear();
+            }
+            _ => {
+                for t in tables.iter_mut() {
+                    t.clear();
+                }
+                oracle.clear();
+            }
+        }
+        for t in tables.iter() {
+            prop_assert_eq!(t.len(), oracle.len());
+            prop_assert!(!t.is_migrating(), "reuse left a migration in flight");
+        }
+
+        let ops_after = &more[..3 * ops.len()];
+        apply_mixed_ops(&mut tables, &mut oracle, mode, seed, ops_after, "reuse");
+        for t in tables.iter() {
+            prop_assert_eq!(sorted_pairs(t), sorted_oracle(&oracle));
+        }
+        prop_assert_eq!(tables[0].resizes(), tables[1].resizes());
     }
 }
 
