@@ -1,5 +1,6 @@
 //! Criterion microbenchmark: LRFU request cost per policy (behind
-//! Figure 9), including the structure-of-arrays log-buffer backends.
+//! Figure 9), including the de-amortized LRFU on a structure-of-arrays
+//! snapshot.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use qmax_core::SoaAmortizedQMax;
@@ -10,10 +11,6 @@ fn bench_lrfu(c: &mut Criterion) {
     let trace = arc_like(300_000, 50_000, 9);
     let q = 5_000;
     let decay = 0.75;
-    let soa = || {
-        let cap = QMaxLrfu::<u64>::log_capacity(q, 0.25);
-        QMaxLrfu::<u64, _>::with_buffer(q, decay, SoaAmortizedQMax::new(cap, 0.25))
-    };
     let mut group = c.benchmark_group("lrfu_request");
     group.throughput(Throughput::Elements(trace.len() as u64));
     group.sample_size(10);
@@ -33,25 +30,6 @@ fn bench_lrfu(c: &mut Criterion) {
                 cache.request(k);
             }
             cache.len()
-        })
-    });
-    group.bench_function("qmax_g0.25_soa", |b| {
-        b.iter(|| {
-            let mut cache = soa();
-            for &k in &trace {
-                cache.request(k);
-            }
-            cache.len()
-        })
-    });
-    group.bench_function("qmax_g0.25_soa_batch", |b| {
-        b.iter(|| {
-            let mut cache = soa();
-            let mut hits = 0;
-            for chunk in trace.chunks(1024) {
-                hits += cache.request_batch(chunk);
-            }
-            hits
         })
     });
     group.bench_function("qmax_wc_g0.25", |b| {

@@ -28,7 +28,6 @@ use crate::{fmt, Report};
 use qmax_engine::{ring, DriverConfig, ShardedQMax};
 use qmax_traces::gen::random_u64_stream;
 use qmax_traces::zipf::ZipfSampler;
-use std::io::Write as _;
 use std::sync::mpsc;
 use std::thread;
 use std::time::{Duration, Instant};
@@ -250,11 +249,7 @@ fn write_ingest_bench_json(
         r8 = r8,
         pass = r4 > 1.0 && r8 > 1.0,
     );
-    match std::fs::File::create("BENCH_ingest.json").and_then(|mut f| f.write_all(json.as_bytes()))
-    {
-        Ok(()) => eprintln!("[ingest] wrote BENCH_ingest.json"),
-        Err(e) => eprintln!("[ingest] could not write BENCH_ingest.json: {e}"),
-    }
+    crate::write_bench_json("ingest", &json);
 }
 
 /// Contention microbench: SPSC ring fan-in vs shared `sync_channel`

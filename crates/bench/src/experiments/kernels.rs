@@ -20,7 +20,6 @@ use qmax_core::{BatchInsert, SoaAmortizedQMax};
 use qmax_select::Kernel;
 use qmax_traces::gen::random_u64_stream;
 use qmax_traces::zipf::ZipfSampler;
-use std::io::Write;
 use std::time::Instant;
 
 const BATCH: usize = 1024;
@@ -296,9 +295,5 @@ fn write_bench_json(kind: &str, micro: &[MicroRow], e2e: &[E2eRow], stream_len: 
         mbody = mbody,
         ebody = ebody,
     );
-    match std::fs::File::create("BENCH_kernels.json").and_then(|mut f| f.write_all(json.as_bytes()))
-    {
-        Ok(()) => eprintln!("[kernels] wrote BENCH_kernels.json"),
-        Err(e) => eprintln!("[kernels] could not write BENCH_kernels.json: {e}"),
-    }
+    crate::write_bench_json("kernels", &json);
 }

@@ -10,7 +10,6 @@ use qmax_core::{
 use qmax_lrfu::{hit_ratio, Cache, DeamortizedLrfu, DecayScore, HeapLrfu, QMaxLrfu, ScanLrfu};
 use qmax_traces::gen::{arc_like, random_u64_stream};
 use qmax_traces::zipf::ZipfSampler;
-use std::io::Write;
 use std::time::Instant;
 
 fn request_rate<C: Cache<u64>>(cache: &mut C, trace: &[u64]) -> f64 {
@@ -85,21 +84,9 @@ pub fn table2(scale: &Scale) {
     }
 }
 
-/// Request batch size for the keyed-path throughput rows — same as
-/// the `windows-backend` experiment.
+/// Span size of the batched dedup row — same as the `windows-backend`
+/// experiment.
 const BATCH: usize = 1024;
-
-/// Pre-change recording of the maintenance selection that materialized
-/// `(score, slot)` pairs for `nth_smallest`, taken on the same machine
-/// immediately before the scores-only `count_gt_eq` rewrite landed
-/// (full-scale run; the paired JSON fields are the "after"). The
-/// residual is what one `lrfu-g1` request pays beyond its probe and
-/// merge — selection, eviction removes, log append, bookkeeping.
-const PAIR_SELECTION_RESIDUAL_NS: f64 = 39.2;
-/// `lrfu-g1` total ns/request in the same pre-change recording.
-const PAIR_SELECTION_LRFU_G1_TOTAL_NS: f64 = 73.8;
-/// `lrfu-g1` flow-table MIPS at batch 1024 in the same recording.
-const PAIR_SELECTION_LRFU_G1_MIPS: f64 = 13.550;
 
 struct KeyedRow {
     workload: String,
@@ -117,16 +104,15 @@ struct ComponentNs {
     /// One table-interpolated fast score merge (dependent chain).
     fast_merge: f64,
     /// Total per-request cost of the flow-table `lrfu-g1` run; the
-    /// remainder after probes and the merge is selection + bookkeeping.
+    /// remainder after the probe and the merge is the maintenance pass
+    /// and its eviction removes.
     lrfu_g1_total: f64,
 }
 
 /// Keyed-path throughput: every structure whose hot loop is dominated
 /// by a key→slot index, all on the SIMD-probed [`FlowTable`]. Every
 /// keyed operation probes the table once, and LRFU scores merge via
-/// the bounded-error fast `logaddexp`. A request-span sweep
-/// (1/64/256/1024) on `lrfu-g1` shows what batching the log appends
-/// (one backend `insert_batch` per span) is worth. Series mirror to
+/// the bounded-error fast `logaddexp`. Series mirror to
 /// `results/lrfu_flow_table.csv` and `BENCH_lrfu.json`.
 pub fn lrfu_flow_table(scale: &Scale) {
     println!("# Keyed paths on the SIMD-probed flow table");
@@ -137,29 +123,19 @@ pub fn lrfu_flow_table(scale: &Scale) {
     let mut rep = Report::new("lrfu_flow_table", &["workload", "batch", "flow_mips"]);
     let mut rows: Vec<KeyedRow> = Vec::new();
 
-    // q-MAX LRFU (batched requests + fast merge). The γ=1 point also
-    // sweeps the request span: span 1 appends each log entry through
-    // its own backend call, longer spans append a whole
-    // between-maintenance run at once. Each request probes the table
-    // once either way.
+    // q-MAX LRFU (fast merge): one probe per request, which folds the
+    // request's score into its key's arena slot.
     for gamma in [0.25, 1.0] {
-        let sweep: &[usize] = if gamma == 1.0 {
-            &[1, 64, 256, BATCH]
-        } else {
-            &[BATCH]
-        };
-        for &b in sweep {
-            let mut cache = QMaxLrfu::new(q, gamma, c).with_fast_merge(true);
-            let start = Instant::now();
-            for chunk in trace.chunks(b) {
-                std::hint::black_box(cache.request_batch(chunk));
-            }
-            rows.push(KeyedRow {
-                workload: format!("lrfu-g{gamma}"),
-                batch: b,
-                flow_mips: mpps(reqs, start.elapsed()),
-            });
+        let mut cache = QMaxLrfu::new(q, gamma, c).with_fast_merge(true);
+        let start = Instant::now();
+        for &k in &trace {
+            std::hint::black_box(cache.request(k));
         }
+        rows.push(KeyedRow {
+            workload: format!("lrfu-g{gamma}"),
+            batch: 1,
+            flow_mips: mpps(reqs, start.elapsed()),
+        });
     }
 
     // De-amortized LRFU: one registry upsert per request, and the
@@ -240,7 +216,7 @@ pub fn lrfu_flow_table(scale: &Scale) {
 
     let lrfu_g1_total = rows
         .iter()
-        .find(|r| r.workload == "lrfu-g1" && r.batch == BATCH)
+        .find(|r| r.workload == "lrfu-g1")
         .map_or(0.0, |r| 1e3 / r.flow_mips);
     let comps = component_estimates(&trace, q, c, lrfu_g1_total);
     println!("# per-request component estimates (ns)");
@@ -258,10 +234,9 @@ pub fn lrfu_flow_table(scale: &Scale) {
 
 impl ComponentNs {
     /// What is left of one `lrfu-g1` request after its single index
-    /// probe (the request-path upsert; maintenance folds through
-    /// request-time arena hints and probes nothing) and one score
-    /// merge: the selection pass, eviction removes, log append, and
-    /// buffer bookkeeping.
+    /// probe (the request-path upsert, which also folds the score) and
+    /// one score merge: its share of the maintenance pass — selection,
+    /// census, eviction sweep and the evicted keys' index removes.
     fn residual(&self) -> f64 {
         (self.lrfu_g1_total - self.flow_probe - self.fast_merge).max(0.0)
     }
@@ -357,24 +332,14 @@ fn write_lrfu_bench_json(rows: &[KeyedRow], comps: &ComponentNs, stream_len: usi
             "against an earlier recording with alternating runs of both binaries\",\n",
             "  \"target_note\": \"every keyed operation probes its index once ",
             "(FlowTable::entry finds or inserts in one probe, with no prefetch stage); ",
-            "LRFU requests record each key's score-arena slot at probe time, so a ",
-            "maintenance pass folds its log with zero additional index probes and ",
-            "survivors are never reinserted into the log; score merges use the ",
-            "bounded-error fast logaddexp (abs err <= 2e-8, proptest-enforced); the ",
-            "lrfu-g1 batch sweep varies only how many log entries share one backend ",
-            "insert_batch call; batch 1 rows run singleton calls\",\n",
+            "an LRFU request folds its score into its key's score-arena slot at ",
+            "probe time, so there is no request log and a maintenance pass only ",
+            "selects and evicts; score merges use the bounded-error fast logaddexp ",
+            "(abs err <= 2e-8, proptest-enforced); batch 1 rows run singleton ",
+            "calls, the dedup row feeds spans of {batch} through insert_batch\",\n",
             "  \"component_ns\": {{\"flow_probe\": {probe:.1}, \"exact_merge\": ",
             "{exact:.1}, \"fast_merge\": {fast:.1}, \"lrfu_g1_total\": {total:.1}, ",
             "\"selection_and_bookkeeping_residual\": {resid:.1}}},\n",
-            "  \"pair_selection_baseline\": {{\"note\": \"same-machine recording taken ",
-            "immediately before the maintenance selection was rewritten to rank the ",
-            "dense arena score column with a count_gt_eq kernel census (pivot via ",
-            "scores-only quickselect + one ascending-slot eviction sweep) instead of ",
-            "materializing (score, slot) pairs; compare against component_ns and the ",
-            "lrfu-g1 batch-{batch} series row of this file for the after\", ",
-            "\"selection_and_bookkeeping_residual_ns\": {pair_resid:.1}, ",
-            "\"lrfu_g1_total_ns\": {pair_total:.1}, ",
-            "\"lrfu_g1_flow_mips\": {pair_mips:.3}}},\n",
             "  \"series\": [\n{body}\n  ]\n",
             "}}\n"
         ),
@@ -382,9 +347,6 @@ fn write_lrfu_bench_json(rows: &[KeyedRow], comps: &ComponentNs, stream_len: usi
         q = q,
         n = stream_len,
         batch = BATCH,
-        pair_resid = PAIR_SELECTION_RESIDUAL_NS,
-        pair_total = PAIR_SELECTION_LRFU_G1_TOTAL_NS,
-        pair_mips = PAIR_SELECTION_LRFU_G1_MIPS,
         probe = comps.flow_probe,
         exact = comps.exact_merge,
         fast = comps.fast_merge,
@@ -392,8 +354,5 @@ fn write_lrfu_bench_json(rows: &[KeyedRow], comps: &ComponentNs, stream_len: usi
         resid = comps.residual(),
         body = body,
     );
-    match std::fs::File::create("BENCH_lrfu.json").and_then(|mut f| f.write_all(json.as_bytes())) {
-        Ok(()) => eprintln!("[lrfu] wrote BENCH_lrfu.json"),
-        Err(e) => eprintln!("[lrfu] could not write BENCH_lrfu.json: {e}"),
-    }
+    crate::write_bench_json("lrfu", &json);
 }

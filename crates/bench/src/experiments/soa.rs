@@ -21,7 +21,6 @@ use qmax_core::{
 };
 use qmax_traces::gen::{caida_like, random_u64_stream};
 use qmax_traces::zipf::ZipfSampler;
-use std::io::Write;
 use std::time::Instant;
 
 const BATCH: usize = 1024;
@@ -195,8 +194,5 @@ fn write_bench_json(rows: &[SeriesRow], stream_len: usize, q: usize) {
         batch = BATCH,
         body = body,
     );
-    match std::fs::File::create("BENCH_soa.json").and_then(|mut f| f.write_all(json.as_bytes())) {
-        Ok(()) => eprintln!("[soa] wrote BENCH_soa.json"),
-        Err(e) => eprintln!("[soa] could not write BENCH_soa.json: {e}"),
-    }
+    crate::write_bench_json("soa", &json);
 }

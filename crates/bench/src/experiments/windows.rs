@@ -1,16 +1,14 @@
 //! Sliding-window experiments: Figures 10–11, the window ablation, and
-//! the AoS-vs-SoA backend comparison for windowed and LRFU workloads.
+//! the AoS-vs-SoA backend comparison for the windowed workloads.
 
 use crate::scale::Scale;
 use crate::{fmt, mpps, Report};
 use qmax_core::{
     AdaptiveBackend, AdaptiveBasicSlackQMax, AmortizedQMax, BasicSlackQMax, BatchInsert,
-    HierSlackQMax, IntervalBackend, LazySlackQMax, OrderedF64, QMax, SoaAmortizedQMax,
+    HierSlackQMax, LazySlackQMax, QMax, SoaAmortizedQMax,
 };
-use qmax_lrfu::QMaxLrfu;
-use qmax_traces::gen::{arc_like, random_u64_stream};
+use qmax_traces::gen::random_u64_stream;
 use qmax_traces::zipf::ZipfSampler;
-use std::io::Write;
 use std::time::Instant;
 
 /// Figure 10: interval q-MAX vs sliding-window q-MAX throughput over
@@ -141,8 +139,7 @@ const BATCH: usize = 1024;
 /// rounds = two full rotations of the measurement order (see
 /// [`tri_window_mips`]), enough that the CI gate at 0.95 measures the
 /// layout rules and not single-round scheduler or allocator interference
-/// (observed at 5–10% on the ~0.3 s LRFU rows and the ~10 ms
-/// basic-window rows alike).
+/// (observed at 5–10% on the ~10 ms basic-window rows).
 const PASSES: usize = 6;
 
 /// A timed pass must cover at least this much wall clock: the fastest
@@ -258,74 +255,6 @@ where
     (best, vs_best)
 }
 
-/// [`tri_window_mips`]'s protocol (including the round-paired
-/// `adaptive_vs_best` it returns) for the LRFU cache layouts, equating
-/// hit counts instead of top-q multisets.
-fn tri_cache_mips<A, B, C, FA, FB, FC>(
-    mut make_aos: FA,
-    mut make_soa: FB,
-    mut make_ada: FC,
-    trace: &[u64],
-    context: &str,
-) -> ([f64; 3], f64)
-where
-    A: CacheBatch,
-    B: CacheBatch,
-    C: CacheBatch,
-    FA: FnMut() -> A,
-    FB: FnMut() -> B,
-    FC: FnMut() -> C,
-{
-    fn one_pass<C: CacheBatch>(mut cache: C, trace: &[u64], reps: usize) -> (f64, usize) {
-        let start = Instant::now();
-        let mut hits = 0usize;
-        for _ in 0..reps {
-            for chunk in trace.chunks(BATCH) {
-                hits += cache.request_chunk(chunk);
-            }
-        }
-        (mpps(trace.len() * reps, start.elapsed()), hits)
-    }
-    let (est, _) = one_pass(make_aos(), trace, 1);
-    let reps = stream_reps(est, trace.len());
-    let mut best = [0.0f64; 3];
-    let mut vs_best = 0.0f64;
-    let mut reference: Option<usize> = None;
-    for round in 0..PASSES {
-        let ((aos, hits_aos), (soa, hits_soa), (ada, hits_ada)) = match round % 3 {
-            0 => {
-                let a = one_pass(make_aos(), trace, reps);
-                let s = one_pass(make_soa(), trace, reps);
-                let d = one_pass(make_ada(), trace, reps);
-                (a, s, d)
-            }
-            1 => {
-                let s = one_pass(make_soa(), trace, reps);
-                let d = one_pass(make_ada(), trace, reps);
-                let a = one_pass(make_aos(), trace, reps);
-                (a, s, d)
-            }
-            _ => {
-                let d = one_pass(make_ada(), trace, reps);
-                let a = one_pass(make_aos(), trace, reps);
-                let s = one_pass(make_soa(), trace, reps);
-                (a, s, d)
-            }
-        };
-        assert_eq!(hits_aos, hits_soa, "{context}: layouts diverged");
-        assert_eq!(hits_aos, hits_ada, "{context}: adaptive diverged");
-        match reference {
-            None => reference = Some(hits_aos),
-            Some(h) => assert_eq!(h, hits_aos, "{context}: replay diverged between rounds"),
-        }
-        best[0] = best[0].max(aos);
-        best[1] = best[1].max(soa);
-        best[2] = best[2].max(ada);
-        vs_best = vs_best.max(ada / aos.max(soa));
-    }
-    (best, vs_best)
-}
-
 /// One measured row, kept for the JSON mirror.
 struct BackendRow {
     variant: String,
@@ -341,21 +270,20 @@ struct BackendRow {
     adaptive_label: &'static str,
 }
 
-/// AoS-vs-SoA-vs-adaptive backend comparison on the windowed and LRFU
-/// hot loops.
+/// AoS-vs-SoA-vs-adaptive backend comparison on the windowed hot
+/// loops.
 ///
-/// Every slack-window algorithm and the q-MAX LRFU are generic over
-/// their interval backend; this experiment measures what the
-/// structure-of-arrays backend buys them on a Zipf-skewed stream fed
-/// through the batched insert path, and what [`AdaptiveBackend`]'s
-/// static layout rules recover by picking the layout per block shape.
-/// Along the way it asserts all three layouts produce identical top-q
-/// value multisets (windows) and identical hit counts (LRFU). Series
+/// Every slack-window algorithm is generic over its interval backend;
+/// this experiment measures what the structure-of-arrays backend buys
+/// it on a Zipf-skewed stream fed through the batched insert path, and
+/// what [`AdaptiveBackend`]'s static layout rules recover by picking
+/// the layout per block shape. Along the way it asserts all three
+/// layouts produce identical top-q value multisets. Series
 /// mirror to `results/windows_backend_compare.csv` (with an
 /// `adaptive_vs_best` column for the CI gate) and `BENCH_windows.json`
 /// (with the layout rules embedded for provenance).
 pub fn windows_backend(scale: &Scale) {
-    println!("# Windowed/LRFU q-MAX: AoS vs SoA vs adaptive block backends (batched inserts)");
+    println!("# Windowed q-MAX: AoS vs SoA vs adaptive block backends (batched inserts)");
     let n = scale.stream(4_000_000);
     let q = 10_000;
     let gamma = 0.25;
@@ -438,40 +366,6 @@ pub fn windows_backend(scale: &Scale) {
         });
     }
 
-    // q-MAX LRFU: the log buffer rides the same backends; batch the
-    // requests and compare layouts on an ARC-like cache trace. The log's
-    // score lane is OrderedF64, so the layout rules resolve the adaptive
-    // log to AoS — the layout that measured faster for the
-    // never-self-compacting buffer.
-    let reqs = scale.stream(2_000_000);
-    let trace = arc_like(reqs, 200_000, 11);
-    let lrfu_q = 50_000;
-    for lrfu_gamma in [0.25, 1.0] {
-        let cap = QMaxLrfu::<u64>::log_capacity(lrfu_q, lrfu_gamma);
-        let soa = || {
-            QMaxLrfu::<u64, _>::with_buffer(lrfu_q, 0.75, SoaAmortizedQMax::new(cap, lrfu_gamma))
-        };
-        let adaptive =
-            || QMaxLrfu::<u64, _>::with_buffer(lrfu_q, 0.75, AdaptiveBackend::new(cap, lrfu_gamma));
-        let label = adaptive().log_backend_label();
-        let ([aos_mips, soa_mips, ada_mips], vs_best) = tri_cache_mips(
-            || QMaxLrfu::new(lrfu_q, lrfu_gamma, 0.75),
-            soa,
-            adaptive,
-            &trace,
-            &format!("lrfu gamma={lrfu_gamma}"),
-        );
-        rows.push(BackendRow {
-            variant: format!("lrfu-g{lrfu_gamma}"),
-            tau: "-".into(),
-            aos_mips,
-            soa_mips,
-            adaptive_mips: ada_mips,
-            adaptive_vs_best: vs_best,
-            adaptive_label: label,
-        });
-    }
-
     for r in &rows {
         rep.row(&[
             r.variant.clone(),
@@ -484,17 +378,6 @@ pub fn windows_backend(scale: &Scale) {
         ]);
     }
     write_bench_json(&rows, n, q);
-}
-
-/// Object-safe shim so both LRFU layouts share one timing loop.
-trait CacheBatch {
-    fn request_chunk(&mut self, keys: &[u64]) -> usize;
-}
-
-impl<B: IntervalBackend<u64, OrderedF64>> CacheBatch for QMaxLrfu<u64, B> {
-    fn request_chunk(&mut self, keys: &[u64]) -> usize {
-        self.request_batch(keys)
-    }
 }
 
 /// Hand-rolled JSON mirror (no serde in the dependency-free build).
@@ -550,9 +433,5 @@ fn write_bench_json(rows: &[BackendRow], stream_len: usize, q: usize) {
         batch = BATCH,
         body = body,
     );
-    match std::fs::File::create("BENCH_windows.json").and_then(|mut f| f.write_all(json.as_bytes()))
-    {
-        Ok(()) => eprintln!("[windows-backend] wrote BENCH_windows.json"),
-        Err(e) => eprintln!("[windows-backend] could not write BENCH_windows.json: {e}"),
-    }
+    crate::write_bench_json("windows", &json);
 }

@@ -134,6 +134,26 @@ impl Report {
     }
 }
 
+/// Writes an experiment's `BENCH_<name>.json` mirror under
+/// `$QMAX_RESULTS_DIR` when set, else in the working directory, so a
+/// scaled run pointed elsewhere leaves the committed full-scale files
+/// alone. Reports the outcome on stderr.
+pub fn write_bench_json(name: &str, json: &str) {
+    let file = format!("BENCH_{name}.json");
+    let path = match std::env::var("QMAX_RESULTS_DIR") {
+        Ok(dir) => {
+            // A failure here surfaces as the write's error below.
+            let _ = std::fs::create_dir_all(&dir);
+            std::path::Path::new(&dir).join(file)
+        }
+        Err(_) => file.into(),
+    };
+    match std::fs::write(&path, json) {
+        Ok(()) => eprintln!("[{name}] wrote {}", path.display()),
+        Err(e) => eprintln!("[{name}] could not write {}: {e}", path.display()),
+    }
+}
+
 /// Formats a float with three significant decimals for report rows.
 pub fn fmt(v: f64) -> String {
     if v >= 100.0 {
@@ -209,9 +229,13 @@ mod tests {
             let mut r = Report::new("unit_test", &["a", "b"]);
             r.row(&["1".into(), "2".into()]);
         }
+        write_bench_json("unit_test", "{}\n");
         std::env::remove_var("QMAX_RESULTS_DIR");
         let content = std::fs::read_to_string(dir.join("unit_test.csv")).unwrap();
         assert_eq!(content, "a,b\n1,2\n");
+        let json = std::fs::read_to_string(dir.join("BENCH_unit_test.json")).unwrap();
+        assert_eq!(json, "{}\n");
+        assert!(!std::path::Path::new("BENCH_unit_test.json").exists());
     }
 
     #[test]

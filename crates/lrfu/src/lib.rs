@@ -20,8 +20,9 @@
 //!   no-sift-heap behaviour the paper benchmarks against (Figure 9).
 //! * [`QMaxLrfu`] — the paper's q-MAX based LRFU: amortized `O(1)` per
 //!   request, population in `[q, q(1+γ)]`, guaranteeing the `q`
-//!   highest-score items are never evicted. [`QMaxLrfu::with_buffer`]
-//!   pins the layout of its request log.
+//!   highest-score items (scored since they entered the cache) are
+//!   never evicted. Each request folds into its key's score at probe
+//!   time, so the request log keeps no storage.
 //! * [`Cache`] / [`hit_ratio`] — the shared policy interface and
 //!   evaluation harness (Table 2).
 

@@ -314,32 +314,24 @@ fn deamortized_lrfu_requests_do_not_allocate() {
 #[test]
 fn qmax_lrfu_steady_state_requests_do_not_allocate() {
     let requests = request_stream(200_000);
-    for batched in [false, true] {
-        let mut cache = QMaxLrfu::new(1_000, 0.5, 0.75);
-        let mut warm = 0;
-        while cache.maintenance_passes() < 5 {
-            cache.request_batch(&requests[warm..warm + 256]);
-            warm += 256;
-        }
-        let before = cache.maintenance_passes();
-        let (calls, ()) = calls_during(|| {
-            if batched {
-                for span in requests[warm..].chunks(256) {
-                    cache.request_batch(span);
-                }
-            } else {
-                for &k in &requests[warm..] {
-                    cache.request(k);
-                }
-            }
-        });
-        let passes = cache.maintenance_passes() - before;
-        assert!(passes >= 10, "batched={batched}: only {passes} passes");
-        assert_eq!(
-            calls, 0,
-            "batched={batched}: {calls} allocations over {passes} maintenance passes"
-        );
+    let mut cache = QMaxLrfu::new(1_000, 0.5, 0.75);
+    let mut warm = 0;
+    while cache.maintenance_passes() < 5 {
+        cache.request(requests[warm]);
+        warm += 1;
     }
+    let before = cache.maintenance_passes();
+    let (calls, ()) = calls_during(|| {
+        for &k in &requests[warm..] {
+            cache.request(k);
+        }
+    });
+    let passes = cache.maintenance_passes() - before;
+    assert!(passes >= 10, "only {passes} passes");
+    assert_eq!(
+        calls, 0,
+        "{calls} allocations over {passes} maintenance passes"
+    );
 }
 
 #[test]

@@ -21,7 +21,6 @@ use qmax_core::{
     HierSlackQMax, LazySlackQMax, QMax,
 };
 use qmax_engine::ShardedQMax;
-use qmax_lrfu::QMaxLrfu;
 use qmax_traces::zipf::ZipfSampler;
 
 const TAUS: [f64; 6] = [0.003, 0.01, 0.1, 0.33, 0.9, 1.0];
@@ -304,18 +303,5 @@ fn auto_choices_are_pinned_to_shipped_shapes() {
                 "{variant} tau={t}"
             );
         }
-    }
-    for lrfu_gamma in [0.25, 1.0] {
-        let cap = QMaxLrfu::<u64>::log_capacity(50_000, lrfu_gamma);
-        let built =
-            QMaxLrfu::<u64, _>::with_buffer(50_000, 0.75, AdaptiveBackend::new(cap, lrfu_gamma))
-                .log_backend_label();
-        assert_eq!(built, label(Aos), "lrfu gamma={lrfu_gamma}");
-        let variant = format!("lrfu-g{lrfu_gamma}");
-        assert_eq!(
-            recorded_label(&bench, &variant, "-"),
-            label(Aos),
-            "{variant}"
-        );
     }
 }
