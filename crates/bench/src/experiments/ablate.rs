@@ -4,7 +4,7 @@
 use crate::scale::Scale;
 use crate::{fmt, time_stream, Backend, Report};
 use qmax_core::{DeamortizedQMax, QMax};
-use qmax_select::{mom_nth_smallest, nth_smallest};
+use qmax_select::{mom_nth_smallest, nth_smallest, Direction, MachineStatus, NthElementMachine};
 use qmax_traces::gen::random_u64_stream;
 use std::time::Instant;
 
@@ -53,17 +53,53 @@ pub fn ablate_deamortize(scale: &Scale) {
     }
 }
 
-/// Ablation: introselect vs pure median-of-medians inside the
-/// compaction, on compaction-shaped inputs (a `q(1+γ)` buffer whose
-/// top part is partially ordered from previous compactions).
+/// A selector under test: rearranges `buf` and returns its `k`-th
+/// smallest element.
+type Select = fn(&mut [u64], usize) -> u64;
+
+/// `slice::select_nth_unstable`: the standard library's selection, the
+/// baseline the hand-written selectors are measured against.
+fn std_select(buf: &mut [u64], k: usize) -> u64 {
+    *buf.select_nth_unstable(k).1
+}
+
+/// The de-amortized compaction's suspendable machine, run to completion
+/// in one call.
+fn machine_run(buf: &mut [u64], k: usize) -> u64 {
+    let mut m = NthElementMachine::new(0, buf.len(), k, Direction::Ascending);
+    let i = m.run_to_completion(buf);
+    buf[i]
+}
+
+/// The same machine driven in 64-op steps: its delta over
+/// `machine_run` is the per-step overhead of suspending and resuming.
+fn machine_budget64(buf: &mut [u64], k: usize) -> u64 {
+    let mut m = NthElementMachine::new(0, buf.len(), k, Direction::Ascending);
+    while m.step(buf, 64) == MachineStatus::InProgress {}
+    buf[m.result_index().expect("machine finished")]
+}
+
+/// Ablation: the selection algorithm inside the compaction, on
+/// compaction-shaped inputs (a `q(1+γ)` buffer whose top part is
+/// partially ordered from previous compactions): the standard library's
+/// `select_nth_unstable`, introselect, pure median-of-medians, and the
+/// de-amortized machine (run to completion, and in 64-op steps). Every
+/// run's answer is checked against a sorted copy of its input.
 pub fn ablate_select(scale: &Scale) {
-    println!("# Ablation: selection algorithm (introselect vs median-of-medians)");
+    println!("# Ablation: selection algorithm (std, introselect, median-of-medians, machine)");
     let mut rep = Report::new("ablate_select", &["n", "input", "algorithm", "ns_per_elem"]);
     let sizes = if scale.full {
         vec![100_000usize, 1_000_000, 10_000_000]
     } else {
         vec![100_000usize, 1_000_000]
     };
+    let algorithms: [(&str, Select); 5] = [
+        ("std", std_select),
+        ("introselect", |b, k| *nth_smallest(b, k)),
+        ("mom", |b, k| *mom_nth_smallest(b, k)),
+        ("machine_run", machine_run),
+        ("machine_budget64", machine_budget64),
+    ];
     for &n in &sizes {
         let random: Vec<u64> = random_u64_stream(n, 9).collect();
         let mut sorted = random.clone();
@@ -77,24 +113,21 @@ pub fn ablate_select(scale: &Scale) {
             ("reversed", &reversed),
             ("few-distinct", &few),
         ] {
-            for (aname, f) in [
-                (
-                    "introselect",
-                    nth_smallest::<u64> as fn(&mut [u64], usize) -> &u64,
-                ),
-                (
-                    "mom",
-                    mom_nth_smallest::<u64> as fn(&mut [u64], usize) -> &u64,
-                ),
-            ] {
+            let mut expect = input.clone();
+            expect.sort_unstable();
+            for (aname, f) in algorithms {
                 let reps = 5;
                 let mut total = std::time::Duration::ZERO;
                 for r in 0..reps {
                     let mut buf = input.clone();
                     let k = (n / 2 + r) % n;
                     let start = Instant::now();
-                    std::hint::black_box(f(&mut buf, k));
+                    let got = std::hint::black_box(f(&mut buf, k));
                     total += start.elapsed();
+                    assert_eq!(
+                        got, expect[k],
+                        "{aname} selected the wrong element on {iname}"
+                    );
                 }
                 let ns = total.as_nanos() as f64 / (reps * n) as f64;
                 rep.row(&[n.to_string(), iname.into(), aname.into(), fmt(ns)]);

@@ -4,7 +4,7 @@
 //! The `figures` binary (`cargo run -p qmax-bench --release --bin
 //! figures -- <id>`) uses these helpers to time streams through the
 //! competing reservoir structures and print the series each figure
-//! plots. Criterion micro-benchmarks live under `benches/`.
+//! plots.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

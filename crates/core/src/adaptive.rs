@@ -282,8 +282,11 @@ mod tests {
             assert_eq!(choose::<u32>(100, fill), Aos);
             assert_eq!(choose::<i64>(100, fill), Aos);
         }
-        // The LRFU log (q = 5·10⁴, γ = 0.25), with no fill hint.
-        assert_eq!(choose::<OrderedF64>(62_500, None), Aos);
+        // The one shipped non-u64 adaptive lane: the shards of
+        // `ShardedQMax::new_decayed`, `ExpDecayQMax<AdaptiveBackend<_,
+        // OrderedF64>>`, at the q = 8, γ = 0.5 its tests build (capacity
+        // 12), with no fill hint.
+        assert_eq!(choose::<OrderedF64>(12, None), Aos);
     }
 
     #[test]
