@@ -21,6 +21,14 @@ use std::time::Instant;
 
 const BATCH: usize = 1024;
 
+/// The widest checkpoint cadence the recovery series prices.
+const MAX_CADENCE: u64 = 4096;
+
+/// Floor on the recovery series' stream length: shard 0 panics at item
+/// `n / 8` (half its even share of four shards), which this puts at two
+/// of the widest cadences, after its first checkpoint at every cadence.
+const RECOVERY_MIN_STREAM: usize = 16 * MAX_CADENCE as usize;
+
 fn zipf_stream(n: usize, seed: u64) -> Vec<(u64, u64)> {
     let mut flows = ZipfSampler::new(1_000_000, 1.0, seed);
     random_u64_stream(n, seed ^ 0x5EED)
@@ -117,7 +125,10 @@ pub fn sharded_scaling(scale: &Scale) {
 ///   default cadence (1024); each `panic-ckpt-*` row adds one scripted
 ///   panic on shard 0 halfway through its even share, warm-restored
 ///   from its last checkpoint at that cadence, so its delta over
-///   `no-fault` is the end-to-end cost of a single recovery.
+///   `no-fault` is the end-to-end cost of a single recovery. The series
+///   runs at least [`RECOVERY_MIN_STREAM`] items, so at every scale the
+///   panic lands after shard 0's first checkpoint and each such row
+///   asserts that its restore re-adopted entries.
 ///
 /// The `overload` rows run the default de-amortized shards and the
 /// `recovery` rows amortized shards behind `FaultyBackend`, so compare
@@ -157,12 +168,13 @@ fn resilience(scale: &Scale, q: usize) {
     }
 
     let _silence = silence_fault_panics();
+    let n = n.max(RECOVERY_MIN_STREAM);
     let items = zipf_stream(n, 13);
     let cadences: [(&str, Option<u64>); 4] = [
         ("no-fault", None),
         ("panic-ckpt-256", Some(256)),
         ("panic-ckpt-1024", Some(1024)),
-        ("panic-ckpt-4096", Some(4096)),
+        ("panic-ckpt-4096", Some(MAX_CADENCE)),
     ];
     for (name, fault_ckpt) in cadences {
         let mut engine: ShardedQMax<u64, u64, FaultyBackend<AmortizedQMax<u64, u64>>> =
@@ -179,6 +191,12 @@ fn resilience(scale: &Scale, q: usize) {
             ..DriverConfig::default()
         };
         let report = engine.run_threaded(items.iter().copied(), config);
+        if fault_ckpt.is_some() {
+            assert!(
+                report.recovered() > 0,
+                "{name}: the warm restore re-adopted no checkpointed entries"
+            );
+        }
         rep.row(&[
             "recovery".into(),
             name.into(),

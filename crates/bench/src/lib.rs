@@ -17,6 +17,7 @@ use qmax_core::{
     SoaDeamortizedQMax, SortedVecQMax,
 };
 use std::io::Write;
+use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 /// The reservoir structures compared throughout the evaluation.
@@ -101,14 +102,24 @@ pub struct Report {
     columns: Vec<String>,
 }
 
+/// Where the harness writes its CSV and JSON mirrors: `$QMAX_RESULTS_DIR`
+/// when set, else `default` (relative to the working directory).
+fn results_dir(default: &str) -> PathBuf {
+    std::env::var_os("QMAX_RESULTS_DIR").map_or_else(|| default.into(), PathBuf::from)
+}
+
 impl Report {
     /// Opens a report for experiment `id` with the given column names.
     /// CSVs go under `results/` in the working directory, or under
     /// `$QMAX_RESULTS_DIR` when set.
     pub fn new(id: &str, columns: &[&str]) -> Self {
-        let dir = std::env::var("QMAX_RESULTS_DIR").unwrap_or_else(|_| "results".into());
-        let csv = std::fs::create_dir_all(&dir)
-            .and_then(|()| std::fs::File::create(format!("{dir}/{id}.csv")))
+        Self::in_dir(&results_dir("results"), id, columns)
+    }
+
+    /// [`Report::new`] mirroring its CSV under `dir`.
+    fn in_dir(dir: &Path, id: &str, columns: &[&str]) -> Self {
+        let csv = std::fs::create_dir_all(dir)
+            .and_then(|()| std::fs::File::create(dir.join(format!("{id}.csv"))))
             .ok();
         let mut r = Report {
             csv,
@@ -139,15 +150,14 @@ impl Report {
 /// scaled run pointed elsewhere leaves the committed full-scale files
 /// alone. Reports the outcome on stderr.
 pub fn write_bench_json(name: &str, json: &str) {
-    let file = format!("BENCH_{name}.json");
-    let path = match std::env::var("QMAX_RESULTS_DIR") {
-        Ok(dir) => {
-            // A failure here surfaces as the write's error below.
-            let _ = std::fs::create_dir_all(&dir);
-            std::path::Path::new(&dir).join(file)
-        }
-        Err(_) => file.into(),
-    };
+    write_bench_json_in(&results_dir("."), name, json);
+}
+
+/// [`write_bench_json`] writing under `dir`.
+fn write_bench_json_in(dir: &Path, name: &str, json: &str) {
+    // A failure here surfaces as the write's error below.
+    let _ = std::fs::create_dir_all(dir);
+    let path = dir.join(format!("BENCH_{name}.json"));
     match std::fs::write(&path, json) {
         Ok(()) => eprintln!("[{name}] wrote {}", path.display()),
         Err(e) => eprintln!("[{name}] could not write {}: {e}", path.display()),
@@ -223,25 +233,23 @@ mod tests {
     #[test]
     fn report_writes_csv() {
         let dir = std::env::temp_dir().join("qmax_report_test");
-        let _ = std::fs::create_dir_all(&dir);
-        std::env::set_var("QMAX_RESULTS_DIR", &dir);
         {
-            let mut r = Report::new("unit_test", &["a", "b"]);
+            let mut r = Report::in_dir(&dir, "unit_test", &["a", "b"]);
             r.row(&["1".into(), "2".into()]);
         }
-        write_bench_json("unit_test", "{}\n");
-        std::env::remove_var("QMAX_RESULTS_DIR");
+        write_bench_json_in(&dir, "unit_test", "{}\n");
         let content = std::fs::read_to_string(dir.join("unit_test.csv")).unwrap();
         assert_eq!(content, "a,b\n1,2\n");
         let json = std::fs::read_to_string(dir.join("BENCH_unit_test.json")).unwrap();
         assert_eq!(json, "{}\n");
-        assert!(!std::path::Path::new("BENCH_unit_test.json").exists());
+        assert!(!Path::new("BENCH_unit_test.json").exists());
     }
 
     #[test]
     #[should_panic(expected = "column mismatch")]
     fn report_row_width_is_checked() {
-        let mut r = Report::new("unit_test_width", &["a", "b"]);
+        let dir = std::env::temp_dir().join("qmax_report_width_test");
+        let mut r = Report::in_dir(&dir, "unit_test_width", &["a", "b"]);
         r.row(&["only-one".into()]);
     }
 }

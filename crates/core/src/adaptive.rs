@@ -19,8 +19,8 @@
 //!   interleaved AoS push beats the SoA two-lane push;
 //! * every other block cycles through kernel admits and goes to SoA.
 //!
-//! `QMAX_FORCE_SCALAR` pins the kernels the SoA layout dispatches to but
-//! never changes which layout is picked.
+//! The kernel tier (which `GLIBC_TUNABLES` can mask on glibc) decides
+//! what the SoA layout dispatches to but never which layout is picked.
 //!
 //! Both delegates are the one amortized algorithm
 //! ([`Amortized`](crate::Amortized)) over different slot layouts: same

@@ -11,7 +11,7 @@
 //!   bytes per group (a quarter cache line), so one
 //!   [`ProbeKernel::match_byte`] compare — `pcmpeqb`/`cmeq.16b` where
 //!   available, a portable loop otherwise — filters 16 candidate slots
-//!   at once. `QMAX_FORCE_SCALAR=1` pins the portable probe.
+//!   at once. [`ProbeKernel::scalar`] pins the portable probe.
 //! * **Fixed-seed multiplicative hashing.** [`FixedState`] is an
 //!   FxHash-style 1-multiply hasher: deterministic across runs (replay
 //!   oracles stay exact) and an order of magnitude cheaper than SipHash
@@ -365,7 +365,8 @@ impl<K: Hash + Eq, V> Default for FlowTable<K, V> {
 
 impl<K: Hash + Eq, V> FlowTable<K, V> {
     /// An empty table with the runtime-detected probe kernel
-    /// (`QMAX_FORCE_SCALAR=1` pins the portable probe).
+    /// ([`with_capacity_and_probe`](Self::with_capacity_and_probe) with
+    /// [`ProbeKernel::scalar`] pins the portable probe).
     pub fn new() -> Self {
         Self::with_capacity_and_probe(0, ProbeKernel::detect())
     }
@@ -376,7 +377,7 @@ impl<K: Hash + Eq, V> FlowTable<K, V> {
     }
 
     /// An empty table with an explicit probe kernel — the hook the
-    /// differential battery uses to compare a forced-scalar table
+    /// differential battery uses to compare a scalar-probe table
     /// against a dispatched one in the same process.
     pub fn with_capacity_and_probe(cap: usize, probe: ProbeKernel) -> Self {
         let mut groups = 1usize;

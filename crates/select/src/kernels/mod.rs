@@ -20,16 +20,17 @@
 //! NEON (aarch64) implementation when
 //!
 //! 1. the CPU and OS report the feature at runtime: on x86_64 Linux
-//!    with glibc, its start-up CPUID table (no `CPUID` of our own;
-//!    `GLIBC_TUNABLES=glibc.cpu.hwcaps=-AVX512F` caps it at AVX2), on
+//!    with glibc, its start-up CPUID table (no `CPUID` of our own), on
 //!    other x86_64 targets `is_x86_feature_detected!`, on aarch64
-//!    `is_aarch64_feature_detected!("neon")`. The probe runs at most
-//!    once per process; its answer, with rule 3 folded in, is cached in
-//!    one static;
+//!    `is_aarch64_feature_detected!("neon")`. The probe is a plain read
+//!    with no cache or one-time init of its own: glibc writes its table
+//!    before `main`, and the standard library caches its checks. With
+//!    glibc, `GLIBC_TUNABLES=glibc.cpu.hwcaps=-AVX512F` caps the tier at
+//!    AVX2 and `-AVX512F,-AVX2` pins scalar (masking `-AVX2` alone
+//!    still reads AVX-512F); other targets have no runtime override, and
+//!    the library reads no environment variable; and
 //! 2. the lane type is exactly `u64` (checked via [`TypeId`]; the SIMD
-//!    paths compare unsigned 64-bit lanes), and
-//! 3. `QMAX_FORCE_SCALAR` is unset or `"0"` in the environment (CI
-//!    sets it to pin the portable path).
+//!    paths compare unsigned 64-bit lanes).
 //!
 //! Otherwise every call runs the always-correct scalar fallback in
 //! `scalar` — the *same* code the SIMD paths must match bit-for-bit
@@ -43,10 +44,10 @@
 //! and uniform:
 //!
 //! * every `#[target_feature]` function is only reachable through a
-//!   [`Kernel`] whose `kind` was set from the process-wide probe
-//!   result, which names a tier only when glibc or the standard library
-//!   found its `CPUID` bit and the XCR0 state it needs (or, on aarch64,
-//!   NEON was detected);
+//!   [`Kernel`] whose `kind` was set from the probe result, which
+//!   names a tier only when glibc or the standard library found its
+//!   `CPUID` bit and the XCR0 state it needs (or, on aarch64, NEON was
+//!   detected);
 //! * every slice reinterpretation is gated on a `TypeId` equality
 //!   proving the cast is an identity (`V == u64`);
 //! * every SIMD store stays inside the caller-provided bounds: wide
@@ -58,7 +59,6 @@
 use crate::machine::Lanes;
 use core::any::TypeId;
 use core::marker::PhantomData;
-use std::sync::OnceLock;
 
 #[cfg(target_arch = "x86_64")]
 mod avx2;
@@ -171,19 +171,13 @@ where
     scratch[srank].clone()
 }
 
-/// The vector tier every `detect` resolves to: the probed tier, or
-/// `Scalar` when `QMAX_FORCE_SCALAR` is set to anything but `"0"`.
-/// Probed on first use and cached for the process, so every later call
-/// is a single load.
+/// The vector tier every `detect` resolves to. It needs no cache of its
+/// own: glibc's table is written before `main` and never again, the
+/// standard library caches its feature checks, and under Miri the probe
+/// is a constant.
+#[inline]
 fn detected_kind() -> KernelKind {
-    static KIND: OnceLock<KernelKind> = OnceLock::new();
-    *KIND.get_or_init(|| {
-        if std::env::var_os("QMAX_FORCE_SCALAR").is_some_and(|v| v != "0") {
-            KernelKind::Scalar
-        } else {
-            probe_arch_kind()
-        }
-    })
+    probe_arch_kind()
 }
 
 /// Leaf `index` of the CPUID table glibc's loader fills before `main`
@@ -206,7 +200,7 @@ fn glibc_cpuid_leaf(index: u32) -> [[u32; 4]; 2] {
     unsafe { *__x86_get_cpuid_feature_leaf(index) }
 }
 
-/// Uncached x86_64 probe for the `u64` lane kernels. With glibc it reads
+/// The x86_64 probe for the `u64` lane kernels. With glibc it reads
 /// the usable AVX-512F (16) and AVX2 (5) bits of `CPUID.(7,0):EBX` from
 /// glibc's table and runs no `CPUID` (each a VM exit under
 /// virtualization). glibc sets AVX2 only when XCR0 enables the SSE and
@@ -232,8 +226,8 @@ fn probe_arch_kind() -> KernelKind {
     }
 }
 
-/// Uncached aarch64 probe: the auxiliary-vector read behind the
-/// standard library's NEON check does not trap.
+/// The aarch64 probe: the auxiliary-vector read behind the standard
+/// library's NEON check does not trap, and std caches its answer.
 #[cfg(target_arch = "aarch64")]
 fn probe_arch_kind() -> KernelKind {
     if std::arch::is_aarch64_feature_detected!("neon") {
@@ -326,8 +320,7 @@ impl<V> core::fmt::Debug for Kernel<V> {
 impl<V: Ord + Copy + 'static> Kernel<V> {
     /// Resolves the best kernel for `V` on this CPU: AVX-512F, AVX2,
     /// or NEON (in that preference order) when the feature is present
-    /// *and* `V` is `u64`, scalar otherwise (or when the
-    /// `QMAX_FORCE_SCALAR` environment variable is set).
+    /// *and* `V` is `u64`, scalar otherwise.
     pub fn detect() -> Self {
         let kind = if is_u64_lane::<V>() {
             detected_kind()
@@ -597,7 +590,7 @@ mod tests {
 
     #[cfg(all(target_arch = "x86_64", not(miri)))]
     #[test]
-    fn probe_matches_std_detection_and_is_cached() {
+    fn probe_matches_std_detection_and_tunables_mask_it() {
         let std_kind = if std::arch::is_x86_feature_detected!("avx512f") {
             KernelKind::Avx512
         } else if std::arch::is_x86_feature_detected!("avx2") {
@@ -608,20 +601,26 @@ mod tests {
         let probed = probe_arch_kind();
         if let Ok(tunables) = std::env::var("GLIBC_TUNABLES") {
             // Tunables can switch glibc's `active` bits off, never on;
-            // CI masks AVX-512F to run the AVX2 tier on AVX-512 hosts.
+            // CI masks AVX-512F to run the AVX2 tier on AVX-512 hosts,
+            // and both tiers to run its scalar battery.
             assert!(probed as u8 <= std_kind as u8, "{probed:?}");
             let glibc = cfg!(all(target_os = "linux", target_env = "gnu"));
             if glibc && tunables.contains("-AVX512F") {
                 assert_ne!(probed, KernelKind::Avx512);
+                if tunables.contains("-AVX2") {
+                    // A mask naming both tiers must reach every detect:
+                    // a typo in it would otherwise run SIMD silently.
+                    assert_eq!(probed, KernelKind::Scalar);
+                    assert_eq!(Kernel::<u64>::detect().kind(), KernelKind::Scalar);
+                    assert_eq!(ProbeKernel::detect().kind(), KernelKind::Scalar);
+                }
             }
         } else {
             assert_eq!(probed, std_kind);
         }
-        let forced = std::env::var_os("QMAX_FORCE_SCALAR").is_some_and(|v| v != "0");
-        let want = if forced { KernelKind::Scalar } else { probed };
         for _ in 0..2 {
-            assert_eq!(Kernel::<u64>::detect().kind(), want);
-            assert_eq!(ProbeKernel::detect().kind(), want);
+            assert_eq!(Kernel::<u64>::detect().kind(), probed);
+            assert_eq!(ProbeKernel::detect().kind(), probed);
         }
     }
 

@@ -14,14 +14,14 @@
 //! * **aarch64** — `cmeq.16b` + weighted horizontal adds (`addv`)
 //!   reproducing `pmovmskb`'s exact bit order.
 //! * **scalar** — a branch-free per-byte loop; the reference the SIMD
-//!   paths must match bit-for-bit, and the path taken for
-//!   `QMAX_FORCE_SCALAR=1`, under Miri, and on CPUs where runtime
-//!   detection reports no vector tier.
+//!   paths must match bit-for-bit, and the path taken under Miri and
+//!   on CPUs where runtime detection reports no vector tier (with
+//!   glibc, `GLIBC_TUNABLES=glibc.cpu.hwcaps=-AVX512F,-AVX2` masks both
+//!   tiers and so takes it too).
 //!
 //! Dispatch mirrors [`super::Kernel`]: resolved once per table
 //! ([`ProbeKernel::detect`]), pinned to the portable path by
-//! [`ProbeKernel::scalar`] or the `QMAX_FORCE_SCALAR` environment
-//! variable. Differential property tests in
+//! [`ProbeKernel::scalar`]. Differential property tests in
 //! `tests/proptest_kernels.rs` pin scalar ≡ SIMD over adversarial
 //! group contents (all-match, no-match, sentinel-heavy).
 
@@ -45,13 +45,12 @@ pub struct ProbeKernel {
 
 impl ProbeKernel {
     /// Resolves the best probe kernel for this CPU from the tier
-    /// [`Kernel::detect`](super::Kernel::detect) uses: one process-wide
-    /// answer, probed once (on x86_64 Linux with glibc from its start-up
-    /// CPUID table, elsewhere from the standard library's detection). Any
-    /// vector tier selects the 16-lane byte-compare path — the probe
-    /// needs only baseline 128-bit compares, so the tiers all map to the
-    /// same implementation per architecture — scalar otherwise (or when
-    /// `QMAX_FORCE_SCALAR` is set to anything but `"0"`).
+    /// [`Kernel::detect`](super::Kernel::detect) uses (on x86_64 Linux
+    /// with glibc read from its start-up CPUID table, elsewhere from the
+    /// standard library's cached detection). Any vector tier selects the
+    /// 16-lane byte-compare path — the probe needs only baseline 128-bit
+    /// compares, so the tiers all map to the same implementation per
+    /// architecture — scalar otherwise.
     pub fn detect() -> Self {
         ProbeKernel {
             kind: detected_kind(),
@@ -190,9 +189,7 @@ mod tests {
     }
 
     #[test]
-    fn forced_scalar_env_is_honored_by_detect() {
-        // Can't toggle the env var after the OnceLock is set; at least
-        // pin that scalar() always refuses to vectorize.
+    fn scalar_never_vectorizes() {
         assert_eq!(ProbeKernel::scalar().kind(), KernelKind::Scalar);
         assert!(!ProbeKernel::scalar().is_vectorized());
     }

@@ -3,8 +3,8 @@
 //! These define the semantics the SIMD paths must reproduce exactly on
 //! the defined output region: same cursors, same counts, same region
 //! contents in the same order. They are also the fallback for lane
-//! types other than `u64`, for CPUs without the vector features, and
-//! under `QMAX_FORCE_SCALAR`.
+//! types other than `u64`, for CPUs without the vector features (or,
+//! with glibc, whose tiers `GLIBC_TUNABLES` masks), and under Miri.
 
 use super::RunPred;
 

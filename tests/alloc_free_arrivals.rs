@@ -202,17 +202,11 @@ fn soa_amortized_arrivals_do_not_allocate() {
     check_amortized_layout::<PairedLanes<u64, u64>>("soa");
 }
 
-/// Allocator calls of a second `build()`; the first fills the
-/// process-wide caches (kernel tier, backend policy).
-fn second_build_calls<T>(build: impl Fn() -> T) -> (usize, T) {
-    drop(build());
-    calls_during(&build)
-}
-
-/// Allocator calls of a second `build()` and of a `fresh()` block from
-/// it.
-fn construction_calls<B: IntervalBackend<u64, u64>>(build: impl Fn() -> B) -> (usize, usize) {
-    let (built, proto) = second_build_calls(build);
+/// Allocator calls of a first `build()` and of a `fresh()` block from
+/// it: construction fills no process-wide cache, so the first build is
+/// already the steady one.
+fn construction_calls<B: IntervalBackend<u64, u64>>(build: impl FnOnce() -> B) -> (usize, usize) {
+    let (built, proto) = calls_during(build);
     let (fresh, _) = calls_during(|| proto.fresh());
     (built, fresh)
 }
@@ -255,17 +249,17 @@ fn deamortized_construction_allocates_only_its_buffers() {
         (
             "aos",
             2,
-            second_build_calls(|| DeamortizedQMax::<u64, u64>::try_new(Q, GAMMA).unwrap()).0,
+            calls_during(|| DeamortizedQMax::<u64, u64>::try_new(Q, GAMMA).unwrap()).0,
         ),
         (
             "soa",
             3,
-            second_build_calls(|| SoaDeamortizedQMax::<u64, u64>::try_new(Q, GAMMA).unwrap()).0,
+            calls_during(|| SoaDeamortizedQMax::<u64, u64>::try_new(Q, GAMMA).unwrap()).0,
         ),
         (
             "sharded-4",
             12,
-            second_build_calls(|| ShardedQMax::<u64, u64>::new(Q, GAMMA, 4)).0,
+            calls_during(|| ShardedQMax::<u64, u64>::new(Q, GAMMA, 4)).0,
         ),
     ];
     for (structure, expect, built) in cases {
