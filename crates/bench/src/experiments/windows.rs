@@ -4,8 +4,8 @@
 use crate::scale::Scale;
 use crate::{fmt, mpps, Report};
 use qmax_core::{
-    AdaptiveBackend, AdaptiveBasicSlackQMax, AmortizedQMax, BasicSlackQMax, BatchInsert,
-    HierSlackQMax, LazySlackQMax, QMax, SoaAmortizedQMax,
+    AmortizedQMax, BasicSlackQMax, BatchInsert, HierSlackQMax, LazySlackQMax, QMax,
+    SoaAmortizedQMax,
 };
 use qmax_traces::gen::random_u64_stream;
 use qmax_traces::zipf::ZipfSampler;
@@ -134,11 +134,11 @@ pub fn ablate_window(scale: &Scale) {
 
 const BATCH: usize = 1024;
 
-/// Timed interleaved rounds per configuration; each round measures all
-/// three layouts back-to-back and the per-layout best is reported. Six
-/// rounds = two full rotations of the measurement order (see
-/// [`tri_window_mips`]), enough that the CI gate at 0.95 measures the
-/// layout rules and not single-round scheduler or allocator interference
+/// Timed interleaved rounds per configuration; each round measures both
+/// layouts back-to-back and the per-layout best is reported. Six rounds
+/// = three full rotations of the measurement order (see
+/// [`paired_window_mips`]), enough that the CI gate at 0.95 measures the
+/// layouts and not single-round scheduler or allocator interference
 /// (observed at 5–10% on the ~10 ms basic-window rows).
 const PASSES: usize = 6;
 
@@ -176,114 +176,76 @@ where
     (mips, vals)
 }
 
-/// Interleaved best-of-[`PASSES`] over the three layouts of one window
-/// variant: each round rebuilds and replays AoS, SoA, and adaptive back
-/// to back, and each layout keeps its fastest round. Interleaving is
-/// what makes the `adaptive_vs_best` ratio trustworthy on a shared
-/// machine — slow drift (frequency scaling, allocator warm-up,
-/// container interference) hits all three layouts alike instead of
-/// whichever config happened to run last, and taking the per-layout
-/// max discards the rounds interference slowed down. The measurement
-/// order rotates each round: position within a round carries its own
-/// bias (the first layout runs against colder caches, the last against
-/// the warmest), and under a fixed order that bias lands entirely on
-/// one layout's max — rotation spreads it evenly across the three. The
-/// deterministic replay also cross-checks that every layout and every
-/// round answer the same top-q.
+/// Interleaved best-of-[`PASSES`] over the two layouts of one window
+/// variant: each round rebuilds and replays AoS and SoA back to back,
+/// and each layout keeps its fastest round. Interleaving is what makes
+/// the `soa_vs_best` ratio trustworthy on a shared machine — slow drift
+/// (frequency scaling, allocator warm-up, container interference) hits
+/// both layouts alike instead of whichever config happened to run last,
+/// and taking the per-layout max discards the rounds interference
+/// slowed down. The measurement order alternates each round: position
+/// within a round carries its own bias (the first layout runs against
+/// colder caches), and under a fixed order that bias lands entirely on
+/// one layout's max. The deterministic replay also cross-checks that
+/// both layouts and every round answer the same top-q.
 ///
-/// Returns the per-layout best throughputs `[aos, soa, adaptive]` plus
-/// the **round-paired** `adaptive_vs_best` ratio: the best over rounds
-/// of `ada / max(aos, soa)` *within that round*. The three measurements
-/// of one round run back to back, so whatever the machine was doing
-/// that round divides out of the ratio — on the shared single-core CI
-/// box, single-pass throughput wobbles ±5–10%, which cross-round
-/// max-vs-max ratios inherit and a 0.95 gate then trips on noise. A
-/// genuinely wrong layout choice (the 20–60% regressions the gate
-/// exists to catch) cannot manufacture a single ≥ 0.95 round.
-fn tri_window_mips<A, B, C, FA, FB, FC>(
+/// Returns the per-layout best throughputs `[aos, soa]` plus the
+/// **round-paired** `soa_vs_best` ratio: the best over rounds of
+/// `soa / max(aos, soa)` *within that round*. The two measurements of
+/// one round run back to back, so whatever the machine was doing that
+/// round divides out of the ratio — on a shared CI box single-pass
+/// throughput wobbles ±5–10%, which cross-round max-vs-max ratios
+/// inherit and a 0.95 gate then trips on noise. A layout that is
+/// genuinely slower (the 20–60% regressions the gate exists to catch)
+/// cannot manufacture a single ≥ 0.95 round.
+fn paired_window_mips<A, B, FA, FB>(
     mut make_aos: FA,
     mut make_soa: FB,
-    mut make_ada: FC,
     items: &[(u64, u64)],
     context: &str,
-) -> ([f64; 3], f64)
+) -> ([f64; 2], f64)
 where
     A: BatchInsert<u64, u64> + QMax<u64, u64>,
     B: BatchInsert<u64, u64> + QMax<u64, u64>,
-    C: BatchInsert<u64, u64> + QMax<u64, u64>,
     FA: FnMut() -> A,
     FB: FnMut() -> B,
-    FC: FnMut() -> C,
 {
     let (est, _) = time_window_batch(&mut make_aos(), items, 1);
     let reps = stream_reps(est, items.len());
-    let mut best = [0.0f64; 3];
-    let mut vs_best = 0.0f64;
+    let mut best = [0.0f64; 2];
+    let mut soa_vs_best = 0.0f64;
     let mut reference: Option<Vec<u64>> = None;
     for round in 0..PASSES {
-        let ((aos, top_aos), (soa, top_soa), (ada, top_ada)) = match round % 3 {
-            0 => {
-                let a = time_window_batch(&mut make_aos(), items, reps);
-                let s = time_window_batch(&mut make_soa(), items, reps);
-                let d = time_window_batch(&mut make_ada(), items, reps);
-                (a, s, d)
-            }
-            1 => {
-                let s = time_window_batch(&mut make_soa(), items, reps);
-                let d = time_window_batch(&mut make_ada(), items, reps);
-                let a = time_window_batch(&mut make_aos(), items, reps);
-                (a, s, d)
-            }
-            _ => {
-                let d = time_window_batch(&mut make_ada(), items, reps);
-                let a = time_window_batch(&mut make_aos(), items, reps);
-                let s = time_window_batch(&mut make_soa(), items, reps);
-                (a, s, d)
-            }
+        let ((aos, top_aos), (soa, top_soa)) = if round % 2 == 0 {
+            let a = time_window_batch(&mut make_aos(), items, reps);
+            (a, time_window_batch(&mut make_soa(), items, reps))
+        } else {
+            let s = time_window_batch(&mut make_soa(), items, reps);
+            (time_window_batch(&mut make_aos(), items, reps), s)
         };
         assert_eq!(top_aos, top_soa, "{context}: layouts diverged");
-        assert_eq!(top_aos, top_ada, "{context}: adaptive diverged");
         match &reference {
             None => reference = Some(top_aos),
             Some(t) => assert_eq!(t, &top_aos, "{context}: replay diverged between rounds"),
         }
         best[0] = best[0].max(aos);
         best[1] = best[1].max(soa);
-        best[2] = best[2].max(ada);
-        vs_best = vs_best.max(ada / aos.max(soa));
+        soa_vs_best = soa_vs_best.max(soa / aos.max(soa));
     }
-    (best, vs_best)
+    (best, soa_vs_best)
 }
 
-/// One measured row, kept for the JSON mirror.
-struct BackendRow {
-    variant: String,
-    tau: String,
-    aos_mips: f64,
-    soa_mips: f64,
-    adaptive_mips: f64,
-    /// Adaptive throughput relative to the best hand-picked layout,
-    /// round-paired (see [`tri_window_mips`]) — the quantity the CI
-    /// regression gate bounds from below.
-    adaptive_vs_best: f64,
-    /// The layout the rules actually chose for the adaptive run.
-    adaptive_label: &'static str,
-}
-
-/// AoS-vs-SoA-vs-adaptive backend comparison on the windowed hot
-/// loops.
+/// AoS-vs-SoA block backend comparison on the windowed hot loops.
 ///
 /// Every slack-window algorithm is generic over its interval backend;
-/// this experiment measures what the structure-of-arrays backend buys
-/// it on a Zipf-skewed stream fed through the batched insert path, and
-/// what [`AdaptiveBackend`]'s static layout rules recover by picking
-/// the layout per block shape. Along the way it asserts all three
-/// layouts produce identical top-q value multisets. Series
-/// mirror to `results/windows_backend_compare.csv` (with an
-/// `adaptive_vs_best` column for the CI gate) and `BENCH_windows.json`
-/// (with the layout rules embedded for provenance).
+/// this experiment measures what the structure-of-arrays backend — the
+/// block layout `ShardedQMax::new_windowed` ships — buys each variant
+/// on a Zipf-skewed stream fed through the batched insert path, and
+/// asserts both layouts produce identical top-q value multisets. Series
+/// mirror to `results/windows_backend_compare.csv` (with a
+/// `soa_vs_best` column for the CI gate) and `BENCH_windows.json`.
 pub fn windows_backend(scale: &Scale) {
-    println!("# Windowed q-MAX: AoS vs SoA vs adaptive block backends (batched inserts)");
+    println!("# Windowed q-MAX: AoS vs SoA block backends (batched inserts)");
     let n = scale.stream(4_000_000);
     let q = 10_000;
     let gamma = 0.25;
@@ -299,117 +261,75 @@ pub fn windows_backend(scale: &Scale) {
             "tau",
             "aos_mips",
             "soa_mips",
-            "adaptive_mips",
             "speedup",
-            "adaptive_vs_best",
+            "soa_vs_best",
         ],
     );
-    let mut rows: Vec<BackendRow> = Vec::new();
+    let mut body = Vec::new();
     for tau in [0.01, 0.1] {
-        let label =
-            AdaptiveBasicSlackQMax::<u64, u64>::new_adaptive(q, gamma, w, tau).backend_label();
-        let ([aos, soa, ada], vs_best) = tri_window_mips(
-            || BasicSlackQMax::new(q, gamma, w, tau),
-            || BasicSlackQMax::with_backend(w, tau, SoaAmortizedQMax::new(q, gamma)),
-            || AdaptiveBasicSlackQMax::new_adaptive(q, gamma, w, tau),
-            &stream,
-            &format!("basic tau={tau}"),
-        );
-        rows.push(BackendRow {
-            variant: "basic".into(),
-            tau: format!("{tau}"),
-            aos_mips: aos,
-            soa_mips: soa,
-            adaptive_mips: ada,
-            adaptive_vs_best: vs_best,
-            adaptive_label: label,
-        });
-
-        let label =
-            HierSlackQMax::<u64, u64, _>::with_backend(w, tau, 2, AdaptiveBackend::new(q, gamma))
-                .backend_label();
-        let ([aos, soa, ada], vs_best) = tri_window_mips(
-            || HierSlackQMax::new(q, gamma, w, tau, 2),
-            || HierSlackQMax::with_backend(w, tau, 2, SoaAmortizedQMax::new(q, gamma)),
-            || HierSlackQMax::with_backend(w, tau, 2, AdaptiveBackend::new(q, gamma)),
-            &stream,
-            &format!("hier tau={tau}"),
-        );
-        rows.push(BackendRow {
-            variant: "hier-c2".into(),
-            tau: format!("{tau}"),
-            aos_mips: aos,
-            soa_mips: soa,
-            adaptive_mips: ada,
-            adaptive_vs_best: vs_best,
-            adaptive_label: label,
-        });
-
-        let label =
-            LazySlackQMax::<u64, u64, _>::with_backend(w, tau, 2, AdaptiveBackend::new(q, gamma))
-                .backend_label();
-        let ([aos, soa, ada], vs_best) = tri_window_mips(
-            || LazySlackQMax::new(q, gamma, w, tau, 2),
-            || LazySlackQMax::with_backend(w, tau, 2, SoaAmortizedQMax::new(q, gamma)),
-            || LazySlackQMax::with_backend(w, tau, 2, AdaptiveBackend::new(q, gamma)),
-            &stream,
-            &format!("lazy tau={tau}"),
-        );
-        rows.push(BackendRow {
-            variant: "lazy-c2".into(),
-            tau: format!("{tau}"),
-            aos_mips: aos,
-            soa_mips: soa,
-            adaptive_mips: ada,
-            adaptive_vs_best: vs_best,
-            adaptive_label: label,
-        });
+        let soa_block = || SoaAmortizedQMax::new(q, gamma);
+        let measured = [
+            (
+                "basic",
+                paired_window_mips(
+                    || BasicSlackQMax::new(q, gamma, w, tau),
+                    || BasicSlackQMax::with_backend(w, tau, soa_block()),
+                    &stream,
+                    &format!("basic tau={tau}"),
+                ),
+            ),
+            (
+                "hier-c2",
+                paired_window_mips(
+                    || HierSlackQMax::new(q, gamma, w, tau, 2),
+                    || HierSlackQMax::with_backend(w, tau, 2, soa_block()),
+                    &stream,
+                    &format!("hier tau={tau}"),
+                ),
+            ),
+            (
+                "lazy-c2",
+                paired_window_mips(
+                    || LazySlackQMax::new(q, gamma, w, tau, 2),
+                    || LazySlackQMax::with_backend(w, tau, 2, soa_block()),
+                    &stream,
+                    &format!("lazy tau={tau}"),
+                ),
+            ),
+        ];
+        for (variant, ([aos, soa], vs_best)) in measured {
+            rep.row(&[
+                variant.to_string(),
+                format!("{tau}"),
+                fmt(aos),
+                fmt(soa),
+                fmt(soa / aos),
+                fmt(vs_best),
+            ]);
+            body.push(format!(
+                concat!(
+                    "    {{\"variant\": \"{}\", \"tau\": \"{}\", ",
+                    "\"aos_mips\": {:.3}, \"soa_mips\": {:.3}, ",
+                    "\"speedup\": {:.3}, \"soa_vs_best\": {:.3}}}"
+                ),
+                variant,
+                tau,
+                aos,
+                soa,
+                soa / aos,
+                vs_best,
+            ));
+        }
     }
-
-    for r in &rows {
-        rep.row(&[
-            r.variant.clone(),
-            r.tau.clone(),
-            fmt(r.aos_mips),
-            fmt(r.soa_mips),
-            fmt(r.adaptive_mips),
-            fmt(r.soa_mips / r.aos_mips),
-            fmt(r.adaptive_vs_best),
-        ]);
-    }
-    write_bench_json(&rows, n, q);
+    write_bench_json(&body.join(",\n"), n, q);
 }
 
 /// Hand-rolled JSON mirror (no serde in the dependency-free build).
-/// Embeds the layout rules so every published number carries what
-/// produced the adaptive decisions.
-fn write_bench_json(rows: &[BackendRow], stream_len: usize, q: usize) {
+fn write_bench_json(body: &str, stream_len: usize, q: usize) {
     let ts = std::time::SystemTime::now()
         .duration_since(std::time::UNIX_EPOCH)
         .map(|d| d.as_secs())
         .unwrap_or(0);
-    let mut body = String::new();
-    for (i, r) in rows.iter().enumerate() {
-        if i > 0 {
-            body.push_str(",\n");
-        }
-        body.push_str(&format!(
-            concat!(
-                "    {{\"variant\": \"{}\", \"tau\": \"{}\", ",
-                "\"aos_mips\": {:.3}, \"soa_mips\": {:.3}, \"adaptive_mips\": {:.3}, ",
-                "\"adaptive_label\": \"{}\", ",
-                "\"speedup\": {:.3}, \"adaptive_vs_best\": {:.3}}}"
-            ),
-            r.variant,
-            r.tau,
-            r.aos_mips,
-            r.soa_mips,
-            r.adaptive_mips,
-            r.adaptive_label,
-            r.soa_mips / r.aos_mips,
-            r.adaptive_vs_best,
-        ));
-    }
     let json = format!(
         concat!(
             "{{\n",
@@ -418,8 +338,6 @@ fn write_bench_json(rows: &[BackendRow], stream_len: usize, q: usize) {
             "  \"q\": {q},\n",
             "  \"stream_len\": {n},\n",
             "  \"batch\": {batch},\n",
-            "  \"backend_policy_rules\": \"non-u64 value lane -> AoS; ",
-            "lifetime fill <= capacity (append-only) -> AoS; otherwise SoA\",\n",
             "  \"machine_caveats\": \"wall-clock timing on a shared, unpinned machine ",
             "(no CPU isolation, no frequency control, container noise); ",
             "relative AoS-vs-SoA speedups are the signal, absolute MIPS are not ",

@@ -16,7 +16,7 @@
 //! checkpoint must yield exactly the checkpointed structure without
 //! needing a factory rebuild.
 //!
-//! For the amortized layouts (AoS, SoA, adaptive), restore preserves,
+//! For the amortized layouts (AoS, SoA), restore preserves,
 //! for any backend `b` and snapshot `s = b.snapshot()`:
 //!
 //! * the candidate multiset (hence the top-`q` query result),

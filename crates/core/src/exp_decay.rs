@@ -262,8 +262,8 @@ impl<I, Q: QMax<I, OrderedF64>> QMax<I, OrderedF64> for ExpDecayQMax<Q, I> {
         "exp-decay"
     }
 
-    /// The wrapped reservoir's label — lets the adaptive backend's
-    /// decision show through the decay wrapper.
+    /// The wrapped reservoir's label, so its layout shows through the
+    /// decay wrapper.
     fn backend_label(&self) -> &'static str {
         self.backend.backend_label()
     }

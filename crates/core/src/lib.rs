@@ -70,7 +70,7 @@ mod time_window;
 mod traits;
 pub mod window;
 
-pub use adaptive::{AdaptiveBackend, BackendChoice};
+pub use adaptive::AdaptiveBackend;
 pub use amortized::{Amortized, AmortizedQMax};
 pub use checkpoint::{BackendSnapshot, Checkpoint};
 pub use deamortized::{Deamortized, DeamortizedQMax, DeamortizedStats};

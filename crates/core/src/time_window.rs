@@ -28,8 +28,7 @@ use crate::window::{top_q_entries, EpochRing};
 /// through the structure-of-arrays
 /// [`SoaAmortizedQMax`](crate::SoaAmortizedQMax) so
 /// [`TimeSlackQMax::insert_batch`] runs the branchless batched kernel
-/// per block, and `with_backend(…, AdaptiveBackend::new(q, γ))` lets the
-/// adaptive layout rules pick the layout from the block capacity alone.
+/// per block.
 ///
 /// ```
 /// use qmax_core::TimeSlackQMax;

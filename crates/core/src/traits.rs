@@ -50,10 +50,10 @@ pub trait QMax<I, V> {
     /// harness to label series).
     fn name(&self) -> &'static str;
 
-    /// Which concrete layout this structure (or its delegate) runs on —
-    /// observability for the adaptive backend selection. Defaults to
-    /// [`name`](QMax::name); [`crate::AdaptiveBackend`] overrides it to
-    /// report the layout its policy actually chose.
+    /// Which concrete layout this structure (or its delegate) runs on.
+    /// Defaults to [`name`](QMax::name); wrappers (the slack windows,
+    /// [`crate::ExpDecayQMax`]) report the label of the backend they
+    /// hold, so the layout shows through every wrapper.
     fn backend_label(&self) -> &'static str {
         self.name()
     }

@@ -27,17 +27,16 @@
 //! array-of-structs [`AmortizedQMax`] behavior (and works for non-`Copy`
 //! ids), while `with_backend(…, SoaAmortizedQMax::new(q, γ))` routes
 //! every block through the structure-of-arrays
-//! [`SoaAmortizedQMax`](crate::SoaAmortizedQMax) so the branchless
-//! batched insert path applies to windowed streams too, and
-//! `with_backend(…, AdaptiveBackend::new(q, γ))` lets the layout rules
-//! pick the layout. The [`BatchInsert`] impls split each batch at block
+//! [`SoaAmortizedQMax`] so the branchless batched insert path applies
+//! to windowed streams too; that is the layout the sharded windowed
+//! engine ships. The [`BatchInsert`] impls split each batch at block
 //! boundaries, so batched and singleton insertion are observably
 //! identical.
 
-use crate::adaptive::AdaptiveBackend;
 use crate::amortized::AmortizedQMax;
 use crate::entry::{retain_top_q, Entry};
 use crate::error::QMaxError;
+use crate::soa::SoaAmortizedQMax;
 use crate::traits::{BatchInsert, IntervalBackend, QMax};
 use std::collections::VecDeque;
 use std::marker::PhantomData;
@@ -261,33 +260,23 @@ impl<I: Clone, V: Ord + Clone> BasicSlackQMax<I, V> {
     }
 }
 
-/// [`BasicSlackQMax`] with per-block adaptive backends: each block's
-/// layout (array-of-structs vs structure-of-arrays) is picked by the
-/// static rules of [`AdaptiveBackend`] from the block's
-/// lifetime fill `⌈w·τ⌉` — a basic-window block receives exactly one
-/// block's worth of arrivals, then recycles. When that lifetime fill
-/// sits below the block capacity the block never compacts, and the
-/// rules route it to the append-fast AoS layout (the small-τ regime
-/// where a hand-picked SoA layout measurably loses).
-pub type AdaptiveBasicSlackQMax<I, V> = BasicSlackQMax<I, V, AdaptiveBackend<I, V>>;
+/// [`BasicSlackQMax`] over structure-of-arrays [`SoaAmortizedQMax`]
+/// blocks, under the name the `qbench` benchmark binary builds its
+/// windows with. New code names the backend through
+/// [`BasicSlackQMax::with_backend`].
+pub type AdaptiveBasicSlackQMax<I, V> = BasicSlackQMax<I, V, SoaAmortizedQMax<I, V>>;
 
-impl<I: Copy + 'static, V: Ord + Copy + 'static> AdaptiveBasicSlackQMax<I, V> {
-    /// Like [`BasicSlackQMax::new`], but every block delegates to the
-    /// layout the adaptive layout rules pick for a lifetime fill of
-    /// one block's worth of arrivals (`⌈w/⌈1/τ⌉⌉` items).
+impl<I: Copy + 'static, V: Ord + Copy + 'static> BasicSlackQMax<I, V, SoaAmortizedQMax<I, V>> {
+    /// Like [`BasicSlackQMax::new`], but over structure-of-arrays
+    /// blocks.
     pub fn new_adaptive(q: usize, gamma: f64, w: usize, tau: f64) -> Self {
         Self::try_new_adaptive(q, gamma, w, tau).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Fallible [`AdaptiveBasicSlackQMax::new_adaptive`].
+    /// Fallible [`BasicSlackQMax::new_adaptive`]; q/γ errors take
+    /// precedence over window errors, as in every `try_new`.
     pub fn try_new_adaptive(q: usize, gamma: f64, w: usize, tau: f64) -> Result<Self, QMaxError> {
-        // The prototype's layout must be chosen from the block size
-        // before the ring can be stamped out of it; q/γ errors still
-        // take precedence over window errors, as in every `try_new`.
-        crate::error::check_q_gamma::<Entry<I, V>>(q, gamma)?;
-        let (_, block) = EpochRing::<I, V, AdaptiveBackend<I, V>>::geometry(w as u64, tau, "w")?;
-        let proto = AdaptiveBackend::try_with_fill_hint(q, gamma, Some(block as usize))?;
-        Self::try_with_backend(w, tau, proto)
+        Self::try_with_backend(w, tau, SoaAmortizedQMax::try_new(q, gamma)?)
     }
 }
 
@@ -868,7 +857,6 @@ impl<I: Clone, V: Ord + Clone, B: IntervalBackend<I, V>> BatchInsert<I, V>
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::soa::SoaAmortizedQMax;
 
     fn splitmix(state: &mut u64) -> u64 {
         *state = state.wrapping_add(0x9E3779B97F4A7C15);
@@ -1157,7 +1145,8 @@ mod tests {
     fn adaptive_basic_validates_q_gamma_before_window() {
         use crate::QMaxError;
         let err = |q, w, tau| {
-            AdaptiveBasicSlackQMax::<u32, u64>::try_new_adaptive(q, 0.5, w, tau).unwrap_err()
+            BasicSlackQMax::<u32, u64, SoaAmortizedQMax<u32, u64>>::try_new_adaptive(q, 0.5, w, tau)
+                .unwrap_err()
         };
         assert_eq!(err(0, 0, 0.0), QMaxError::ZeroQ);
         assert_eq!(err(4, 0, 0.5), QMaxError::ZeroWindow);

@@ -212,8 +212,7 @@ pub struct DriverReport {
     pub failures: Vec<ShardFailure>,
     /// Each shard's [`qmax_core::QMax::backend_label`] after the run
     /// (a quarantined shard reports its rebuilt backend's label) —
-    /// surfaces which layout the adaptive backend policy chose per
-    /// shard.
+    /// which layout each shard ran.
     pub per_shard_backend: Vec<&'static str>,
     /// Supervision state transitions recorded during the run (empty for
     /// a run without faults).

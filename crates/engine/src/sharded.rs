@@ -2,8 +2,8 @@
 
 use crate::shard_key::ShardKey;
 use qmax_core::{
-    retain_top_q, AdaptiveBackend, AdaptiveBasicSlackQMax, BatchInsert, DeamortizedQMax,
-    DeamortizedStats, Entry, ExpDecayQMax, OrderedF64, QMax, QMaxError,
+    retain_top_q, AmortizedQMax, BasicSlackQMax, BatchInsert, DeamortizedQMax, DeamortizedStats,
+    Entry, ExpDecayQMax, OrderedF64, QMax, QMaxError, SoaAmortizedQMax,
 };
 use qmax_traces::hash;
 use std::marker::PhantomData;
@@ -327,10 +327,9 @@ impl<I, V, B: QMax<I, V>> ShardedQMax<I, V, B> {
         &self.shards
     }
 
-    /// Each shard's [`QMax::backend_label`], indexed by shard —
-    /// observability for the adaptive backend selection (which layout
-    /// the policy actually chose per shard). Empty while a threaded run
-    /// has the backends moved into workers.
+    /// Each shard's [`QMax::backend_label`], indexed by shard: which
+    /// layout each shard runs. Empty while a threaded run has the
+    /// backends moved into workers.
     pub fn shard_backend_labels(&self) -> Vec<&'static str> {
         self.shards.iter().map(|s| s.backend_label()).collect()
     }
@@ -485,13 +484,11 @@ impl<I, V, B: QMax<I, V>> ShardedQMax<I, V, B> {
     }
 }
 
-impl<I: Copy + 'static, V: Ord + Copy + 'static> ShardedQMax<I, V, AdaptiveBasicSlackQMax<I, V>> {
-    /// Creates `shards` slack-window shards whose per-block layout is
-    /// chosen by the static layout rules of
-    /// [`qmax_core::AdaptiveBackend`]: each shard's expected per-block
-    /// fill `⌈(w/S)·τ⌉` decides between the array-of-structs and
-    /// structure-of-arrays block, ending the small-τ collapse of the
-    /// hand-picked SoA configuration while keeping its large-fill wins.
+impl<I: Copy + 'static, V: Ord + Copy + 'static>
+    ShardedQMax<I, V, BasicSlackQMax<I, V, SoaAmortizedQMax<I, V>>>
+{
+    /// Creates `shards` slack-window shards over structure-of-arrays
+    /// [`SoaAmortizedQMax`] blocks.
     ///
     /// Each shard tracks the top-`q` of its sub-stream over a
     /// count-based `(W/S, τ)`-slack window, so the merged query
@@ -506,10 +503,9 @@ impl<I: Copy + 'static, V: Ord + Copy + 'static> ShardedQMax<I, V, AdaptiveBasic
     /// [`ShardedQMax::insert_batch`] detects that and routes every item
     /// through, still batching per-shard runs through the block kernel.
     ///
-    /// This is the recommended windowed constructor; pin a layout by
-    /// hand with [`ShardedQMax::with_backends`] and a per-shard
-    /// `BasicSlackQMax::with_backend(w / S, τ, proto)`. Inspect the
-    /// per-shard decisions with [`ShardedQMax::shard_backend_labels`].
+    /// This is the recommended windowed constructor; pick another block
+    /// backend with [`ShardedQMax::with_backends`] and a per-shard
+    /// `BasicSlackQMax::with_backend(w / S, τ, proto)`.
     ///
     /// # Panics
     ///
@@ -520,21 +516,18 @@ impl<I: Copy + 'static, V: Ord + Copy + 'static> ShardedQMax<I, V, AdaptiveBasic
         assert!(w > 0, "window must be positive");
         let per_shard_w = (w / shards).max(1);
         Self::with_backends(q, shards, move |_| {
-            AdaptiveBasicSlackQMax::new_adaptive(q, gamma, per_shard_w, tau)
+            BasicSlackQMax::new_adaptive(q, gamma, per_shard_w, tau)
         })
     }
 }
 
-impl<I: Copy + 'static>
-    ShardedQMax<I, OrderedF64, ExpDecayQMax<AdaptiveBackend<I, OrderedF64>, I>>
-{
-    /// Creates `shards` exponential-decay shards whose reservoir layout
-    /// is chosen by the static layout rules of
-    /// [`qmax_core::AdaptiveBackend`]. Decayed reservoirs score in
-    /// [`OrderedF64`], a lane the SIMD kernels cannot vectorize, so
-    /// these shards always take the array-of-structs layout; pin the
-    /// split-lane layout for comparison runs with
-    /// [`ShardedQMax::with_backends`] and a `SoaAmortizedQMax` reservoir.
+impl<I: Copy + 'static> ShardedQMax<I, OrderedF64, ExpDecayQMax<AmortizedQMax<I, OrderedF64>, I>> {
+    /// Creates `shards` exponential-decay shards over array-of-structs
+    /// [`AmortizedQMax`] reservoirs. Decayed reservoirs score in
+    /// [`OrderedF64`], a lane the SIMD kernels cannot vectorize, so the
+    /// split-lane layout would buy nothing; build a `SoaAmortizedQMax`
+    /// reservoir with [`ShardedQMax::with_backends`] for comparison
+    /// runs.
     ///
     /// Each shard ages its sub-stream with per-shard decay `c^S`, so an
     /// item `k` *global* arrivals old has decayed by ≈ `c^k` (its shard
@@ -557,7 +550,7 @@ impl<I: Copy + 'static>
         assert!(c > 0.0 && c <= 1.0, "decay parameter must be in (0, 1]");
         let c_shard = c.powf(shards as f64).max(f64::MIN_POSITIVE);
         Self::with_backends(q, shards, move |_| {
-            ExpDecayQMax::new(AdaptiveBackend::new(q, gamma), c_shard)
+            ExpDecayQMax::new(AmortizedQMax::new(q, gamma), c_shard)
         })
     }
 }
@@ -633,7 +626,7 @@ impl<I: ShardKey + Clone, V: Ord + Clone, B: BatchInsert<I, V>> BatchInsert<I, V
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qmax_core::{BasicSlackQMax, HeapQMax, SoaAmortizedQMax, SoaDeamortizedQMax};
+    use qmax_core::{HeapQMax, SoaDeamortizedQMax};
     use qmax_traces::gen::{caida_like, random_u64_stream};
 
     fn top_q_reference(vals: &[u64], q: usize) -> Vec<u64> {
@@ -909,46 +902,40 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_windowed_shards_match_soa_windowed_shards() {
-        // The adaptive constructor must answer the same windowed
-        // queries as the hand-picked SoA configuration — the policy
-        // only moves the layout, never the semantics.
+    fn shipped_windowed_shards_match_aos_windowed_shards() {
+        // The windowed constructor ships structure-of-arrays blocks; the
+        // layout moves only speed, so array-of-structs blocks answer the
+        // same windowed queries.
         let q = 8;
         let w = 10_000;
         let items: Vec<(u64, u64)> = (0..(4 * w) as u64)
             .map(|i| (i, 1_000 + hash::mix64(i) % 100_000))
             .collect();
-        let mut ada = ShardedQMax::new_windowed(q, 0.5, 4, w, 0.25);
-        let mut soa = ShardedQMax::with_backends(q, 4, move |_| {
-            BasicSlackQMax::with_backend(w / 4, 0.25, SoaAmortizedQMax::new(q, 0.5))
-        });
+        let mut shipped = ShardedQMax::new_windowed(q, 0.5, 4, w, 0.25);
+        let mut aos =
+            ShardedQMax::with_backends(q, 4, move |_| BasicSlackQMax::new(q, 0.5, w / 4, 0.25));
         for chunk in items.chunks(1024) {
-            ada.insert_batch(chunk);
-            soa.insert_batch(chunk);
+            shipped.insert_batch(chunk);
+            aos.insert_batch(chunk);
         }
-        assert_eq!(sorted_vals(&mut ada), sorted_vals(&mut soa));
-        // Per-shard labels surface the decision the policy made.
-        let labels = ada.shard_backend_labels();
-        assert_eq!(labels.len(), 4);
-        for l in labels {
-            assert!(l.starts_with("qmax-adaptive"), "unexpected label {l}");
-        }
+        assert_eq!(sorted_vals(&mut shipped), sorted_vals(&mut aos));
+        assert_eq!(shipped.shard_backend_labels(), ["qmax-soa-amortized"; 4]);
+        assert_eq!(aos.shard_backend_labels(), ["qmax-amortized"; 4]);
     }
 
     #[test]
-    fn adaptive_decayed_shards_match_soa_decayed_shards() {
-        use qmax_core::OrderedF64;
+    fn decayed_shards_run_aos_and_match_soa_decayed_shards() {
         let q = 8;
         let items: Vec<(u64, OrderedF64)> = (0..20_000u64)
             .map(|i| (i, OrderedF64(1.0 + (hash::mix64(i) % 1_000) as f64)))
             .collect();
-        let mut ada = ShardedQMax::new_decayed(q, 0.5, 4, 0.999);
+        let mut aos = ShardedQMax::new_decayed(q, 0.5, 4, 0.999);
         let c_shard = 0.999f64.powf(4.0);
         let mut soa = ShardedQMax::with_backends(q, 4, move |_| {
             ExpDecayQMax::new(SoaAmortizedQMax::new(q, 0.5), c_shard)
         });
         for chunk in items.chunks(512) {
-            ada.insert_batch(chunk);
+            aos.insert_batch(chunk);
             soa.insert_batch(chunk);
         }
         let ids = |v: Vec<(u64, OrderedF64)>| {
@@ -956,12 +943,8 @@ mod tests {
             ids.sort_unstable();
             ids
         };
-        assert_eq!(ids(ada.query()), ids(soa.query()));
-        // The score lane is OrderedF64, which SIMD cannot vectorize, so
-        // the layout rules must resolve decayed shards to AoS.
-        for l in ada.shard_backend_labels() {
-            assert_eq!(l, "qmax-adaptive-aos");
-        }
+        assert_eq!(ids(aos.query()), ids(soa.query()));
+        assert_eq!(aos.shard_backend_labels(), ["qmax-amortized"; 4]);
     }
 
     #[test]

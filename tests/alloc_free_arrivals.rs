@@ -32,9 +32,8 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use qmax_core::{
-    AdaptiveBackend, Amortized, AmortizedQMax, BatchInsert, Deamortized, DeamortizedQMax,
-    DedupQMax, Entry, ExpDecayQMax, IntervalBackend, OrderedF64, QMax, Slots, SoaAmortizedQMax,
-    SoaDeamortizedQMax,
+    Amortized, AmortizedQMax, BatchInsert, Deamortized, DeamortizedQMax, DedupQMax, Entry,
+    ExpDecayQMax, IntervalBackend, OrderedF64, QMax, Slots, SoaAmortizedQMax, SoaDeamortizedQMax,
 };
 use qmax_engine::ShardedQMax;
 use qmax_lrfu::{Cache, DeamortizedLrfu, QMaxLrfu};
@@ -223,10 +222,6 @@ fn amortized_construction_does_not_allocate() {
             "soa",
             construction_calls(|| SoaAmortizedQMax::try_new(Q, GAMMA).unwrap()),
         ),
-        (
-            "adaptive",
-            construction_calls(|| AdaptiveBackend::try_new(Q, GAMMA).unwrap()),
-        ),
     ];
     for (backend, (built, fresh)) in cases {
         assert_eq!(built, 0, "{backend}: try_new allocated {built} times");
@@ -334,7 +329,7 @@ fn exp_decay_batches_do_not_allocate() {
     let items: Vec<(u64, OrderedF64)> = (0..100_000u64)
         .map(|i| (i, OrderedF64(1.0 + (splitmix(&mut state) % 1_000) as f64)))
         .collect();
-    let mut decayed = ExpDecayQMax::new(AdaptiveBackend::new(2048, GAMMA), 0.999);
+    let mut decayed = ExpDecayQMax::new(AmortizedQMax::new(2048, GAMMA), 0.999);
     let mut chunks = items.chunks(256);
     while decayed.backend().compactions() < 2 {
         decayed.insert_batch(chunks.next().expect("warm-up compacts"));

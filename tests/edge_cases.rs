@@ -3,9 +3,9 @@
 //! degenerate value distributions, and extreme parameters.
 
 use qmax_core::{
-    AdaptiveBackend, AdaptiveBasicSlackQMax, AmortizedQMax, BasicSlackQMax, DeamortizedQMax,
-    DedupQMax, HeapQMax, HierSlackQMax, IndexedHeapQMax, KeyedSkipListQMax, LazySlackQMax, QMax,
-    QMaxError, SkipListQMax, SoaAmortizedQMax, SoaDeamortizedQMax, SortedVecQMax, TimeSlackQMax,
+    AmortizedQMax, BasicSlackQMax, DeamortizedQMax, DedupQMax, HeapQMax, HierSlackQMax,
+    IndexedHeapQMax, KeyedSkipListQMax, LazySlackQMax, QMax, QMaxError, SkipListQMax,
+    SoaAmortizedQMax, SoaDeamortizedQMax, SortedVecQMax, TimeSlackQMax,
 };
 use qmax_engine::ShardedQMax;
 use qmax_lrfu::{Cache, DeamortizedLrfu, HeapLrfu, QMaxLrfu, ScanLrfu};
@@ -183,7 +183,6 @@ fn finite_gamma_with_overflowing_geometry_is_rejected() {
         assert_eq!(SoaAmortizedQMax::<u64, u64>::try_new(4, gamma).err(), bad);
         assert_eq!(DeamortizedQMax::<u64, u64>::try_new(4, gamma).err(), bad);
         assert_eq!(SoaDeamortizedQMax::<u64, u64>::try_new(4, gamma).err(), bad);
-        assert_eq!(AdaptiveBackend::<u64, u64>::try_new(4, gamma).err(), bad);
         assert_eq!(ShardedQMax::<u64, u64>::try_new(4, gamma, 2).err(), bad);
     }
     // A large but sizable γ still builds, with capacity at least q.
@@ -201,7 +200,8 @@ fn window_geometry_overflow_is_rejected() {
         bad_tau
     );
     assert_eq!(
-        AdaptiveBasicSlackQMax::<u64, u64>::try_new_adaptive(2, 0.5, 100, tiny).err(),
+        BasicSlackQMax::<u64, u64, SoaAmortizedQMax<u64, u64>>::try_new_adaptive(2, 0.5, 100, tiny)
+            .err(),
         bad_tau
     );
     assert_eq!(

@@ -6,7 +6,7 @@
 //! structure that is *behaviorally identical* to `b` — same top-`q`,
 //! same admission threshold Ψ, same statistics counters, and the same
 //! response to any future insert stream. This suite pins that contract
-//! with 256 randomized cases per backend family (AoS, SoA, adaptive),
+//! with 256 randomized cases per backend family (AoS, SoA),
 //! plus deterministic probes of the two states a per-batch checkpoint
 //! cadence is most likely to capture: a buffer sitting just below
 //! capacity (mid-compaction pressure) and a freshly-recycled block
@@ -16,8 +16,8 @@
 
 use proptest::prelude::*;
 use qmax_core::{
-    AdaptiveBackend, AmortizedQMax, BatchInsert, Checkpoint, DeamortizedQMax, QMax,
-    SoaAmortizedQMax, SoaDeamortizedQMax,
+    AmortizedQMax, BatchInsert, Checkpoint, DeamortizedQMax, QMax, SoaAmortizedQMax,
+    SoaDeamortizedQMax,
 };
 use qmax_traces::gen::caida_like;
 
@@ -184,12 +184,6 @@ proptest! {
             prefix,
             suffix
         );
-        assert_roundtrip!(
-            AdaptiveBackend::<u64, u64>::new(q, gamma),
-            AdaptiveBackend::<u64, u64>::new(q, gamma),
-            prefix,
-            suffix
-        );
     }
 }
 
@@ -281,12 +275,6 @@ fn mid_compaction_pressure_roundtrips() {
         &prefix,
         &suffix
     );
-    assert_roundtrip!(
-        AdaptiveBackend::<u64, u64>::new(q, gamma),
-        AdaptiveBackend::<u64, u64>::new(q, gamma),
-        &prefix,
-        &suffix
-    );
 }
 
 /// A freshly-recycled block: the snapshot is taken immediately after
@@ -319,12 +307,6 @@ fn freshly_recycled_block_roundtrips() {
         &prefix,
         &suffix
     );
-    assert_roundtrip!(
-        AdaptiveBackend::<u64, u64>::new(q, gamma),
-        AdaptiveBackend::<u64, u64>::new(q, gamma),
-        &prefix,
-        &suffix
-    );
 }
 
 /// `reset()` followed by a partial refill — the state a shard is in
@@ -353,5 +335,4 @@ fn reset_refill_roundtrips() {
     }
     reset_case!(AmortizedQMax::<u64, u64>::new(q, gamma));
     reset_case!(SoaAmortizedQMax::<u64, u64>::new(q, gamma));
-    reset_case!(AdaptiveBackend::<u64, u64>::new(q, gamma));
 }

@@ -40,15 +40,16 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     /// SoA amortized ≡ AoS amortized: same admissions, same threshold
-    /// trajectory, same counters, same top-q, on arbitrary and
-    /// duplicate-heavy streams. Large `q` reaches the sampled-pivot
-    /// compaction (`q(1+γ) ≥ SAMPLED_COMPACT_MIN`); SoA takes the stream
-    /// in random batches, AoS one item at a time.
+    /// trajectory, same counters, same top-q, on arbitrary,
+    /// duplicate-heavy and all-equal streams. Large `q` reaches the
+    /// sampled-pivot compaction (`q(1+γ) ≥ SAMPLED_COMPACT_MIN`); SoA
+    /// takes the stream in random batches, AoS one item at a time.
     #[test]
     fn soa_amortized_equals_aos(
         vals in prop_oneof![
             prop::collection::vec(any::<u64>(), 1..8000),
             prop::collection::vec(0u64..16, 1..8000),
+            (any::<u64>(), 1usize..8000).prop_map(|(v, n)| vec![v; n]),
         ],
         q in prop_oneof![1usize..64, 600usize..1500],
         gamma in 0.01f64..2.5,
